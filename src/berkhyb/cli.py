@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-    berkhyb <kind> --manifest <path> [--out <dir>] [--seed <u64>] [--threads <n>]
+    berkhyb <kind> --manifest <path> [--out <dir>] [--seed <u64>]
 
 Exit status: 0 when every check passes, 1 on check failures (the report
 is still written), 2 on manifest/parse errors (no outputs are written).
@@ -30,8 +30,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the manifest seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker hint for grid sweeps (numpy runs vectorized)")
     return parser
 
 

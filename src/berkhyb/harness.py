@@ -45,6 +45,7 @@ from .models import (
 from .mongeampere import (
     CurveFamily,
     IntersectionTable,
+    ResolutionError,
     cln_stability_check,
     family_limit_measure,
     ma_model_metric,
@@ -114,6 +115,8 @@ class ExperimentManifest:
         for key in ("tol", "w1_tol", "mass_tol", "numeric_tol"):
             if key in params and not params[key] > 0:
                 raise ManifestError(f"{path}: tolerance {key} must be positive")
+        if kind == "ma-converge":
+            _check_ma_converge(path, params, data.get("inputs", {}))
         man = cls(kind, seed, data.get("inputs", {}), params, path.parent, data)
         man._check_inputs_exist()
         return man
@@ -139,6 +142,28 @@ class ExperimentManifest:
 
     def r(self, default="1/2") -> Fraction:
         return rat_from_str(self.params.get("r", default))
+
+
+def _check_ma_converge(path: Path, params, inputs):
+    """Reject params the grid cannot run, before anything is written.
+
+    The potential divides by log|t|, and the five-point Laplacian needs at
+    least 16 cells a side.  Booleans pass the isinstance tests but fall
+    outside both bounds.
+    """
+    params = params if isinstance(params, dict) else {}
+    inputs = inputs if isinstance(inputs, dict) else {}
+    ts = params.get("t_schedule")
+    if not (isinstance(ts, list) and ts
+            and all(isinstance(t, (int, float)) and 0 < t < 1 for t in ts)):
+        raise ManifestError(
+            f"{path}: t_schedule must be a non-empty list with every 0 < t < 1")
+    grid = params.get("grid", 1024)
+    if not (isinstance(grid, int) and grid >= 16):
+        raise ManifestError(f"{path}: grid must be an integer >= 16")
+    fams = inputs.get("families")
+    if not (isinstance(fams, list) and fams):
+        raise ManifestError(f"{path}: inputs.families must be a non-empty list")
 
 
 @dataclass
@@ -590,15 +615,24 @@ def run_ma_converge(man: ExperimentManifest) -> RunReport:
     r = man.r()
     params = man.params
     t_schedule = [float(t) for t in params["t_schedule"]]
-    grid = int(params.get("grid", 1024))
+    grid = params.get("grid", 1024)
     w1_tol = float(params.get("w1_tol", 0.05))
     mass_tol = float(params.get("mass_tol", 1e-4))
     tests = test_functions_from_params(params.get("test_functions", []), r)
     rows = []
+    geometries = {}  # chart arrays shared by the families of this run
     for rel in man.inputs["families"]:
         fam = load_family(man.resolve(rel))
-        conv = weak_convergence_experiment(fam, t_schedule, tests, grid, r,
-                                            mass_tol=mass_tol)
+        try:
+            conv = weak_convergence_experiment(fam, t_schedule, tests, grid, r,
+                                                mass_tol=mass_tol,
+                                                geometries=geometries)
+        except ResolutionError as exc:
+            rep.checks.append(Check(
+                f"grid-resolution-{fam.name}", False,
+                f"{exc}; suggested_n = {exc.suggested_n}",
+            ))
+            continue
         for row in conv.rows:
             out = [fam.name, row.t_abs, row.w1, row.captured_mass]
             for name in sorted(tests):

@@ -12,10 +12,23 @@ constant c, giving the fiber potential
 Its tropical profile in the valuation coordinate u = log|z|/log|t| is the
 convex function H(u) = m^{-1} max_a max_{k in supp s_a} (-k u - q_a - c_a/log r),
 whose slope jumps are the limit measure atoms.
+
+Grid hot path.  The chart geometry (log|xi| on the cell grid with its
+halo, and the cell order by log|xi|) does not depend on t; it is built
+once per (L, n) and reused for every t and chart of an experiment.  An
+entry with a single term c t^e xi^k has log|c t^e xi^k| = log|c| +
+e log|t| + k log|xi|, computed in real arithmetic on the cached log|xi|;
+entries with more terms take the complex path (Horner's rule on the
+complex nodes).  For fixed t, u = +-log|xi|/log|t| - p is monotone in
+log|xi|, so the cell order by log|xi|, read forwards or backwards, sorts
+every chart's cells by u: pushforward_log_radius emits each chart's
+cloud sorted by u, and the chart's partition ramps are contiguous runs
+of that order.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass, field
@@ -310,54 +323,146 @@ class GridMeasure:
     cell_u: np.ndarray        # valuation coordinate per cell, shape (n, n)
     raw_total: float          # unweighted Laplacian total on this chart
     total_mass: float         # weighted total
+    u_order: np.ndarray | None = None  # flat indices that sort cell_u ascending
 
     def negative_mass_floor(self) -> float:
         return float(self.cell_masses.min())
 
 
+class _ChartGeometry:
+    """The t-independent arrays of an n x n cell grid on [-L, L]^2.
+
+    ``log_abs`` covers the cells plus a one-cell halo, (n + 2)^2 centers
+    in all; ``order`` holds the flat cell indices sorted by log|xi|.  The
+    complex nodes are built only if a multi-term entry needs them.
+    """
+
+    def __init__(self, L: float, n: int):
+        h = 2.0 * L / n
+        self.centers = -L + h * (np.arange(n + 2) - 0.5)
+        self._nodes = None
+        # cell centers never hit xi = 0, so log|xi| is finite everywhere
+        self.log_abs = np.log(np.abs(self._complex_nodes()))
+        self.order = np.argsort(self.log_abs[1:-1, 1:-1], axis=None, kind="stable")
+
+    def _complex_nodes(self) -> np.ndarray:
+        return self.centers[:, None] + 1j * self.centers[None, :]
+
+    @property
+    def nodes(self) -> np.ndarray:
+        if self._nodes is None:
+            self._nodes = self._complex_nodes()
+        return self._nodes
+
+
 def _smoothstep(x: np.ndarray) -> np.ndarray:
-    y = np.clip(x, 0.0, 1.0)
-    return y * y * (3.0 - 2.0 * y)
+    """Cubic ramp of clip(x, 0, 1); overwrites ``x``."""
+    y = np.clip(x, 0.0, 1.0, out=x)
+    ramp = np.multiply(y, -2.0)
+    ramp += 3.0
+    y *= y
+    y *= ramp
+    return y
 
 
-def partition_weight(chart: Chart, u: np.ndarray, ramp: float = 0.05) -> np.ndarray:
+def _ramp_coordinate(u, end: float, ramp: float):
+    """Position across the ramp centered on ``end``: 0 below it, 1 above."""
+    return (u - (end - ramp)) / (2 * ramp)
+
+
+def partition_weight(chart: Chart, u: np.ndarray, ramp: float = 0.05,
+                     order: np.ndarray | None = None) -> np.ndarray:
     """C^1 radial partition weight for the chart's owned u-interval.
 
     Ramps of half-width ``ramp`` are centered on the declared interval
-    ends, so charts sharing an interface sum to one.
+    ends, so charts sharing an interface sum to one.  Given ``order``,
+    flat indices that sort ``u`` ascending, each ramp is a contiguous run
+    of that order found by bisection: only its cells are evaluated, and
+    the cells on either side get their exact weight, 0 or 1, directly.
     """
-    w = np.ones_like(u)
-    if math.isfinite(chart.u_lo):
-        w = w * _smoothstep((u - (chart.u_lo - ramp)) / (2 * ramp))
-    if math.isfinite(chart.u_hi):
-        w = w * (1.0 - _smoothstep((u - (chart.u_hi - ramp)) / (2 * ramp)))
-    return w
+    if order is None:
+        w = np.ones_like(u)
+        if math.isfinite(chart.u_lo):
+            w *= _smoothstep(_ramp_coordinate(u, chart.u_lo, ramp))
+        if math.isfinite(chart.u_hi):
+            s = _smoothstep(_ramp_coordinate(u, chart.u_hi, ramp))
+            w *= np.subtract(1.0, s, out=s)
+        return w
+    flat = u.ravel()
+    w = np.ones(flat.size)
+    for end, falling in ((chart.u_lo, False), (chart.u_hi, True)):
+        if not math.isfinite(end):
+            continue
+        def x(i, end=end):
+            return _ramp_coordinate(flat[i], end, ramp)
+        below = bisect.bisect_right(order, 0.0, key=x)
+        above = bisect.bisect_left(order, 1.0, key=x)
+        run = order[below:above]
+        s = _smoothstep(_ramp_coordinate(flat[run], end, ramp))
+        if falling:
+            w[order[above:]] = 0.0
+            w[run] *= np.subtract(1.0, s, out=s)
+        else:
+            w[order[:below]] = 0.0
+            w[run] *= s
+    return w.reshape(u.shape)
+
+
+def _entry_log_modulus(entry: FamilyEntry, degree: int, t: complex,
+                       chart: Chart, geom: _ChartGeometry,
+                       complex_path: bool = False) -> np.ndarray:
+    """log|t^q s(z)| at the chart's halo nodes, without the hybrid constant.
+
+    A single-term section is real arithmetic on the cached log|xi|; more
+    terms (or ``complex_path``) use Horner's rule on the complex nodes.
+    """
+    logabs_t = math.log(abs(t))
+    powers = [((degree - k) if chart.invert else k,
+               float(entry.q) - float(chart.p) * k, coef)
+              for k, coef in entry.coeffs]
+    if len(powers) == 1 and not complex_path:
+        xi_exp, t_exp, coef = powers[0]
+        term = np.multiply(geom.log_abs, xi_exp)
+        term += math.log(abs(coef)) + t_exp * logabs_t
+        return term
+    log_t = cmath.log(t)
+    poly = {}  # xi-exponent -> coefficient
+    for xi_exp, t_exp, coef in powers:
+        poly[xi_exp] = poly.get(xi_exp, 0) + coef * cmath.exp(t_exp * log_t)
+    top = max(poly)
+    acc = np.full(geom.nodes.shape, poly[top], dtype=complex)
+    for j in range(top - 1, -1, -1):
+        acc *= geom.nodes
+        if j in poly:
+            acc += poly[j]
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(acc))
 
 
 def _potential_on_grid(family: CurveFamily, t: complex, chart: Chart,
-                       nodes: np.ndarray, log_r: float) -> np.ndarray:
-    """Fiber potential at the chart nodes (complex array)."""
+                       geom: _ChartGeometry, log_r: float,
+                       complex_path: bool = False) -> np.ndarray:
+    """Fiber potential at the chart's halo nodes (real array)."""
     logabs_t = math.log(abs(t))
-    log_t = cmath.log(t)
-    vals = []
+    phi = None
+    terms = []
     for e in family.entries:
-        acc = np.zeros_like(nodes, dtype=complex)
-        for k, coef in e.coeffs:
-            tpow = cmath.exp((float(e.q) - float(chart.p) * k) * log_t)
-            xi_exp = (family.degree - k) if chart.invert else k
-            acc += coef * tpow * nodes ** xi_exp
-        with np.errstate(divide="ignore"):
-            term = np.log(np.abs(acc))
-        term = term + float(e.c) / log_r * logabs_t
-        vals.append(term)
-    stack = np.stack(vals)
-    if family.mode == "max":
-        phi = np.max(stack, axis=0)
-    else:
+        term = _entry_log_modulus(e, family.degree, t, chart, geom, complex_path)
+        if e.c:
+            term += float(e.c) / log_r * logabs_t
+        if family.mode == "lse":
+            terms.append(term)
+        elif phi is None:
+            phi = term
+        else:
+            np.maximum(phi, term, out=phi)
+    if family.mode == "lse":
+        stack = np.stack(terms)
         mm = 2.0 * family.m
         top = np.max(stack, axis=0)
         phi = top + np.log(np.sum(np.exp(mm * (stack - top)), axis=0)) / mm
-    return phi / family.m
+    phi /= family.m
+    return phi
 
 
 def ma_complex_curve(
@@ -367,6 +472,7 @@ def ma_complex_curve(
     r: Fraction,
     mass_tol: float = 1e-4,
     check_mass: bool = True,
+    geometries: dict | None = None,
 ) -> list[GridMeasure]:
     """Five-point Laplacian measure of the fiber potential, per chart.
 
@@ -375,31 +481,35 @@ def ma_complex_curve(
     are then weighted by the chart's partition-of-unity factor in the
     valuation coordinate.  The weighted totals must reproduce the family
     degree within ``mass_tol``, else a ResolutionError suggests a finer
-    grid.
+    grid.  ``geometries`` caches the t-independent chart arrays by
+    (L, n); share one dict across calls to build them once.
     """
     if n < 16:
         raise ResolutionError("grid too small", suggested_n=max(64, 2 * n))
+    if geometries is None:
+        geometries = {}
     log_r = math.log(float(r))
     logabs_t = math.log(abs(t))
     grids = []
     for chart in family.charts:
-        h = 2.0 * chart.L / n
-        centers = -chart.L + h * (np.arange(n + 2) - 0.5)
-        X, Y = np.meshgrid(centers, centers, indexing="ij")
-        nodes = X + 1j * Y
-        phi = _potential_on_grid(family, t, chart, nodes, log_r)
-        lap = (
-            phi[2:, 1:-1] + phi[:-2, 1:-1] + phi[1:-1, 2:] + phi[1:-1, :-2]
-            - 4.0 * phi[1:-1, 1:-1]
-        )
-        masses = lap / (2.0 * math.pi)
-        xi_abs = np.abs(nodes[1:-1, 1:-1])
-        with np.errstate(divide="ignore"):
-            u = np.log(xi_abs) / logabs_t - float(chart.p)
-        if chart.invert:
-            u = -np.log(xi_abs) / logabs_t - float(chart.p)
-        weight = partition_weight(chart, u)
-        weighted = masses * weight
+        geom = geometries.get((chart.L, n))
+        if geom is None:
+            geom = geometries[(chart.L, n)] = _ChartGeometry(chart.L, n)
+        phi = _potential_on_grid(family, t, chart, geom, log_r)
+        masses = phi[2:, 1:-1] + phi[:-2, 1:-1]
+        masses += phi[1:-1, 2:]
+        masses += phi[1:-1, :-2]
+        masses -= 4.0 * phi[1:-1, 1:-1]
+        masses /= 2.0 * math.pi
+        log_abs = geom.log_abs[1:-1, 1:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = (-log_abs if chart.invert else log_abs) / logabs_t
+        u -= float(chart.p)
+        # for fixed t, u is an increasing or a decreasing map of log|xi|
+        order = None
+        if logabs_t != 0:
+            order = geom.order if (logabs_t < 0) == chart.invert else geom.order[::-1]
+        weighted = masses * partition_weight(chart, u, order=order)
         grids.append(
             GridMeasure(
                 chart=chart,
@@ -408,6 +518,7 @@ def ma_complex_curve(
                 cell_u=u,
                 raw_total=float(masses.sum()),
                 total_mass=float(weighted.sum()),
+                u_order=order,
             )
         )
     total = sum(g.total_mass for g in grids)
@@ -438,13 +549,16 @@ def pushforward_log_radius(grid: GridMeasure, mass_floor: float = 1e-12) -> Line
     """Direct image of a grid measure under u = log|z| / log|t|.
 
     Mass-preserving by construction; cells with negligible mass are
-    dropped.  Leakage accounting reports the weighted mass missing from
-    the chart relative to its raw Laplacian total.
+    dropped.  The cloud comes out sorted by u, through the grid's cached
+    cell order when it has one.  Leakage accounting reports the weighted
+    mass missing from the chart relative to its raw Laplacian total.
     """
+    order = grid.u_order
+    if order is None:
+        order = np.argsort(grid.cell_u, axis=None, kind="stable")
     m = grid.cell_masses.ravel()
-    u = grid.cell_u.ravel()
-    keep = np.abs(m) > mass_floor
-    cloud = LineCloud(u[keep].copy(), m[keep].copy())
+    kept = order[(np.abs(m) > mass_floor)[order]]
+    cloud = LineCloud(grid.cell_u.ravel()[kept], m[kept])
     cloud.leakage = grid.raw_total - grid.total_mass
     if not np.isfinite(cloud.u).all():
         bad = ~np.isfinite(cloud.u)
@@ -521,6 +635,7 @@ def weak_convergence_experiment(
     grid_n: int,
     r: Fraction,
     mass_tol: float = 1e-4,
+    geometries: dict | None = None,
 ) -> ConvergenceReport:
     """Compare pushed-forward complex MA measures against the limit atoms.
 
@@ -528,13 +643,17 @@ def weak_convergence_experiment(
     compared with the atomic limit measure through the W1 distance and the
     pairings against PA test functions of bounded slope.  A non-decreasing
     W1 trend is reported as an experiment failure, not an exception.
+    The chart geometry is built once for the whole schedule, or once for
+    several experiments that share a ``geometries`` dict.
     """
     mu0 = family_limit_measure(family, r)
     u0, m0 = atoms_to_arrays(mu0, r)
+    if geometries is None:
+        geometries = {}
     rows = []
     for t_abs in t_schedule:
         grids = ma_complex_curve(family, complex(t_abs), grid_n, r,
-                                 mass_tol=mass_tol)
+                                 mass_tol=mass_tol, geometries=geometries)
         cloud = combine_clouds([pushforward_log_radius(g) for g in grids])
         w1 = wasserstein1_line(cloud.u, cloud.mass, u0, m0)
         errs = {}

@@ -107,3 +107,52 @@ def test_emit_plot_data_empty_report(tmp_path):
     report = RunReport(kind="ma-model", seed=0, version="0", manifest_echo={})
     emit_plot_data(report, tmp_path / "plot.csv")
     assert (tmp_path / "plot.csv").read_text() == "experiment,t,series,value\n"
+
+
+_DROP = object()
+
+
+def _ma_converge_manifest(data_dir: Path, tmp_path: Path, key, value) -> Path:
+    """The bundled ma-converge manifest with one param replaced or dropped."""
+    src = json.loads(manifest_path(data_dir, "ma_converge.json").read_text())
+    base = data_dir / "manifests"
+    src["inputs"] = {
+        k: str((base / v).resolve()) if isinstance(v, str)
+        else [str((base / x).resolve()) for x in v]
+        for k, v in src["inputs"].items()
+    }
+    if value is _DROP:
+        del src["params"][key]
+    else:
+        src["params"][key] = value
+    man = tmp_path / "man.json"
+    man.write_text(json.dumps(src))
+    return man
+
+
+@pytest.mark.parametrize("key,value", [
+    ("t_schedule", _DROP),
+    ("t_schedule", []),
+    ("t_schedule", [1.0]),
+    ("grid", "abc"),
+    ("grid", 8),
+], ids=["no-t_schedule", "empty-t_schedule", "t-one", "grid-abc", "grid-8"])
+def test_ma_converge_bad_params_exit_two(data_dir, tmp_path, capsys, key, value):
+    man = _ma_converge_manifest(data_dir, tmp_path, key, value)
+    rc = main(["ma-converge", "--manifest", str(man), "--out",
+               str(tmp_path / "out")])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_ma_converge_unresolved_grid_fails_check(data_dir, tmp_path):
+    man = _ma_converge_manifest(data_dir, tmp_path, "mass_tol", 1e-12)
+    rc = main(["ma-converge", "--manifest", str(man), "--out",
+               str(tmp_path / "out")])
+    assert rc == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    failed = {c["name"]: c["details"] for c in report["checks"] if not c["passed"]}
+    assert set(failed) == {"grid-resolution-kink", "grid-resolution-isotrivial",
+                           "grid-resolution-threesec"}
+    assert all("suggested_n = 2048" in d for d in failed.values())

@@ -1,3 +1,5 @@
+import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -21,8 +23,11 @@ from berkhyb.mongeampere import (
     ma_pa_curve,
     pa_signed_measure,
     pairing_difference,
+    partition_weight,
     pushforward_log_radius,
     wasserstein1_line,
+    _ChartGeometry,
+    _potential_on_grid,
 )
 from berkhyb.pafunc import PAFunction1D
 
@@ -259,3 +264,132 @@ def test_convergence_monotone_down_to_1e6(kink_family, r):
     assert conv.monotone
     w1s = [row.w1 for row in conv.rows]
     assert w1s[-1] < w1s[0]
+
+
+# ---------------------------------------------------------------------------
+# grid fast paths against the general paths
+# ---------------------------------------------------------------------------
+
+BUNDLED_CURVES = ("fam_kink", "fam_isotrivial", "fam_threesec", "fam_d21")
+
+
+def _power_sum_potential(family, t, chart, nodes, log_r):
+    """Direct evaluation: sum of coef t^(q - pk) xi^k, complex log-modulus."""
+    logabs_t = math.log(abs(t))
+    vals = []
+    for e in family.entries:
+        acc = np.zeros_like(nodes, dtype=complex)
+        for k, coef in e.coeffs:
+            tpow = cmath.exp((float(e.q) - float(chart.p) * k) * cmath.log(t))
+            acc += coef * tpow * nodes ** ((family.degree - k) if chart.invert else k)
+        vals.append(np.log(np.abs(acc)) + float(e.c) / log_r * logabs_t)
+    stack = np.stack(vals)
+    if family.mode == "max":
+        return np.max(stack, axis=0) / family.m
+    mm = 2.0 * family.m
+    top = np.max(stack, axis=0)
+    return (top + np.log(np.sum(np.exp(mm * (stack - top)), axis=0)) / mm) / family.m
+
+
+def _paths_agree(family, r, tol):
+    """The default, all-complex and power-sum potentials agree within ``tol``."""
+    geom = _ChartGeometry(2.0, 256)
+    log_r = math.log(float(r))
+    inverted = Chart(p=Fraction(0), invert=True, name="inf")
+    worst = 0.0
+    for t in (complex(1e-2), complex(1e-4)):
+        for chart in family.charts + (inverted,):
+            fast = _potential_on_grid(family, t, chart, geom, log_r)
+            general = _potential_on_grid(family, t, chart, geom, log_r,
+                                         complex_path=True)
+            direct = _power_sum_potential(family, t, chart, geom.nodes, log_r)
+            assert fast.shape == (258, 258)
+            worst = max(worst, np.abs(fast - general).max(),
+                        np.abs(fast - direct).max())
+    assert worst <= tol
+
+
+@pytest.mark.parametrize("name", BUNDLED_CURVES)
+def test_monomial_path_matches_complex_path(data_dir, r, name):
+    fam = load_family(data_dir / "families" / f"{name}.json")
+    assert all(len(e.coeffs) == 1 for e in fam.entries)
+    _paths_agree(fam, r, 1e-13)
+    _paths_agree(dataclasses.replace(fam, mode="lse"), r, 1e-13)
+
+
+def test_mixed_entries_match_complex_path(r):
+    # a two-term section sits beside monomials with t-powers and constants
+    fam = CurveFamily(
+        "mixed", 2, 3,
+        (FamilyEntry.build({0: 1}),
+         FamilyEntry.build({1: 2 + 1j, 3: 0.5}, q=1, c=Fraction(1, 3)),
+         FamilyEntry.build({2: 1j}, q=Fraction(1, 2))),
+        std_charts(Fraction(1, 2)),
+    )
+    _paths_agree(fam, r, 1e-13)
+    _paths_agree(dataclasses.replace(fam, mode="lse"), r, 1e-13)
+
+
+def test_shared_geometry_gives_identical_grids(data_dir, r):
+    fam = load_family(data_dir / "families" / "fam_isotrivial.json")
+    geometries = {}
+    for t in (1e-2, 1e-3):
+        shared = ma_complex_curve(fam, complex(t), 128, r, geometries=geometries)
+        fresh = ma_complex_curve(fam, complex(t), 128, r)
+        for a, b in zip(shared, fresh):
+            assert np.array_equal(a.cell_masses, b.cell_masses)
+            assert np.array_equal(a.cell_u, b.cell_u)
+    assert list(geometries) == [(2.0, 128)]
+
+
+@pytest.mark.parametrize("t", [1e-3, 1e3])
+def test_pushforward_clouds_sorted(r, t):
+    # both chart orientations, and log|t| of either sign
+    fam = CurveFamily(
+        "isotriv", 1, 1,
+        (FamilyEntry.build({0: 1}), FamilyEntry.build({1: 1})),
+        (Chart(p=Fraction(0), name="main", u_lo=0.0),
+         Chart(p=Fraction(0), invert=True, name="inf", u_hi=0.0)),
+    )
+    grids = ma_complex_curve(fam, complex(t), 128, r, check_mass=False)
+    for g in grids:
+        assert g.cell_masses.shape == g.cell_u.shape == (128, 128)
+        cloud = pushforward_log_radius(g)
+        assert cloud.u.size > 0
+        assert np.all(np.diff(cloud.u) >= 0)
+        # the cached order and a fresh sort give the same cloud
+        plain = pushforward_log_radius(dataclasses.replace(g, u_order=None))
+        assert np.array_equal(cloud.u, plain.u)
+        assert np.array_equal(np.sort(cloud.mass), np.sort(plain.mass))
+
+
+def test_wasserstein_independent_of_cloud_order(data_dir, r):
+    fam = load_family(data_dir / "families" / "fam_threesec.json")
+    grids = ma_complex_curve(fam, complex(1e-3), 256, r)
+    cloud = combine_clouds([pushforward_log_radius(g) for g in grids])
+    u0, m0 = np.array([-0.5, 0.0]), np.array([0.5, 0.5])
+    perm = np.random.default_rng(5).permutation(cloud.u.size)
+    w_sorted = wasserstein1_line(cloud.u, cloud.mass, u0, m0)
+    w_shuffled = wasserstein1_line(cloud.u[perm], cloud.mass[perm], u0, m0)
+    assert abs(w_sorted - w_shuffled) <= 1e-12
+
+
+@pytest.mark.parametrize("chart", [
+    Chart(name="lo", u_lo=-0.5),
+    Chart(name="hi", u_hi=-0.25),
+    Chart(name="both", u_lo=-0.7, u_hi=-0.3),
+    Chart(name="none"),
+], ids=lambda c: c.name)
+def test_partition_weight_ramp_runs_match_dense(chart):
+    rng = np.random.default_rng(11)
+    # dense near every ramp end, with ties on ramp centers and ends
+    ends = np.array([-0.75, -0.65, -0.55, -0.45, -0.35, -0.3, -0.25, -0.2])
+    near = (ends[:, None] + np.linspace(-1e-3, 1e-3, 41)).ravel()
+    u = np.concatenate([near, np.repeat(ends, 8), np.full(64, -0.5),
+                        rng.uniform(-1.0, 0.2, 4096 - near.size - 128)])
+    u = rng.permutation(u).reshape(64, 64)
+    order = np.argsort(u, axis=None, kind="stable")
+    dense = partition_weight(chart, u)
+    runs = partition_weight(chart, u, order=order)
+    assert runs.shape == u.shape
+    assert np.array_equal(dense, runs)
