@@ -615,18 +615,16 @@ def run_ma_converge(man: ExperimentManifest) -> RunReport:
     r = man.r()
     params = man.params
     t_schedule = [float(t) for t in params["t_schedule"]]
-    grid = params.get("grid", 1024)
+    grid = int(params.get("grid", 1024))
     w1_tol = float(params.get("w1_tol", 0.05))
     mass_tol = float(params.get("mass_tol", 1e-4))
     tests = test_functions_from_params(params.get("test_functions", []), r)
     rows = []
-    geometries = {}  # chart arrays shared by the families of this run
     for rel in man.inputs["families"]:
         fam = load_family(man.resolve(rel))
         try:
             conv = weak_convergence_experiment(fam, t_schedule, tests, grid, r,
-                                                mass_tol=mass_tol,
-                                                geometries=geometries)
+                                                mass_tol=mass_tol)
         except ResolutionError as exc:
             rep.checks.append(Check(
                 f"grid-resolution-{fam.name}", False,

@@ -356,13 +356,8 @@ class _ChartGeometry:
 
 
 def _smoothstep(x: np.ndarray) -> np.ndarray:
-    """Cubic ramp of clip(x, 0, 1); overwrites ``x``."""
-    y = np.clip(x, 0.0, 1.0, out=x)
-    ramp = np.multiply(y, -2.0)
-    ramp += 3.0
-    y *= y
-    y *= ramp
-    return y
+    y = np.clip(x, 0.0, 1.0)
+    return y * y * (3.0 - 2.0 * y)
 
 
 def _ramp_coordinate(u, end: float, ramp: float):
@@ -383,10 +378,9 @@ def partition_weight(chart: Chart, u: np.ndarray, ramp: float = 0.05,
     if order is None:
         w = np.ones_like(u)
         if math.isfinite(chart.u_lo):
-            w *= _smoothstep(_ramp_coordinate(u, chart.u_lo, ramp))
+            w = w * _smoothstep((u - (chart.u_lo - ramp)) / (2 * ramp))
         if math.isfinite(chart.u_hi):
-            s = _smoothstep(_ramp_coordinate(u, chart.u_hi, ramp))
-            w *= np.subtract(1.0, s, out=s)
+            w = w * (1.0 - _smoothstep((u - (chart.u_hi - ramp)) / (2 * ramp)))
         return w
     flat = u.ravel()
     w = np.ones(flat.size)
@@ -409,18 +403,17 @@ def partition_weight(chart: Chart, u: np.ndarray, ramp: float = 0.05,
 
 
 def _entry_log_modulus(entry: FamilyEntry, degree: int, t: complex,
-                       chart: Chart, geom: _ChartGeometry,
-                       complex_path: bool = False) -> np.ndarray:
+                       chart: Chart, geom: _ChartGeometry) -> np.ndarray:
     """log|t^q s(z)| at the chart's halo nodes, without the hybrid constant.
 
     A single-term section is real arithmetic on the cached log|xi|; more
-    terms (or ``complex_path``) use Horner's rule on the complex nodes.
+    terms use Horner's rule on the complex nodes.
     """
     logabs_t = math.log(abs(t))
     powers = [((degree - k) if chart.invert else k,
                float(entry.q) - float(chart.p) * k, coef)
               for k, coef in entry.coeffs]
-    if len(powers) == 1 and not complex_path:
+    if len(powers) == 1:
         xi_exp, t_exp, coef = powers[0]
         term = np.multiply(geom.log_abs, xi_exp)
         term += math.log(abs(coef)) + t_exp * logabs_t
@@ -440,14 +433,13 @@ def _entry_log_modulus(entry: FamilyEntry, degree: int, t: complex,
 
 
 def _potential_on_grid(family: CurveFamily, t: complex, chart: Chart,
-                       geom: _ChartGeometry, log_r: float,
-                       complex_path: bool = False) -> np.ndarray:
+                       geom: _ChartGeometry, log_r: float) -> np.ndarray:
     """Fiber potential at the chart's halo nodes (real array)."""
     logabs_t = math.log(abs(t))
     phi = None
     terms = []
     for e in family.entries:
-        term = _entry_log_modulus(e, family.degree, t, chart, geom, complex_path)
+        term = _entry_log_modulus(e, family.degree, t, chart, geom)
         if e.c:
             term += float(e.c) / log_r * logabs_t
         if family.mode == "lse":
@@ -472,7 +464,7 @@ def ma_complex_curve(
     r: Fraction,
     mass_tol: float = 1e-4,
     check_mass: bool = True,
-    geometries: dict | None = None,
+    _geometries: dict | None = None,
 ) -> list[GridMeasure]:
     """Five-point Laplacian measure of the fiber potential, per chart.
 
@@ -481,13 +473,12 @@ def ma_complex_curve(
     are then weighted by the chart's partition-of-unity factor in the
     valuation coordinate.  The weighted totals must reproduce the family
     degree within ``mass_tol``, else a ResolutionError suggests a finer
-    grid.  ``geometries`` caches the t-independent chart arrays by
-    (L, n); share one dict across calls to build them once.
+    grid.  ``_geometries``, private to weak_convergence_experiment,
+    caches the t-independent chart arrays by (L, n) across its t schedule.
     """
     if n < 16:
         raise ResolutionError("grid too small", suggested_n=max(64, 2 * n))
-    if geometries is None:
-        geometries = {}
+    geometries = {} if _geometries is None else _geometries
     log_r = math.log(float(r))
     logabs_t = math.log(abs(t))
     grids = []
@@ -635,7 +626,6 @@ def weak_convergence_experiment(
     grid_n: int,
     r: Fraction,
     mass_tol: float = 1e-4,
-    geometries: dict | None = None,
 ) -> ConvergenceReport:
     """Compare pushed-forward complex MA measures against the limit atoms.
 
@@ -643,17 +633,15 @@ def weak_convergence_experiment(
     compared with the atomic limit measure through the W1 distance and the
     pairings against PA test functions of bounded slope.  A non-decreasing
     W1 trend is reported as an experiment failure, not an exception.
-    The chart geometry is built once for the whole schedule, or once for
-    several experiments that share a ``geometries`` dict.
+    The chart geometry is built once per call and reused for every t.
     """
     mu0 = family_limit_measure(family, r)
     u0, m0 = atoms_to_arrays(mu0, r)
-    if geometries is None:
-        geometries = {}
+    geometries = {}  # (L, n) -> _ChartGeometry, for this schedule only
     rows = []
     for t_abs in t_schedule:
         grids = ma_complex_curve(family, complex(t_abs), grid_n, r,
-                                 mass_tol=mass_tol, geometries=geometries)
+                                 mass_tol=mass_tol, _geometries=geometries)
         cloud = combine_clouds([pushforward_log_radius(g) for g in grids])
         w1 = wasserstein1_line(cloud.u, cloud.mass, u0, m0)
         errs = {}
