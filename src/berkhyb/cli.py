@@ -45,12 +45,13 @@ def main(argv=None) -> int:
         if args.seed is not None:
             manifest.seed = args.seed
             manifest.raw["seed"] = args.seed
+        # a runner may reject its inputs too; nothing is written before this
+        report = run(manifest)
     except ManifestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out_dir = args.out or os.environ.get("BERKHYB_OUT") or \
         str(Path("berkhyb-out") / args.kind)
-    report = run(manifest)
     write_report(report, Path(out_dir))
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"

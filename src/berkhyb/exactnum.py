@@ -20,13 +20,26 @@ is bounded away from zero, so the refinement terminates.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Union
 
 import mpmath
+from mpmath.ctx_iv import MPIntervalContext
 
 Rat = Union[int, Fraction]
 
 _PRECISIONS = (80, 160, 320, 640, 1280, 2560)
+
+
+@cache
+def _interval_context(prec: int) -> MPIntervalContext:
+    """A private interval context at ``prec`` bits, built on first use.
+
+    The global ``mpmath.iv`` is never read or changed.
+    """
+    ctx = MPIntervalContext()
+    ctx.prec = prec
+    return ctx
 
 
 class PrecisionError(ArithmeticError):
@@ -36,21 +49,15 @@ class PrecisionError(ArithmeticError):
 def _certified_sign(make_interval) -> int:
     """Sign of a provably nonzero quantity via interval refinement.
 
-    ``make_interval`` receives an ``mpmath.iv`` context and returns an
-    interval enclosing the quantity.
+    ``make_interval`` receives an interval context (``mpmath.iv`` API) and
+    returns an interval enclosing the quantity.
     """
     for prec in _PRECISIONS:
-        ctx = mpmath.iv
-        old = ctx.prec
-        try:
-            ctx.prec = prec
-            val = make_interval(ctx)
-            if val > 0:
-                return 1
-            if val < 0:
-                return -1
-        finally:
-            ctx.prec = old
+        val = make_interval(_interval_context(prec))
+        if val > 0:
+            return 1
+        if val < 0:
+            return -1
     raise PrecisionError("interval refinement exhausted; value too close to zero")
 
 
@@ -120,8 +127,11 @@ class LogRVal:
     def __rsub__(self, other) -> "LogRVal":
         return LogRVal.of(other) + (-self)
 
-    def __mul__(self, other) -> "LogRVal":
-        o = LogRVal.of(other)
+    def __mul__(self, o) -> "LogRVal":
+        if not isinstance(o, LogRVal):
+            # rational scalar: same canonical value as the general product
+            q = as_fraction(o)
+            return LogRVal(self.a * q, self.b * q, self.c * q)
         if self.b * o.b != 0 or self.c * o.c != 0:
             raise ArithmeticError("product leaves the span {1, log r, 1/log r}")
         # (a1 + b1 L + c1/L)(a2 + b2 L + c2/L) with b1*b2 = c1*c2 = 0;

@@ -110,9 +110,6 @@ class SncModelCombinatorics:
     def component_index_by_equation(self, label: str):
         return self._eq_index.get(label)
 
-    def stratum_support(self, stratum: tuple[int, ...]) -> set[int]:
-        return set(stratum)
-
     def variable_labels(self) -> list[str]:
         return [c.label for c in self.components]
 
@@ -167,10 +164,6 @@ class SncModelCombinatorics:
 class Simplex:
     stratum: tuple[int, ...]
     multiplicities: tuple[int, ...]
-
-    def contains_weights(self, weights) -> bool:
-        total = sum(Fraction(a) * Fraction(w) for a, w in zip(self.multiplicities, weights))
-        return total == 1 and all(Fraction(w) >= 0 for w in weights)
 
 
 class DualComplex:

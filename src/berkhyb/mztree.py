@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import PrimeLogVal, as_fraction, rat_to_str
+from .exactnum import PrimeLogVal, as_fraction, primelog_max, rat_to_str
+from .pafunc import upper_hull
 
 NEG_INF = "-inf"
 
@@ -109,25 +110,6 @@ class BranchPA:
         return True
 
 
-def _cut_to_float(cut) -> float:
-    if isinstance(cut, tuple):
-        num, den = cut
-        return float(num) / den.to_float()
-    return float(cut)
-
-
-def _eval_branch(pa: BranchPA, s: Fraction):
-    """Evaluate at rational branch coordinate s (approximate cut location)."""
-    sf = float(s)
-    idx = 0
-    while idx < len(pa.cuts) and sf > _cut_to_float(pa.cuts[idx]):
-        idx += 1
-    slope = pa.slopes[idx]
-    if isinstance(slope, PrimeLogVal):
-        return slope * s + PrimeLogVal.of(pa.consts[idx])
-    return PrimeLogVal.of(slope * s + pa.consts[idx])
-
-
 @dataclass
 class MZFunction:
     """Exact per-branch data; all but finitely many branches share a default."""
@@ -188,14 +170,9 @@ def mz_fs_eval(family: Sequence[tuple[int, Fraction]], m: int, point: MZPoint):
         return PrimeLogVal.of(max(c for _, c in fam) / m)
     if point.branch == "inf":
         x = as_fraction(point.parameter)
-        vals = [
+        return primelog_max(
             (PrimeLogVal.log_of_int(n) * x + c) / m for n, c in fam
-        ]
-        best = vals[0]
-        for v in vals[1:]:
-            if v.cmp(best) > 0:
-                best = v
-        return best
+        )
     p = int(point.branch)
     if point.parameter == "inf":
         finite = [c for n, c in fam if padic_valuation(n, p) == 0]
@@ -203,88 +180,15 @@ def mz_fs_eval(family: Sequence[tuple[int, Fraction]], m: int, point: MZPoint):
             return NEG_INF
         return PrimeLogVal.of(max(finite) / m)
     eps = as_fraction(point.parameter)
-    vals = [
+    return primelog_max(
         PrimeLogVal(c / m, {p: Fraction(-padic_valuation(n, p) * eps, m)})
         for n, c in fam
-    ]
-    best = vals[0]
-    for v in vals[1:]:
-        if v.cmp(best) > 0:
-            best = v
-    return best
-
-
-def _envelope_rational(lines: list[tuple[Fraction, Fraction]]) -> BranchPA:
-    """Upper envelope of rational lines (slope, const) in one coordinate."""
-    by_slope: dict[Fraction, Fraction] = {}
-    for s, c in lines:
-        if s not in by_slope or c > by_slope[s]:
-            by_slope[s] = c
-    ordered = sorted(by_slope.items())
-    hull: list[tuple[Fraction, Fraction]] = []
-    cuts: list[Fraction] = []
-    for s, c in ordered:
-        while hull:
-            s0, c0 = hull[-1]
-            x = (c0 - c) / (s - s0)
-            if cuts and x <= cuts[-1]:
-                hull.pop()
-                cuts.pop()
-                continue
-            hull.append((s, c))
-            cuts.append(x)
-            break
-        else:
-            hull.append((s, c))
-    return BranchPA(
-        tuple(s for s, _ in hull), tuple(c for _, c in hull), tuple(cuts)
     )
 
 
-def _envelope_primelog(lines: list[tuple[PrimeLogVal, Fraction]]) -> BranchPA:
-    """Upper envelope with prime-log slopes; cut order certified exactly."""
-    dedup: list[tuple[PrimeLogVal, Fraction]] = []
-    for s, c in lines:
-        for i, (s0, c0) in enumerate(dedup):
-            if s == s0:
-                if c > c0:
-                    dedup[i] = (s, c)
-                break
-        else:
-            dedup.append((s, c))
-    # exact insertion sort by slope (distinct slopes, certified comparisons)
-    ordered: list[tuple[PrimeLogVal, Fraction]] = []
-    for item in dedup:
-        pos = len(ordered)
-        while pos > 0 and ordered[pos - 1][0].cmp(item[0]) > 0:
-            pos -= 1
-        ordered.insert(pos, item)
-    hull: list[tuple[PrimeLogVal, Fraction]] = []
-    cuts: list[tuple[Fraction, PrimeLogVal]] = []
-
-    def cut_cmp(c1, c2) -> int:
-        # compare num1/den1 with num2/den2, dens positive
-        lhs = c2[1] * c1[0]
-        rhs = c1[1] * c2[0]
-        return lhs.cmp(rhs)
-
-    for s, c in ordered:
-        while hull:
-            s0, c0 = hull[-1]
-            den = s - s0
-            x = (as_fraction(c0 - c), den)  # (c0 - c) / (s - s0), den > 0
-            if cuts and cut_cmp(x, cuts[-1]) <= 0:
-                hull.pop()
-                cuts.pop()
-                continue
-            hull.append((s, c))
-            cuts.append(x)
-            break
-        else:
-            hull.append((s, c))
-    return BranchPA(
-        tuple(s for s, _ in hull), tuple(c for _, c in hull), tuple(cuts)
-    )
+def _branch(hull, cuts) -> BranchPA:
+    return BranchPA(tuple(s for s, _ in hull), tuple(c for _, c in hull),
+                    tuple(cuts))
 
 
 def _cut_le(cut, bound: Fraction) -> bool:
@@ -329,11 +233,15 @@ def mz_from_family(family: Sequence[tuple[int, Fraction]], m: int) -> MZFunction
         lines = [
             (Fraction(-padic_valuation(n, p), m), c / m) for n, c in fam
         ]
-        branches[p] = _restrict_branch(_envelope_rational(lines), Fraction(0))
+        hull, edges = upper_hull(lines, lambda q: (q > 0) - (q < 0))
+        cuts = [num / den for num, den in edges]
+        branches[p] = _restrict_branch(_branch(hull, cuts), Fraction(0))
     arch_lines = [
         (PrimeLogVal.log_of_int(n) / m, c / m) for n, c in fam
     ]
-    arch = _restrict_branch(_envelope_primelog(arch_lines), Fraction(0), Fraction(1))
+    # archimedean cuts stay (num, den) pairs: num/den leaves the span
+    hull, edges = upper_hull(arch_lines, lambda v: PrimeLogVal.of(v).sign())
+    arch = _restrict_branch(_branch(hull, edges), Fraction(0), Fraction(1))
     default = BranchPA((Fraction(0),), (origin,))
     return MZFunction(origin, branches, arch, default)
 

@@ -10,8 +10,10 @@ they are the potential profiles in the valuation coordinate.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Sequence
 
 from .exactnum import LogRVal, as_fraction
@@ -88,37 +90,51 @@ class AffineLine:
         return LogRVal.of(as_fraction(x) * self.slope) + self.offset
 
 
-def _intersect(l1: AffineLine, l2: AffineLine) -> LogRVal:
-    # x with l1(x) = l2(x); requires distinct slopes
-    return (l2.offset - l1.offset) / (l1.slope - l2.slope)
+def upper_hull(lines, sign):
+    """Upper hull of the lines y = slope*x + offset, ordered by a certified sign.
+
+    ``lines`` are (slope, offset) pairs in an exact span; ``sign`` returns
+    the certified sign of any difference of slopes or offsets and of any
+    product num*den of the hull's meeting coordinates.  Returns the hull
+    lines by increasing slope and, for each adjacent pair, the meeting
+    point x = num/den as a (num, den) pair with den > 0.  Equal slopes
+    (structural equality) keep the larger offset, the first on a tie; of
+    three lines through one point the middle one is dropped.
+    """
+    best = {}
+    for slope, offset in lines:
+        if slope not in best or sign(offset - best[slope]) > 0:
+            best[slope] = offset
+    # binary insertion: fewer certified comparisons than sorted() on a few lines
+    by_slope = cmp_to_key(lambda u, v: sign(u - v))
+    ordered = []
+    for line in best.items():
+        insort(ordered, line, key=lambda ln: by_slope(ln[0]))
+    hull, edges = [], []
+    for slope, offset in ordered:
+        while hull:
+            s0, o0 = hull[-1]
+            num, den = o0 - offset, slope - s0
+            if edges and sign(num * edges[-1][1] - edges[-1][0] * den) <= 0:
+                hull.pop()
+                edges.pop()
+                continue
+            edges.append((num, den))
+            break
+        hull.append((slope, offset))
+    return hull, edges
 
 
 def upper_envelope(lines: Sequence[AffineLine], r: Fraction) -> "PAFunction1D":
     """Convex upper envelope max_i (s_i x + o_i) as a PAFunction1D."""
     if not lines:
         raise ValueError("empty family")
-    by_slope: dict[Fraction, AffineLine] = {}
-    for ln in lines:
-        s = as_fraction(ln.slope)
-        cur = by_slope.get(s)
-        if cur is None or ln.offset.cmp(cur.offset, r) > 0:
-            by_slope[s] = AffineLine(s, ln.offset)
-    ordered = [by_slope[s] for s in sorted(by_slope)]
-    hull: list[AffineLine] = []
-    cuts: list[LogRVal] = []
-    for ln in ordered:
-        while hull:
-            x = _intersect(hull[-1], ln)
-            if cuts and x.cmp(cuts[-1], r) <= 0:
-                hull.pop()
-                cuts.pop()
-                continue
-            hull.append(ln)
-            cuts.append(x)
-            break
-        else:
-            hull.append(ln)
-    return PAFunction1D(hull, cuts, r)
+    hull, edges = upper_hull(
+        [(as_fraction(ln.slope), ln.offset) for ln in lines],
+        lambda v: LogRVal.of(v).sign(r),
+    )
+    return PAFunction1D([AffineLine(s, o) for s, o in hull],
+                        [num / den for num, den in edges], r)
 
 
 class PAFunction1D:
@@ -229,9 +245,8 @@ class PAFunction1D:
         return all(ss[i + 1] >= ss[i] for i in range(len(ss) - 1))
 
     def scale(self, q) -> "PAFunction1D":
+        # pieces are positional (left to right), so any sign works
         q = as_fraction(q)
-        if q < 0:
-            raise ValueError("negative scaling would reorder pieces")
         return PAFunction1D(
             [AffineLine(p.slope * q, p.offset * q) for p in self.pieces],
             list(self.cuts),
@@ -277,13 +292,7 @@ class PAFunction1D:
         return PAFunction1D(pieces, cuts, self.r)
 
     def sub(self, other: "PAFunction1D") -> "PAFunction1D":
-        return self.add(other.scale_signed(-1))
-
-    def scale_signed(self, q) -> "PAFunction1D":
-        # pieces are positional (left to right), so any sign works
-        q = as_fraction(q)
-        scaled = [AffineLine(p.slope * q, p.offset * q) for p in self.pieces]
-        return PAFunction1D(scaled, list(self.cuts), self.r)
+        return self.add(other.scale(-1))
 
     def _interval_samples(self, cuts: list[LogRVal]) -> list[LogRVal]:
         """One probe point inside each interval delimited by ``cuts``."""

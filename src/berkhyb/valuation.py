@@ -196,9 +196,6 @@ class QuasiMonomialPoint:
             total += self.model.multiplicity(j) * w
         if total != 1:
             raise ValueError(f"weight normalization sum a_j w_j = {total} != 1")
-        for j, w in zip(self.stratum, self.weights):
-            if w > 0 and j not in self.model.stratum_support(self.stratum):
-                raise ValueError("positive weight outside the stratum")
 
     def weight_of(self, j: int) -> Fraction:
         for jj, w in zip(self.stratum, self.weights):

@@ -5,6 +5,7 @@ import pytest
 
 from berkhyb.cli import main
 from berkhyb.harness import ExperimentManifest, ManifestError, run, write_report
+from berkhyb.pafunc import ContinuityError, PAFunctionOnComplex
 
 
 def manifest_path(data_dir: Path, name: str) -> Path:
@@ -41,6 +42,38 @@ def test_cli_missing_input_exit_two(tmp_path):
                str(tmp_path / "out")])
     assert rc == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_runner_manifest_error_exit_two(data_dir, tmp_path, capsys):
+    # blowup.json declares a pullback to the segment model, which is not loaded
+    man = tmp_path / "man.json"
+    man.write_text(json.dumps({
+        "schema": "berkhyb-manifest-v1", "kind": "retract", "seed": 1,
+        "inputs": {"models": [str(data_dir / "models" / "blowup.json")]},
+        "params": {"n_points": 5},
+    }))
+    rc = main(["retract", "--manifest", str(man), "--out",
+               str(tmp_path / "out")])
+    assert rc == 2
+    assert "pullback target segment not loaded" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_face_continuity_failure_exit_one_with_report(data_dir, tmp_path,
+                                                      monkeypatch):
+    def disagree(self):
+        raise ContinuityError("face (0,) disagrees with simplex (0, 1) at 0")
+
+    monkeypatch.setattr(PAFunctionOnComplex, "check_face_continuity", disagree)
+    rc = main(["na-limit", "--manifest",
+               str(manifest_path(data_dir, "na_limit.json")),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    failed = {c["name"]: c["details"] for c in report["checks"] if not c["passed"]}
+    assert set(failed) == {"face-continuity-segment", "face-continuity-pone_blowinf",
+                           "face-continuity-triangle"}
+    assert all("disagrees with simplex" in d for d in failed.values())
 
 
 def test_cli_kind_mismatch_exit_two(data_dir, tmp_path):

@@ -83,3 +83,25 @@ def test_rat_strings():
 def test_as_fraction_rejects_floats():
     with pytest.raises(TypeError):
         as_fraction(0.5)
+
+
+class _NoGlobalIV:
+    """Stands in for mpmath.iv: any use of the global interval context fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"global mpmath.iv touched: .{name}")
+
+
+def test_certified_sign_leaves_global_iv_alone(monkeypatch):
+    import mpmath
+
+    monkeypatch.setattr(mpmath, "iv", _NoGlobalIV())
+    # log 2 to 40 places: lo < log 2 < lo + 1e-40, a tie that 80 bits cannot split
+    lo = Fraction("0.6931471805599453094172321214581765680755")
+    hi = lo + Fraction(1, 10**40)
+    assert LogRVal.logr(1).sign(R) == -1  # log(1/2) < 0
+    assert LogRVal(const=lo, logr=1).sign(R) == -1
+    assert LogRVal(const=hi, logr=1).sign(R) == 1
+    assert (PrimeLogVal.log_of_int(3) - PrimeLogVal.log_of_int(2)).sign() == 1
+    assert PrimeLogVal(-lo, {2: 1}).sign() == 1
+    assert PrimeLogVal(-hi, {2: 1}).sign() == -1

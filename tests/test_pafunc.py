@@ -80,5 +80,5 @@ def test_scale_and_shift():
     assert half.kinks()[0][1] == Fraction(1, 2)
     shifted = f.shift(Fraction(3))
     assert shifted.eval(Fraction(0)) == f.eval(Fraction(0)) + Fraction(3)
-    neg = f.scale_signed(-1)
+    neg = f.scale(-1)
     assert not neg.is_convex()
