@@ -43,8 +43,7 @@ def main(argv=None) -> int:
                 f"subcommand {args.kind!r}"
             )
         if args.seed is not None:
-            manifest.seed = args.seed
-            manifest.raw["seed"] = args.seed
+            manifest.set_seed(args.seed, "--seed")
         # a runner may reject its inputs too; nothing is written before this
         report = run(manifest)
     except ManifestError as exc:

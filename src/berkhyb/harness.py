@@ -78,92 +78,133 @@ from .valuation import (
     weighted_min_of_terms,
 )
 
-KINDS = (
-    "val-eval", "retract", "na-limit", "ma-model",
-    "ma-converge", "mz-check", "lelong", "rho-r",
-)
-
 
 class ManifestError(ValueError):
     pass
+
+
+REQUIRED = object()  # the default of a key that the manifest must give
+
+
+def _read_json(path: Path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ManifestError(f"{path}: {exc}") from exc
+
+
+def _field(obj: dict, key: str, default, parse):
+    """``obj[key]`` (``default`` when absent, None stays None) through ``parse``;
+    a failure is re-raised as a ValueError that starts with the key."""
+    if key not in obj and default is None:
+        return None
+    try:
+        if key not in obj and default is REQUIRED:
+            raise ValueError("required key is missing")
+        return parse(obj.get(key, default))
+    except (ValueError, ArithmeticError) as exc:
+        raise ValueError(f"{key}: {exc}") from exc
+
+
+def _interval(spec: str):
+    """Membership test for an interval written like "[16, inf)" or "(0, 1)"."""
+    lo, hi = (float(s) if "inf" in s else Fraction(s)
+              for s in spec[1:-1].split(","))
+    return lambda x: ((lo <= x if spec[0] == "[" else lo < x)
+                      and (x <= hi if spec[-1] == "]" else x < hi))
+
+
+def _number(what: str, types, cast):
+    def in_interval(interval: str = "(-inf, inf)"):
+        inside = _interval(interval)
+
+        def parse(value):
+            ok = isinstance(value, types) and not isinstance(value, bool)
+            x = cast(value) if ok else None
+            if x is None or not inside(x):
+                raise ValueError(f"expected {what} in {interval}, got {value!r}")
+            return x
+        return parse
+    return in_interval
+
+
+_int = _number("an integer", int, int)
+_real = _number("a real", (int, float), float)
+_rat = _number("a rational", (int, str), rat_from_str)
+_COUNT, _POSITIVE, _TOL, _R = \
+    _int("[0, inf)"), _int("[1, inf)"), _real("(0, inf)"), _rat("(0, 1)")
+
+
+def _each(parse, min_len: int = 0):
+    def parse_list(value):
+        if not isinstance(value, list) or len(value) < min_len:
+            raise ValueError(
+                f"expected a list of at least {min_len} items, got {value!r}")
+        return [parse(v) for v in value]
+    return parse_list
+
+
+def _block(**fields):
+    """Parse a JSON object whose fields are given as name=(default, parse)."""
+    def parse(value):
+        if not isinstance(value, dict):
+            raise ValueError(f"expected an object, got {value!r}")
+        return {k: _field(value, k, d, p) for k, (d, p) in fields.items()}
+    return parse
 
 
 @dataclass
 class ExperimentManifest:
     kind: str
     seed: int
-    inputs: dict
-    params: dict
-    base_dir: Path
+    path: Path
     raw: dict
 
     @classmethod
     def load(cls, path) -> "ExperimentManifest":
         path = Path(path)
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ManifestError(f"{path}: {exc}") from exc
+        data = _read_json(path)
+        if not isinstance(data, dict):
+            raise ManifestError(f"{path}: a manifest is a JSON object")
         kind = data.get("kind")
-        if kind not in KINDS:
+        if not (isinstance(kind, str) and kind in KINDS):
             raise ManifestError(f"{path}: unknown experiment kind {kind!r}")
-        seed = data.get("seed")
-        if not isinstance(seed, int) or seed < 0:
-            raise ManifestError(f"{path}: seed must be a non-negative integer")
-        params = data.get("params", {})
-        for key in ("tol", "w1_tol", "mass_tol", "numeric_tol"):
-            if key in params and not params[key] > 0:
-                raise ManifestError(f"{path}: tolerance {key} must be positive")
-        if kind == "ma-converge":
-            _check_ma_converge(path, params, data.get("inputs", {}))
-        man = cls(kind, seed, data.get("inputs", {}), params, path.parent, data)
-        man._check_inputs_exist()
+        for section in ("inputs", "params"):
+            if not isinstance(data.get(section, {}), dict):
+                raise ManifestError(f"{path}: {section} must be a JSON object")
+        man = cls(kind, 0, path, data)
+        man.set_seed(data.get("seed"), "seed")
         return man
 
-    def _iter_input_paths(self, obj=None):
-        obj = self.inputs if obj is None else obj
-        if isinstance(obj, str) and obj.endswith(".json"):
-            yield self.resolve(obj)
-        elif isinstance(obj, list):
-            for item in obj:
-                yield from self._iter_input_paths(item)
-        elif isinstance(obj, dict):
-            for item in obj.values():
-                yield from self._iter_input_paths(item)
+    def set_seed(self, seed, source: str):
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ManifestError(
+                f"{self.path}: {source} must be a non-negative integer")
+        self.seed = self.raw["seed"] = seed
 
-    def _check_inputs_exist(self):
-        for p in self._iter_input_paths():
-            if not p.exists():
-                raise ManifestError(f"referenced input does not exist: {p}")
+    def param(self, key: str, default, parse):
+        """``params.<key>`` through ``parse``; a failure is a ManifestError."""
+        return self._value("params", key, default, parse)
 
-    def resolve(self, rel: str) -> Path:
-        return (self.base_dir / rel).resolve()
+    def input(self, key: str, default, parse):
+        """``inputs.<key>`` through ``parse``; a failure is a ManifestError."""
+        return self._value("inputs", key, default, parse)
 
-    def r(self, default="1/2") -> Fraction:
-        return rat_from_str(self.params.get("r", default))
+    def _value(self, section: str, key: str, default, parse):
+        try:
+            return _field(self.raw.get(section, {}), key, default, parse)
+        except ValueError as exc:
+            raise ManifestError(f"{self.path}: {section}.{exc}") from exc
 
-
-def _check_ma_converge(path: Path, params, inputs):
-    """Reject params the grid cannot run, before anything is written.
-
-    The potential divides by log|t|, and the five-point Laplacian needs at
-    least 16 cells a side.  Booleans pass the isinstance tests but fall
-    outside both bounds.
-    """
-    params = params if isinstance(params, dict) else {}
-    inputs = inputs if isinstance(inputs, dict) else {}
-    ts = params.get("t_schedule")
-    if not (isinstance(ts, list) and ts
-            and all(isinstance(t, (int, float)) and 0 < t < 1 for t in ts)):
-        raise ManifestError(
-            f"{path}: t_schedule must be a non-empty list with every 0 < t < 1")
-    grid = params.get("grid", 1024)
-    if not (isinstance(grid, int) and grid >= 16):
-        raise ManifestError(f"{path}: grid must be an integer >= 16")
-    fams = inputs.get("families")
-    if not (isinstance(fams, list) and fams):
-        raise ManifestError(f"{path}: inputs.families must be a non-empty list")
+    def file(self, rel) -> Path:
+        """An existing input path, relative to the manifest's directory."""
+        if not isinstance(rel, str):
+            raise ValueError(f"expected a path, got {rel!r}")
+        path = (self.path.parent / rel).resolve()
+        if not path.exists():
+            raise ValueError(f"referenced input does not exist: {path}")
+        return path
 
 
 @dataclass
@@ -280,8 +321,7 @@ def load_models_with_pullbacks(paths) -> dict:
     registry = {}
     raws = {}
     for p in paths:
-        with open(p) as fh:
-            data = json.load(fh)
+        data = _read_json(p)
         model = SncModelCombinatorics.from_json(data)
         registry[model.name] = model
         raws[model.name] = data
@@ -298,30 +338,18 @@ def load_models_with_pullbacks(paths) -> dict:
 
 
 def load_tfs_file(path: Path, model_dir: Path):
-    with open(path) as fh:
-        data = json.load(fh)
-    with open((model_dir / data["model"]).resolve()) as fh:
-        model = SncModelCombinatorics.from_json(json.load(fh))
-    return model, TropicalFSMetric.from_json(data["metric"])
+    data = _read_json(path)
+    model = _read_json((model_dir / data["model"]).resolve())
+    return (SncModelCombinatorics.from_json(model),
+            TropicalFSMetric.from_json(data["metric"]))
 
 
 def load_family(path: Path) -> CurveFamily:
-    with open(path) as fh:
-        return CurveFamily.from_json(json.load(fh))
+    return CurveFamily.from_json(_read_json(path))
 
 
 def load_table(path: Path) -> IntersectionTable:
-    with open(path) as fh:
-        return IntersectionTable.from_json(json.load(fh))
-
-
-def test_functions_from_params(spec_list, r: Fraction) -> dict:
-    out = {}
-    for spec in spec_list:
-        xs = [rat_from_str(x) for x in spec["xs"]]
-        ys = [rat_from_str(y) for y in spec["ys"]]
-        out[spec["name"]] = PAFunction1D.from_breakpoints(xs, ys, r)
-    return out
+    return IntersectionTable.from_json(_read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +378,12 @@ def _random_point(model, rng: random.Random):
     return model.point(stratum, weights)
 
 
-def _random_laurent(model, rng: random.Random, params) -> LaurentSeriesData:
+def _random_laurent(model, rng: random.Random, max_vars: int, max_terms: int,
+                    lo: int, hi: int) -> LaurentSeriesData:
     labels = model.variable_labels()
-    nv = rng.randint(1, params.get("max_vars", 4))
+    nv = rng.randint(1, max_vars)
     vars_ = rng.sample(labels, nv)
-    n_terms = rng.randint(1, params.get("max_terms", 8))
-    lo, hi = params.get("exp_lo", -10), params.get("exp_hi", 10)
+    n_terms = rng.randint(1, max_terms)
     terms = {}
     for _ in range(n_terms):
         exp = tuple(rng.randint(lo, hi) for _ in range(nv))
@@ -363,16 +391,24 @@ def _random_laurent(model, rng: random.Random, params) -> LaurentSeriesData:
     return LaurentSeriesData(vars_, list(terms.items()))
 
 
-def run_val_eval(man: ExperimentManifest) -> RunReport:
-    rng = random.Random(man.seed)
+def run_val_eval(man: ExperimentManifest, rep: RunReport):
     model = _random_model()
-    rep = _new_report(man)
-    n = man.params.get("n_random", 1000)
+    n = man.param("n_random", 1000, _COUNT)
+    exp_lo = man.param("exp_lo", -10, _int())
+    shape = (man.param("max_vars", 4, _int(f"[1, {len(model.components)}]")),
+             man.param("max_terms", 8, _POSITIVE), exp_lo,
+             man.param("exp_hi", 10, _int(f"[{exp_lo}, inf)")))
+    n_superadd = man.param("n_superadd", 200, _COUNT)
+    n_gauss = man.param("n_gauss", 50, _COUNT)
+    lse = man.param("lse", None, _block(
+        n_samples=(100000, _POSITIVE), max_n=(8, _POSITIVE),
+        m_choices=([1, 2, 3], _each(_POSITIVE, 1))))
+    rng = random.Random(man.seed)
     mismatch = 0
     t0 = time.perf_counter()
     for _ in range(n):
         v = _random_point(model, rng)
-        f = _random_laurent(model, rng, man.params)
+        f = _random_laurent(model, rng, *shape)
         if qm_eval(v, f) != brute_force_min(v, f):
             mismatch += 1
     elapsed = time.perf_counter() - t0
@@ -416,10 +452,9 @@ def run_val_eval(man: ExperimentManifest) -> RunReport:
     rep.checks.append(Check("monomial-weight-homogeneity", homog_ok, "50 samples"))
     # superadditivity property sweep
     bad = 0
-    for _ in range(man.params.get("n_superadd", 200)):
+    for _ in range(n_superadd):
         v = _random_point(model, rng)
-        f = _random_laurent(model, rng, {"max_vars": 2, "max_terms": 8,
-                                          "exp_lo": 0, "exp_hi": 6})
+        f = _random_laurent(model, rng, 2, 8, 0, 6)
         g_terms = {}
         for _ in range(rng.randint(1, 8)):
             exp = tuple(rng.randint(0, 6) for _ in f.variables)
@@ -432,7 +467,7 @@ def run_val_eval(man: ExperimentManifest) -> RunReport:
                              f"{bad} violations"))
     # gauss extension: trivial coefficient oracle returns ord_t
     g_ok = True
-    for _ in range(man.params.get("n_gauss", 50)):
+    for _ in range(n_gauss):
         ns = sorted(rng.sample(range(-10, 10), rng.randint(1, 6)))
         series = [(nn, f"s{nn}") for nn in ns]
         if gauss_extension(lambda h: Fraction(0), series) != min(ns):
@@ -446,13 +481,11 @@ def run_val_eval(man: ExperimentManifest) -> RunReport:
     )
     rep.checks.append(Check("gauss-extension", g_ok and examples,
                              "trivial oracle = ord_t; worked examples"))
-    lse = man.params.get("lse")
-    if lse:
+    if lse is not None:
         nprng = np.random.default_rng(man.seed)
-        total = int(lse.get("n_samples", 100000))
-        max_n = int(lse.get("max_n", 8))
-        m_choices = [int(m) for m in lse.get("m_choices", [1, 2, 3])]
-        combos = [(nn, mm) for nn in range(1, max_n + 1) for mm in m_choices]
+        total = lse["n_samples"]
+        combos = [(nn, mm) for nn in range(1, lse["max_n"] + 1)
+                  for mm in lse["m_choices"]]
         per = total // len(combos)
         violations = 0
         checked = 0
@@ -473,15 +506,13 @@ def run_val_eval(man: ExperimentManifest) -> RunReport:
         "columns": ["quantity", "value"],
         "rows": [["random_inputs", n], ["mismatches", mismatch]],
     }
-    return rep
 
 
-def run_retract(man: ExperimentManifest) -> RunReport:
+def run_retract(man: ExperimentManifest, rep: RunReport):
+    paths = man.input("models", REQUIRED, _each(man.file, 1))
+    n_points = man.param("n_points", 100, _COUNT)
     rng = random.Random(man.seed)
-    rep = _new_report(man)
-    paths = [man.resolve(p) for p in man.inputs["models"]]
     registry = load_models_with_pullbacks(paths)
-    n_points = man.params.get("n_points", 100)
     all_ok = True
     names = sorted(registry)
     for k in range(n_points):
@@ -522,17 +553,15 @@ def run_retract(man: ExperimentManifest) -> RunReport:
         "columns": ["model", "vertices", "euler_characteristic"],
         "rows": euler_rows,
     }
-    return rep
 
 
-def run_na_limit(man: ExperimentManifest) -> RunReport:
-    rep = _new_report(man)
-    r = man.r()
-    model_dir = man.resolve(man.inputs.get("model_dir", "."))
-    shift = rat_from_str(man.params.get("shift", "3/7"))
+def run_na_limit(man: ExperimentManifest, rep: RunReport):
+    tfs = man.input("tfs", REQUIRED, _each(man.file, 1))
+    model_dir = man.input("model_dir", ".", man.file)
+    r = man.param("r", "1/2", _R)
+    shift = man.param("shift", "3/7", _rat())
     rows = []
-    for rel in man.inputs["tfs"]:
-        path = man.resolve(rel)
+    for path in tfs:
         model, phi = load_tfs_file(path, model_dir)
         res = na_limit_tfs(phi, model, r)
         rep.checks.append(Check(
@@ -563,15 +592,16 @@ def run_na_limit(man: ExperimentManifest) -> RunReport:
                      "gradient_const"],
         "rows": rows,
     }
-    return rep
 
 
-def run_ma_model(man: ExperimentManifest) -> RunReport:
-    rep = _new_report(man)
-    r = man.r()
+def run_ma_model(man: ExperimentManifest, rep: RunReport):
+    tables = man.input("tables", REQUIRED, _each(man.file))
+    curve_pairs = man.input("curve_pairs", [], _each(_block(
+        table=(REQUIRED, man.file), family=(REQUIRED, man.file))))
+    r = man.param("r", "1/2", _R)
     rows = []
-    for rel in man.inputs["tables"]:
-        table = load_table(man.resolve(rel))
+    for path in tables:
+        table = load_table(path)
         mu = ma_model_metric(table)
         expected = sum((b * num for _, b, num in table.entries), Fraction(0))
         ok = mu.total_mass() == expected and not mu.flags
@@ -583,9 +613,9 @@ def run_ma_model(man: ExperimentManifest) -> RunReport:
             rows.append([table.model.name, atom.label,
                          "" if atom.u is None else rat_to_str(atom.u.a),
                          atom.mass])
-    for pair in man.inputs.get("curve_pairs", []):
-        table = load_table(man.resolve(pair["table"]))
-        family = load_family(man.resolve(pair["family"]))
+    for pair in curve_pairs:
+        table = load_table(pair["table"])
+        family = load_family(pair["family"])
         mu_table = ma_model_metric(table)
         mu_pa = family_limit_measure(family, r)
         rep.checks.append(Check(
@@ -608,21 +638,28 @@ def run_ma_model(man: ExperimentManifest) -> RunReport:
         "columns": ["model", "component", "u", "mass"],
         "rows": rows,
     }
-    return rep
 
 
-def run_ma_converge(man: ExperimentManifest) -> RunReport:
-    rep = _new_report(man)
-    r = man.r()
-    params = man.params
-    t_schedule = [float(t) for t in params["t_schedule"]]
-    grid = int(params.get("grid", 1024))
-    w1_tol = float(params.get("w1_tol", 0.05))
-    mass_tol = float(params.get("mass_tol", 1e-4))
-    tests = test_functions_from_params(params.get("test_functions", []), r)
+def run_ma_converge(man: ExperimentManifest, rep: RunReport):
+    families = man.input("families", REQUIRED, _each(man.file, 1))
+    cln_family = man.input("cln_family", None, man.file)
+    r = man.param("r", "1/2", _R)
+    # the potential divides by log|t|; the Laplacian needs 16 cells a side
+    t_schedule = man.param("t_schedule", REQUIRED, _each(_real("(0, 1)"), 1))
+    grid = man.param("grid", 1024, _int("[16, inf)"))
+    w1_tol = man.param("w1_tol", 0.05, _TOL)
+    mass_tol = man.param("mass_tol", 1e-4, _TOL)
+    test_function = _block(name=(REQUIRED, str), xs=(REQUIRED, _each(_rat(), 1)),
+                           ys=(REQUIRED, _each(_rat(), 1)))
+    tests = man.param("test_functions", [], lambda specs: {
+        f["name"]: PAFunction1D.from_breakpoints(f["xs"], f["ys"], r)
+        for f in _each(test_function)(specs)})
+    deltas = man.param("cln_deltas", ["1/10", "1/100", "1/1000", "1/10000"],
+                       _each(_rat(), 1))
+    cln_tol = man.param("cln_residual_tol", 0.05, _TOL)
     rows = []
-    for rel in man.inputs["families"]:
-        fam = load_family(man.resolve(rel))
+    for path in families:
+        fam = load_family(path)
         try:
             conv = weak_convergence_experiment(fam, t_schedule, tests, grid, r,
                                                 mass_tol=mass_tol)
@@ -655,13 +692,9 @@ def run_ma_converge(man: ExperimentManifest) -> RunReport:
             f"total mass within {mass_tol} of degree {fam.ma_mass()}",
         ))
     cln_rows = []
-    if "cln_family" in man.inputs:
-        fam = load_family(man.resolve(man.inputs["cln_family"]))
-        deltas = [rat_from_str(d) for d in params.get(
-            "cln_deltas", ["1/10", "1/100", "1/1000", "1/10000"])]
-        cln = cln_stability_check(fam, deltas, r,
-                                   residual_tol=float(
-                                       params.get("cln_residual_tol", 0.05)))
+    if cln_family is not None:
+        fam = load_family(cln_family)
+        cln = cln_stability_check(fam, deltas, r, residual_tol=cln_tol)
         rep.checks.append(Check(
             "cln-linear-envelope", cln.failure is None,
             f"fitted C = {cln.fitted_constant:.6f}, residual {cln.residual:.2e}",
@@ -681,13 +714,12 @@ def run_ma_converge(man: ExperimentManifest) -> RunReport:
     if cln_rows:
         rep.tables["cln"] = {"columns": ["family", "delta", "difference"],
                               "rows": cln_rows}
-    return rep
 
 
-def run_mz_check(man: ExperimentManifest) -> RunReport:
-    rep = _new_report(man)
+def run_mz_check(man: ExperimentManifest, rep: RunReport):
+    n_rand = man.param("n_random", 20, _COUNT)
+    m_choices = man.param("m_choices", [1, 2, 3], _each(_POSITIVE, 1))
     rng = random.Random(man.seed)
-    params = man.params
     rows = []
     # reference families with frozen expectations
     fam23 = [(2, Fraction(0)), (3, Fraction(0))]
@@ -708,8 +740,6 @@ def run_mz_check(man: ExperimentManifest) -> RunReport:
            and mz_fs_eval(fam2, 1, MZPoint("2", "inf")) == "-inf")
     rep.checks.append(Check("family-2-slopes-and-polar-end", ok2,
                              "s_2 = -log 2, s_inf = log 2, sum 0; end is polar"))
-    n_rand = params.get("n_random", 20)
-    m_choices = params.get("m_choices", [1, 2, 3])
     n_pass = 0
     ident_ok = True
     discrepancies = 0
@@ -753,16 +783,18 @@ def run_mz_check(man: ExperimentManifest) -> RunReport:
         "columns": ["index", "family", "m", "passed", "identity", "lcm_differs"],
         "rows": rows,
     }
-    return rep
 
 
-def run_lelong(man: ExperimentManifest) -> RunReport:
-    rep = _new_report(man)
-    params = man.params
+def run_lelong(man: ExperimentManifest, rep: RunReport):
+    # lelong_estimate needs 3 decades; below 10^-100, z^2 nears underflow
+    k_lo = man.param("k_lo", 1, _int("[0, 100]"))
+    k_hi = man.param("k_hi", 8, _int(f"[{k_lo + 3}, 100]"))
+    tol = man.param("tol", 1e-3, _TOL)
+    scale = man.param("perturb_scale", 50.0, _real())
+    slope = man.param("pure_slope", "3/2", _rat())
+    floor = man.param("bounded_floor", -5.0, _real())
     cfg = HybridConfig()
-    k_lo, k_hi = params.get("k_lo", 1), params.get("k_hi", 8)
     radii = [10.0 ** (-k) for k in range(k_lo, k_hi + 1)]
-    tol = float(params.get("tol", 1e-3))
 
     def phi_main(z: complex) -> float:
         return math.log(abs(z * z + z * z * z))
@@ -773,7 +805,6 @@ def run_lelong(man: ExperimentManifest) -> RunReport:
         "t2-plus-t3-slope", abs(est.estimate - 2.0) <= tol,
         f"estimate {est.estimate!r}, target 2 within {tol}",
     ))
-    scale = float(params.get("perturb_scale", 50.0))
 
     def phi_pert(z: complex) -> float:
         return phi_main(z) + math.log(abs(1 + scale * z))
@@ -784,14 +815,12 @@ def run_lelong(man: ExperimentManifest) -> RunReport:
         abs(est_p.estimate - 2.0) <= tol,
         f"perturbed estimate {est_p.estimate!r} within {tol}",
     ))
-    slope = rat_from_str(params.get("pure_slope", "3/2"))
     est_pure = lelong_estimate(
         sample_circle_sups(lambda z: float(slope) * math.log(abs(z)), radii, cfg))
     rep.checks.append(Check(
         "pure-log-exact", abs(est_pure.estimate - float(slope)) <= 1e-9,
         f"slope {est_pure.estimate!r} vs {float(slope)!r}",
     ))
-    floor = float(params.get("bounded_floor", -5.0))
     est_b = lelong_estimate(
         sample_circle_sups(lambda z: max(math.log(abs(z)), floor), radii, cfg))
     rep.checks.append(Check(
@@ -808,16 +837,19 @@ def run_lelong(man: ExperimentManifest) -> RunReport:
         "rows": [["t2_plus_t3", est.estimate, est.band[0], est.band[1]],
                  ["perturbed", est_p.estimate, est_p.band[0], est_p.band[1]]],
     }
-    return rep
 
 
-def run_rho_r(man: ExperimentManifest) -> RunReport:
-    rep = _new_report(man)
-    params = man.params
-    cfg = HybridConfig(r=rat_from_str(params.get("r", "1/2")))
+def run_rho_r(man: ExperimentManifest, rep: RunReport):
+    # the numeric samples lie on |t| = 3/10 and the round trips map into
+    # r' = 3/4 > r; for r >= 3/10, r^500 is still a normal double
+    cfg = HybridConfig(r=man.param("r", "1/2", _rat("[3/10, 3/4)")))
+    ks = man.param("k_exponents", [1, 2, 3, 4], _each(_int("[1, 500]")))
+    n_ang = man.param("n_angles", 8, _POSITIVE)
+    tol = man.param("numeric_tol", 1e-12, _TOL)
+    paths = man.param("path_limits", None, _block(
+        c=(2.0, _real("(0, inf)")), tol=(1e-3, _TOL),
+        weights=(["0", "1/3", "1/2", "2/3", "2"], _each(_rat()))))
     rfl = float(cfg.r)
-    ks = [int(k) for k in params.get("k_exponents", [1, 2, 3, 4])]
-    n_ang = int(params.get("n_angles", 8))
     # exact round trip on |t| = r^k circles with rational values
     samples = []
     for k in ks:
@@ -834,7 +866,6 @@ def run_rho_r(man: ExperimentManifest) -> RunReport:
     num = [RhoSample(complex(0.3 * math.cos(a), 0.3 * math.sin(a)),
                       math.log(abs(1 + 0.3 * math.cos(a) + 0.3j * math.sin(a))))
            for a in np.linspace(0.1, 6.0, 25)]
-    tol = float(params.get("numeric_tol", 1e-12))
     rt = rho_r_inverse(rho_r_forward(num, cfg), cfg, r_prime=Fraction(9, 10))
     num_ok = all(abs(a.value - b.value) <= tol * max(1.0, abs(a.value))
                  for a, b in zip(num, rt))
@@ -864,28 +895,20 @@ def run_rho_r(man: ExperimentManifest) -> RunReport:
     rep.checks.append(Check(
         "khyb-pa-exact-zero-violation",
         v3.convex and v3.worst_violation == 0, "exact rational arithmetic"))
-    paths = params.get("path_limits")
-    if paths:
-        from .valuation import Coefficient as _Coef
-
-        f = LaurentSeriesData(
-            ["z", "t"],
-            [((1, 0), _Coef.explicit(1)), ((0, 1), _Coef.explicit(-1))],
-        )
-        c0 = complex(float(paths.get("c", 2.0)))
-        tol = float(paths.get("tol", 1e-3))
+    if paths is not None:
+        f = LaurentSeriesData(["z", "t"], [((1, 0), Coefficient.explicit(1)),
+                                           ((0, 1), Coefficient.explicit(-1))])
         worst = 0.0
         path_rows = []
-        for ws in paths.get("weights", ["0", "1/3", "1/2", "2/3", "2"]):
-            w = rat_from_str(ws)
-            res = hybrid_path_limit(f, c0, w, cfg)
+        for w in paths["weights"]:
+            res = hybrid_path_limit(f, complex(paths["c"]), w, cfg)
             err = abs(res.limit - float(min(w, 1)))
             worst = max(worst, err)
             path_rows.append([rat_to_str(w), res.limit,
                               rat_to_str(res.prediction), err])
         rep.checks.append(Check(
-            "path-limits-match-monomial-prediction", worst <= tol,
-            f"f = z - t along z = c t^w: worst error {worst!r} <= {tol}",
+            "path-limits-match-monomial-prediction", worst <= paths["tol"],
+            f"f = z - t along z = c t^w: worst error {worst!r} <= {paths['tol']}",
         ))
         rep.tables["path_limits"] = {
             "columns": ["w", "limit", "prediction", "error"],
@@ -896,10 +919,9 @@ def run_rho_r(man: ExperimentManifest) -> RunReport:
         "rows": [[rat_to_str(s.k), i % n_ang, s.value, b.value]
                  for i, (s, b) in enumerate(zip(samples, back))],
     }
-    return rep
 
 
-_RUNNERS = {
+KINDS = {
     "val-eval": run_val_eval,
     "retract": run_retract,
     "na-limit": run_na_limit,
@@ -911,13 +933,10 @@ _RUNNERS = {
 }
 
 
-def _new_report(man: ExperimentManifest) -> RunReport:
-    return RunReport(kind=man.kind, seed=man.seed, version=__version__,
-                      manifest_echo=man.raw)
-
-
 def run(man: ExperimentManifest) -> RunReport:
     t0 = time.perf_counter()
-    report = _RUNNERS[man.kind](man)
+    report = RunReport(kind=man.kind, seed=man.seed, version=__version__,
+                       manifest_echo=man.raw)
+    KINDS[man.kind](man, report)
     report.wall_clock = time.perf_counter() - t0
     return report

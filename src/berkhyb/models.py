@@ -8,7 +8,6 @@ equations.  Connectedness of strata is declared, not verified.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -153,11 +152,6 @@ class SncModelCombinatorics:
             for c in data["components"]
         ]
         return cls(comps, data["strata"], name=data.get("name", "model"))
-
-    @classmethod
-    def load(cls, path) -> "SncModelCombinatorics":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
 
 @dataclass(frozen=True)

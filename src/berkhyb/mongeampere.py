@@ -70,9 +70,6 @@ class AtomicMeasure:
     def nonzero(self) -> "AtomicMeasure":
         return AtomicMeasure([a for a in self.atoms if a.mass != 0], list(self.flags))
 
-    def positions_and_masses(self):
-        return [(a.u, a.mass) for a in self.atoms]
-
     def same_atoms(self, other: "AtomicMeasure") -> bool:
         """Exact equality as measures on the u-line (zero masses dropped)."""
         a = sorted(

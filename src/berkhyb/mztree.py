@@ -278,15 +278,11 @@ def mz_slopes(f: MZFunction) -> MZSlopeReport:
         convex[p] = pa.is_convex()
     convex["inf"] = f.arch.is_convex()
     convex["default"] = f.default.is_convex()
-    s_inf = PrimeLogVal.of(f.arch.first_slope()) \
-        if not isinstance(f.arch.first_slope(), PrimeLogVal) else f.arch.first_slope()
+    s_inf = PrimeLogVal.of(f.arch.first_slope())
     slope_sum = s_inf
     for p in f.branches:
         slope_sum = slope_sum + s_p[p]
-    inf_increasing = all(
-        (PrimeLogVal.of(s) if not isinstance(s, PrimeLogVal) else s).sign() >= 0
-        for s in f.arch.slopes
-    )
+    inf_increasing = all(PrimeLogVal.of(s).sign() >= 0 for s in f.arch.slopes)
     default_zero = all(s == 0 for s in f.default.slopes)
     notes = []
     if not default_zero:

@@ -40,9 +40,6 @@ class PAFunctionOnComplex:
         a = sum((g * w for g, w in zip(g_const, ws)), Fraction(0))
         return LogRVal(const=a, logr=b)
 
-    def eval_point(self, point) -> LogRVal:
-        return self.eval_weights(point.stratum, point.weights)
-
     def vertex_value(self, i: int) -> LogRVal:
         model = self.complex.model
         return self.eval_weights((i,), (Fraction(1, model.multiplicity(i)),))
@@ -194,10 +191,7 @@ class PAFunction1D:
 
     def eval(self, x) -> LogRVal:
         xv = x if isinstance(x, LogRVal) else LogRVal.of(as_fraction(x))
-        idx = 0
-        while idx < len(self.cuts) and xv.cmp(self.cuts[idx], self.r) > 0:
-            idx += 1
-        return self.pieces[idx].eval(xv)
+        return self._piece_at(xv).eval(xv)
 
     def _float_tables(self):
         cached = getattr(self, "_ftab", None)

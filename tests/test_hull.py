@@ -199,12 +199,15 @@ def test_tree_branches_match_fs_eval():
             assert arch_value(hull, edges, x) == mz_fs_eval(fam, m, MZPoint("inf", x))
 
 
-# report.json digests of the two exact, float-free bundled kinds, recorded
-# before the envelope routines were merged into upper_hull: a change to the
-# hull must not move these bytes
+# report.json digests of the four exact, float-free bundled kinds, recorded
+# before the envelope routines were merged into upper_hull (mz-check,
+# ma-model) and before the runners read their values through one manifest
+# accessor (retract, na-limit): neither change may move these bytes
 PINNED_REPORTS = {
     "mz_check.json": "475da8a8316a574c044d5cf5066edc3a650c97379524c03b39262df2a86385e8",
     "ma_model.json": "622ccab06c9e7fbd670ead2239a9cb41fe1ae58737d5b9c0dc0010418dbb7f5b",
+    "retract.json": "a4609dd1484c6f904ed1dd47e8842a9522d5e92dbcd13b5a8477104f80028c36",
+    "na_limit.json": "f2adadf955c5a4e935fcf5130273b3ee3cdc472b8d097f4328350b9b5630c880",
 }
 
 

@@ -1,0 +1,160 @@
+"""Exit-code contract of the CLI under bad manifest values.
+
+A bad value exits 2 with a message naming ``params.<key>`` or
+``inputs.<key>`` and writes nothing; a good one runs and exits 0 or 1.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from berkhyb.cli import main
+
+
+MANIFESTS = {
+    "val-eval": "val_eval.json", "retract": "retract.json",
+    "na-limit": "na_limit.json", "ma-model": "ma_model.json",
+    "ma-converge": "ma_converge.json", "mz-check": "mz_check.json",
+    "lelong": "lelong.json", "rho-r": "rho_r.json",
+}
+
+_DROP = object()
+
+
+def _absolute(value, base: Path):
+    """Input paths of a bundled manifest made absolute, so it can move."""
+    if isinstance(value, str):
+        return str((base / value).resolve())
+    if isinstance(value, list):
+        return [_absolute(v, base) for v in value]
+    return {k: _absolute(v, base) for k, v in value.items()}
+
+
+def bundled(data_dir: Path, kind: str) -> dict:
+    man = json.loads((data_dir / "manifests" / MANIFESTS[kind]).read_text())
+    man["inputs"] = _absolute(man["inputs"], data_dir / "manifests")
+    return man
+
+
+def mutate(man: dict, path: tuple, value) -> dict:
+    """Replace (or, with _DROP, delete) the entry at ``path``."""
+    obj = man
+    for key in path[:-1]:
+        obj = obj[key]
+    if value is _DROP:
+        del obj[path[-1]]
+    else:
+        obj[path[-1]] = value
+    return man
+
+
+def run_cli(kind: str, man: dict, tmp: Path, *extra):
+    """Run the CLI on ``man``; return (exit code, stderr, whether out exists)."""
+    path = tmp / "man.json"
+    path.write_text(json.dumps(man))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main([kind, "--manifest", str(path), "--out", str(tmp / "out"),
+                   *extra])
+    return rc, err.getvalue(), (tmp / "out").exists()
+
+
+PROBES = [
+    ("retract", ("inputs", "models"), _DROP),
+    ("retract", ("params", "n_points"), "x"),
+    ("na-limit", ("inputs", "tfs"), _DROP),
+    ("na-limit", ("params", "r"), 0.5),
+    ("na-limit", ("params", "r"), "2"),
+    ("ma-model", ("inputs", "tables"), _DROP),
+    ("mz-check", ("params", "n_random"), "x"),
+    ("mz-check", ("params", "m_choices"), []),
+    ("lelong", ("params", "tol"), "abc"),
+    ("lelong", ("params", "k_hi"), 2),
+    ("rho-r", ("params", "n_angles"), 0),
+    ("rho-r", ("params", "r"), "3/2"),
+    ("val-eval", ("params", "n_random"), "x"),
+    ("val-eval", ("params",), []),
+    ("ma-converge", ("params", "w1_tol"), "abc"),
+    ("ma-converge", ("inputs", "cln_family"), 3),
+    ("ma-converge", ("inputs", "cln_family"), "missing.json"),
+    ("ma-converge", ("params", "test_functions", 0, "xs"), _DROP),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,path,value", PROBES,
+    ids=[f"{k}-{'.'.join(map(str, p))}-{'drop' if v is _DROP else v}"
+         for k, p, v in PROBES])
+def test_bad_value_exits_two_naming_the_key(data_dir, tmp_path, kind, path, value):
+    man = mutate(bundled(data_dir, kind), path, value)
+    rc, err, written = run_cli(kind, man, tmp_path)
+    assert rc == 2
+    assert ".".join(map(str, path[:2])) in err
+    assert not written
+
+
+@pytest.mark.parametrize("kind", ["val-eval", "mz-check"])
+def test_negative_seed_override_exits_two(data_dir, tmp_path, kind):
+    rc, err, written = run_cli(kind, bundled(data_dir, kind), tmp_path,
+                               "--seed", "-1")
+    assert rc == 2
+    assert "--seed" in err
+    assert not written
+
+
+def test_missing_model_in_tfs_file_exits_two(data_dir, tmp_path):
+    tfs = json.loads((data_dir / "families" / "tfs_segment.json").read_text())
+    tfs["model"] = "nope.json"
+    (tmp_path / "tfs.json").write_text(json.dumps(tfs))
+    man = mutate(bundled(data_dir, "na-limit"), ("inputs", "tfs"),
+                 [str(tmp_path / "tfs.json")])
+    rc, err, written = run_cli("na-limit", man, tmp_path)
+    assert rc == 2
+    assert "nope.json" in err
+    assert not written
+
+
+# Fuzz bases: the bundled manifests at sizes that keep each run short.
+# Every key is still mutated; the sizes only bound the run time.
+SMALL = {
+    "val-eval": {"n_random": 50, "n_superadd": 50, "n_gauss": 20,
+                 "lse": {"m_choices": [1, 2], "max_n": 4, "n_samples": 1000}},
+    "ma-converge": {"grid": 32},
+    "retract": {"n_points": 20},
+}
+
+VALUES = st.one_of(
+    st.just(_DROP), st.none(), st.booleans(), st.integers(-3, 40),
+    st.floats(-3, 40), st.sampled_from([math.nan, math.inf]),
+    st.sampled_from(["", "abc", "0", "1/2", "3/2", "-1", "2", "1/0"]),
+    st.lists(st.integers(-3, 40), max_size=4),
+    st.lists(st.sampled_from(["0", "1/2", "x"]), max_size=3),
+    st.just({}),
+)
+
+
+def _targets(man: dict) -> list:
+    return ([(k,) for k in ("seed", "inputs", "params")]
+            + [(s, k) for s in ("inputs", "params") for k in sorted(man[s])])
+
+
+@pytest.mark.parametrize("kind", sorted(MANIFESTS))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_one_key_fuzz_keeps_the_exit_contract(data_dir, kind, data):
+    man = bundled(data_dir, kind)
+    man["params"].update(copy.deepcopy(SMALL.get(kind, {})))
+    path = data.draw(st.sampled_from(_targets(man)), label="key")
+    mutate(man, path, data.draw(VALUES, label="value"))
+    with tempfile.TemporaryDirectory() as tmp:
+        rc, err, written = run_cli(kind, man, Path(tmp))
+    assert rc in (0, 1, 2)
+    assert written == (rc != 2), err
