@@ -16,6 +16,7 @@ import os
 import random
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -317,39 +318,58 @@ def emit_plot_data(report: RunReport, target: Path):
 # shared loaders
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _reading(path: Path):
+    """Content errors in the input file at ``path`` (a missing key, a value
+    of the wrong type or out of range) become a ManifestError naming it."""
+    try:
+        yield
+    except ManifestError:
+        raise
+    except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
+        what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ManifestError(f"{path}: {what}") from exc
+
+
 def load_models_with_pullbacks(paths) -> dict:
     registry = {}
-    raws = {}
+    pullbacks = {}
     for p in paths:
-        data = _read_json(p)
-        model = SncModelCombinatorics.from_json(data)
-        registry[model.name] = model
-        raws[model.name] = data
-    for name, data in raws.items():
-        for pb in data.get("pullbacks", []):
-            target = registry.get(pb["target"])
-            if target is None:
-                raise ManifestError(f"pullback target {pb['target']} not loaded")
-            registry[name].pullbacks.append(
-                MonomialPullback(registry[name], target,
-                                 tuple(tuple(row) for row in pb["matrix"]))
-            )
+        with _reading(p):
+            data = _read_json(p)
+            model = SncModelCombinatorics.from_json(data)
+            registry[model.name] = model
+            pullbacks[model.name] = (p, data.get("pullbacks", []))
+    for name, (p, specs) in pullbacks.items():
+        with _reading(p):
+            for pb in specs:
+                target = registry.get(pb["target"])
+                if target is None:
+                    raise ManifestError(f"pullback target {pb['target']} not loaded")
+                registry[name].pullbacks.append(
+                    MonomialPullback(registry[name], target,
+                                     tuple(tuple(row) for row in pb["matrix"]))
+                )
     return registry
 
 
 def load_tfs_file(path: Path, model_dir: Path):
-    data = _read_json(path)
-    model = _read_json((model_dir / data["model"]).resolve())
-    return (SncModelCombinatorics.from_json(model),
-            TropicalFSMetric.from_json(data["metric"]))
+    with _reading(path):
+        data = _read_json(path)
+        model_path = (model_dir / data["model"]).resolve()
+        metric = TropicalFSMetric.from_json(data["metric"])
+    with _reading(model_path):
+        return SncModelCombinatorics.from_json(_read_json(model_path)), metric
 
 
 def load_family(path: Path) -> CurveFamily:
-    return CurveFamily.from_json(_read_json(path))
+    with _reading(path):
+        return CurveFamily.from_json(_read_json(path))
 
 
 def load_table(path: Path) -> IntersectionTable:
-    return IntersectionTable.from_json(_read_json(path))
+    with _reading(path):
+        return IntersectionTable.from_json(_read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +811,8 @@ def run_lelong(man: ExperimentManifest, rep: RunReport):
     k_hi = man.param("k_hi", 8, _int(f"[{k_lo + 3}, 100]"))
     tol = man.param("tol", 1e-3, _TOL)
     scale = man.param("perturb_scale", 50.0, _real())
-    slope = man.param("pure_slope", "3/2", _rat())
+    # float(slope) below must be finite
+    slope = man.param("pure_slope", "3/2", _rat("[-1e6, 1e6]"))
     floor = man.param("bounded_floor", -5.0, _real())
     cfg = HybridConfig()
     radii = [10.0 ** (-k) for k in range(k_lo, k_hi + 1)]

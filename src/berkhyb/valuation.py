@@ -12,11 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Callable, Mapping, Sequence
 
 from .exactnum import Rat, as_fraction, rat_from_str, rat_to_str
 
 INF = "inf"  # distinguished +infinity marker for valuation values
+_ZERO = Fraction(0)
 
 
 class ConfigurationError(ValueError):
@@ -33,7 +36,7 @@ class Coefficient:
 
     @classmethod
     def unit(cls) -> "Coefficient":
-        return cls("unit")
+        return _UNIT
 
     @classmethod
     def explicit(cls, re: Rat, im: Rat = 0) -> "Coefficient":
@@ -66,6 +69,9 @@ class Coefficient:
         if self.kind == "unit":
             return "unit"
         return [rat_to_str(self.re), rat_to_str(self.im)]
+
+
+_UNIT = Coefficient("unit")  # frozen, so every unit tag can be this one
 
 
 class LaurentSeriesData:
@@ -189,19 +195,23 @@ class QuasiMonomialPoint:
     def __post_init__(self):
         if len(self.stratum) != len(self.weights):
             raise ValueError("stratum/weight length mismatch")
-        total = Fraction(0)
+        # sum_j a_j w_j = 1 as the integer equality sum_j a_j n_j = den
+        # over the common denominator den of the weights
+        den = lcm(*(w.denominator for w in self.weights))
+        total = 0
         for j, w in zip(self.stratum, self.weights):
             if w < 0:
                 raise ValueError("weights must be non-negative")
-            total += self.model.multiplicity(j) * w
-        if total != 1:
-            raise ValueError(f"weight normalization sum a_j w_j = {total} != 1")
+            total += self.model.multiplicity(j) * w.numerator * (den // w.denominator)
+        if total != den:
+            raise ValueError(
+                f"weight normalization sum a_j w_j = {Fraction(total, den)} != 1")
 
     def weight_of(self, j: int) -> Fraction:
         for jj, w in zip(self.stratum, self.weights):
             if jj == j:
                 return w
-        return Fraction(0)
+        return _ZERO
 
     def weight_map(self) -> dict:
         """Nonzero weights by component index (the canonical form)."""
@@ -241,7 +251,7 @@ def qm_eval(
             # default identification: label equals a component's local
             # equation name, otherwise a unit
             idx = point.model.component_index_by_equation(label)
-            per_var.append(point.weight_of(idx) if idx is not None else Fraction(0))
+            per_var.append(point.weight_of(idx) if idx is not None else _ZERO)
     return weighted_min_of_terms(f, per_var)
 
 
@@ -250,19 +260,17 @@ def weighted_min_of_terms(f: LaurentSeriesData, weights: Sequence[Rat]):
 
     This is the evaluation core of qm_eval; it is also used directly for
     path-limit predictions where v(z) = w, v(t) = 1 carries no simplex
-    normalization.
+    normalization.  The min runs over integers: each weight is scaled to
+    the common denominator ``den``, and one Fraction is built at the end.
     """
     if f.is_zero():
         return INF
     ws = [as_fraction(w) for w in weights]
     if len(ws) != len(f.variables):
         raise ConfigurationError("weight vector length mismatch")
-    best = None
-    for exp, _coef in f.terms:
-        val = sum((w * e for w, e in zip(ws, exp)), Fraction(0))
-        if best is None or val < best:
-            best = val
-    return best
+    den = lcm(*(w.denominator for w in ws))
+    nums = [w.numerator * (den // w.denominator) for w in ws]
+    return Fraction(min(sum(map(mul, nums, exp)) for exp, _coef in f.terms), den)
 
 
 def brute_force_min(point: QuasiMonomialPoint, f: LaurentSeriesData,
@@ -270,14 +278,16 @@ def brute_force_min(point: QuasiMonomialPoint, f: LaurentSeriesData,
     """Independent oracle for qm_eval: explicit enumeration of <w, beta>.
 
     Kept deliberately separate from qm_eval's code path (no shared term
-    iteration) so the two can cross-check each other.
+    iteration) so the two can cross-check each other.  Values are integers
+    over its own common denominator, that of all the point's weights.
     """
     if f.is_zero():
         return INF
     ident = dict(identification) if identification is not None else {}
+    den = lcm(*(w.denominator for w in point.weights))
     values = []
     for exp, _c in f.terms:
-        total = Fraction(0)
+        total = 0
         for label, e in zip(f.variables, exp):
             if e == 0:
                 continue
@@ -287,9 +297,10 @@ def brute_force_min(point: QuasiMonomialPoint, f: LaurentSeriesData,
                 comp = point.model.component_index_by_equation(label)
                 if comp is None:
                     continue
-            total += point.weight_of(comp) * e
+            w = point.weight_of(comp)
+            total += w.numerator * (den // w.denominator) * e
         values.append(total)
-    return min(values)
+    return Fraction(min(values), den)
 
 
 def divisorial_point(model, i: int) -> QuasiMonomialPoint:

@@ -78,6 +78,7 @@ PROBES = [
     ("mz-check", ("params", "m_choices"), []),
     ("lelong", ("params", "tol"), "abc"),
     ("lelong", ("params", "k_hi"), 2),
+    ("lelong", ("params", "pure_slope"), "1e400"),
     ("rho-r", ("params", "n_angles"), 0),
     ("rho-r", ("params", "r"), "3/2"),
     ("val-eval", ("params", "n_random"), "x"),
@@ -119,6 +120,26 @@ def test_missing_model_in_tfs_file_exits_two(data_dir, tmp_path):
     rc, err, written = run_cli("na-limit", man, tmp_path)
     assert rc == 2
     assert "nope.json" in err
+    assert not written
+
+
+@pytest.mark.parametrize("kind,key,source,drop", [
+    ("retract", "models", "models/segment.json", "components"),
+    ("na-limit", "tfs", "families/tfs_segment.json", "metric"),
+    ("na-limit", "tfs", "families/tfs_segment.json", "model"),
+    ("ma-model", "tables", "tables/table_ndim.json", "rows"),
+    ("ma-converge", "families", "families/fam_kink.json", "charts"),
+])
+def test_input_file_missing_a_key_exits_two(data_dir, tmp_path, kind, key,
+                                            source, drop):
+    content = json.loads((data_dir / source).read_text())
+    del content[drop]
+    bad = tmp_path / Path(source).name
+    bad.write_text(json.dumps(content))
+    man = mutate(bundled(data_dir, kind), ("inputs", key), [str(bad)])
+    rc, err, written = run_cli(kind, man, tmp_path)
+    assert rc == 2
+    assert str(bad) in err and repr(drop) in err
     assert not written
 
 

@@ -1,15 +1,21 @@
+import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from berkhyb import valuation
+from berkhyb.exactnum import as_fraction, rat_to_str
+from berkhyb.harness import _random_laurent, _random_model, _random_point
 from berkhyb.valuation import (
     INF,
     Coefficient,
     ConfigurationError,
     LaurentSeriesData,
+    QuasiMonomialPoint,
     brute_force_min,
     divisorial_point,
     gauss_extension,
@@ -179,3 +185,204 @@ def test_formal_product_tracks_cancellation():
     )
     prod = plus.formal_product(minus)
     assert set(e for e, _ in prod.terms) == {(2, 0), (0, 2)}
+
+
+# ---------------------------------------------------------------------------
+# the integer-lattice evaluation against plain Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+# the largest primes below 10^12: pairwise coprime, so their lcm is the product
+PRIMES = (999999999989, 999999999961, 999999999959, 999999999937)
+
+
+def fraction_min_of_terms(f, weights):
+    """The min formula in Fraction arithmetic, one Fraction per product."""
+    if f.is_zero():
+        return INF
+    ws = [as_fraction(w) for w in weights]
+    best = None
+    for exp, _coef in f.terms:
+        val = sum((w * e for w, e in zip(ws, exp)), Fraction(0))
+        if best is None or val < best:
+            best = val
+    return best
+
+
+WEIGHTS = st.one_of(
+    st.integers(-20, 20),
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**12)),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.sampled_from(PRIMES)),
+)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_weighted_min_matches_fraction_arithmetic(data):
+    k = data.draw(st.integers(0, 4), label="k")
+    weights = data.draw(st.lists(WEIGHTS, min_size=k, max_size=k), label="w")
+    exps = data.draw(st.lists(st.tuples(*[st.integers(-50, 50)] * k),
+                              max_size=8, unique=True), label="exps")
+    f = LaurentSeriesData([f"z{i}" for i in range(k)], unit_terms(exps))
+    got = weighted_min_of_terms(f, weights)
+    assert got == fraction_min_of_terms(f, weights)
+    assert got == INF or type(got) is Fraction
+
+
+def test_weighted_min_over_coprime_denominators():
+    ws = [Fraction(1, p) for p in PRIMES]
+    f = LaurentSeriesData(["a", "b", "c", "d"],
+                          unit_terms([(1, -1, 0, 0), (0, 0, 1, -1), (3, 0, 0, 0)]))
+    want = min(Fraction(1, PRIMES[0]) - Fraction(1, PRIMES[1]),
+               Fraction(1, PRIMES[2]) - Fraction(1, PRIMES[3]))
+    assert weighted_min_of_terms(f, ws) == want
+    # an empty variable tuple has the single monomial 1, of value 0
+    assert weighted_min_of_terms(LaurentSeriesData([], unit_terms([()])), []) == 0
+    assert weighted_min_of_terms(LaurentSeriesData.zero([]), []) == INF
+
+
+@given(pq=st.permutations(PRIMES), sign=st.sampled_from((1, -1)),
+       lift=st.integers(-3, 3), other=st.integers(-5, 5))
+@settings(max_examples=100, deadline=None)
+def test_weighted_min_resolves_near_ties(pq, sign, lift, other):
+    # m/p - n/q = sign/(pq), below 10^-23: the two values are that close
+    p, q = pq[:2]
+    m = sign * pow(q, -1, p) % p + lift * p
+    n = (m * q - sign) // p
+    f = LaurentSeriesData(["x", "y", "u"],
+                          unit_terms([(m, 0, other), (0, n, other)]))
+    ws = [Fraction(1, p), Fraction(1, q), 0]
+    assert Fraction(m, p) - Fraction(n, q) == Fraction(sign, p * q)
+    want = Fraction(n, q) if sign > 0 else Fraction(m, p)
+    assert weighted_min_of_terms(f, ws) == want
+    assert fraction_min_of_terms(f, ws) == want
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_brute_force_matches_qm_eval_with_identifications(data):
+    model = _random_model()
+    stratum = data.draw(st.sampled_from(model.strata), label="stratum")
+    # weights over distinct prime denominators, so their lcm exceeds their
+    # max; a_j <= 3 keeps the head's sum below 1, and the last weight
+    # restores sum_j a_j w_j = 1
+    m = 3 * len(stratum)
+    dens = data.draw(st.lists(st.sampled_from((2, 3, 5, 7, 11) + PRIMES),
+                              min_size=len(stratum) - 1,
+                              max_size=len(stratum) - 1, unique=True), label="dens")
+    head = [Fraction(data.draw(st.integers(0, d)), d * m) for d in dens]
+    rest = 1 - sum((model.multiplicity(j) * w for j, w in zip(stratum, head)),
+                   Fraction(0))
+    point = model.point(stratum, head + [rest / model.multiplicity(stratum[-1])])
+    labels = data.draw(st.lists(st.sampled_from(["x1", "x2", "x3", "x4", "u", "s"]),
+                                min_size=1, max_size=4, unique=True), label="vars")
+    # any subset of labels mapped to any component, inside the stratum or not
+    ident = data.draw(st.dictionaries(st.sampled_from(labels),
+                                      st.integers(0, 3)), label="ident")
+    exps = data.draw(st.lists(st.tuples(*[st.integers(-30, 30)] * len(labels)),
+                              min_size=1, max_size=8, unique=True), label="exps")
+    f = LaurentSeriesData(labels, unit_terms(exps))
+    want = qm_eval(point, f, ident)
+    assert brute_force_min(point, f, ident) == want
+    comps = [ident.get(x, model.component_index_by_equation(x)) for x in labels]
+    assert want == fraction_min_of_terms(
+        f, [0 if c is None else point.weight_of(c) for c in comps])
+
+
+@pytest.mark.parametrize("den", [10**30, 999999999989 * 999999999961])
+def test_normalization_rejects_sums_next_to_one(segment, den):
+    for total in (Fraction(den + 1, den), Fraction(den - 1, den)):
+        w1 = Fraction(1, 3)
+        with pytest.raises(ValueError, match=re.escape(
+                f"weight normalization sum a_j w_j = {total} != 1")):
+            segment.point((0, 1), (w1, total - w1))
+    segment.point((0, 1), (Fraction(1, 3), Fraction(2, 3)))
+
+
+def test_point_errors_keep_their_messages(segment, blowup):
+    with pytest.raises(ValueError, match="^weights must be non-negative$"):
+        segment.point((0, 1), (Fraction(-1, 10**30), 1 + Fraction(1, 10**30)))
+    with pytest.raises(ValueError, match=re.escape(
+            "weight normalization sum a_j w_j = 3/2 != 1")):
+        blowup.point((0, 2), (Fraction(1, 2), Fraction(1, 2)))
+    with pytest.raises(ValueError, match="^stratum/weight length mismatch$"):
+        QuasiMonomialPoint(segment, (0, 1), (Fraction(1),))
+
+
+def _names(code):
+    """Global and attribute names of ``code`` and its nested code objects."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= _names(const)
+    return names
+
+
+def _berkhyb_calls(fn, seen=None):
+    """The berkhyb functions that ``fn`` reaches through valuation's names."""
+    seen = set() if seen is None else seen
+    for name in _names(fn.__code__):
+        obj = getattr(valuation, name, None)
+        if (hasattr(obj, "__code__")
+                and obj.__module__.startswith("berkhyb") and obj not in seen):
+            seen.add(obj)
+            _berkhyb_calls(obj, seen)
+    return seen
+
+
+def test_oracle_shares_no_helper_with_qm_eval():
+    assert not _berkhyb_calls(qm_eval) & _berkhyb_calls(brute_force_min)
+    assert weighted_min_of_terms in _berkhyb_calls(qm_eval)
+
+
+def test_unit_coefficient_is_one_frozen_tag():
+    assert Coefficient.unit() is Coefficient.unit()
+    assert Coefficient.unit() == Coefficient("unit")
+    assert LaurentSeriesData.one(["z"]).terms[0][1] is Coefficient.unit()
+
+
+# ---------------------------------------------------------------------------
+# exact values pinned against the Fraction implementation of the min formula
+# ---------------------------------------------------------------------------
+
+def _text(v) -> str:
+    return v if v == INF else rat_to_str(v)
+
+
+def sweep_digests(n: int = 2000, seed: int = 20220909) -> dict:
+    """SHA-256 of the values on a seeded sweep of random points and Laurent
+    data, half of them under an explicit identification."""
+    model = _random_model()
+    rng = random.Random(seed)
+    out = {k: [] for k in ("qm_eval", "brute_force_min", "superadditivity")}
+    for i in range(n):
+        v = _random_point(model, rng)
+        f = _random_laurent(model, rng, 4, 8, -10, 10)
+        ident = None
+        if i % 2:
+            ident = {x: rng.randrange(len(model.components))
+                     for x in f.variables if rng.random() < 0.5}
+        g = LaurentSeriesData(f.variables, unit_terms(
+            {tuple(rng.randint(-10, 10) for _ in f.variables)
+             for _ in range(rng.randint(1, 8))}))
+        out["qm_eval"].append(_text(qm_eval(v, f, ident)))
+        out["brute_force_min"].append(_text(brute_force_min(v, f, ident)))
+        rep = valuation_superadditivity_check(v, f, g, ident)
+        out["superadditivity"].append(
+            ",".join(f"{k}={_text(x)}" for k, x in sorted(rep.details.items())))
+    return {k: hashlib.sha256("\n".join(vs).encode()).hexdigest()
+            for k, vs in out.items()}
+
+
+# taken with the Fraction implementation the integer lattice replaced
+_VALUES = "ad1d425da045f7b0ebd713d193567272172c188ce9111c66e0ba4a10227a9431"
+PINNED_SWEEP = {
+    "qm_eval": _VALUES,
+    "brute_force_min": _VALUES,
+    "superadditivity":
+        "efa109b77ef0d66ec1f0dce4be51eed9c479fa8cd5264d9cd698cc1e43bbd9fd",
+}
+
+
+def test_sweep_values_are_pinned():
+    assert sweep_digests() == PINNED_SWEEP
