@@ -336,7 +336,8 @@ class _ChartGeometry:
 
     def __init__(self, L: float, n: int):
         h = 2.0 * L / n
-        self.centers = -L + h * (np.arange(n + 2) - 0.5)
+        # h (k - (n+1)/2) is antisymmetric about 0 bit for bit, for any L and n
+        self.centers = h * (np.arange(n + 2) - (n + 1) / 2)
         self._nodes = None
         # cell centers never hit xi = 0, so log|xi| is finite everywhere
         self.log_abs = np.log(np.abs(self._complex_nodes()))
@@ -484,9 +485,10 @@ def ma_complex_curve(
         if geom is None:
             geom = geometries[(chart.L, n)] = _ChartGeometry(chart.L, n)
         phi = _potential_on_grid(family, t, chart, geom, log_r)
+        # (N + S) + (E + W): each pair sum commutes, so the stencil is
+        # exactly invariant under the 8 symmetries of the square grid
         masses = phi[2:, 1:-1] + phi[:-2, 1:-1]
-        masses += phi[1:-1, 2:]
-        masses += phi[1:-1, :-2]
+        masses += phi[1:-1, 2:] + phi[1:-1, :-2]
         masses -= 4.0 * phi[1:-1, 1:-1]
         masses /= 2.0 * math.pi
         log_abs = geom.log_abs[1:-1, 1:-1]
