@@ -13,17 +13,36 @@ Its tropical profile in the valuation coordinate u = log|z|/log|t| is the
 convex function H(u) = m^{-1} max_a max_{k in supp s_a} (-k u - q_a - c_a/log r),
 whose slope jumps are the limit measure atoms.
 
-Grid hot path.  The chart geometry (log|xi| on the cell grid with its
-halo, and the cell order by log|xi|) does not depend on t; it is built
-once per (L, n) and reused for every t and chart of an experiment.  An
-entry with a single term c t^e xi^k has log|c t^e xi^k| = log|c| +
-e log|t| + k log|xi|, computed in real arithmetic on the cached log|xi|;
-entries with more terms take the complex path (Horner's rule on the
-complex nodes).  For fixed t, u = +-log|xi|/log|t| - p is monotone in
-log|xi|, so the cell order by log|xi|, read forwards or backwards, sorts
-every chart's cells by u: pushforward_log_radius emits each chart's
-cloud sorted by u, and the chart's partition ramps are contiguous runs
-of that order.
+Grid hot path.  The chart geometry (log|xi| at the cell centers and
+their one-cell halo, and the cell order by log|xi|) does not depend on t;
+it is built once per (L, n) and reused for every t and chart of an
+experiment.  The grid side n is even and the centers are antisymmetric
+about 0 bit for bit, so no center sits on xi = 0.  There are two routes.
+
+A chart is radial when every family entry is a single monomial
+c t^e xi^k (true on every chart of such a family, inverted or not, and of
+all four bundled families).  Then log|c t^e xi^k| = log|c| + e log|t| +
+k log|xi| is real arithmetic on the cached log|xi|, and phi depends on
+log|xi| alone, so it is invariant under the 8 symmetries of the square
+grid (the row flip, the column flip, the transpose and their products).
+So is the five-point stencil (N + S) + (E + W) - 4C: the flips permute
+the terms inside a pair sum, the transpose swaps the two pair sums, and
+floating-point addition is commutative, so the Laplacian masses are
+symmetric bit for bit.  A radial chart therefore evaluates the potential
+on the positive quadrant with a one-cell halo (the inner halo, at -h/2,
+mirrors the first row and column) and keeps the triangle i <= j of the
+quadrant's cells: n(n+2)/8 cells, each carrying the mass of its orbit,
+multiplicity 8, or 4 on the diagonal i = j.  Thresholds on cell masses
+(the pushforward's keep floor, the negative-mass floor) compare the mass
+of one grid cell.  A family with a multi-term entry takes the full route
+on all n^2 cells, its multi-term entries by Horner's rule on the complex
+nodes.
+
+On both routes, for fixed t, u = +-log|xi|/log|t| - p is monotone in
+log|xi|, so the stored cells' order by log|xi|, read forwards or
+backwards, sorts every chart's cells by u: pushforward_log_radius emits
+each chart's cloud sorted by u, and the chart's partition ramps are
+contiguous runs of that order.
 """
 
 from __future__ import annotations
@@ -33,6 +52,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -314,43 +334,92 @@ def family_limit_measure(family: CurveFamily, r: Fraction) -> AtomicMeasure:
 
 @dataclass
 class GridMeasure:
+    """A chart's grid measure: one entry per stored cell.
+
+    The full route stores all n x n cells, shape (n, n), with
+    ``multiplicity`` None.  The octant route of a radial chart stores the
+    n(n+2)/8 cells of one octant, flat, and each stored cell carries the
+    mass of the ``multiplicity`` grid cells (8, or 4 on the diagonal) in
+    its orbit under the symmetries of the square grid.
+    """
+
     chart: Chart
     resolution: int
-    cell_masses: np.ndarray   # partition-weighted, shape (n, n)
-    cell_u: np.ndarray        # valuation coordinate per cell, shape (n, n)
+    cell_masses: np.ndarray   # partition-weighted mass each stored cell carries
+    cell_u: np.ndarray        # valuation coordinate per stored cell
     raw_total: float          # unweighted Laplacian total on this chart
     total_mass: float         # weighted total
     u_order: np.ndarray | None = None  # flat indices that sort cell_u ascending
+    multiplicity: np.ndarray | None = None  # grid cells per stored cell
+
+    def per_cell_masses(self) -> np.ndarray:
+        """The mass of one grid cell, for each stored cell."""
+        if self.multiplicity is None:
+            return self.cell_masses
+        return self.cell_masses / self.multiplicity  # exact: powers of two
 
     def negative_mass_floor(self) -> float:
-        return float(self.cell_masses.min())
+        return float(self.per_cell_masses().min())
+
+
+@dataclass(frozen=True)
+class _Cells:
+    """The cells one route stores for a chart, and their t-independent arrays."""
+
+    halo_log_abs: np.ndarray  # log|xi| at the centers of the halo grid
+    log_abs: np.ndarray       # log|xi| per stored cell
+    order: np.ndarray         # flat stored-cell indices sorted by log|xi|
+    # flat indices of the stored cells in the halo grid's interior, and the
+    # grid cells each stands for; None when every cell is stored once
+    index: np.ndarray | None = None
+    multiplicity: np.ndarray | None = None
+
+
+def _complex_grid(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return x[:, None] + 1j * y[None, :]
 
 
 class _ChartGeometry:
-    """The t-independent arrays of an n x n cell grid on [-L, L]^2.
+    """The t-independent arrays of an n x n cell grid on [-L, L]^2, n even.
 
-    ``log_abs`` covers the cells plus a one-cell halo, (n + 2)^2 centers
-    in all; ``order`` holds the flat cell indices sorted by log|xi|.  The
-    complex nodes are built only if a multi-term entry needs them.
+    ``centers`` holds the n cell centers plus a one-cell halo at each end;
+    they are antisymmetric about 0 bit for bit, and for even n none is 0.
+    ``octant`` serves radial charts: log|xi| on the positive quadrant with
+    its halo, (n/2 + 2)^2 centers whose inner halo row and column (at
+    -h/2) mirror the first cells, and the triangle i <= j of the
+    quadrant's cells with multiplicity 8, or 4 on the diagonal.  ``full``
+    holds log|xi| on all (n + 2)^2 centers and the order of all n^2 cells;
+    it and the complex ``nodes`` are built only when a chart of a family
+    with a multi-term entry asks for them.
     """
 
     def __init__(self, L: float, n: int):
         h = 2.0 * L / n
-        # h (k - (n+1)/2) is antisymmetric about 0 bit for bit, for any L and n
+        self.n = n
         self.centers = h * (np.arange(n + 2) - (n + 1) / 2)
-        self._nodes = None
-        # cell centers never hit xi = 0, so log|xi| is finite everywhere
-        self.log_abs = np.log(np.abs(self._complex_nodes()))
-        self.order = np.argsort(self.log_abs[1:-1, 1:-1], axis=None, kind="stable")
 
-    def _complex_nodes(self) -> np.ndarray:
-        return self.centers[:, None] + 1j * self.centers[None, :]
-
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
-        if self._nodes is None:
-            self._nodes = self._complex_nodes()
-        return self._nodes
+        return _complex_grid(self.centers, self.centers)
+
+    @cached_property
+    def full(self) -> _Cells:
+        halo = np.log(np.abs(_complex_grid(self.centers, self.centers)))
+        cells = halo[1:-1, 1:-1]
+        return _Cells(halo, cells, np.argsort(cells, axis=None, kind="stable"))
+
+    @cached_property
+    def octant(self) -> _Cells:
+        half = self.n // 2
+        quadrant = self.centers[half:]  # -h/2, h/2, ..., L + h/2
+        # np.abs of complex centers, as on the full grid, so the values
+        # agree bit for bit (np.hypot would not)
+        halo = np.log(np.abs(_complex_grid(quadrant, quadrant)))
+        i, j = np.triu_indices(half)
+        index = i * half + j
+        cells = halo[1:-1, 1:-1].ravel()[index]
+        return _Cells(halo, cells, np.argsort(cells, kind="stable"), index,
+                      np.where(i == j, 4.0, 8.0))
 
 
 def _smoothstep(x: np.ndarray) -> np.ndarray:
@@ -401,11 +470,13 @@ def partition_weight(chart: Chart, u: np.ndarray, ramp: float = 0.05,
 
 
 def _entry_log_modulus(entry: FamilyEntry, degree: int, t: complex,
-                       chart: Chart, geom: _ChartGeometry) -> np.ndarray:
+                       chart: Chart, geom: _ChartGeometry,
+                       log_abs: np.ndarray) -> np.ndarray:
     """log|t^q s(z)| at the chart's halo nodes, without the hybrid constant.
 
-    A single-term section is real arithmetic on the cached log|xi|; more
-    terms use Horner's rule on the complex nodes.
+    A single-term section is real arithmetic on ``log_abs``, the cached
+    log|xi| of the route's halo grid; more terms use Horner's rule on the
+    complex nodes of the full grid.
     """
     logabs_t = math.log(abs(t))
     powers = [((degree - k) if chart.invert else k,
@@ -413,7 +484,7 @@ def _entry_log_modulus(entry: FamilyEntry, degree: int, t: complex,
               for k, coef in entry.coeffs]
     if len(powers) == 1:
         xi_exp, t_exp, coef = powers[0]
-        term = np.multiply(geom.log_abs, xi_exp)
+        term = np.multiply(log_abs, xi_exp)
         term += math.log(abs(coef)) + t_exp * logabs_t
         return term
     log_t = cmath.log(t)
@@ -430,14 +501,23 @@ def _entry_log_modulus(entry: FamilyEntry, degree: int, t: complex,
         return np.log(np.abs(acc))
 
 
+def _radial(family: CurveFamily) -> bool:
+    """Every entry is a single monomial in xi, on every chart, so the
+    potential depends on log|xi| alone."""
+    return all(len(e.coeffs) == 1 for e in family.entries)
+
+
 def _potential_on_grid(family: CurveFamily, t: complex, chart: Chart,
-                       geom: _ChartGeometry, log_r: float) -> np.ndarray:
-    """Fiber potential at the chart's halo nodes (real array)."""
+                       geom: _ChartGeometry, log_r: float,
+                       octant: bool = False) -> np.ndarray:
+    """Fiber potential (real array) at the chart's halo nodes: all of them,
+    or with ``octant`` (radial families only) the positive quadrant's."""
     logabs_t = math.log(abs(t))
+    log_abs = (geom.octant if octant else geom.full).halo_log_abs
     phi = None
     terms = []
     for e in family.entries:
-        term = _entry_log_modulus(e, family.degree, t, chart, geom)
+        term = _entry_log_modulus(e, family.degree, t, chart, geom, log_abs)
         if e.c:
             term += float(e.c) / log_r * logabs_t
         if family.mode == "lse":
@@ -466,39 +546,48 @@ def ma_complex_curve(
 ) -> list[GridMeasure]:
     """Five-point Laplacian measure of the fiber potential, per chart.
 
-    Each chart is an n x n cell grid on [-L, L]^2 (cell centers, never
-    hitting xi = 0); masses are dd^c phi ~ (discrete Laplacian)/(2 pi) and
-    are then weighted by the chart's partition-of-unity factor in the
-    valuation coordinate.  The weighted totals must reproduce the family
-    degree within ``mass_tol``, else a ResolutionError suggests a finer
-    grid.  ``_geometries``, private to weak_convergence_experiment,
-    caches the t-independent chart arrays by (L, n) across its t schedule.
+    Each chart is an n x n cell grid on [-L, L]^2, n even, so that no cell
+    center sits on xi = 0; masses are dd^c phi ~ (discrete Laplacian)/(2 pi)
+    and are then weighted by the chart's partition-of-unity factor in the
+    valuation coordinate.  A radial family stores one octant of each chart
+    (see the module docstring).  The weighted totals must reproduce the
+    family degree within ``mass_tol``, else (a NaN total included) a
+    ResolutionError suggests a finer grid.  ``_geometries``, private to
+    weak_convergence_experiment, caches the t-independent chart arrays by
+    (L, n) across its t schedule.
     """
     if n < 16:
         raise ResolutionError("grid too small", suggested_n=max(64, 2 * n))
+    if n % 2:
+        raise ResolutionError(f"grid {n} is odd, so a cell center sits on xi = 0",
+                              suggested_n=n + 1)
     geometries = {} if _geometries is None else _geometries
     log_r = math.log(float(r))
     logabs_t = math.log(abs(t))
+    radial = _radial(family)
     grids = []
     for chart in family.charts:
         geom = geometries.get((chart.L, n))
         if geom is None:
             geom = geometries[(chart.L, n)] = _ChartGeometry(chart.L, n)
-        phi = _potential_on_grid(family, t, chart, geom, log_r)
+        cells = geom.octant if radial else geom.full
+        phi = _potential_on_grid(family, t, chart, geom, log_r, octant=radial)
         # (N + S) + (E + W): each pair sum commutes, so the stencil is
         # exactly invariant under the 8 symmetries of the square grid
         masses = phi[2:, 1:-1] + phi[:-2, 1:-1]
         masses += phi[1:-1, 2:] + phi[1:-1, :-2]
         masses -= 4.0 * phi[1:-1, 1:-1]
         masses /= 2.0 * math.pi
-        log_abs = geom.log_abs[1:-1, 1:-1]
+        if cells.index is not None:
+            masses = masses.ravel()[cells.index]
+            masses *= cells.multiplicity
         with np.errstate(divide="ignore", invalid="ignore"):
-            u = (-log_abs if chart.invert else log_abs) / logabs_t
+            u = (-cells.log_abs if chart.invert else cells.log_abs) / logabs_t
         u -= float(chart.p)
         # for fixed t, u is an increasing or a decreasing map of log|xi|
         order = None
         if logabs_t != 0:
-            order = geom.order if (logabs_t < 0) == chart.invert else geom.order[::-1]
+            order = cells.order if (logabs_t < 0) == chart.invert else cells.order[::-1]
         weighted = masses * partition_weight(chart, u, order=order)
         grids.append(
             GridMeasure(
@@ -509,11 +598,13 @@ def ma_complex_curve(
                 raw_total=float(masses.sum()),
                 total_mass=float(weighted.sum()),
                 u_order=order,
+                multiplicity=cells.multiplicity,
             )
         )
     total = sum(g.total_mass for g in grids)
     expected = float(family.ma_mass())
-    if check_mass and abs(total - expected) > mass_tol:
+    # written so that a NaN total fails it
+    if check_mass and not abs(total - expected) <= mass_tol:
         raise ResolutionError(
             f"captured mass {total:.6f} vs degree {expected} "
             f"(deficit {expected - total:.2e}); kink circles unresolved",
@@ -538,16 +629,18 @@ class LineCloud:
 def pushforward_log_radius(grid: GridMeasure, mass_floor: float = 1e-12) -> LineCloud:
     """Direct image of a grid measure under u = log|z| / log|t|.
 
-    Mass-preserving by construction; cells with negligible mass are
-    dropped.  The cloud comes out sorted by u, through the grid's cached
-    cell order when it has one.  Leakage accounting reports the weighted
-    mass missing from the chart relative to its raw Laplacian total.
+    Mass-preserving by construction; cells whose own mass (not that of
+    their orbit, on an octant) is below ``mass_floor`` are dropped.  The
+    cloud comes out sorted by u, through the grid's cached cell order when
+    it has one.  Leakage accounting reports the weighted mass missing from
+    the chart relative to its raw Laplacian total.
     """
     order = grid.u_order
     if order is None:
         order = np.argsort(grid.cell_u, axis=None, kind="stable")
     m = grid.cell_masses.ravel()
-    kept = order[(np.abs(m) > mass_floor)[order]]
+    per_cell = grid.per_cell_masses().ravel()
+    kept = order[(np.abs(per_cell) > mass_floor)[order]]
     cloud = LineCloud(grid.cell_u.ravel()[kept], m[kept])
     cloud.leakage = grid.raw_total - grid.total_mass
     if not np.isfinite(cloud.u).all():

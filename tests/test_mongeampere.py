@@ -1,17 +1,20 @@
 import cmath
 import dataclasses
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from berkhyb import mongeampere
 from berkhyb.exactnum import LogRVal
 from berkhyb.harness import load_family, load_table
 from berkhyb.mongeampere import (
     Chart,
     CurveFamily,
     FamilyEntry,
+    GridMeasure,
     ResolutionError,
     cln_stability_check,
     combine_clouds,
@@ -26,6 +29,7 @@ from berkhyb.mongeampere import (
     partition_weight,
     pushforward_log_radius,
     wasserstein1_line,
+    weak_convergence_experiment,
     _ChartGeometry,
     _potential_on_grid,
 )
@@ -38,6 +42,30 @@ def std_charts(adapted_p=None, interface=-0.5):
         charts.append(Chart(p=Fraction(adapted_p), name="adapted",
                             u_hi=interface))
     return tuple(charts)
+
+
+def octant_to_full(g, values):
+    """A radial chart's stored-cell values spread over the full (n, n) grid
+    by the 8 symmetries of the square grid.
+
+    The stored cells are the triangle i <= j of the positive quadrant, in
+    ``np.triu_indices`` order.  Every grid cell must lie in the orbit of
+    exactly one of them, and every orbit must have the stored multiplicity.
+    """
+    n = g.resolution
+    half = n // 2
+    i, j = np.triu_indices(half)
+    ids = np.arange(i.size)
+    owner = np.full((n, n), -1)
+    for a, b in ((i, j), (j, i)):
+        for rows in (half + a, half - 1 - a):
+            for cols in (half + b, half - 1 - b):
+                before = owner[rows, cols]
+                assert np.all((before == -1) | (before == ids))
+                owner[rows, cols] = ids
+    assert (owner >= 0).all()
+    assert np.array_equal(np.bincount(owner.ravel()), g.multiplicity)
+    return np.asarray(values)[owner]
 
 
 @pytest.fixture()
@@ -139,15 +167,16 @@ def test_unit_circle_harmonic_measure(r):
     assert g.total_mass == pytest.approx(1.0, abs=1e-4)
     assert g.negative_mass_floor() > -1e-9
     # mass concentrated on the unit circle, uniformly in angle
+    masses = octant_to_full(g, g.per_cell_masses())
     n = g.resolution
     h = 2.0 * g.chart.L / n
     centers = -g.chart.L + h * (np.arange(n) + 0.5)
     X, Y = np.meshgrid(centers, centers, indexing="ij")
     rad = np.hypot(X, Y)
     near = np.abs(rad - 1.0) < 5 * h
-    assert g.cell_masses[near].sum() == pytest.approx(1.0, abs=1e-3)
+    assert masses[near].sum() == pytest.approx(1.0, abs=1e-3)
     ang = np.arctan2(Y, X)
-    quad_masses = [g.cell_masses[(ang >= a) & (ang < a + math.pi / 2)].sum()
+    quad_masses = [masses[(ang >= a) & (ang < a + math.pi / 2)].sum()
                    for a in (-math.pi, -math.pi / 2, 0.0, math.pi / 2)]
     for qm in quad_masses:
         assert qm == pytest.approx(0.25, abs=5e-3)
@@ -175,14 +204,15 @@ def test_harmonic_chart_has_no_interior_mass(r):
     )
     grids = ma_complex_curve(fam, complex(1e-3), 512, r, check_mass=False)
     g = grids[0]
+    masses = octant_to_full(g, g.per_cell_masses())
     n = g.resolution
     h = 2.0 * g.chart.L / n
     centers = -g.chart.L + h * (np.arange(n) + 0.5)
     X, Y = np.meshgrid(centers, centers, indexing="ij")
     away = np.hypot(X, Y) > 0.5
     # harmonic region: only five-point truncation error, no atoms
-    assert np.abs(g.cell_masses[away]).max() < 1e-6
-    assert abs(g.cell_masses[away].sum()) < 1e-5
+    assert np.abs(masses[away]).max() < 1e-6
+    assert abs(masses[away].sum()) < 1e-5
 
 
 def test_resolution_error_suggests_refinement(r):
@@ -350,7 +380,8 @@ def test_pushforward_clouds_sorted(r, t):
     )
     grids = ma_complex_curve(fam, complex(t), 128, r, check_mass=False)
     for g in grids:
-        assert g.cell_masses.shape == g.cell_u.shape == (128, 128)
+        masses = octant_to_full(g, g.per_cell_masses())
+        assert masses.shape == octant_to_full(g, g.cell_u).shape == (128, 128)
         cloud = pushforward_log_radius(g)
         assert cloud.u.size > 0
         assert np.all(np.diff(cloud.u) >= 0)
@@ -390,3 +421,106 @@ def test_partition_weight_ramp_runs_match_dense(chart):
     runs = partition_weight(chart, u, order=order)
     assert runs.shape == u.shape
     assert np.array_equal(dense, runs)
+
+
+# ---------------------------------------------------------------------------
+# the octant route of radial charts against the full-grid route
+# ---------------------------------------------------------------------------
+
+def _octant_and_full(monkeypatch, run):
+    """``run()`` as it is, and with every family treated as non-radial, so
+    that each chart takes the full route."""
+    octant = run()
+    with monkeypatch.context() as m:
+        m.setattr(mongeampere, "_radial", lambda family: False)
+        full = run()
+    return octant, full
+
+
+@pytest.mark.parametrize("mode", ["max", "lse"])
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_octant_expands_to_full_grid_bit_for_bit(data_dir, r, monkeypatch, n, mode):
+    # the bundled charts (p = 0, 1/2, 1, one inverted) plus an inverted
+    # chart with p != 0 and both partition ramps
+    extra = Chart(p=Fraction(1, 3), invert=True, name="inv", u_lo=-0.8, u_hi=-0.2)
+    for name in BUNDLED_CURVES:
+        fam = load_family(data_dir / "families" / f"{name}.json")
+        fam = dataclasses.replace(fam, mode=mode, charts=fam.charts + (extra,))
+        for t in (1e-3, 1e3):
+            octant, full = _octant_and_full(monkeypatch, lambda: ma_complex_curve(
+                fam, complex(t), n, r, check_mass=False))
+            for o, f in zip(octant, full):
+                assert o.cell_masses.size == n * (n + 2) // 8
+                assert f.multiplicity is None and f.cell_masses.shape == (n, n)
+                assert np.array_equal(octant_to_full(o, o.per_cell_masses()),
+                                      f.cell_masses)
+                assert np.array_equal(octant_to_full(o, o.cell_u), f.cell_u)
+                assert o.negative_mass_floor() == f.negative_mass_floor()
+
+
+def test_octant_route_matches_full_route_on_bundled_families(data_dir, r,
+                                                             monkeypatch):
+    man = json.loads((data_dir / "manifests" / "ma_converge.json").read_text())
+    params = man["params"]
+    n, schedule = params["grid"], params["t_schedule"]
+    tests = {f["name"]: PAFunction1D.from_breakpoints(
+        [Fraction(x) for x in f["xs"]], [Fraction(y) for y in f["ys"]], r)
+        for f in params["test_functions"]}
+    for name in BUNDLED_CURVES:
+        fam = load_family(data_dir / "families" / f"{name}.json")
+        # fam_d21 is not in the manifest, and 1024 cells do not resolve its
+        # mass to 1e-4; the routes are compared, not the mass check
+        octant, full = _octant_and_full(monkeypatch, lambda: weak_convergence_experiment(
+            fam, schedule, tests, n, r, mass_tol=math.inf))
+        for o, f in zip(octant.rows, full.rows, strict=True):
+            assert abs(o.w1 - f.w1) <= 1e-12
+            assert abs(o.captured_mass - f.captured_mass) <= 1e-12
+            for key in tests:
+                assert abs(o.test_errors[key] - f.test_errors[key]) <= 1e-12
+    # the keep floor compares the mass of one cell: both routes keep the
+    # same cells, so their clouds hold the same u values with the same mass
+    fam = load_family(data_dir / "families" / "fam_threesec.json")
+    for t in schedule:
+        octant, full = _octant_and_full(monkeypatch, lambda: ma_complex_curve(
+            fam, complex(t), n, r))
+        for o, f in zip(octant, full):
+            oc, fc = pushforward_log_radius(o), pushforward_log_radius(f)
+            ou, o_inv = np.unique(oc.u, return_inverse=True)
+            fu, f_inv = np.unique(fc.u, return_inverse=True)
+            assert np.array_equal(ou, fu)
+            assert np.allclose(np.bincount(o_inv, oc.mass),
+                               np.bincount(f_inv, fc.mass), rtol=0, atol=1e-15)
+
+
+def test_bundled_families_take_the_octant_route(data_dir, r):
+    # an edit that made a bundled family non-radial would fall back to the
+    # full grid, eight times the cells
+    man = json.loads((data_dir / "manifests" / "ma_converge.json").read_text())
+    n = man["params"]["grid"]
+    for name in BUNDLED_CURVES:
+        fam = load_family(data_dir / "families" / f"{name}.json")
+        grids = ma_complex_curve(fam, complex(1e-3), n, r, check_mass=False)
+        assert len(grids) == len(fam.charts)
+        for g in grids:
+            assert g.cell_masses.size == g.cell_u.size == n * (n + 2) // 8
+            assert np.array_equal(np.unique(g.multiplicity), [4.0, 8.0])
+
+
+def test_odd_grid_rejected(kink_family, r):
+    with pytest.raises(ResolutionError) as exc:
+        ma_complex_curve(kink_family, complex(1e-3), 129, r)
+    assert exc.value.suggested_n == 130
+
+
+def test_nan_mass_fails_the_mass_check(r):
+    # a section vanishing exactly at a cell center: log|xi - a| is -inf
+    # there, the Laplacian is NaN, and so is the chart's total
+    a = complex(*_ChartGeometry(2.0, 64).centers[[20, 41]])
+    fam = CurveFamily("zero-at-center", 1, 1,
+                      (FamilyEntry.build({0: -a, 1: 1}),),
+                      (Chart(p=Fraction(0), name="main"),))
+    with np.errstate(invalid="ignore"):
+        (g,) = ma_complex_curve(fam, complex(1e-3), 64, r, check_mass=False)
+        assert math.isnan(g.total_mass)
+        with pytest.raises(ResolutionError):
+            ma_complex_curve(fam, complex(1e-3), 64, r)
