@@ -137,6 +137,15 @@ _COUNT, _POSITIVE, _TOL, _R = \
     _int("[0, inf)"), _int("[1, inf)"), _real("(0, inf)"), _rat("(0, 1)")
 
 
+def _grid_side(value):
+    """An even integer >= 16: the Laplacian needs 16 cells a side, and an
+    odd side puts a cell center on xi = 0, where log|xi| is -inf."""
+    n = _int("[16, inf)")(value)
+    if n % 2:
+        raise ValueError(f"expected an even integer, got {value!r}")
+    return n
+
+
 def _each(parse, min_len: int = 0):
     def parse_list(value):
         if not isinstance(value, list) or len(value) < min_len:
@@ -345,7 +354,8 @@ def load_models_with_pullbacks(paths) -> dict:
             for pb in specs:
                 target = registry.get(pb["target"])
                 if target is None:
-                    raise ManifestError(f"pullback target {pb['target']} not loaded")
+                    raise ManifestError(
+                        f"{p}: pullback target {pb['target']} not loaded")
                 registry[name].pullbacks.append(
                     MonomialPullback(registry[name], target,
                                      tuple(tuple(row) for row in pb["matrix"]))
@@ -664,9 +674,9 @@ def run_ma_converge(man: ExperimentManifest, rep: RunReport):
     families = man.input("families", REQUIRED, _each(man.file, 1))
     cln_family = man.input("cln_family", None, man.file)
     r = man.param("r", "1/2", _R)
-    # the potential divides by log|t|; the Laplacian needs 16 cells a side
+    # the potential divides by log|t|
     t_schedule = man.param("t_schedule", REQUIRED, _each(_real("(0, 1)"), 1))
-    grid = man.param("grid", 1024, _int("[16, inf)"))
+    grid = man.param("grid", 1024, _grid_side)
     w1_tol = man.param("w1_tol", 0.05, _TOL)
     mass_tol = man.param("mass_tol", 1e-4, _TOL)
     test_function = _block(name=(REQUIRED, str), xs=(REQUIRED, _each(_rat(), 1)),

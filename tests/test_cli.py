@@ -169,7 +169,9 @@ def _ma_converge_manifest(data_dir: Path, tmp_path: Path, key, value) -> Path:
     ("t_schedule", [1.0]),
     ("grid", "abc"),
     ("grid", 8),
-], ids=["no-t_schedule", "empty-t_schedule", "t-one", "grid-abc", "grid-8"])
+    ("grid", 17),
+], ids=["no-t_schedule", "empty-t_schedule", "t-one", "grid-abc", "grid-8",
+        "grid-17"])
 def test_ma_converge_bad_params_exit_two(data_dir, tmp_path, capsys, key, value):
     man = _ma_converge_manifest(data_dir, tmp_path, key, value)
     rc = main(["ma-converge", "--manifest", str(man), "--out",

@@ -143,6 +143,16 @@ def test_input_file_missing_a_key_exits_two(data_dir, tmp_path, kind, key,
     assert not written
 
 
+def test_missing_pullback_target_names_the_model_file(data_dir, tmp_path):
+    # blowup.json declares a pullback to the segment model, which is not loaded
+    blowup = str(data_dir / "models" / "blowup.json")
+    man = mutate(bundled(data_dir, "retract"), ("inputs", "models"), [blowup])
+    rc, err, written = run_cli("retract", man, tmp_path)
+    assert rc == 2
+    assert f"{blowup}: pullback target segment not loaded" in err
+    assert not written
+
+
 # Fuzz bases: the bundled manifests at sizes that keep each run short.
 # Every key is still mutated; the sizes only bound the run time.
 SMALL = {
