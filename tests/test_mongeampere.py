@@ -14,7 +14,6 @@ from berkhyb.mongeampere import (
     Chart,
     CurveFamily,
     FamilyEntry,
-    GridMeasure,
     ResolutionError,
     cln_stability_check,
     combine_clouds,
@@ -439,7 +438,8 @@ def _octant_and_full(monkeypatch, run):
 
 @pytest.mark.parametrize("mode", ["max", "lse"])
 @pytest.mark.parametrize("n", [16, 64, 256])
-def test_octant_expands_to_full_grid_bit_for_bit(data_dir, r, monkeypatch, n, mode):
+def test_octant_expands_to_full_grid_bit_for_bit(data_dir, r, monkeypatch, n,
+                                                 mode):
     # the bundled charts (p = 0, 1/2, 1, one inverted) plus an inverted
     # chart with p != 0 and both partition ramps
     extra = Chart(p=Fraction(1, 3), invert=True, name="inv", u_lo=-0.8, u_hi=-0.2)
@@ -447,9 +447,10 @@ def test_octant_expands_to_full_grid_bit_for_bit(data_dir, r, monkeypatch, n, mo
         fam = load_family(data_dir / "families" / f"{name}.json")
         fam = dataclasses.replace(fam, mode=mode, charts=fam.charts + (extra,))
         for t in (1e-3, 1e3):
-            octant, full = _octant_and_full(monkeypatch, lambda: ma_complex_curve(
-                fam, complex(t), n, r, check_mass=False))
-            for o, f in zip(octant, full):
+            octant, full = _octant_and_full(
+                monkeypatch,
+                lambda: ma_complex_curve(fam, complex(t), n, r, check_mass=False))
+            for o, f in zip(octant, full, strict=True):
                 assert o.cell_masses.size == n * (n + 2) // 8
                 assert f.multiplicity is None and f.cell_masses.shape == (n, n)
                 assert np.array_equal(octant_to_full(o, o.per_cell_masses()),
@@ -470,8 +471,10 @@ def test_octant_route_matches_full_route_on_bundled_families(data_dir, r,
         fam = load_family(data_dir / "families" / f"{name}.json")
         # fam_d21 is not in the manifest, and 1024 cells do not resolve its
         # mass to 1e-4; the routes are compared, not the mass check
-        octant, full = _octant_and_full(monkeypatch, lambda: weak_convergence_experiment(
-            fam, schedule, tests, n, r, mass_tol=math.inf))
+        octant, full = _octant_and_full(
+            monkeypatch,
+            lambda: weak_convergence_experiment(fam, schedule, tests, n, r,
+                                                mass_tol=math.inf))
         for o, f in zip(octant.rows, full.rows, strict=True):
             assert abs(o.w1 - f.w1) <= 1e-12
             assert abs(o.captured_mass - f.captured_mass) <= 1e-12
@@ -481,9 +484,9 @@ def test_octant_route_matches_full_route_on_bundled_families(data_dir, r,
     # same cells, so their clouds hold the same u values with the same mass
     fam = load_family(data_dir / "families" / "fam_threesec.json")
     for t in schedule:
-        octant, full = _octant_and_full(monkeypatch, lambda: ma_complex_curve(
-            fam, complex(t), n, r))
-        for o, f in zip(octant, full):
+        octant, full = _octant_and_full(
+            monkeypatch, lambda: ma_complex_curve(fam, complex(t), n, r))
+        for o, f in zip(octant, full, strict=True):
             oc, fc = pushforward_log_radius(o), pushforward_log_radius(f)
             ou, o_inv = np.unique(oc.u, return_inverse=True)
             fu, f_inv = np.unique(fc.u, return_inverse=True)
