@@ -271,12 +271,6 @@ class PrimeLogVal:
             logs[n] = logs.get(n, Fraction(0)) + 1
         return cls(0, logs)
 
-    @classmethod
-    def log_of_fraction(cls, q: Fraction) -> "PrimeLogVal":
-        if q <= 0:
-            raise ValueError("log of non-positive rational")
-        return cls.log_of_int(q.numerator) - cls.log_of_int(q.denominator)
-
     def __add__(self, other) -> "PrimeLogVal":
         o = PrimeLogVal.of(other)
         logs = dict(self.logs)

@@ -746,13 +746,23 @@ def run_ma_converge(man: ExperimentManifest, rep: RunReport):
                               "rows": cln_rows}
 
 
+# the checks of run_mz_check on these families carry frozen expectations
+_REFERENCE_FAMILIES = [[[2, "0"]], [[2, "0"], [3, "0"]]]
+
+
+def _reference_families(value):
+    if value != _REFERENCE_FAMILIES:
+        raise ValueError(f"the checks expect {_REFERENCE_FAMILIES}, got {value!r}")
+    return [[(int(n), rat_from_str(c)) for n, c in fam] for fam in value]
+
+
 def run_mz_check(man: ExperimentManifest, rep: RunReport):
     n_rand = man.param("n_random", 20, _COUNT)
     m_choices = man.param("m_choices", [1, 2, 3], _each(_POSITIVE, 1))
+    fam2, fam23 = man.param("reference_families", _REFERENCE_FAMILIES,
+                            _reference_families)
     rng = random.Random(man.seed)
     rows = []
-    # reference families with frozen expectations
-    fam23 = [(2, Fraction(0)), (3, Fraction(0))]
     F23 = mz_from_family(fam23, 1)
     rep23 = mz_slopes(F23)
     checks23 = (
@@ -762,7 +772,6 @@ def run_mz_check(man: ExperimentManifest, rep: RunReport):
     )
     rep.checks.append(Check("family-2-3-worked-example", checks23,
                              "branch value 0, slopes (0, 0, log 3)"))
-    fam2 = [(2, Fraction(0))]
     F2 = mz_from_family(fam2, 1)
     rep2 = mz_slopes(F2)
     ok2 = (rep2.slope_sum.is_zero()
@@ -820,12 +829,21 @@ def run_lelong(man: ExperimentManifest, rep: RunReport):
     k_lo = man.param("k_lo", 1, _int("[0, 100]"))
     k_hi = man.param("k_hi", 8, _int(f"[{k_lo + 3}, 100]"))
     tol = man.param("tol", 1e-3, _TOL)
-    scale = man.param("perturb_scale", 50.0, _real())
+    radii = [10.0 ** (-k) for k in range(k_lo, k_hi + 1)]
+
+    def perturbation(value):
+        # the circle of radius rho is sampled at z = rho exactly
+        x = _real()(value)
+        for rho in radii:
+            if x * rho == -1.0:
+                raise ValueError(f"1 + {x!r} z vanishes at the sample z = {rho!r}")
+        return x
+
+    scale = man.param("perturb_scale", 50.0, perturbation)
     # float(slope) below must be finite
     slope = man.param("pure_slope", "3/2", _rat("[-1e6, 1e6]"))
     floor = man.param("bounded_floor", -5.0, _real())
     cfg = HybridConfig()
-    radii = [10.0 ** (-k) for k in range(k_lo, k_hi + 1)]
 
     def phi_main(z: complex) -> float:
         return math.log(abs(z * z + z * z * z))

@@ -1,12 +1,10 @@
-"""Hybrid circle evaluation: rescaled semi-norms, path limits to
-non-archimedean points, Lelong-number estimation, the rho_r rescaling and
-the convexity check on the hybrid field spectrum.
+"""Hybrid circle evaluation: path limits to non-archimedean points,
+Lelong-number estimation, the rho_r rescaling and the convexity check on
+the hybrid field spectrum.
 
-The hybrid circle of radius r is the closed disk |t| <= r; the fiber
-semi-norm at t != 0 is |f|_t = r^{log|f(t)|/log|t|}, and at the origin
-the t-adic r^{ord_0(f)}.  Path limits log|f(z(t),t)|/log|t| along
-monomial arcs z = c t^w converge to the monomial valuation with
-v(z) = w, v(t) = 1.
+The hybrid circle of radius r is the closed disk |t| <= r.  Path limits
+log|f(z(t),t)|/log|t| along monomial arcs z = c t^w converge to the
+monomial valuation with v(z) = w, v(t) = 1.
 """
 
 from __future__ import annotations
@@ -17,86 +15,26 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-import mpmath
 import numpy as np
 
 from .exactnum import as_fraction
 from .valuation import INF, LaurentSeriesData, weighted_min_of_terms
 
 
+N_ANGLES = 1024          # circle-sup resolution
+SCHEDULE_K_MAX = 8       # path samples at |t| = r * 10^{-k}, k = 0..k_max
+RICHARDSON_POINTS = 3    # samples in the path-limit extrapolation
+DEGENERATE_TOL = 1e-2    # path-limit distance from the monomial prediction
+MONOTONE_TOL = 1e-9      # slack on non-increasing circle sups
+
+
 @dataclass(frozen=True)
 class HybridConfig:
     r: Fraction = Fraction(1, 2)
-    n_angles: int = 1024          # circle-sup resolution
-    schedule_k_max: int = 8       # t_k = r * 10^{-k}, k = 0..k_max
-    richardson_points: int = 3
-    degenerate_tol: float = 1e-2
 
     def __post_init__(self):
         if not (0 < self.r < 1):
             raise ValueError("base radius must lie in (0,1)")
-
-    def t_schedule(self) -> list[float]:
-        return [float(self.r) * 10.0 ** (-k) for k in range(self.schedule_k_max + 1)]
-
-
-@dataclass(frozen=True)
-class HybridCirclePoint:
-    """A point of the hybrid circle: complex t with 0 < |t| <= r, or the origin."""
-
-    t: complex | None  # None marks the non-archimedean origin
-
-    @classmethod
-    def origin(cls) -> "HybridCirclePoint":
-        return cls(None)
-
-    def is_origin(self) -> bool:
-        return self.t is None
-
-
-@dataclass
-class SeminormValue:
-    value: float
-    exact_exponent: Fraction | None = None  # set at the origin: value = r^exp
-    zero_flagged: bool = False
-
-
-def _eval_series_at(f: LaurentSeriesData, t: complex) -> complex:
-    if "t" not in f.variables:
-        raise ValueError("series must involve the variable t")
-    pos = f.variables.index("t")
-    if len(f.variables) != 1:
-        raise ValueError("hybrid semi-norm expects a one-variable series in t")
-    acc = 0j
-    for exp, coef in f.terms:
-        acc += coef.complex_value() * t ** exp[pos]
-    return acc
-
-
-def t_order(f: LaurentSeriesData) -> Fraction:
-    """ord_0(f): smallest t-exponent carrying a nonzero coefficient."""
-    pos = f.variables.index("t")
-    return Fraction(min(exp[pos] for exp in (e for e, _ in f.terms)))
-
-
-def hybrid_seminorm(f: LaurentSeriesData, p: HybridCirclePoint,
-                    cfg: HybridConfig) -> SeminormValue:
-    """|f|_t on the hybrid circle; exact exponent at the origin."""
-    r = cfg.r
-    if f.is_zero():
-        return SeminormValue(0.0, zero_flagged=True)
-    if p.is_origin():
-        k = t_order(f)
-        val = float(mpmath.power(mpmath.mpf(r.numerator) / r.denominator, k))
-        return SeminormValue(val, exact_exponent=k)
-    t = p.t
-    if not (0 < abs(t) <= float(r)):
-        raise ValueError("point must satisfy 0 < |t| <= r")
-    ft = _eval_series_at(f, t)
-    if ft == 0:
-        return SeminormValue(0.0)
-    expo = math.log(abs(ft)) / math.log(abs(t))
-    return SeminormValue(float(r) ** expo)
 
 
 @dataclass
@@ -125,19 +63,18 @@ def hybrid_path_limit(
     c: complex,
     w: Fraction,
     cfg: HybridConfig,
-    t_schedule: Sequence[float] | None = None,
 ) -> PathLimitResult:
     """Sample log|f(z(t),t)| / log|t| along z(t) = c t^w and extrapolate.
 
     The limit is extrapolated by a linear fit in 1/log|t| on the last
-    richardson_points samples (the log-linear error model).  Exact zeros
+    RICHARDSON_POINTS samples (the log-linear error model).  Exact zeros
     of f on the path are re-sampled on a rotated t; persistent
     cancellation or a limit far from the monomial prediction is reported
     as a degenerate-path diagnostic, not an error.
     """
     if c == 0:
         raise ValueError("path coefficient c must be nonzero")
-    sched = list(t_schedule if t_schedule is not None else cfg.t_schedule())
+    sched = [float(cfg.r) * 10.0 ** (-k) for k in range(SCHEDULE_K_MAX + 1)]
     pos_z = f.variables.index("z")
     pos_t = f.variables.index("t")
     w_f = as_fraction(w)
@@ -171,7 +108,7 @@ def hybrid_path_limit(
         result.degenerate = True
         result.note = "identically zero along the path"
         return result
-    pts = result.samples[-cfg.richardson_points:]
+    pts = result.samples[-RICHARDSON_POINTS:]
     if len(pts) >= 2:
         xs = np.array([1.0 / math.log(a) for a, _ in pts])
         ys = np.array([v for _, v in pts])
@@ -182,7 +119,7 @@ def hybrid_path_limit(
     if result.prediction == INF:
         result.degenerate = True
         result.note = "monomial support empty on the path"
-    elif abs(result.limit - float(result.prediction)) > cfg.degenerate_tol:
+    elif abs(result.limit - float(result.prediction)) > DEGENERATE_TOL:
         result.degenerate = True
         result.note = (
             f"limit {result.limit:.6f} deviates from monomial prediction "
@@ -207,8 +144,8 @@ class RadialSampling:
 
 def sample_circle_sups(func: Callable[[complex], float], radii: Sequence[float],
                        cfg: HybridConfig) -> RadialSampling:
-    """sup over cfg.n_angles equally spaced angles of func on each circle."""
-    angles = np.linspace(0.0, 2.0 * math.pi, cfg.n_angles, endpoint=False)
+    """sup over N_ANGLES equally spaced angles of func on each circle."""
+    angles = np.linspace(0.0, 2.0 * math.pi, N_ANGLES, endpoint=False)
     pts = []
     for rho in radii:
         zs = rho * np.exp(1j * angles)
@@ -225,8 +162,7 @@ class LelongEstimate:
     warnings: list[str] = field(default_factory=list)
 
 
-def lelong_estimate(sampling: RadialSampling,
-                    monotone_tol: float = 1e-9) -> LelongEstimate:
+def lelong_estimate(sampling: RadialSampling) -> LelongEstimate:
     """Slope of circle sups against log rho, measured at the smallest decade.
 
     Requires at least 4 radii spanning at least 3 decades.  The estimate
@@ -242,7 +178,7 @@ def lelong_estimate(sampling: RadialSampling,
         raise ValueError("radii must span at least 3 decades")
     warnings = []
     vals = [v for _, v in pts]
-    if any(v2 > v1 + monotone_tol for v1, v2 in zip(vals, vals[1:])):
+    if any(v2 > v1 + MONOTONE_TOL for v1, v2 in zip(vals, vals[1:])):
         warnings.append("sup values not monotone along decreasing radii")
 
     def ls_slope(sub):

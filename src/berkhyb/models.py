@@ -246,27 +246,3 @@ def identity_pullback(model: SncModelCombinatorics) -> MonomialPullback:
     n = len(model.components)
     eye = tuple(tuple(1 if i == k else 0 for k in range(n)) for i in range(n))
     return MonomialPullback(model, model, eye)
-
-
-def model_function_restriction(divisor: dict, model: SncModelCombinatorics):
-    """Restriction of log|O(D)| to Sk(model) for a vertical divisor D.
-
-    ``divisor`` maps component index -> integer coefficient.  The value at
-    a point is (log r) * v(z_D) with z_D = prod z_i^{c_i}; on each simplex
-    this is affine with integer slopes times log r.  Returned as a
-    PAFunctionOnComplex (pure log r part).
-    """
-    from .pafunc import PAFunctionOnComplex
-
-    for i in divisor:
-        if not model.has_component(i):
-            raise ModelValidationError(f"divisor component {i} not in model")
-    complex_ = build_dual_complex(model)
-    pieces = {}
-    for simplex in complex_.simplices:
-        g_logr = tuple(
-            Fraction(divisor.get(j, 0)) for j in simplex.stratum
-        )
-        g_const = tuple(Fraction(0) for _ in simplex.stratum)
-        pieces[simplex.stratum] = (g_logr, g_const)
-    return PAFunctionOnComplex(complex_, pieces)

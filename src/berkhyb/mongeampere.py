@@ -148,8 +148,7 @@ class IntersectionTable:
         return cls.build(model, rows)
 
 
-def ma_model_metric(table: IntersectionTable,
-                    semipositive: bool = True) -> AtomicMeasure:
+def ma_model_metric(table: IntersectionTable) -> AtomicMeasure:
     """Atomic measure sum_E b_E (L_1 ... L_n . E) delta_{v_E}.
 
     Atom positions on the u-line come from the model's per-component
@@ -160,31 +159,26 @@ def ma_model_metric(table: IntersectionTable,
     for idx, b, num in table.entries:
         mass = b * num
         comp = table.model.components[idx]
-        if mass < 0 and semipositive:
+        if mass < 0:
             flags.append(f"negative mass {mass} at {comp.label}: nef violation in input")
         u = LogRVal.of(comp.zval) if comp.zval is not None else None
         atoms.append(Atom(mass=mass, u=u, label=comp.label))
     return AtomicMeasure(atoms, flags)
 
 
-def ma_pa_curve(pa: PAFunction1D, semipositive: bool = True) -> AtomicMeasure:
+def ma_pa_curve(pa: PAFunction1D) -> AtomicMeasure:
     """Dirac mass = slope increase at each kink of a PA potential profile.
 
-    Affine input gives the empty measure.  A concave kink under the
-    semi-positive flag is recorded as a flag on the result.
+    Affine input gives the empty measure.  A concave kink is recorded as a
+    flag on the result.
     """
     atoms = []
     flags = []
     for x, jump in pa.kinks():
-        if jump < 0 and semipositive:
+        if jump < 0:
             flags.append(f"concave kink (jump {jump}) at {x!r}")
         atoms.append(Atom(mass=jump, u=x))
     return AtomicMeasure(atoms, flags)
-
-
-def pa_signed_measure(pa: PAFunction1D) -> AtomicMeasure:
-    """Signed second-derivative measure of a PA function (all slope jumps)."""
-    return ma_pa_curve(pa, semipositive=False)
 
 
 # ---------------------------------------------------------------------------
@@ -427,16 +421,19 @@ def _smoothstep(x: np.ndarray) -> np.ndarray:
     return y * y * (3.0 - 2.0 * y)
 
 
-def _ramp_coordinate(u, end: float, ramp: float):
+RAMP = 0.05  # half-width of a partition ramp in u
+
+
+def _ramp_coordinate(u, end: float):
     """Position across the ramp centered on ``end``: 0 below it, 1 above."""
-    return (u - (end - ramp)) / (2 * ramp)
+    return (u - (end - RAMP)) / (2 * RAMP)
 
 
-def partition_weight(chart: Chart, u: np.ndarray, ramp: float = 0.05,
+def partition_weight(chart: Chart, u: np.ndarray,
                      order: np.ndarray | None = None) -> np.ndarray:
     """C^1 radial partition weight for the chart's owned u-interval.
 
-    Ramps of half-width ``ramp`` are centered on the declared interval
+    Ramps of half-width RAMP are centered on the declared interval
     ends, so charts sharing an interface sum to one.  Given ``order``,
     flat indices that sort ``u`` ascending, each ramp is a contiguous run
     of that order found by bisection: only its cells are evaluated, and
@@ -445,9 +442,9 @@ def partition_weight(chart: Chart, u: np.ndarray, ramp: float = 0.05,
     if order is None:
         w = np.ones_like(u)
         if math.isfinite(chart.u_lo):
-            w = w * _smoothstep((u - (chart.u_lo - ramp)) / (2 * ramp))
+            w = w * _smoothstep(_ramp_coordinate(u, chart.u_lo))
         if math.isfinite(chart.u_hi):
-            w = w * (1.0 - _smoothstep((u - (chart.u_hi - ramp)) / (2 * ramp)))
+            w = w * (1.0 - _smoothstep(_ramp_coordinate(u, chart.u_hi)))
         return w
     flat = u.ravel()
     w = np.ones(flat.size)
@@ -455,11 +452,11 @@ def partition_weight(chart: Chart, u: np.ndarray, ramp: float = 0.05,
         if not math.isfinite(end):
             continue
         def x(i, end=end):
-            return _ramp_coordinate(flat[i], end, ramp)
+            return _ramp_coordinate(flat[i], end)
         below = bisect.bisect_right(order, 0.0, key=x)
         above = bisect.bisect_left(order, 1.0, key=x)
         run = order[below:above]
-        s = _smoothstep(_ramp_coordinate(flat[run], end, ramp))
+        s = _smoothstep(_ramp_coordinate(flat[run], end))
         if falling:
             w[order[above:]] = 0.0
             w[run] *= np.subtract(1.0, s, out=s)
@@ -541,7 +538,6 @@ def ma_complex_curve(
     n: int,
     r: Fraction,
     mass_tol: float = 1e-4,
-    check_mass: bool = True,
     _geometries: dict | None = None,
 ) -> list[GridMeasure]:
     """Five-point Laplacian measure of the fiber potential, per chart.
@@ -604,7 +600,7 @@ def ma_complex_curve(
     total = sum(g.total_mass for g in grids)
     expected = float(family.ma_mass())
     # written so that a NaN total fails it
-    if check_mass and not abs(total - expected) <= mass_tol:
+    if not abs(total - expected) <= mass_tol:
         raise ResolutionError(
             f"captured mass {total:.6f} vs degree {expected} "
             f"(deficit {expected - total:.2e}); kink circles unresolved",
@@ -626,11 +622,14 @@ class LineCloud:
         return float(self.mass.sum())
 
 
-def pushforward_log_radius(grid: GridMeasure, mass_floor: float = 1e-12) -> LineCloud:
+MASS_FLOOR = 1e-12  # pushforward drops cells of no larger mass
+
+
+def pushforward_log_radius(grid: GridMeasure) -> LineCloud:
     """Direct image of a grid measure under u = log|z| / log|t|.
 
     Mass-preserving by construction; cells whose own mass (not that of
-    their orbit, on an octant) is below ``mass_floor`` are dropped.  The
+    their orbit, on an octant) is at most MASS_FLOOR are dropped.  The
     cloud comes out sorted by u, through the grid's cached cell order when
     it has one.  Leakage accounting reports the weighted mass missing from
     the chart relative to its raw Laplacian total.
@@ -640,7 +639,7 @@ def pushforward_log_radius(grid: GridMeasure, mass_floor: float = 1e-12) -> Line
         order = np.argsort(grid.cell_u, axis=None, kind="stable")
     m = grid.cell_masses.ravel()
     per_cell = grid.per_cell_masses().ravel()
-    kept = order[(np.abs(per_cell) > mass_floor)[order]]
+    kept = order[(np.abs(per_cell) > MASS_FLOOR)[order]]
     cloud = LineCloud(grid.cell_u.ravel()[kept], m[kept])
     cloud.leakage = grid.raw_total - grid.total_mass
     if not np.isfinite(cloud.u).all():
@@ -785,17 +784,16 @@ def cln_stability_check(
     family: CurveFamily,
     deltas: Sequence[Fraction],
     r: Fraction,
-    entry_index: int | None = None,
     residual_tol: float = 0.05,
 ) -> ClnReport:
     """Linear-in-delta envelope for pairing differences under constant shifts.
 
-    The perturbation shifts one entry constant by delta; differences are
+    The perturbation shifts the last entry constant by delta; differences are
     computed exactly on the PA oracle, then fitted through the origin.
     Superlinear growth (relative residual beyond tolerance) is a failure
     report.
     """
-    idx = entry_index if entry_index is not None else len(family.entries) - 1
+    idx = len(family.entries) - 1
     ds, diffs = [], []
     for d in deltas:
         pert = family.with_constant_shift(idx, d)

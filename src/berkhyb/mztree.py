@@ -364,13 +364,12 @@ def mz_family_identity(family: Sequence[tuple[int, Fraction]], m: int,
     return FamilyIdentityReport(n1, n2_direct, n2_lcm, matches, differs)
 
 
-def random_fs_family(rng, size_range=(2, 5), n_range=(2, 60),
-                     c_denoms=(1, 2, 3)) -> list[tuple[int, Fraction]]:
+def random_fs_family(rng) -> list[tuple[int, Fraction]]:
     """Seeded random integer family for checker sweeps (stdlib Random)."""
-    k = rng.randint(*size_range)
+    k = rng.randint(2, 5)
     fam = []
     for _ in range(k):
-        n = rng.randint(*n_range) * rng.choice((1, -1))
-        c = Fraction(rng.randint(-6, 6), rng.choice(c_denoms))
+        n = rng.randint(2, 60) * rng.choice((1, -1))
+        c = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
         fam.append((n, c))
     return fam

@@ -40,10 +40,6 @@ class PAFunctionOnComplex:
         a = sum((g * w for g, w in zip(g_const, ws)), Fraction(0))
         return LogRVal(const=a, logr=b)
 
-    def vertex_value(self, i: int) -> LogRVal:
-        model = self.complex.model
-        return self.eval_weights((i,), (Fraction(1, model.multiplicity(i)),))
-
     def check_face_continuity(self):
         """Exact agreement of affine pieces on shared faces."""
         for s in self.complex.simplices:
@@ -206,13 +202,6 @@ class PAFunction1D:
             self._ftab = cached
         return cached
 
-    def eval_float(self, x: float) -> float:
-        cuts, slopes, offsets = self._float_tables()
-        idx = 0
-        while idx < len(cuts) and x > cuts[idx]:
-            idx += 1
-        return slopes[idx] * x + offsets[idx]
-
     def eval_float_array(self, xs):
         """Vectorized float evaluation (numpy array in, array out)."""
         import numpy as np
@@ -297,6 +286,3 @@ class PAFunction1D:
             samples.append((cuts[i] + cuts[i + 1]) / 2)
         samples.append(cuts[-1] + 1)
         return samples
-
-    def end_slopes(self) -> tuple[Fraction, Fraction]:
-        return self.pieces[0].slope, self.pieces[-1].slope

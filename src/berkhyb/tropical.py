@@ -1,4 +1,5 @@
-"""Tropical Fubini-Study metrics, their closure algebra, and limits.
+"""Tropical Fubini-Study metrics: exact evaluation, constant shifts, the
+non-archimedean limit on a model, and the log-sum-exp envelope gap.
 
 A metric is m^{-1} max over finitely many section entries of
 (log|s_alpha| + c_alpha), stored relative to a monomial reference
@@ -9,11 +10,8 @@ enters all order comparisons.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -118,41 +116,6 @@ def tfs_eval(phi: TropicalFSMetric, v: QuasiMonomialPoint, r: Fraction) -> LogRV
     return logr_max(candidates, r) / phi.m
 
 
-def _lifted_entries(phi: TropicalFSMetric, target_m: int):
-    k, rem = divmod(target_m, phi.m)
-    if rem:
-        raise ValueError("target denominator must be a multiple of m")
-    return [(s.scale_exponents(k), c * k) for s, c in phi.entries]
-
-
-def tfs_max(phi1: TropicalFSMetric, phi2: TropicalFSMetric) -> TropicalFSMetric:
-    """Pointwise max, after lifting both metrics to a common denominator."""
-    if phi1.reference.to_json() != phi2.reference.to_json():
-        raise ConfigurationError("max requires a common reference trivialization")
-    m = math.lcm(phi1.m, phi2.m)
-    entries = _lifted_entries(phi1, m) + _lifted_entries(phi2, m)
-    return TropicalFSMetric.build(
-        m, entries, phi1.reference,
-        phi1.meromorphic_ok or phi2.meromorphic_ok,
-    )
-
-
-def tfs_sum(phi1: TropicalFSMetric, phi2: TropicalFSMetric) -> TropicalFSMetric:
-    """Pointwise sum; entry families multiply, references multiply."""
-    if phi1.reference.variables != phi2.reference.variables:
-        raise ConfigurationError("incompatible variable sets")
-    m = math.lcm(phi1.m, phi2.m)
-    e1 = _lifted_entries(phi1, m)
-    e2 = _lifted_entries(phi2, m)
-    entries = [
-        (s1.formal_product(s2), c1 + c2) for (s1, c1), (s2, c2) in itertools.product(e1, e2)
-    ]
-    ref = phi1.reference.formal_product(phi2.reference)
-    return TropicalFSMetric.build(
-        m, entries, ref, phi1.meromorphic_ok or phi2.meromorphic_ok
-    )
-
-
 def tfs_shift(phi: TropicalFSMetric, c) -> TropicalFSMetric:
     cf = as_fraction(c)
     return TropicalFSMetric.build(
@@ -161,31 +124,6 @@ def tfs_shift(phi: TropicalFSMetric, c) -> TropicalFSMetric:
         phi.reference,
         phi.meromorphic_ok,
     )
-
-
-def tfs_scale(phi: TropicalFSMetric, k) -> TropicalFSMetric:
-    """Pointwise k*phi for positive rational k = p/q (denominator grows by q)."""
-    k = as_fraction(k)
-    if k <= 0:
-        raise ValueError("scaling factor must be positive")
-    p, q = k.numerator, k.denominator
-    return TropicalFSMetric.build(
-        phi.m * q,
-        [(s.scale_exponents(p), c * p) for s, c in phi.entries],
-        phi.reference,
-        phi.meromorphic_ok,
-    )
-
-
-def tfs_scale_check(phi: TropicalFSMetric, k, points: Sequence[QuasiMonomialPoint],
-                    r: Fraction) -> bool:
-    """Verify eval(scale(phi, k)) = k * eval(phi) exactly at the given points."""
-    scaled = tfs_scale(phi, k)
-    kf = as_fraction(k)
-    for v in points:
-        if tfs_eval(scaled, v, r) != kf * tfs_eval(phi, v, r):
-            return False
-    return True
 
 
 @dataclass
@@ -256,103 +194,3 @@ def lse_max_gap(values, m: int) -> float:
         raise ValueError("m must be positive")
     top = float(np.max(x))
     return float(np.log(np.sum(np.exp(2 * m * (x - top)))) / (2 * m))
-
-
-@dataclass
-class DecreasingNetCertificate:
-    """Operational stand-in for a decreasing limit of tropical metrics.
-
-    Genuine semi-positive limits are not decidable from finite data; a
-    sequence of metrics plus a pointwise-monotonicity certificate at
-    sample points is what the toolkit can actually check.
-    """
-
-    monotone: bool
-    worst_increase: LogRVal
-    n_points: int
-
-
-def decreasing_net_certificate(
-    metrics: Sequence[TropicalFSMetric],
-    points: Sequence[QuasiMonomialPoint],
-    r: Fraction,
-) -> DecreasingNetCertificate:
-    if len(metrics) < 2:
-        raise ValueError("need at least two metrics in the sequence")
-    worst = LogRVal.of(0)
-    monotone = True
-    for v in points:
-        prev = tfs_eval(metrics[0], v, r)
-        for phi in metrics[1:]:
-            cur = tfs_eval(phi, v, r)
-            gap = cur - prev
-            if gap.cmp(worst, r) > 0:
-                worst = gap
-            if gap.sign(r) > 0:
-                monotone = False
-            prev = cur
-    return DecreasingNetCertificate(monotone, worst, len(points))
-
-
-class EquivarianceError(ValueError):
-    pass
-
-
-@dataclass
-class ConvexPAApproximation:
-    """PA convex majorant max_a (<u_a, x> + c_a) of a sampled convex function."""
-
-    directions: np.ndarray  # shape (A, N), rows in the standard simplex
-    constants: np.ndarray   # shape (A,)
-    lift: float             # uniform lift applied to reach the sample majorant
-
-    def __call__(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(np.max(self.directions @ x + self.constants))
-
-    def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        return np.max(xs @ self.directions.T + self.constants, axis=1)
-
-
-def _simplex_grid(n_vars: int, j: int) -> np.ndarray:
-    """Rational grid (1/j) Z^N intersected with the standard simplex."""
-    rows = []
-    for comp in itertools.combinations_with_replacement(range(n_vars), j):
-        k = [0] * n_vars
-        for idx in comp:
-            k[idx] += 1
-        rows.append([ki / j for ki in k])
-    return np.unique(np.asarray(rows, dtype=float), axis=0)
-
-
-def convex_pa_approximation(
-    chi: Callable[[np.ndarray], float],
-    j: int,
-    samples: np.ndarray,
-    equivariance_tol: float = 1e-8,
-) -> ConvexPAApproximation:
-    """PA convex majorant of a translation-equivariant convex function.
-
-    Directions are the rational grid of resolution j in the standard
-    simplex (its convex hull is the whole simplex; vertices always
-    included).  Constants come from the sampled convex conjugate; a
-    uniform lift makes the approximant a majorant on the samples, and the
-    lift vanishes when the conjugate is grid-exact (e.g. chi = max).
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2 or samples.shape[0] == 0:
-        raise ValueError("need a non-empty (S, N) sample array")
-    n_vars = samples.shape[1]
-    vals = np.array([chi(x) for x in samples])
-    # translation equivariance probe on a few samples
-    for x, fx in zip(samples[:5], vals[:5]):
-        for c in (1.0, -0.5):
-            if abs(chi(x + c) - fx - c) > equivariance_tol:
-                raise EquivarianceError("oracle is not translation-equivariant")
-    grid = _simplex_grid(n_vars, j)
-    # sampled convex conjugate: c_u = min_s (chi(x_s) - <u, x_s>)
-    constants = np.min(vals[:, None] - samples @ grid.T, axis=0)
-    approx = np.max(samples @ grid.T + constants, axis=1)
-    lift = float(np.max(vals - approx))
-    lift = max(lift, 0.0)
-    return ConvexPAApproximation(grid, constants + lift, lift)

@@ -139,14 +139,6 @@ class LaurentSeriesData:
         terms = [(e, c) for e, c in acc.items() if not c.is_zero()]
         return LaurentSeriesData(self.variables, terms)
 
-    def scale_exponents(self, k: int) -> "LaurentSeriesData":
-        if k <= 0:
-            raise ValueError("exponent scaling must be positive")
-        return LaurentSeriesData(
-            self.variables,
-            [(tuple(k * e for e in exp), c) for exp, c in self.terms],
-        )
-
     # -- serialization ----------------------------------------------------
     def to_json(self):
         return {

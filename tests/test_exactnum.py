@@ -57,8 +57,6 @@ def test_primelog_factorization():
     twelve = PrimeLogVal.log_of_int(12)
     assert twelve == PrimeLogVal(0, {2: 2, 3: 1})
     assert PrimeLogVal.log_of_int(-7) == PrimeLogVal(0, {7: 1})
-    assert PrimeLogVal.log_of_fraction(Fraction(9, 8)) == \
-        PrimeLogVal(0, {3: 2, 2: -3})
     with pytest.raises(ValueError):
         PrimeLogVal.log_of_int(0)
 

@@ -4,74 +4,20 @@ from fractions import Fraction
 import pytest
 
 from berkhyb.hybrid import (
-    HybridCirclePoint,
     HybridConfig,
     RadialSampling,
     RhoSample,
     hybrid_path_limit,
-    hybrid_seminorm,
     khyb_convexity_check,
     lelong_estimate,
     rho_r_forward,
     rho_r_inverse,
     sample_circle_sups,
-    t_order,
 )
 from berkhyb.valuation import Coefficient, LaurentSeriesData
 
 
 CFG = HybridConfig()
-
-
-def series_t(pairs):
-    return LaurentSeriesData(
-        ["t"], [((k,), Coefficient.explicit(c)) for k, c in pairs]
-    )
-
-
-def test_seminorm_of_t():
-    f = series_t([(1, 1)])
-    origin = hybrid_seminorm(f, HybridCirclePoint.origin(), CFG)
-    assert origin.exact_exponent == 1
-    assert origin.value == pytest.approx(0.5)
-    at = hybrid_seminorm(f, HybridCirclePoint(0.37 * 1j), CFG)
-    assert at.value == pytest.approx(0.5)  # |t|_t = r for every point
-
-
-def test_seminorm_constant_two_formula_value():
-    # value computed directly from r^{log|f(t)|/log|t|}; tends to r^0 = 1
-    f = series_t([(0, 2)])
-    val = hybrid_seminorm(f, HybridCirclePoint(1e-6), CFG).value
-    expect = 0.5 ** (math.log(2.0) / math.log(1e-6))
-    assert val == pytest.approx(expect, rel=1e-12)
-    closer = hybrid_seminorm(f, HybridCirclePoint(1e-12), CFG).value
-    assert abs(closer - 1.0) < abs(val - 1.0)
-
-
-def test_seminorm_zero_flagged():
-    z = LaurentSeriesData.zero(["t"])
-    out = hybrid_seminorm(z, HybridCirclePoint.origin(), CFG)
-    assert out.value == 0.0 and out.zero_flagged
-
-
-def test_seminorm_multiplicative_on_monomials():
-    f = series_t([(2, Fraction(3, 2))])
-    g = series_t([(-1, 4)])
-    fg = f.formal_product(g)
-    o_f = hybrid_seminorm(f, HybridCirclePoint.origin(), CFG)
-    o_g = hybrid_seminorm(g, HybridCirclePoint.origin(), CFG)
-    o_fg = hybrid_seminorm(fg, HybridCirclePoint.origin(), CFG)
-    assert o_fg.exact_exponent == o_f.exact_exponent + o_g.exact_exponent
-    p = HybridCirclePoint(0.2 + 0.1j)
-    v_f = hybrid_seminorm(f, p, CFG).value
-    v_g = hybrid_seminorm(g, p, CFG).value
-    v_fg = hybrid_seminorm(fg, p, CFG).value
-    assert v_fg == pytest.approx(v_f * v_g, rel=1e-12)
-
-
-def test_t_order():
-    assert t_order(series_t([(3, 1), (5, 2)])) == 3
-    assert t_order(series_t([(-2, 1)])) == -2
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from berkhyb.cli import main
+from berkhyb.harness import ExperimentManifest, run
 
 
 MANIFESTS = {
@@ -76,9 +77,11 @@ PROBES = [
     ("ma-model", ("inputs", "tables"), _DROP),
     ("mz-check", ("params", "n_random"), "x"),
     ("mz-check", ("params", "m_choices"), []),
+    ("mz-check", ("params", "reference_families"), [[[2, "0"]], [[5, "0"]]]),
     ("lelong", ("params", "tol"), "abc"),
     ("lelong", ("params", "k_hi"), 2),
     ("lelong", ("params", "pure_slope"), "1e400"),
+    ("lelong", ("params", "perturb_scale"), -10.0),
     ("rho-r", ("params", "n_angles"), 0),
     ("rho-r", ("params", "r"), "3/2"),
     ("val-eval", ("params", "n_random"), "x"),
@@ -109,6 +112,25 @@ def test_negative_seed_override_exits_two(data_dir, tmp_path, kind):
     assert rc == 2
     assert "--seed" in err
     assert not written
+
+
+def test_every_bundled_manifest_key_is_read(data_dir, monkeypatch):
+    read = set()
+    value = ExperimentManifest._value
+
+    def recording(self, section, key, default, parse):
+        read.add((self.kind, section, key))
+        return value(self, section, key, default, parse)
+
+    monkeypatch.setattr(ExperimentManifest, "_value", recording)
+    unread = []
+    for kind, name in MANIFESTS.items():
+        man = ExperimentManifest.load(data_dir / "manifests" / name)
+        run(man)
+        unread += [(kind, section, key) for section in ("inputs", "params")
+                   for key in man.raw.get(section, {})
+                   if (kind, section, key) not in read]
+    assert unread == []
 
 
 def test_missing_model_in_tfs_file_exits_two(data_dir, tmp_path):

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from berkhyb.exactnum import LogRVal
 from berkhyb.models import (
     Component,
     ModelInconsistencyError,
@@ -12,7 +11,6 @@ from berkhyb.models import (
     SncModelCombinatorics,
     build_dual_complex,
     identity_pullback,
-    model_function_restriction,
     retraction,
 )
 from berkhyb.valuation import divisorial_point, qm_eval
@@ -116,46 +114,6 @@ def test_retraction_unmatched_support_errors(segment):
     pb = MonomialPullback(blow, target, ((1, 0, 1), (0, 1, 1)))
     with pytest.raises(ModelInconsistencyError):
         retraction(target, divisorial_point(blow, 2), pb)
-
-
-def test_model_function_restriction(segment, r):
-    # D = special fiber: constant log r
-    full = model_function_restriction({0: 1, 1: 1}, segment)
-    for stratum, weights in (((0,), (Fraction(1),)),
-                             ((0, 1), (Fraction(1, 3), Fraction(2, 3)))):
-        assert full.eval_weights(stratum, weights) == LogRVal.logr(1)
-    # D = D1: log r at vertex 1, 0 at vertex 2, affine in between
-    d1 = model_function_restriction({0: 1}, segment)
-    assert d1.vertex_value(0) == LogRVal.logr(1)
-    assert d1.vertex_value(1) == LogRVal.of(0)
-    a = d1.eval_weights((0, 1), (Fraction(1, 4), Fraction(3, 4)))
-    assert a == LogRVal.logr(Fraction(1, 4))
-    # zero divisor gives the zero function
-    zero = model_function_restriction({}, segment)
-    assert zero.vertex_value(0).is_zero()
-    with pytest.raises(ModelValidationError):
-        model_function_restriction({7: 1}, segment)
-
-
-def test_model_function_midpoint_affinity(triangle):
-    pa = model_function_restriction({0: 2, 2: -1}, triangle)
-    rng = random.Random(5)
-    stratum = (0, 1, 2)
-    for _ in range(20):
-        raw1 = [Fraction(rng.randint(1, 9)) for _ in stratum]
-        raw2 = [Fraction(rng.randint(1, 9)) for _ in stratum]
-        w1 = [q / sum(raw1) for q in raw1]
-        w2 = [q / sum(raw2) for q in raw2]
-        mid = [(a + b) / 2 for a, b in zip(w1, w2)]
-        lhs = pa.eval_weights(stratum, mid)
-        rhs = (pa.eval_weights(stratum, w1) + pa.eval_weights(stratum, w2)) / 2
-        assert lhs == rhs
-
-
-def test_model_function_face_continuity(segment, triangle):
-    for model in (segment, triangle):
-        pa = model_function_restriction({0: 3, 1: -2}, model)
-        assert pa.check_face_continuity()
 
 
 def test_model_json_round_trip(blowup):

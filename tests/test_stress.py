@@ -60,7 +60,7 @@ def test_pa_kink_masses_sum_to_slope_variation():
     for _ in range(60):
         f = upper_envelope(random_lines(rng, rng.randint(2, 7)), R)
         jumps = sum((j for _, j in f.kinks()), Fraction(0))
-        lo, hi = f.end_slopes()
+        lo, hi = f.pieces[0].slope, f.pieces[-1].slope
         assert jumps == hi - lo
 
 

@@ -2,7 +2,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,14 +11,10 @@ from berkhyb.tropical import (
     BasepointError,
     RegularityError,
     TropicalFSMetric,
-    convex_pa_approximation,
     lse_max_gap,
     na_limit_tfs,
     tfs_eval,
-    tfs_max,
-    tfs_scale_check,
     tfs_shift,
-    tfs_sum,
 )
 from berkhyb.valuation import LaurentSeriesData, divisorial_point
 
@@ -104,16 +99,10 @@ def test_pointwise_semantics_against_brute_force(segment, triangle, r):
             return TropicalFSMetric.build(1, entries, ref)
 
         pts = random_points(model, rng, 100)
-        phi1, phi2 = random_metric(), random_metric()
-        mx = tfs_max(phi1, phi2)
-        sm = tfs_sum(phi1, phi2)
+        phi1 = random_metric()
         sh = tfs_shift(phi1, Fraction(5, 3))
         for v in pts:
-            e1, e2 = tfs_eval(phi1, v, r), tfs_eval(phi2, v, r)
-            want_max = e1 if e1.cmp(e2, r) >= 0 else e2
-            assert tfs_eval(mx, v, r) == want_max
-            assert tfs_eval(sm, v, r) == e1 + e2
-            assert tfs_eval(sh, v, r) == e1 + Fraction(5, 3)
+            assert tfs_eval(sh, v, r) == tfs_eval(phi1, v, r) + Fraction(5, 3)
 
 
 def test_max_idempotent_and_shift_round_trip(segment, r, seg_labels):
@@ -123,20 +112,9 @@ def test_max_idempotent_and_shift_round_trip(segment, r, seg_labels):
         one(seg_labels),
     )
     pts = random_points(segment, random.Random(1), 25)
-    mx = tfs_max(phi, phi)
     sh = tfs_shift(tfs_shift(phi, Fraction(7, 5)), Fraction(-7, 5))
     for v in pts:
-        assert tfs_eval(mx, v, r) == tfs_eval(phi, v, r)
         assert tfs_eval(sh, v, r) == tfs_eval(phi, v, r)
-
-
-def test_scale_check(segment, r, seg_labels):
-    phi = TropicalFSMetric.build(
-        2, [(one(seg_labels), 0), (mono(seg_labels, (1, 1)), 1)], one(seg_labels)
-    )
-    pts = random_points(segment, random.Random(2), 20)
-    assert tfs_scale_check(phi, Fraction(3, 2), pts, r)
-    assert tfs_scale_check(phi, 2, pts, r)
 
 
 def test_na_limit_dual_route_and_kink_example(segment, r, seg_labels):
@@ -193,7 +171,7 @@ def test_tfs_json_round_trip(seg_labels):
 
 
 # ---------------------------------------------------------------------------
-# log-sum-exp envelope and the convex PA approximation
+# log-sum-exp envelope
 # ---------------------------------------------------------------------------
 
 def test_lse_gap_worked_examples():
@@ -209,56 +187,3 @@ def test_lse_gap_worked_examples():
 def test_lse_gap_bounds(xs, m):
     gap = lse_max_gap(xs, m)
     assert 0.0 <= gap <= math.log(len(xs)) / (2 * m) + 1e-12
-
-
-def test_convex_pa_approx_exact_for_max():
-    rng = np.random.default_rng(5)
-    samples = rng.uniform(-4, 4, size=(150, 3))
-    chi = lambda x: float(np.max(x))
-    for j in (1, 2, 3):
-        ap = convex_pa_approximation(chi, j, samples)
-        assert ap.lift == 0.0
-        for x in samples[:40]:
-            assert ap(x) == pytest.approx(chi(x), abs=1e-12)
-
-
-def test_convex_pa_approx_lse_majorant_and_decreasing():
-    rng = np.random.default_rng(6)
-    samples = rng.uniform(-3, 3, size=(250, 2))
-    chi = lambda x: float(math.log(np.sum(np.exp(2 * np.asarray(x)))) / 2)
-    vals = np.array([chi(x) for x in samples])
-    errors = {}
-    for j in (1, 3):
-        ap = convex_pa_approximation(chi, j, samples)
-        approx = ap.eval_many(samples)
-        assert (approx >= vals - 1e-9).all()
-        errors[j] = float(np.max(np.abs(approx - vals)))
-    assert errors[3] < errors[1]
-
-
-def test_convex_pa_approx_vertices_and_dominant_coordinate():
-    rng = np.random.default_rng(7)
-    samples = rng.uniform(-2, 2, size=(120, 2))
-    chi = lambda x: float(math.log(np.sum(np.exp(2 * np.asarray(x)))) / 2)
-    ap = convex_pa_approximation(chi, 2, samples)
-    for e in np.eye(2):
-        assert any(np.allclose(u, e) for u in ap.directions)
-    x = np.array([50.0, 0.0])
-    offset = ap(x) - 50.0
-    assert offset >= -1e-12
-
-
-def test_decreasing_net_certificate(segment, r, seg_labels):
-    from berkhyb.tropical import decreasing_net_certificate
-
-    ref = one(seg_labels)
-    base = TropicalFSMetric.build(
-        1, [(ref, 0), (mono(seg_labels, (1, 0)), 2)], ref)
-    seq = [tfs_shift(base, Fraction(2, 1 + j)) for j in range(4)]
-    pts = random_points(segment, random.Random(9), 30)
-    cert = decreasing_net_certificate(seq, pts, r)
-    assert cert.monotone and cert.n_points == 30
-    bad = [seq[0], tfs_shift(seq[0], Fraction(1))]
-    cert2 = decreasing_net_certificate(bad, pts, r)
-    assert not cert2.monotone
-    assert cert2.worst_increase == LogRVal.of(Fraction(1))
