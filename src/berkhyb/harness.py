@@ -55,7 +55,7 @@ from .mongeampere import (
     weak_convergence_experiment,
 )
 from .pafunc import ContinuityError, PAFunction1D
-from .tropical import TropicalFSMetric, na_limit_tfs, tfs_shift
+from .tropical import TropicalFSMetric, lse_max_gap, na_limit_tfs, tfs_shift
 from .mztree import (
     BranchPA,
     MZFunction,
@@ -521,9 +521,7 @@ def run_val_eval(man: ExperimentManifest, rep: RunReport):
         checked = 0
         for idx, (nn, mm) in enumerate(combos):
             count = per if idx < len(combos) - 1 else total - per * (len(combos) - 1)
-            xs = nprng.uniform(-10.0, 10.0, size=(count, nn))
-            top = xs.max(axis=1, keepdims=True)
-            gaps = np.log(np.sum(np.exp(2 * mm * (xs - top)), axis=1)) / (2 * mm)
+            gaps = lse_max_gap(nprng.uniform(-10.0, 10.0, size=(count, nn)), mm)
             bound = math.log(nn) / (2 * mm)
             violations += int(np.sum((gaps < 0) | (gaps > bound + 1e-12)))
             checked += count
@@ -843,12 +841,11 @@ def run_lelong(man: ExperimentManifest, rep: RunReport):
     # float(slope) below must be finite
     slope = man.param("pure_slope", "3/2", _rat("[-1e6, 1e6]"))
     floor = man.param("bounded_floor", -5.0, _real())
-    cfg = HybridConfig()
 
     def phi_main(z: complex) -> float:
         return math.log(abs(z * z + z * z * z))
 
-    samp = sample_circle_sups(phi_main, radii, cfg)
+    samp = sample_circle_sups(phi_main, radii)
     est = lelong_estimate(samp)
     rep.checks.append(Check(
         "t2-plus-t3-slope", abs(est.estimate - 2.0) <= tol,
@@ -858,20 +855,20 @@ def run_lelong(man: ExperimentManifest, rep: RunReport):
     def phi_pert(z: complex) -> float:
         return phi_main(z) + math.log(abs(1 + scale * z))
 
-    est_p = lelong_estimate(sample_circle_sups(phi_pert, radii, cfg))
+    est_p = lelong_estimate(sample_circle_sups(phi_pert, radii))
     rep.checks.append(Check(
         "bounded-perturbation-invariance",
         abs(est_p.estimate - 2.0) <= tol,
         f"perturbed estimate {est_p.estimate!r} within {tol}",
     ))
     est_pure = lelong_estimate(
-        sample_circle_sups(lambda z: float(slope) * math.log(abs(z)), radii, cfg))
+        sample_circle_sups(lambda z: float(slope) * math.log(abs(z)), radii))
     rep.checks.append(Check(
         "pure-log-exact", abs(est_pure.estimate - float(slope)) <= 1e-9,
         f"slope {est_pure.estimate!r} vs {float(slope)!r}",
     ))
     est_b = lelong_estimate(
-        sample_circle_sups(lambda z: max(math.log(abs(z)), floor), radii, cfg))
+        sample_circle_sups(lambda z: max(math.log(abs(z)), floor), radii))
     rep.checks.append(Check(
         "bounded-function-zero", abs(est_b.estimate) <= 1e-9,
         f"estimate {est_b.estimate!r}",

@@ -142,8 +142,8 @@ class RadialSampling:
             raise ValueError("radii positive and values finite required")
 
 
-def sample_circle_sups(func: Callable[[complex], float], radii: Sequence[float],
-                       cfg: HybridConfig) -> RadialSampling:
+def sample_circle_sups(func: Callable[[complex], float],
+                       radii: Sequence[float]) -> RadialSampling:
     """sup over N_ANGLES equally spaced angles of func on each circle."""
     angles = np.linspace(0.0, 2.0 * math.pi, N_ANGLES, endpoint=False)
     pts = []

@@ -15,9 +15,11 @@ whose slope jumps are the limit measure atoms.
 
 Grid hot path.  The chart geometry (log|xi| at the cell centers and
 their one-cell halo, and the cell order by log|xi|) does not depend on t;
-it is built once per (L, n) and reused for every t and chart of an
-experiment.  The grid side n is even and the centers are antisymmetric
-about 0 bit for bit, so no center sits on xi = 0.  There are two routes.
+it is built once per (L, n) per process, read-only, and reused for every
+family, t and chart.  The grid side n is even and the centers are
+antisymmetric about 0 bit for bit, so no center sits on xi = 0.  There
+are two routes, and both store their cells flat: an index into the halo
+grid's interior and the number of grid cells each stored cell stands for.
 
 A chart is radial when every family entry is a single monomial
 c t^e xi^k (true on every chart of such a family, inverted or not, and of
@@ -34,11 +36,11 @@ mirrors the first row and column) and keeps the triangle i <= j of the
 quadrant's cells: n(n+2)/8 cells, each carrying the mass of its orbit,
 multiplicity 8, or 4 on the diagonal i = j.  Thresholds on cell masses
 (the pushforward's keep floor, the negative-mass floor) compare the mass
-of one grid cell.  A family with a multi-term entry takes the full route
-on all n^2 cells, its multi-term entries by Horner's rule on the complex
-nodes.
+of one grid cell.  A family with a multi-term entry takes the full route,
+every one of the n^2 cells once with multiplicity 1, its multi-term
+entries by Horner's rule on the complex nodes.
 
-On both routes, for fixed t, u = +-log|xi|/log|t| - p is monotone in
+On both routes, for fixed |t| != 1, u = +-log|xi|/log|t| - p is monotone in
 log|xi|, so the stored cells' order by log|xi|, read forwards or
 backwards, sorts every chart's cells by u: pushforward_log_radius emits
 each chart's cloud sorted by u, and the chart's partition ramps are
@@ -52,7 +54,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -60,6 +62,7 @@ import numpy as np
 from .exactnum import LogRVal, as_fraction, rat_from_str, rat_to_str
 from .models import SncModelCombinatorics
 from .pafunc import AffineLine, PAFunction1D, upper_envelope
+from .tropical import lse_max_gap
 
 
 class ResolutionError(ValueError):
@@ -328,13 +331,13 @@ def family_limit_measure(family: CurveFamily, r: Fraction) -> AtomicMeasure:
 
 @dataclass
 class GridMeasure:
-    """A chart's grid measure: one entry per stored cell.
+    """A chart's grid measure: one flat entry per stored cell.
 
-    The full route stores all n x n cells, shape (n, n), with
-    ``multiplicity`` None.  The octant route of a radial chart stores the
-    n(n+2)/8 cells of one octant, flat, and each stored cell carries the
-    mass of the ``multiplicity`` grid cells (8, or 4 on the diagonal) in
-    its orbit under the symmetries of the square grid.
+    Each stored cell carries the mass of the ``multiplicity`` grid cells
+    it stands for: 1.0 on the full route, which stores all n x n cells;
+    on the octant route of a radial chart, which stores the n(n+2)/8
+    cells of one octant, 8, or 4 on the diagonal, the cells of its orbit
+    under the symmetries of the square grid.
     """
 
     chart: Chart
@@ -343,13 +346,11 @@ class GridMeasure:
     cell_u: np.ndarray        # valuation coordinate per stored cell
     raw_total: float          # unweighted Laplacian total on this chart
     total_mass: float         # weighted total
-    u_order: np.ndarray | None = None  # flat indices that sort cell_u ascending
-    multiplicity: np.ndarray | None = None  # grid cells per stored cell
+    u_order: np.ndarray       # stored-cell indices that sort cell_u ascending
+    multiplicity: np.ndarray | float  # grid cells per stored cell
 
     def per_cell_masses(self) -> np.ndarray:
         """The mass of one grid cell, for each stored cell."""
-        if self.multiplicity is None:
-            return self.cell_masses
         return self.cell_masses / self.multiplicity  # exact: powers of two
 
     def negative_mass_floor(self) -> float:
@@ -361,12 +362,20 @@ class _Cells:
     """The cells one route stores for a chart, and their t-independent arrays."""
 
     halo_log_abs: np.ndarray  # log|xi| at the centers of the halo grid
+    index: np.ndarray | slice  # the stored cells in the flat halo interior
+    multiplicity: np.ndarray | float  # grid cells each stored cell stands for
     log_abs: np.ndarray       # log|xi| per stored cell
-    order: np.ndarray         # flat stored-cell indices sorted by log|xi|
-    # flat indices of the stored cells in the halo grid's interior, and the
-    # grid cells each stands for; None when every cell is stored once
-    index: np.ndarray | None = None
-    multiplicity: np.ndarray | None = None
+    order: np.ndarray         # stored-cell indices sorted by log|xi|
+
+    @classmethod
+    def build(cls, halo_log_abs, index, multiplicity) -> "_Cells":
+        """The stored cells of a halo grid, with every array read-only."""
+        log_abs = halo_log_abs[1:-1, 1:-1].ravel()[index]
+        order = np.argsort(log_abs, kind="stable")
+        for a in (halo_log_abs, index, multiplicity, log_abs, order):
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+        return cls(halo_log_abs, index, multiplicity, log_abs, order)
 
 
 def _complex_grid(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -382,25 +391,28 @@ class _ChartGeometry:
     its halo, (n/2 + 2)^2 centers whose inner halo row and column (at
     -h/2) mirror the first cells, and the triangle i <= j of the
     quadrant's cells with multiplicity 8, or 4 on the diagonal.  ``full``
-    holds log|xi| on all (n + 2)^2 centers and the order of all n^2 cells;
-    it and the complex ``nodes`` are built only when a chart of a family
-    with a multi-term entry asks for them.
+    holds log|xi| on all (n + 2)^2 centers and stores every one of the n^2
+    cells once; it and the complex ``nodes`` are built only when a chart
+    of a family with a multi-term entry asks for them.  Every array is
+    read-only, because _geometry shares one instance per (L, n).
     """
 
     def __init__(self, L: float, n: int):
         h = 2.0 * L / n
         self.n = n
         self.centers = h * (np.arange(n + 2) - (n + 1) / 2)
+        self.centers.setflags(write=False)
 
     @cached_property
     def nodes(self) -> np.ndarray:
-        return _complex_grid(self.centers, self.centers)
+        nodes = _complex_grid(self.centers, self.centers)
+        nodes.setflags(write=False)
+        return nodes
 
     @cached_property
     def full(self) -> _Cells:
         halo = np.log(np.abs(_complex_grid(self.centers, self.centers)))
-        cells = halo[1:-1, 1:-1]
-        return _Cells(halo, cells, np.argsort(cells, axis=None, kind="stable"))
+        return _Cells.build(halo, slice(None), 1.0)
 
     @cached_property
     def octant(self) -> _Cells:
@@ -410,10 +422,13 @@ class _ChartGeometry:
         # agree bit for bit (np.hypot would not)
         halo = np.log(np.abs(_complex_grid(quadrant, quadrant)))
         i, j = np.triu_indices(half)
-        index = i * half + j
-        cells = halo[1:-1, 1:-1].ravel()[index]
-        return _Cells(halo, cells, np.argsort(cells, kind="stable"), index,
-                      np.where(i == j, 4.0, 8.0))
+        return _Cells.build(halo, i * half + j, np.where(i == j, 4.0, 8.0))
+
+
+@cache
+def _geometry(L: float, n: int) -> _ChartGeometry:
+    """The one chart geometry of (L, n) in this process."""
+    return _ChartGeometry(L, n)
 
 
 def _smoothstep(x: np.ndarray) -> np.ndarray:
@@ -506,11 +521,11 @@ def _radial(family: CurveFamily) -> bool:
 
 def _potential_on_grid(family: CurveFamily, t: complex, chart: Chart,
                        geom: _ChartGeometry, log_r: float,
-                       octant: bool = False) -> np.ndarray:
-    """Fiber potential (real array) at the chart's halo nodes: all of them,
-    or with ``octant`` (radial families only) the positive quadrant's."""
+                       log_abs: np.ndarray) -> np.ndarray:
+    """Fiber potential (real array) at the nodes of the halo grid whose
+    log|xi| is ``log_abs``: the full grid's, or (radial families only) the
+    positive quadrant's."""
     logabs_t = math.log(abs(t))
-    log_abs = (geom.octant if octant else geom.full).halo_log_abs
     phi = None
     terms = []
     for e in family.entries:
@@ -524,10 +539,8 @@ def _potential_on_grid(family: CurveFamily, t: complex, chart: Chart,
         else:
             np.maximum(phi, term, out=phi)
     if family.mode == "lse":
-        stack = np.stack(terms)
-        mm = 2.0 * family.m
-        top = np.max(stack, axis=0)
-        phi = top + np.log(np.sum(np.exp(mm * (stack - top)), axis=0)) / mm
+        stack = np.stack(terms, axis=-1)
+        phi = np.max(stack, axis=-1) + lse_max_gap(stack, family.m)
     phi /= family.m
     return phi
 
@@ -538,7 +551,6 @@ def ma_complex_curve(
     n: int,
     r: Fraction,
     mass_tol: float = 1e-4,
-    _geometries: dict | None = None,
 ) -> list[GridMeasure]:
     """Five-point Laplacian measure of the fiber potential, per chart.
 
@@ -548,42 +560,37 @@ def ma_complex_curve(
     valuation coordinate.  A radial family stores one octant of each chart
     (see the module docstring).  The weighted totals must reproduce the
     family degree within ``mass_tol``, else (a NaN total included) a
-    ResolutionError suggests a finer grid.  ``_geometries``, private to
-    weak_convergence_experiment, caches the t-independent chart arrays by
-    (L, n) across its t schedule.
+    ResolutionError suggests a finer grid.  |t| = 1 is rejected: u is
+    undefined there.
     """
     if n < 16:
         raise ResolutionError("grid too small", suggested_n=max(64, 2 * n))
     if n % 2:
         raise ResolutionError(f"grid {n} is odd, so a cell center sits on xi = 0",
                               suggested_n=n + 1)
-    geometries = {} if _geometries is None else _geometries
     log_r = math.log(float(r))
     logabs_t = math.log(abs(t))
+    if logabs_t == 0:
+        raise ValueError(f"|t| = {abs(t)!r}: u = log|z| / log|t| is undefined")
     radial = _radial(family)
     grids = []
     for chart in family.charts:
-        geom = geometries.get((chart.L, n))
-        if geom is None:
-            geom = geometries[(chart.L, n)] = _ChartGeometry(chart.L, n)
+        geom = _geometry(chart.L, n)
         cells = geom.octant if radial else geom.full
-        phi = _potential_on_grid(family, t, chart, geom, log_r, octant=radial)
+        phi = _potential_on_grid(family, t, chart, geom, log_r,
+                                 cells.halo_log_abs)
         # (N + S) + (E + W): each pair sum commutes, so the stencil is
         # exactly invariant under the 8 symmetries of the square grid
         masses = phi[2:, 1:-1] + phi[:-2, 1:-1]
         masses += phi[1:-1, 2:] + phi[1:-1, :-2]
         masses -= 4.0 * phi[1:-1, 1:-1]
         masses /= 2.0 * math.pi
-        if cells.index is not None:
-            masses = masses.ravel()[cells.index]
-            masses *= cells.multiplicity
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = (-cells.log_abs if chart.invert else cells.log_abs) / logabs_t
+        masses = masses.ravel()[cells.index]
+        masses *= cells.multiplicity  # exact, and a no-op on the full route
+        u = (-cells.log_abs if chart.invert else cells.log_abs) / logabs_t
         u -= float(chart.p)
         # for fixed t, u is an increasing or a decreasing map of log|xi|
-        order = None
-        if logabs_t != 0:
-            order = cells.order if (logabs_t < 0) == chart.invert else cells.order[::-1]
+        order = cells.order if (logabs_t < 0) == chart.invert else cells.order[::-1]
         weighted = masses * partition_weight(chart, u, order=order)
         grids.append(
             GridMeasure(
@@ -630,17 +637,13 @@ def pushforward_log_radius(grid: GridMeasure) -> LineCloud:
 
     Mass-preserving by construction; cells whose own mass (not that of
     their orbit, on an octant) is at most MASS_FLOOR are dropped.  The
-    cloud comes out sorted by u, through the grid's cached cell order when
-    it has one.  Leakage accounting reports the weighted mass missing from
-    the chart relative to its raw Laplacian total.
+    cloud comes out sorted by u, through the grid's cached cell order.
+    Leakage accounting reports the weighted mass missing from the chart
+    relative to its raw Laplacian total.
     """
     order = grid.u_order
-    if order is None:
-        order = np.argsort(grid.cell_u, axis=None, kind="stable")
-    m = grid.cell_masses.ravel()
-    per_cell = grid.per_cell_masses().ravel()
-    kept = order[(np.abs(per_cell) > MASS_FLOOR)[order]]
-    cloud = LineCloud(grid.cell_u.ravel()[kept], m[kept])
+    kept = order[(np.abs(grid.per_cell_masses()) > MASS_FLOOR)[order]]
+    cloud = LineCloud(grid.cell_u[kept], grid.cell_masses[kept])
     cloud.leakage = grid.raw_total - grid.total_mass
     if not np.isfinite(cloud.u).all():
         bad = ~np.isfinite(cloud.u)
@@ -724,15 +727,15 @@ def weak_convergence_experiment(
     compared with the atomic limit measure through the W1 distance and the
     pairings against PA test functions of bounded slope.  A non-decreasing
     W1 trend is reported as an experiment failure, not an exception.
-    The chart geometry is built once per call and reused for every t.
+    The chart geometry of each (L, grid_n) is built once per process and
+    shared by every t and family.
     """
     mu0 = family_limit_measure(family, r)
     u0, m0 = atoms_to_arrays(mu0, r)
-    geometries = {}  # (L, n) -> _ChartGeometry, for this schedule only
     rows = []
     for t_abs in t_schedule:
         grids = ma_complex_curve(family, complex(t_abs), grid_n, r,
-                                 mass_tol=mass_tol, _geometries=geometries)
+                                 mass_tol=mass_tol)
         cloud = combine_clouds([pushforward_log_radius(g) for g in grids])
         w1 = wasserstein1_line(cloud.u, cloud.mass, u0, m0)
         errs = {}
@@ -769,8 +772,10 @@ def pairing_difference(fam1: CurveFamily, fam2: CurveFamily,
     """int (h1 - h2) d MA(h1) - int (h1 - h2) d MA(h2), exact on profiles."""
     h1, h2 = family_profile(fam1, r), family_profile(fam2, r)
     mu1, mu2 = ma_pa_curve(h1), ma_pa_curve(h2)
-    diff = h1.sub(h2)
-    return mu1.pair_with(diff) - mu2.pair_with(diff)
+    # pair_with is linear in the function and LogRVal arithmetic is exact,
+    # so pairing h1 and h2 separately gives the value of pairing h1 - h2
+    return ((mu1.pair_with(h1) - mu1.pair_with(h2))
+            - (mu2.pair_with(h1) - mu2.pair_with(h2)))
 
 
 def cross_pairing(fam1: CurveFamily, fam2: CurveFamily, r: Fraction) -> LogRVal:

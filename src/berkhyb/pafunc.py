@@ -33,13 +33,6 @@ class PAFunctionOnComplex:
             if s.stratum not in self.pieces:
                 raise ValueError(f"missing affine data on stratum {s.stratum}")
 
-    def eval_weights(self, stratum, weights) -> LogRVal:
-        g_logr, g_const = self.pieces[tuple(stratum)]
-        ws = [as_fraction(w) for w in weights]
-        b = sum((g * w for g, w in zip(g_logr, ws)), Fraction(0))
-        a = sum((g * w for g, w in zip(g_const, ws)), Fraction(0))
-        return LogRVal(const=a, logr=b)
-
     def check_face_continuity(self):
         """Exact agreement of affine pieces on shared faces."""
         for s in self.complex.simplices:
@@ -155,10 +148,6 @@ class PAFunction1D:
                 raise ContinuityError(f"pieces disagree at breakpoint {i}")
 
     @classmethod
-    def constant(cls, value, r: Fraction) -> "PAFunction1D":
-        return cls([AffineLine(Fraction(0), LogRVal.of(value))], [], r)
-
-    @classmethod
     def from_breakpoints(cls, xs, ys, r: Fraction,
                          left_slope=0, right_slope=0) -> "PAFunction1D":
         """Interpolating PA function through exact points, with end slopes."""
@@ -236,53 +225,8 @@ class PAFunction1D:
             self.r,
         )
 
-    def shift(self, c) -> "PAFunction1D":
-        cv = LogRVal.of(c)
-        return PAFunction1D(
-            [AffineLine(p.slope, p.offset + cv) for p in self.pieces],
-            list(self.cuts),
-            self.r,
-        )
-
-    def _merged_cuts(self, other: "PAFunction1D") -> list[LogRVal]:
-        merged: list[LogRVal] = []
-        for x in self.cuts + other.cuts:
-            if not any(x == y for y in merged):
-                merged.append(x)
-        merged.sort(key=lambda v: v.to_float(self.r))
-        # exact re-sort: bubble by certified comparison (float sort is a
-        # good initial order; certify adjacent pairs)
-        for i in range(1, len(merged)):
-            j = i
-            while j > 0 and merged[j].cmp(merged[j - 1], self.r) < 0:
-                merged[j], merged[j - 1] = merged[j - 1], merged[j]
-                j -= 1
-        return merged
-
     def _piece_at(self, x: LogRVal) -> AffineLine:
         idx = 0
         while idx < len(self.cuts) and x.cmp(self.cuts[idx], self.r) >= 0:
             idx += 1
         return self.pieces[idx]
-
-    def add(self, other: "PAFunction1D") -> "PAFunction1D":
-        cuts = self._merged_cuts(other)
-        pieces = []
-        samples = self._interval_samples(cuts)
-        for x in samples:
-            p, q = self._piece_at(x), other._piece_at(x)
-            pieces.append(AffineLine(p.slope + q.slope, p.offset + q.offset))
-        return PAFunction1D(pieces, cuts, self.r)
-
-    def sub(self, other: "PAFunction1D") -> "PAFunction1D":
-        return self.add(other.scale(-1))
-
-    def _interval_samples(self, cuts: list[LogRVal]) -> list[LogRVal]:
-        """One probe point inside each interval delimited by ``cuts``."""
-        if not cuts:
-            return [LogRVal.of(0)]
-        samples = [cuts[0] - 1]
-        for i in range(len(cuts) - 1):
-            samples.append((cuts[i] + cuts[i + 1]) / 2)
-        samples.append(cuts[-1] + 1)
-        return samples

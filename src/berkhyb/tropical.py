@@ -185,12 +185,16 @@ def na_limit_tfs(phi: TropicalFSMetric, model: SncModelCombinatorics,
     return NALimitResult(pa, formula, restrict, equal)
 
 
-def lse_max_gap(values, m: int) -> float:
-    """chi(x) - max(x) with chi = (2m)^{-1} log sum exp(2m x_i); in [0, log N / 2m]."""
+def lse_max_gap(values, m: int) -> float | np.ndarray:
+    """chi(x) - max(x) with chi = (2m)^{-1} log sum exp(2m x_i); in [0, log N / 2m].
+
+    Reduces over the last axis: a float for a vector, else an array.
+    """
     x = np.asarray(values, dtype=float)
-    if x.ndim != 1 or x.size == 0:
+    if x.ndim == 0 or x.shape[-1] == 0:
         raise ValueError("need a non-empty vector")
     if m <= 0:
         raise ValueError("m must be positive")
-    top = float(np.max(x))
-    return float(np.log(np.sum(np.exp(2 * m * (x - top)))) / (2 * m))
+    top = np.max(x, axis=-1, keepdims=True)
+    gap = np.log(np.sum(np.exp(2 * m * (x - top)), axis=-1)) / (2 * m)
+    return float(gap) if x.ndim == 1 else gap

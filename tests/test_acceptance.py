@@ -175,13 +175,12 @@ def test_criterion_7_weak_ma_convergence(data_dir, r):
 
 
 def test_criterion_8_lelong_estimation():
-    cfg = HybridConfig()
     radii = [10.0 ** (-k) for k in range(1, 9)]
     base = lelong_estimate(sample_circle_sups(
-        lambda z: math.log(abs(z * z + z ** 3)), radii, cfg))
+        lambda z: math.log(abs(z * z + z ** 3)), radii))
     pert = lelong_estimate(sample_circle_sups(
         lambda z: math.log(abs(z * z + z ** 3)) + math.log(abs(1 + 50 * z)),
-        radii, cfg))
+        radii))
     e1, e2 = abs(base.estimate - 2.0), abs(pert.estimate - 2.0)
     report("criterion 8 (Lelong estimation)", e1 <= 1e-3 and e2 <= 1e-3,
            f"phi = log|t^2 + t^3|: |estimate - 2| = {e1:.2e}; "

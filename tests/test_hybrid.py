@@ -62,20 +62,20 @@ RADII = [10.0 ** (-k) for k in range(1, 9)]
 
 
 def test_lelong_pure_log_exact():
-    samp = sample_circle_sups(lambda z: 1.75 * math.log(abs(z)), RADII, CFG)
+    samp = sample_circle_sups(lambda z: 1.75 * math.log(abs(z)), RADII)
     est = lelong_estimate(samp)
     assert est.estimate == pytest.approx(1.75, abs=1e-12)
 
 
 def test_lelong_t2_plus_t3():
-    samp = sample_circle_sups(lambda z: math.log(abs(z * z + z ** 3)), RADII, CFG)
+    samp = sample_circle_sups(lambda z: math.log(abs(z * z + z ** 3)), RADII)
     est = lelong_estimate(samp)
     assert abs(est.estimate - 2.0) <= 1e-3
     assert est.band[0] <= est.estimate <= est.band[1]
 
 
 def test_lelong_bounded_function_zero_slope():
-    samp = sample_circle_sups(lambda z: max(math.log(abs(z)), -5.0), RADII, CFG)
+    samp = sample_circle_sups(lambda z: max(math.log(abs(z)), -5.0), RADII)
     assert abs(lelong_estimate(samp).estimate) <= 1e-9
 
 

@@ -28,7 +28,7 @@ from berkhyb.mongeampere import (
     pushforward_log_radius,
     wasserstein1_line,
     weak_convergence_experiment,
-    _ChartGeometry,
+    _geometry,
     _potential_on_grid,
 )
 from berkhyb.pafunc import PAFunction1D
@@ -272,6 +272,26 @@ def test_cln_linearity(kink_family, r):
     assert rep.antisymmetry_exact
 
 
+@pytest.mark.parametrize("name, delta, difference, cross", [
+    ("fam_threesec", Fraction(1, 7), LogRVal(invlogr=Fraction(1, 28)),
+     LogRVal(invlogr=Fraction(1, 14))),
+    ("fam_threesec", Fraction(3, 2),
+     LogRVal(const=Fraction(1, 8), invlogr=Fraction(3, 4)),
+     LogRVal(invlogr=Fraction(3, 4))),
+    ("fam_d21", Fraction(1, 7), LogRVal(invlogr=Fraction(1, 7)),
+     LogRVal(invlogr=Fraction(3, 7))),
+    ("fam_d21", Fraction(3, 2), LogRVal(const=2, invlogr=Fraction(9, 2)),
+     LogRVal(invlogr=Fraction(9, 2))),
+])
+def test_pairings_pinned_on_bundled_families(data_dir, r, name, delta,
+                                             difference, cross):
+    # the values of pairing the PA difference h1 - h2 built piece by piece
+    fam = load_family(data_dir / "families" / f"{name}.json")
+    pert = fam.with_constant_shift(len(fam.entries) - 1, delta)
+    assert pairing_difference(fam, pert, r) == difference
+    assert cross_pairing(fam, pert, r) == cross
+
+
 def test_pairing_symmetry_on_bounded_profiles(r):
     f = PAFunction1D.from_breakpoints(
         [Fraction(-2), Fraction(-1), Fraction(0)],
@@ -321,13 +341,14 @@ def _power_sum_potential(family, t, chart, nodes, log_r):
 
 def _paths_agree(family, r, tol):
     """The grid potential and the direct power sum agree within ``tol``."""
-    geom = _ChartGeometry(2.0, 256)
+    geom = _geometry(2.0, 256)
     log_r = math.log(float(r))
     inverted = Chart(p=Fraction(0), invert=True, name="inf")
     worst = 0.0
     for t in (complex(1e-2), complex(1e-4)):
         for chart in family.charts + (inverted,):
-            fast = _potential_on_grid(family, t, chart, geom, log_r)
+            fast = _potential_on_grid(family, t, chart, geom, log_r,
+                                      geom.full.halo_log_abs)
             direct = _power_sum_potential(family, t, chart, geom.nodes, log_r)
             assert fast.shape == (258, 258)
             worst = max(worst, np.abs(fast - direct).max())
@@ -357,14 +378,56 @@ def test_mixed_entries_match_complex_path(r):
 
 def test_shared_geometry_gives_identical_grids(data_dir, r):
     fam = load_family(data_dir / "families" / "fam_isotrivial.json")
-    geometries = {}
     for t in (1e-2, 1e-3):
-        shared = ma_complex_curve(fam, complex(t), 128, r, _geometries=geometries)
+        geom = _geometry(2.0, 128)
+        shared = ma_complex_curve(fam, complex(t), 128, r)
+        assert _geometry(2.0, 128) is geom
+        _geometry.cache_clear()
         fresh = ma_complex_curve(fam, complex(t), 128, r)
-        for a, b in zip(shared, fresh):
+        assert _geometry(2.0, 128) is not geom
+        for a, b in zip(shared, fresh, strict=True):
             assert np.array_equal(a.cell_masses, b.cell_masses)
             assert np.array_equal(a.cell_u, b.cell_u)
-    assert list(geometries) == [(2.0, 128)]
+            assert np.array_equal(a.u_order, b.u_order)
+
+
+def test_geometry_is_built_once_per_grid():
+    assert _geometry(2.0, 64) is _geometry(2.0, 64)
+    assert _geometry(2.0, 64) is not _geometry(2.0, 128)
+    assert _geometry(2.0, 64) is not _geometry(1.5, 64)
+
+
+def test_cached_geometry_arrays_are_read_only():
+    # a grid no other test uses, so that a write that got through would
+    # corrupt nothing else
+    geom = _geometry(3.0, 32)
+    arrays = [geom.centers, geom.nodes]
+    for cells in (geom.octant, geom.full):
+        arrays += [cells.halo_log_abs, cells.log_abs, cells.order]
+    arrays += [geom.octant.index, geom.octant.multiplicity]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
+def test_families_with_one_grid_build_one_geometry(data_dir, r):
+    tests = {"ramp": PAFunction1D.from_breakpoints(
+        [Fraction(-2), Fraction(0)], [Fraction(0), Fraction(1)], r)}
+    _geometry.cache_clear()
+    for name in ("fam_kink", "fam_threesec"):
+        fam = load_family(data_dir / "families" / f"{name}.json")
+        assert {chart.L for chart in fam.charts} == {2.0}
+        weak_convergence_experiment(fam, [1e-2, 1e-3], tests, 128, r,
+                                    mass_tol=math.inf)
+    assert _geometry.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("t", [1.0, -1.0])
+def test_unit_modulus_t_rejected(kink_family, r, t):
+    # u = log|z| / log|t| is undefined at |t| = 1
+    with pytest.raises(ValueError, match=r"\|t\| = 1\.0") as exc:
+        ma_complex_curve(kink_family, complex(t), 64, r)
+    assert type(exc.value) is ValueError
 
 
 @pytest.mark.parametrize("t", [1e-3, 1e3])
@@ -384,7 +447,8 @@ def test_pushforward_clouds_sorted(r, t):
         assert cloud.u.size > 0
         assert np.all(np.diff(cloud.u) >= 0)
         # the cached order and a fresh sort give the same cloud
-        plain = pushforward_log_radius(dataclasses.replace(g, u_order=None))
+        plain = pushforward_log_radius(dataclasses.replace(
+            g, u_order=np.argsort(g.cell_u, kind="stable")))
         assert np.array_equal(cloud.u, plain.u)
         assert np.array_equal(np.sort(cloud.mass), np.sort(plain.mass))
 
@@ -451,10 +515,11 @@ def test_octant_expands_to_full_grid_bit_for_bit(data_dir, r, monkeypatch, n,
                 lambda: ma_complex_curve(fam, complex(t), n, r, mass_tol=math.inf))
             for o, f in zip(octant, full, strict=True):
                 assert o.cell_masses.size == n * (n + 2) // 8
-                assert f.multiplicity is None and f.cell_masses.shape == (n, n)
-                assert np.array_equal(octant_to_full(o, o.per_cell_masses()),
-                                      f.cell_masses)
-                assert np.array_equal(octant_to_full(o, o.cell_u), f.cell_u)
+                assert f.multiplicity == 1.0 and f.cell_masses.shape == (n * n,)
+                assert np.array_equal(
+                    octant_to_full(o, o.per_cell_masses()).ravel(), f.cell_masses)
+                assert np.array_equal(octant_to_full(o, o.cell_u).ravel(),
+                                      f.cell_u)
                 assert o.negative_mass_floor() == f.negative_mass_floor()
 
 
@@ -517,7 +582,7 @@ def test_odd_grid_rejected(kink_family, r):
 def test_nan_mass_fails_the_mass_check(r):
     # a section vanishing exactly at a cell center: log|xi - a| is -inf
     # there, the Laplacian is NaN, and so is the chart's total
-    a = complex(*_ChartGeometry(2.0, 64).centers[[20, 41]])
+    a = complex(*_geometry(2.0, 64).centers[[20, 41]])
     fam = CurveFamily("zero-at-center", 1, 1,
                       (FamilyEntry.build({0: -a, 1: 1}),),
                       (Chart(p=Fraction(0), name="main"),))

@@ -7,9 +7,11 @@ from pathlib import Path
 import berkhyb
 
 SRC = Path(berkhyb.__file__).parent
+TESTS = Path(__file__).parent
 
-# called only by tests/test_acceptance.py, for acceptance criterion 9
-UNREFERENCED_OK = {"lse_max_gap"}
+
+def _trees(root: Path) -> list:
+    return [ast.parse(p.read_text()) for p in sorted(root.glob("*.py"))]
 
 
 def _names(node) -> collections.Counter:
@@ -20,11 +22,23 @@ def _names(node) -> collections.Counter:
 
 
 def test_every_top_level_definition_is_referenced():
-    trees = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))]
+    trees = _trees(SRC)
     everywhere = sum(map(_names, trees), collections.Counter())
     unreferenced = [
         d.name for tree in trees for d in tree.body
         if isinstance(d, (ast.FunctionDef, ast.ClassDef))
-        and everywhere[d.name] == _names(d)[d.name]
-        and d.name not in UNREFERENCED_OK]
+        and everywhere[d.name] == _names(d)[d.name]]
+    assert unreferenced == []
+
+
+def test_every_method_is_referenced():
+    # a method's name must appear outside its own body, in src/ or tests/
+    trees = _trees(SRC)
+    everywhere = sum(map(_names, trees + _trees(TESTS)), collections.Counter())
+    unreferenced = [
+        f"{c.name}.{d.name}" for tree in trees for c in ast.walk(tree)
+        if isinstance(c, ast.ClassDef) for d in c.body
+        if isinstance(d, ast.FunctionDef)
+        and not (d.name.startswith("__") and d.name.endswith("__"))
+        and everywhere[d.name] == _names(d)[d.name]]
     assert unreferenced == []

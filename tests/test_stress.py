@@ -42,19 +42,6 @@ def test_upper_envelope_matches_pointwise_max():
             assert env.eval(Fraction(x)) == direct
 
 
-def test_pa_add_sub_pointwise():
-    rng = random.Random(77)
-    for _ in range(60):
-        f = upper_envelope(random_lines(rng, rng.randint(1, 5)), R)
-        g = upper_envelope(random_lines(rng, rng.randint(1, 5)), R)
-        h = f.add(g)
-        d = f.sub(g)
-        for x in probe_points(rng, 8):
-            xf = Fraction(x)
-            assert h.eval(xf) == f.eval(xf) + g.eval(xf)
-            assert d.eval(xf) == f.eval(xf) - g.eval(xf)
-
-
 def test_pa_kink_masses_sum_to_slope_variation():
     rng = random.Random(13)
     for _ in range(60):

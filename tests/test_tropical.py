@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -177,6 +178,18 @@ def test_tfs_json_round_trip(seg_labels):
 def test_lse_gap_worked_examples():
     assert lse_max_gap([3.0], 2) == 0.0
     assert lse_max_gap([0.0, 0.0], 1) == pytest.approx(math.log(2) / 2)
+
+
+def test_lse_gap_reduces_the_last_axis():
+    xs = np.random.default_rng(3).uniform(-10.0, 10.0, size=(5, 4))
+    gaps = lse_max_gap(xs, 2)
+    assert gaps.shape == (5,)
+    assert list(gaps) == [lse_max_gap(row, 2) for row in xs]
+    # no rows to reduce is an empty answer; an empty row is an error
+    assert lse_max_gap(np.zeros((0, 3)), 1).shape == (0,)
+    for bad in (np.zeros((3, 0)), 1.0, []):
+        with pytest.raises(ValueError, match="non-empty"):
+            lse_max_gap(bad, 1)
 
 
 @given(
