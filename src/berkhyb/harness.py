@@ -398,27 +398,30 @@ def _random_model() -> SncModelCombinatorics:
 
 def _random_point(model, rng: random.Random):
     stratum = rng.choice(model.strata)
-    raw = [Fraction(rng.randint(0, 6), rng.randint(1, 5)) for _ in stratum]
-    if all(q == 0 for q in raw):
-        raw[rng.randrange(len(raw))] = Fraction(1)
-    total = sum(
-        (model.multiplicity(j) * q for j, q in zip(stratum, raw)), Fraction(0)
-    )
-    weights = tuple(q / total for q in raw)
-    return model.point(stratum, weights)
+    raw = [(rng.randint(0, 6), rng.randint(1, 5)) for _ in stratum]
+    if not any(a for a, _ in raw):
+        raw[rng.randrange(len(raw))] = (1, 1)
+    # over the common denominator den, q_j = a_j/b_j = n_j/den, so the
+    # normalized weight q_j / sum_i m_i q_i is n_j / sum_i m_i n_i
+    den = math.lcm(*(b for _, b in raw))
+    nums = [a * (den // b) for a, b in raw]
+    total = sum(model.multiplicity(j) * n for j, n in zip(stratum, nums))
+    return model.point(stratum, [Fraction(n, total) for n in nums])
 
 
 def _random_laurent(model, rng: random.Random, max_vars: int, max_terms: int,
                     lo: int, hi: int) -> LaurentSeriesData:
     labels = model.variable_labels()
     nv = rng.randint(1, max_vars)
-    vars_ = rng.sample(labels, nv)
+    vars_ = tuple(rng.sample(labels, nv))
     n_terms = rng.randint(1, max_terms)
     terms = {}
     for _ in range(n_terms):
-        exp = tuple(rng.randint(lo, hi) for _ in range(nv))
+        exp = tuple([rng.randint(lo, hi) for _ in range(nv)])
         terms[exp] = Coefficient.unit()
-    return LaurentSeriesData(vars_, list(terms.items()))
+    # trusted: the sampled labels are distinct (those of _random_model) and
+    # the keys are distinct int tuples of length nv carrying unit tags
+    return LaurentSeriesData._canonical(vars_, terms)
 
 
 def run_val_eval(man: ExperimentManifest, rep: RunReport):
@@ -489,7 +492,7 @@ def run_val_eval(man: ExperimentManifest, rep: RunReport):
         for _ in range(rng.randint(1, 8)):
             exp = tuple(rng.randint(0, 6) for _ in f.variables)
             g_terms[exp] = Coefficient.unit()
-        g = LaurentSeriesData(f.variables, list(g_terms.items()))
+        g = LaurentSeriesData._canonical(f.variables, g_terms)
         res = valuation_superadditivity_check(v, f, g)
         if not (res.product_ok and res.sum_ok):
             bad += 1

@@ -450,9 +450,9 @@ def partition_weight(chart: Chart, u: np.ndarray,
 
     Ramps of half-width RAMP are centered on the declared interval
     ends, so charts sharing an interface sum to one.  Given ``order``,
-    flat indices that sort ``u`` ascending, each ramp is a contiguous run
-    of that order found by bisection: only its cells are evaluated, and
-    the cells on either side get their exact weight, 0 or 1, directly.
+    indices that sort the flat ``u`` ascending, each ramp is a contiguous
+    run of that order found by bisection: only its cells are evaluated,
+    and the cells on either side get their exact weight, 0 or 1, directly.
     """
     if order is None:
         w = np.ones_like(u)
@@ -461,24 +461,23 @@ def partition_weight(chart: Chart, u: np.ndarray,
         if math.isfinite(chart.u_hi):
             w = w * (1.0 - _smoothstep(_ramp_coordinate(u, chart.u_hi)))
         return w
-    flat = u.ravel()
-    w = np.ones(flat.size)
+    w = np.ones(u.size)
     for end, falling in ((chart.u_lo, False), (chart.u_hi, True)):
         if not math.isfinite(end):
             continue
         def x(i, end=end):
-            return _ramp_coordinate(flat[i], end)
+            return _ramp_coordinate(u[i], end)
         below = bisect.bisect_right(order, 0.0, key=x)
         above = bisect.bisect_left(order, 1.0, key=x)
         run = order[below:above]
-        s = _smoothstep(_ramp_coordinate(flat[run], end))
+        s = _smoothstep(_ramp_coordinate(u[run], end))
         if falling:
             w[order[above:]] = 0.0
             w[run] *= np.subtract(1.0, s, out=s)
         else:
             w[order[:below]] = 0.0
             w[run] *= s
-    return w.reshape(u.shape)
+    return w
 
 
 def _entry_log_modulus(entry: FamilyEntry, degree: int, t: complex,
@@ -623,7 +622,6 @@ class LineCloud:
     u: np.ndarray
     mass: np.ndarray
     leakage: float = 0.0
-    warnings: list[str] = field(default_factory=list)
 
     def total(self) -> float:
         return float(self.mass.sum())
@@ -643,15 +641,8 @@ def pushforward_log_radius(grid: GridMeasure) -> LineCloud:
     """
     order = grid.u_order
     kept = order[(np.abs(grid.per_cell_masses()) > MASS_FLOOR)[order]]
-    cloud = LineCloud(grid.cell_u[kept], grid.cell_masses[kept])
-    cloud.leakage = grid.raw_total - grid.total_mass
-    if not np.isfinite(cloud.u).all():
-        bad = ~np.isfinite(cloud.u)
-        cloud.warnings.append(
-            f"dropped {bad.sum()} cells with undefined log-radius"
-        )
-        cloud.u, cloud.mass = cloud.u[~bad], cloud.mass[~bad]
-    return cloud
+    return LineCloud(grid.cell_u[kept], grid.cell_masses[kept],
+                     grid.raw_total - grid.total_mass)
 
 
 def combine_clouds(clouds: Sequence[LineCloud]) -> LineCloud:
@@ -659,8 +650,7 @@ def combine_clouds(clouds: Sequence[LineCloud]) -> LineCloud:
         return LineCloud(np.zeros(0), np.zeros(0))
     u = np.concatenate([c.u for c in clouds])
     m = np.concatenate([c.mass for c in clouds])
-    warnings = [w for c in clouds for w in c.warnings]
-    return LineCloud(u, m, sum(c.leakage for c in clouds), warnings)
+    return LineCloud(u, m, sum(c.leakage for c in clouds))
 
 
 def wasserstein1_line(u1, m1, u2, m2) -> float:

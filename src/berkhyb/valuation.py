@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add, mul
 from typing import Callable, Mapping, Sequence
 
 from .exactnum import Rat, as_fraction, rat_from_str, rat_to_str
@@ -47,7 +47,7 @@ class Coefficient:
 
     def mul(self, other: "Coefficient") -> "Coefficient":
         if self.kind == "unit" or other.kind == "unit":
-            return Coefficient.unit()
+            return _UNIT
         return Coefficient.explicit(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -78,8 +78,8 @@ class LaurentSeriesData:
     """Finite Laurent term data over ordered variable labels.
 
     Terms are kept sorted by lexicographic exponent order so iteration is
-    reproducible; duplicate exponents and zero coefficients are rejected
-    at construction.
+    reproducible.  Duplicate exponents are rejected at construction and
+    terms with a zero coefficient are dropped.
     """
 
     def __init__(self, variables: Sequence[str], terms=()):
@@ -101,6 +101,19 @@ class LaurentSeriesData:
             seen[exp] = coef
         self.terms = tuple(sorted(seen.items()))
 
+    @classmethod
+    def _canonical(cls, variables: tuple, acc: dict) -> "LaurentSeriesData":
+        """Trusted constructor for terms already known to be valid.
+
+        ``variables`` is a tuple of distinct labels and ``acc`` maps
+        distinct int tuples of its length to Coefficient tags, so only the
+        zero-dropping and the sort of ``__init__`` remain to be done.
+        """
+        self = cls.__new__(cls)
+        self.variables = variables
+        self.terms = tuple(sorted((e, c) for e, c in acc.items() if not c.is_zero()))
+        return self
+
     # -- constructors ---------------------------------------------------
     @classmethod
     def zero(cls, variables: Sequence[str]) -> "LaurentSeriesData":
@@ -121,11 +134,10 @@ class LaurentSeriesData:
     def formal_sum(self, other: "LaurentSeriesData") -> "LaurentSeriesData":
         if self.variables != other.variables:
             raise ConfigurationError("variable mismatch in sum")
-        acc: dict = {}
-        for exp, c in self.terms + other.terms:
+        acc = dict(self.terms)
+        for exp, c in other.terms:
             acc[exp] = acc[exp].add(c) if exp in acc else c
-        terms = [(e, c) for e, c in acc.items() if not c.is_zero()]
-        return LaurentSeriesData(self.variables, terms)
+        return LaurentSeriesData._canonical(self.variables, acc)
 
     def formal_product(self, other: "LaurentSeriesData") -> "LaurentSeriesData":
         if self.variables != other.variables:
@@ -133,11 +145,10 @@ class LaurentSeriesData:
         acc: dict = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
-                exp = tuple(a + b for a, b in zip(e1, e2))
+                exp = tuple(map(add, e1, e2))
                 c = c1.mul(c2)
                 acc[exp] = acc[exp].add(c) if exp in acc else c
-        terms = [(e, c) for e, c in acc.items() if not c.is_zero()]
-        return LaurentSeriesData(self.variables, terms)
+        return LaurentSeriesData._canonical(self.variables, acc)
 
     # -- serialization ----------------------------------------------------
     def to_json(self):
@@ -227,16 +238,21 @@ def qm_eval(
     outside the stratum likewise contribute 0.  Returns an exact Fraction,
     or INF for the zero element.
     """
+    return weighted_min_of_terms(
+        f, _variable_weights(point, f.variables, identification))
+
+
+def _variable_weights(point: QuasiMonomialPoint, variables: Sequence[str],
+                      identification: Mapping[str, int] | None) -> list[Fraction]:
+    """The weight of each variable label at ``point`` (see qm_eval)."""
     ident = dict(identification) if identification is not None else {}
     for label in ident:
-        if label not in f.variables:
+        if label not in variables:
             raise ConfigurationError(f"unknown variable label {label!r}")
         if not point.model.has_component(ident[label]):
             raise ConfigurationError(f"label {label!r} mapped to missing component")
-    if f.is_zero():
-        return INF
     per_var = []
-    for label in f.variables:
+    for label in variables:
         if label in ident:
             per_var.append(point.weight_of(ident[label]))
         else:
@@ -244,7 +260,7 @@ def qm_eval(
             # equation name, otherwise a unit
             idx = point.model.component_index_by_equation(label)
             per_var.append(point.weight_of(idx) if idx is not None else _ZERO)
-    return weighted_min_of_terms(f, per_var)
+    return per_var
 
 
 def weighted_min_of_terms(f: LaurentSeriesData, weights: Sequence[Rat]):
@@ -260,9 +276,19 @@ def weighted_min_of_terms(f: LaurentSeriesData, weights: Sequence[Rat]):
     ws = [as_fraction(w) for w in weights]
     if len(ws) != len(f.variables):
         raise ConfigurationError("weight vector length mismatch")
-    den = lcm(*(w.denominator for w in ws))
-    nums = [w.numerator * (den // w.denominator) for w in ws]
-    return Fraction(min(sum(map(mul, nums, exp)) for exp, _coef in f.terms), den)
+    nums, den = _lattice(ws)
+    return Fraction(_lattice_min(f, nums), den)
+
+
+def _lattice(weights: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of ``weights`` over their common denominator."""
+    den = lcm(*(w.denominator for w in weights))
+    return [w.numerator * (den // w.denominator) for w in weights], den
+
+
+def _lattice_min(f: LaurentSeriesData, nums: Sequence[int]) -> int:
+    """min over the terms of nonzero ``f`` of <nums, beta>."""
+    return min(sum(map(mul, nums, exp)) for exp, _coef in f.terms)
 
 
 def brute_force_min(point: QuasiMonomialPoint, f: LaurentSeriesData,
@@ -338,29 +364,31 @@ def valuation_superadditivity_check(
     """Check v(fg) >= v(f) + v(g) and v(f+g) >= min(v(f), v(g)).
 
     Products/sums are formal support-level operations; with no exponent
-    collisions in the product the first inequality is an equality.
+    collisions in the product the first inequality is an equality.  The
+    four values share one weight vector, so the inequalities are compared
+    as integers over its common denominator.
     """
-    vf = qm_eval(point, f, identification)
-    vg = qm_eval(point, g, identification)
+    if f.variables != g.variables:
+        raise ConfigurationError("variable mismatch in superadditivity check")
+    nums, den = _lattice(_variable_weights(point, f.variables, identification))
     prod = f.formal_product(g)
-    vfg = qm_eval(point, prod, identification)
-    if INF in (vf, vg):
-        # one factor is zero, so the product must be the zero element
-        product_ok = vfg == INF
-        product_equality = vfg == INF
-    else:
-        product_ok = vfg == INF or vfg >= vf + vg
-        collisions = len(prod.terms) < sum(
-            1 for _ in f.terms for _ in g.terms
-        )
-        product_equality = (vfg != INF and vfg == vf + vg) or collisions
     s = f.formal_sum(g)
-    vs = qm_eval(point, s, identification)
-    if vf == INF and vg == INF:
-        sum_ok = vs == INF
+    mf, mg, mfg, ms = (None if h.is_zero() else _lattice_min(h, nums)
+                       for h in (f, g, prod, s))
+    if mf is None or mg is None:
+        # one factor is zero, so the product must be the zero element
+        product_ok = product_equality = mfg is None
     else:
-        lower = min(v for v in (vf, vg) if v != INF)
-        sum_ok = vs == INF or vs >= lower
+        product_ok = mfg is None or mfg >= mf + mg
+        collisions = len(prod.terms) < len(f.terms) * len(g.terms)
+        product_equality = (mfg is not None and mfg == mf + mg) or collisions
+    if mf is None and mg is None:
+        sum_ok = ms is None
+    else:
+        lower = min(m for m in (mf, mg) if m is not None)
+        sum_ok = ms is None or ms >= lower
+    vf, vg, vfg, vs = (INF if m is None else Fraction(m, den)
+                       for m in (mf, mg, mfg, ms))
     return SuperadditivityReport(
         product_ok=product_ok,
         product_equality=product_equality,

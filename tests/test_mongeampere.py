@@ -477,8 +477,8 @@ def test_partition_weight_ramp_runs_match_dense(chart):
     near = (ends[:, None] + np.linspace(-1e-3, 1e-3, 41)).ravel()
     u = np.concatenate([near, np.repeat(ends, 8), np.full(64, -0.5),
                         rng.uniform(-1.0, 0.2, 4096 - near.size - 128)])
-    u = rng.permutation(u).reshape(64, 64)
-    order = np.argsort(u, axis=None, kind="stable")
+    u = rng.permutation(u)
+    order = np.argsort(u, kind="stable")
     dense = partition_weight(chart, u)
     runs = partition_weight(chart, u, order=order)
     assert runs.shape == u.shape

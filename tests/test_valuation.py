@@ -188,6 +188,97 @@ def test_formal_product_tracks_cancellation():
 
 
 # ---------------------------------------------------------------------------
+# the trusted constructor of formal_product / formal_sum against __init__
+# ---------------------------------------------------------------------------
+
+# small ranges, so that product exponents collide and explicit
+# coefficients cancel exactly
+COEFFICIENTS = st.one_of(
+    st.just(Coefficient.unit()),
+    st.builds(Coefficient.explicit, st.integers(-2, 2), st.integers(-1, 1)),
+)
+LAURENT_TERMS = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)), COEFFICIENTS, max_size=6)
+
+
+def validated(variables, acc):
+    """``acc`` through the validating constructor, which drops zeros."""
+    return LaurentSeriesData(variables, list(acc.items()))
+
+
+def accumulate(pairs):
+    acc = {}
+    for exp, c in pairs:
+        acc[exp] = acc[exp].add(c) if exp in acc else c
+    return acc
+
+
+@given(t1=LAURENT_TERMS, t2=LAURENT_TERMS)
+@settings(max_examples=300, deadline=None)
+def test_formal_algebra_matches_validating_constructor(t1, t2):
+    vars_ = ("z", "w")
+    f, g = validated(vars_, t1), validated(vars_, t2)
+    prod = f.formal_product(g)
+    ref_prod = validated(vars_, accumulate(
+        (tuple(a + b for a, b in zip(e1, e2)), c1.mul(c2))
+        for e1, c1 in f.terms for e2, c2 in g.terms))
+    ssum = f.formal_sum(g)
+    ref_sum = validated(vars_, accumulate(f.terms + g.terms))
+    for got, ref in ((prod, ref_prod), (ssum, ref_sum)):
+        assert got.variables == ref.variables
+        assert got.terms == ref.terms
+        assert all(type(e) is int for exp, _ in got.terms for e in exp)
+
+
+def test_formal_algebra_edge_cases():
+    vars_ = ("z", "w")
+    zero = LaurentSeriesData.zero(vars_)
+    f = LaurentSeriesData(vars_, [((1, 0), Coefficient.explicit(3, -1)),
+                                  ((0, 1), Coefficient.unit())])
+    neg = LaurentSeriesData(vars_, [((1, 0), Coefficient.explicit(-3, 1))])
+    # c + (-c) drops the term; the unit tag never cancels
+    assert f.formal_sum(neg).terms == (((0, 1), Coefficient.unit()),)
+    assert f.formal_product(zero).is_zero() and zero.formal_product(f).is_zero()
+    assert f.formal_sum(zero).terms == f.terms
+    # (1, 0) + (0, 1) is reached twice: the colliding exponent keeps one term
+    sq = f.formal_product(f)
+    assert [e for e, _ in sq.terms] == [(0, 2), (1, 1), (2, 0)]
+
+
+def test_superadditivity_rejects_mismatched_variables(segment):
+    v = divisorial_point(segment, 0)
+    f = LaurentSeriesData(["w1", "w2"], unit_terms([(1, 0)]))
+    g = LaurentSeriesData(["w2", "w1"], unit_terms([(1, 0)]))
+    with pytest.raises(ConfigurationError, match="variable mismatch"):
+        valuation_superadditivity_check(v, f, g)
+
+
+def test_random_point_matches_fraction_formula():
+    """Integer-normalized weights equal the Fraction formula q / total,
+    draw for draw, and leave the generator in the same state."""
+    model = _random_model()
+    got_rng, ref_rng = random.Random(4242), random.Random(4242)
+    forced = 0
+    for _ in range(2000):
+        v = _random_point(model, got_rng)
+        stratum = ref_rng.choice(model.strata)
+        raw = [Fraction(ref_rng.randint(0, 6), ref_rng.randint(1, 5))
+               for _ in stratum]
+        if all(q == 0 for q in raw):
+            raw[ref_rng.randrange(len(raw))] = Fraction(1)
+            forced += 1
+        total = sum(
+            (model.multiplicity(j) * q for j, q in zip(stratum, raw)),
+            Fraction(0),
+        )
+        assert v.stratum == stratum
+        assert v.weights == tuple(q / total for q in raw)
+        assert all(type(w) is Fraction for w in v.weights)
+    assert forced  # the all-zero draw was redrawn at least once
+    assert got_rng.getstate() == ref_rng.getstate()
+
+
+# ---------------------------------------------------------------------------
 # the integer-lattice evaluation against plain Fraction arithmetic
 # ---------------------------------------------------------------------------
 
