@@ -12,9 +12,12 @@ Two small exact number types are used throughout the package:
   primes.  Logarithms of distinct primes are linearly independent over Q
   (unique factorization), so equality is again structural.
 
-Order comparisons cannot be structural; they are certified numerically
-with mpmath interval arithmetic at increasing precision.  A nonzero value
-is bounded away from zero, so the refinement terminates.
+Order comparisons cannot be structural.  A sign is first read from a
+float evaluation when it exceeds a rigorous forward error bound
+(``_filtered_sign``, Shewchuk's adaptive-predicate filter); only values
+below that bound are certified with mpmath interval arithmetic at
+increasing precision.  A nonzero value is bounded away from zero, so the
+refinement terminates.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Union
 
-import mpmath
 from mpmath.ctx_iv import MPIntervalContext
 
 Rat = Union[int, Fraction]
@@ -61,15 +63,63 @@ def _certified_sign(make_interval) -> int:
     raise PrecisionError("interval refinement exhausted; value too close to zero")
 
 
-_LOG_CACHE: dict = {}
+# Every float factor that multiplies a rounded input in ``_filtered_sign``
+# (log p, L, 1/L) lies in [2^-500, 2^500]; _TINY bounds the absolute
+# error that underflow adds to a sum of such terms.
+_FACTOR_MIN = 2.0 ** -500
+_TINY = 2.0 ** -500
 
 
-def _float_log(q: Fraction) -> float:
-    val = _LOG_CACHE.get(q)
-    if val is None:
-        val = float(mpmath.log(mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)))
-        _LOG_CACHE[q] = val
-    return val
+@cache
+def _float_log(q: Rat) -> float:
+    """log q within one ulp, for a positive rational (or int) q != 1.
+
+    The interval context works 64 bits beyond the operands' length, so the
+    numerator and denominator are exact and the enclosure is narrower than
+    2^-62 |log q|: |log q| >= |n - d| / max(n, d) >= 2^-bits.  That holds for
+    q near 1 too, where a 53-bit quotient would round to 1.  The float of the
+    midpoint is then within half an ulp plus that width.
+    """
+    bits = max(q.numerator.bit_length(), q.denominator.bit_length())
+    ctx = _interval_context(bits + 64)
+    return float(ctx.log(ctx.mpf(q.numerator) / ctx.mpf(q.denominator)).mid)
+
+
+def _filtered_sign(make_terms) -> int:
+    """Sign of the exact sum that ``make_terms()`` approximates, or 0 if unsure.
+
+    ``make_terms`` returns k floats t_i, each an exact term x_i (a rational
+    q, or q times a factor m in {log p, L, 1/L}) evaluated as float(q),
+    float(q) * m_f or float(q) / m_f.  With u = 2^-53:
+
+    * ``float(Fraction)`` is correctly rounded: relative error <= u, or an
+      absolute error <= 2^-1075 when the result is subnormal;
+    * m_f = ``_float_log`` is within one ulp, so m_f = m (1 + e), |e| <= 2u;
+    * the product or quotient rounds once more: relative u, absolute 2^-1075.
+
+    So t_i = x_i (1 + h_i) + a_i with |h_i| <= 4u + O(u^2) and
+    |a_i| <= 2^-1075 (1 + (1 + u) 2^500) < 2^-574, since every factor lies in
+    [2^-500, 2^500] (log p is in [log 2, 2^63) for any int p; ``LogRVal``
+    filters only when |L| >= 2^-500).  Adding the k terms in order costs at
+    most (k-1) u (1 + O(ku)) sum |t_i|; additions are exact in the subnormal
+    range (and Python 3.12's compensated ``sum`` has a smaller bound).  The
+    total error is therefore below (k+3) u (1 + O(ku)) sum |t_i| + k 2^-574,
+    which 2 (k+2) u sum |t_i| + _TINY covers, the rounding of the bound
+    itself included, for any k < 2^70.  When |sum| exceeds it, the float sign
+    is the exact sign.
+
+    Returns 0 when the sum is within the bound, when a conversion raises
+    ``OverflowError``, and on inf or nan: an inf term makes the bound inf and
+    a nan compares false.
+    """
+    try:
+        terms = make_terms()
+    except OverflowError:
+        return 0
+    total = sum(terms)
+    if abs(total) > (len(terms) + 2) * 2.0 ** -52 * sum(map(abs, terms)) + _TINY:
+        return 1 if total > 0 else -1
+    return 0
 
 
 def as_fraction(x: Rat) -> Fraction:
@@ -179,6 +229,11 @@ class LogRVal:
         if self.b == 0 and self.c == 0:
             return 1 if self.a > 0 else -1
         a, b, c = self.a, self.b, self.c
+        L = _float_log(r)
+        if abs(L) >= _FACTOR_MIN:
+            s = _filtered_sign(lambda: (float(a), float(b) * L, float(c) / L))
+            if s:
+                return s
 
         def interval(ctx):
             L = ctx.log(ctx.mpf(r.numerator) / ctx.mpf(r.denominator))
@@ -314,6 +369,10 @@ class PrimeLogVal:
         if not self.logs:
             return 1 if self.const > 0 else -1
         const, logs = self.const, self.logs
+        s = _filtered_sign(lambda: [float(const)] + [
+            float(q) * _float_log(p) for p, q in logs.items()])
+        if s:
+            return s
 
         def interval(ctx):
             acc = ctx.mpf(const.numerator) / const.denominator
@@ -325,12 +384,6 @@ class PrimeLogVal:
 
     def cmp(self, other) -> int:
         return (self - other).sign()
-
-    def to_float(self) -> float:
-        acc = float(self.const)
-        for p, q in self.logs.items():
-            acc += float(q) * float(mpmath.log(p))
-        return acc
 
     def __repr__(self):
         parts = [str(self.const)] if self.const else []

@@ -151,6 +151,10 @@ class SncModelCombinatorics:
             )
             for c in data["components"]
         ]
+        labels = [c.label for c in comps]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ModelValidationError(f"duplicate component label {label!r}")
         return cls(comps, data["strata"], name=data.get("name", "model"))
 
 

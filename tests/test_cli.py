@@ -191,3 +191,18 @@ def test_ma_converge_unresolved_grid_fails_check(data_dir, tmp_path):
     assert set(failed) == {"grid-resolution-kink", "grid-resolution-isotrivial",
                            "grid-resolution-threesec"}
     assert all("suggested_n = 2048" in d for d in failed.values())
+
+
+def test_ma_converge_r_near_one_writes_a_report(data_dir, tmp_path):
+    # a 53-bit quotient rounds this r to 1, and the float log r to 0
+    man = _ma_converge_manifest(data_dir, tmp_path, "r",
+                                "99999999999999999999/100000000000000000000")
+    src = json.loads(man.read_text())
+    src["params"]["grid"] = 32
+    man.write_text(json.dumps(src))
+    rc = main(["ma-converge", "--manifest", str(man), "--out",
+               str(tmp_path / "out")])
+    assert rc == 1  # the 32-cell grid leaves the kink circles unresolved
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    passed = {c["name"] for c in report["checks"] if c["passed"]}
+    assert {"cln-linear-envelope", "cln-antisymmetry"} <= passed

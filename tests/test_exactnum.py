@@ -1,17 +1,26 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from berkhyb import exactnum
 from berkhyb.exactnum import (
     LogRVal,
     PrimeLogVal,
+    _certified_sign,
+    _filtered_sign,
+    _float_log,
     as_fraction,
     logr_max,
     logr_min,
     rat_from_str,
     rat_to_str,
 )
+from berkhyb.harness import ExperimentManifest, run
 
 
 R = Fraction(1, 2)
@@ -51,6 +60,12 @@ def test_to_float():
     x = LogRVal(const=1, logr=2, invlogr=3)
     L = math.log(0.5)
     assert x.to_float(R) == pytest.approx(1 + 2 * L + 3 / L)
+
+
+def test_to_float_near_one():
+    # a 53-bit quotient rounds this r to 1, and log r to 0
+    r = Fraction(10**20 - 1, 10**20)
+    assert LogRVal(invlogr=1).to_float(r) == pytest.approx(-1e20, rel=1e-12)
 
 
 def test_primelog_factorization():
@@ -103,3 +118,128 @@ def test_certified_sign_leaves_global_iv_alone(monkeypatch):
     assert (PrimeLogVal.log_of_int(3) - PrimeLogVal.log_of_int(2)).sign() == 1
     assert PrimeLogVal(-lo, {2: 1}).sign() == 1
     assert PrimeLogVal(-hi, {2: 1}).sign() == -1
+
+
+# -- the float filter against the interval reference ---------------------
+
+PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
+          67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113]
+RATS = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+NONZERO = RATS.filter(bool)
+# 10^400 overflows a float and 10^-400 underflows one
+SCALED = st.builds(lambda q, s: q * s, RATS, st.sampled_from(
+    [Fraction(1), Fraction(10**400), Fraction(1, 10**400)]))
+
+
+def radii(near_one: int):
+    """r in (0, 1), also within 10^-400 of 0 and 10^-near_one of 1."""
+    return st.one_of(
+        st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100),
+                     max_denominator=1000),
+        st.integers(1, 400).map(lambda k: Fraction(1, 10**k)),
+        st.integers(1, near_one).map(lambda k: 1 - Fraction(1, 10**k)),
+    )
+
+
+TIE_GAP = st.integers(-9, 9).filter(bool).map(lambda k: Fraction(k, 10**40))
+
+
+def _rational(x) -> Fraction:
+    """The exact value of an mpf (``man`` is unsigned)."""
+    return int(mpmath.sign(x)) * Fraction(x.man) * Fraction(2) ** x.exp
+
+
+def _mp(q: Fraction, ctx=mpmath):
+    return ctx.mpf(q.numerator) / q.denominator
+
+
+def _primelog_reference(v: PrimeLogVal) -> int:
+    if v.is_zero():
+        return 0
+
+    def interval(ctx):
+        return _mp(v.const, ctx) + sum(
+            (_mp(q, ctx) * ctx.log(ctx.mpf(p)) for p, q in v.logs.items()),
+            ctx.mpf(0))
+    return _certified_sign(interval)
+
+
+def _logr_reference(v: LogRVal, r: Fraction) -> int:
+    if v.is_zero():
+        return 0
+
+    def interval(ctx):
+        L = ctx.log(ctx.mpf(r.numerator) / ctx.mpf(r.denominator))
+        return _mp(v.a, ctx) + _mp(v.b, ctx) * L + _mp(v.c, ctx) / L
+    return _certified_sign(interval)
+
+
+def _fallbacks():
+    return mock.patch.object(exactnum, "_certified_sign", wraps=_certified_sign)
+
+
+@st.composite
+def primelogs(draw, coeffs=SCALED, min_primes=1):
+    primes = draw(st.lists(st.sampled_from(PRIMES), min_size=min_primes,
+                           max_size=len(PRIMES), unique=True))
+    return PrimeLogVal(draw(coeffs), {p: draw(coeffs) for p in primes})
+
+
+@settings(max_examples=100, deadline=None)
+@given(primelogs())
+def test_primelog_filter_matches_intervals(v):
+    assert v.sign() == _primelog_reference(v)
+
+
+@settings(max_examples=25, deadline=None)
+@given(primelogs(coeffs=RATS, min_primes=20))
+def test_primelog_filter_matches_intervals_on_many_primes(v):
+    assert v.sign() == _primelog_reference(v)
+
+
+@settings(max_examples=50, deadline=None)
+@given(primelogs(coeffs=NONZERO), TIE_GAP)
+def test_primelog_near_tie_reaches_the_fallback(v, gap):
+    with mpmath.workprec(400):
+        exact = _rational(sum(_mp(q) * mpmath.log(p) for p, q in v.logs.items()))
+    tie = PrimeLogVal(-exact - gap, v.logs)  # -gap, up to 2^-400 of exact
+    with _fallbacks() as fallback:
+        assert tie.sign() == _primelog_reference(tie) == (1 if gap < 0 else -1)
+    assert fallback.call_count == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(SCALED, SCALED, SCALED, radii(near_one=300))
+def test_logr_filter_matches_intervals(a, b, c, r):
+    v = LogRVal(a, b, c)
+    assert v.sign(r) == _logr_reference(v, r)
+
+
+@settings(max_examples=50, deadline=None)
+@given(NONZERO, NONZERO, radii(near_one=100), TIE_GAP)
+def test_logr_near_tie_reaches_the_fallback(b, c, r, gap):
+    bits = max(r.numerator.bit_length(), r.denominator.bit_length())
+    with mpmath.workprec(2 * bits + 400):
+        L = mpmath.log(_mp(r))
+        exact = _rational(_mp(b) * L + _mp(c) / L)
+    tie = LogRVal(-exact - gap, b, c)  # -gap, up to 2^-400 of exact
+    with _fallbacks() as fallback:
+        assert tie.sign(r) == _logr_reference(tie, r) == (1 if gap < 0 else -1)
+    assert fallback.call_count == 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(primelogs(), SCALED, SCALED, SCALED, radii(near_one=300), RATS)
+def test_exact_zeros_are_structural(v, a, b, c, r, q):
+    assert (v - v).sign() == 0
+    assert (LogRVal(a, b, c) - LogRVal(a, b, c)).sign(r) == 0
+    t = float(q) * _float_log(3)
+    assert _filtered_sign(lambda: [t, -t]) == 0
+
+
+def test_bundled_mz_check_never_reaches_the_fallback(data_dir):
+    man = ExperimentManifest.load(data_dir / "manifests" / "mz_check.json")
+    with _fallbacks() as fallback, mock.patch.object(
+            exactnum, "_filtered_sign", wraps=_filtered_sign) as filtered:
+        assert run(man).passed()
+    assert filtered.call_count > 0 and fallback.call_count == 0

@@ -175,6 +175,20 @@ def test_missing_pullback_target_names_the_model_file(data_dir, tmp_path):
     assert not written
 
 
+def test_duplicate_component_labels_exit_two(data_dir, tmp_path):
+    segment = json.loads((data_dir / "models" / "segment.json").read_text())
+    segment["components"][1]["label"] = "w1"
+    bad = tmp_path / "segment.json"
+    bad.write_text(json.dumps(segment))
+    models = [str(bad)] + [str(data_dir / "models" / f"{m}.json")
+                           for m in ("triangle", "blowup")]
+    man = mutate(bundled(data_dir, "retract"), ("inputs", "models"), models)
+    rc, err, written = run_cli("retract", man, tmp_path)
+    assert rc == 2
+    assert f"{bad}: duplicate component label 'w1'" in err
+    assert not written
+
+
 # Fuzz bases: the bundled manifests at sizes that keep each run short.
 # Every key is still mutated; the sizes only bound the run time.
 SMALL = {
