@@ -3,7 +3,8 @@
     berkhyb <kind> --manifest <path> [--out <dir>] [--seed <u64>]
 
 Exit status: 0 when every check passes, 1 on check failures (the report
-is still written), 2 on manifest/parse errors (no outputs are written).
+is still written), 2 on manifest/parse errors or an output path that is
+not a directory (no outputs are written).
 The default output directory is ``berkhyb-out/<kind>`` under the current
 directory, or $BERKHYB_OUT when set.
 """
@@ -33,8 +34,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _not_a_directory(path: Path) -> bool:
+    """Whether ``path``, or the nearest of its ancestors that exists, is
+    something other than a directory, so the report cannot be written."""
+    for p in (path, *path.parents):
+        if p.exists():
+            return not p.is_dir()
+    return False
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out_dir = Path(args.out or os.environ.get("BERKHYB_OUT")
+                   or Path("berkhyb-out") / args.kind)
+    if _not_a_directory(out_dir):
+        print(f"error: {out_dir}: not a directory", file=sys.stderr)
+        return 2
     try:
         manifest = ExperimentManifest.load(args.manifest)
         if manifest.kind != args.kind:
@@ -49,16 +64,14 @@ def main(argv=None) -> int:
     except ManifestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out_dir = args.out or os.environ.get("BERKHYB_OUT") or \
-        str(Path("berkhyb-out") / args.kind)
-    write_report(report, Path(out_dir))
+    write_report(report, out_dir)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         line = f"[{status}] {check.name}"
         if check.details:
             line += f": {check.details}"
         print(line)
-    print(f"report: {Path(out_dir) / 'report.json'}")
+    print(f"report: {out_dir / 'report.json'}")
     return 0 if report.passed() else 1
 
 

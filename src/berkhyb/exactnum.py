@@ -26,8 +26,6 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Union
 
-from mpmath.ctx_iv import MPIntervalContext
-
 Rat = Union[int, Fraction]
 
 _PRECISIONS = (80, 160, 320, 640, 1280, 2560)
@@ -37,8 +35,11 @@ _PRECISIONS = (80, 160, 320, 640, 1280, 2560)
 def _interval_context(prec: int) -> MPIntervalContext:
     """A private interval context at ``prec`` bits, built on first use.
 
-    The global ``mpmath.iv`` is never read or changed.
+    The global ``mpmath.iv`` is never read or changed.  This is the one
+    place that imports mpmath.
     """
+    from mpmath.ctx_iv import MPIntervalContext
+
     ctx = MPIntervalContext()
     ctx.prec = prec
     return ctx

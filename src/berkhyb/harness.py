@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .exactnum import LogRVal, rat_from_str, rat_to_str
 from .hybrid import (
@@ -425,6 +423,8 @@ def _random_laurent(model, rng: random.Random, max_vars: int, max_terms: int,
 
 
 def run_val_eval(man: ExperimentManifest, rep: RunReport):
+    import numpy as np
+
     model = _random_model()
     n = man.param("n_random", 1000, _COUNT)
     exp_lo = man.param("exp_lo", -10, _int())
@@ -889,6 +889,8 @@ def run_lelong(man: ExperimentManifest, rep: RunReport):
 
 
 def run_rho_r(man: ExperimentManifest, rep: RunReport):
+    import numpy as np
+
     # the numeric samples lie on |t| = 3/10 and the round trips map into
     # r' = 3/4 > r; for r >= 3/10, r^500 is still a normal double
     cfg = HybridConfig(r=man.param("r", "1/2", _rat("[3/10, 3/4)")))

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .exactnum import as_fraction
 from .valuation import INF, LaurentSeriesData, weighted_min_of_terms
 
@@ -72,6 +70,8 @@ def hybrid_path_limit(
     cancellation or a limit far from the monomial prediction is reported
     as a degenerate-path diagnostic, not an error.
     """
+    import numpy as np
+
     if c == 0:
         raise ValueError("path coefficient c must be nonzero")
     sched = [float(cfg.r) * 10.0 ** (-k) for k in range(SCHEDULE_K_MAX + 1)]
@@ -145,6 +145,8 @@ class RadialSampling:
 def sample_circle_sups(func: Callable[[complex], float],
                        radii: Sequence[float]) -> RadialSampling:
     """sup over N_ANGLES equally spaced angles of func on each circle."""
+    import numpy as np
+
     angles = np.linspace(0.0, 2.0 * math.pi, N_ANGLES, endpoint=False)
     pts = []
     for rho in radii:
@@ -170,6 +172,8 @@ def lelong_estimate(sampling: RadialSampling) -> LelongEstimate:
     smallest; per-decade slopes act as a drift diagnostic, and
     non-monotone sup values beyond tolerance produce a warning.
     """
+    import numpy as np
+
     pts = list(sampling.points)
     if len(pts) < 4:
         raise ValueError("need at least 4 radii")

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .exactnum import rat_from_str, rat_to_str
+from .exactnum import as_fraction, rat_from_str, rat_to_str
 from .valuation import INF, LaurentSeriesData, QuasiMonomialPoint, qm_eval
 
 
@@ -116,7 +116,7 @@ class SncModelCombinatorics:
         return QuasiMonomialPoint(
             self,
             tuple(stratum),
-            tuple(Fraction(w) for w in weights),
+            tuple(map(as_fraction, weights)),
         )
 
     def uniformizer(self) -> LaurentSeriesData:

@@ -57,8 +57,6 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import Sequence
 
-import numpy as np
-
 from .exactnum import LogRVal, as_fraction, rat_from_str, rat_to_str
 from .models import SncModelCombinatorics
 from .pafunc import AffineLine, PAFunction1D, upper_envelope
@@ -370,6 +368,8 @@ class _Cells:
     @classmethod
     def build(cls, halo_log_abs, index, multiplicity) -> "_Cells":
         """The stored cells of a halo grid, with every array read-only."""
+        import numpy as np
+
         log_abs = halo_log_abs[1:-1, 1:-1].ravel()[index]
         order = np.argsort(log_abs, kind="stable")
         for a in (halo_log_abs, index, multiplicity, log_abs, order):
@@ -398,6 +398,8 @@ class _ChartGeometry:
     """
 
     def __init__(self, L: float, n: int):
+        import numpy as np
+
         h = 2.0 * L / n
         self.n = n
         self.centers = h * (np.arange(n + 2) - (n + 1) / 2)
@@ -411,11 +413,15 @@ class _ChartGeometry:
 
     @cached_property
     def full(self) -> _Cells:
+        import numpy as np
+
         halo = np.log(np.abs(_complex_grid(self.centers, self.centers)))
         return _Cells.build(halo, slice(None), 1.0)
 
     @cached_property
     def octant(self) -> _Cells:
+        import numpy as np
+
         half = self.n // 2
         quadrant = self.centers[half:]  # -h/2, h/2, ..., L + h/2
         # np.abs of complex centers, as on the full grid, so the values
@@ -432,6 +438,8 @@ def _geometry(L: float, n: int) -> _ChartGeometry:
 
 
 def _smoothstep(x: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     y = np.clip(x, 0.0, 1.0)
     return y * y * (3.0 - 2.0 * y)
 
@@ -454,6 +462,8 @@ def partition_weight(chart: Chart, u: np.ndarray,
     run of that order found by bisection: only its cells are evaluated,
     and the cells on either side get their exact weight, 0 or 1, directly.
     """
+    import numpy as np
+
     if order is None:
         w = np.ones_like(u)
         if math.isfinite(chart.u_lo):
@@ -489,6 +499,8 @@ def _entry_log_modulus(entry: FamilyEntry, degree: int, t: complex,
     log|xi| of the route's halo grid; more terms use Horner's rule on the
     complex nodes of the full grid.
     """
+    import numpy as np
+
     logabs_t = math.log(abs(t))
     powers = [((degree - k) if chart.invert else k,
                float(entry.q) - float(chart.p) * k, coef)
@@ -524,6 +536,8 @@ def _potential_on_grid(family: CurveFamily, t: complex, chart: Chart,
     """Fiber potential (real array) at the nodes of the halo grid whose
     log|xi| is ``log_abs``: the full grid's, or (radial families only) the
     positive quadrant's."""
+    import numpy as np
+
     logabs_t = math.log(abs(t))
     phi = None
     terms = []
@@ -639,6 +653,8 @@ def pushforward_log_radius(grid: GridMeasure) -> LineCloud:
     Leakage accounting reports the weighted mass missing from the chart
     relative to its raw Laplacian total.
     """
+    import numpy as np
+
     order = grid.u_order
     kept = order[(np.abs(grid.per_cell_masses()) > MASS_FLOOR)[order]]
     return LineCloud(grid.cell_u[kept], grid.cell_masses[kept],
@@ -646,6 +662,8 @@ def pushforward_log_radius(grid: GridMeasure) -> LineCloud:
 
 
 def combine_clouds(clouds: Sequence[LineCloud]) -> LineCloud:
+    import numpy as np
+
     if not clouds:
         return LineCloud(np.zeros(0), np.zeros(0))
     u = np.concatenate([c.u for c in clouds])
@@ -655,6 +673,8 @@ def combine_clouds(clouds: Sequence[LineCloud]) -> LineCloud:
 
 def wasserstein1_line(u1, m1, u2, m2) -> float:
     """W1 between two finite measures on the line (normalized to unit mass)."""
+    import numpy as np
+
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
     m1 = np.asarray(m1, dtype=float)
@@ -673,6 +693,8 @@ def wasserstein1_line(u1, m1, u2, m2) -> float:
 
 
 def atoms_to_arrays(measure: AtomicMeasure, r: Fraction):
+    import numpy as np
+
     us, ms = [], []
     for atom in measure.nonzero().atoms:
         if atom.u is None:
@@ -720,6 +742,8 @@ def weak_convergence_experiment(
     The chart geometry of each (L, grid_n) is built once per process and
     shared by every t and family.
     """
+    import numpy as np
+
     mu0 = family_limit_measure(family, r)
     u0, m0 = atoms_to_arrays(mu0, r)
     rows = []
@@ -788,6 +812,8 @@ def cln_stability_check(
     Superlinear growth (relative residual beyond tolerance) is a failure
     report.
     """
+    import numpy as np
+
     idx = len(family.entries) - 1
     ds, diffs = [], []
     for d in deltas:

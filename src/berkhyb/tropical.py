@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .exactnum import LogRVal, as_fraction, logr_max, logr_min
 from .models import SncModelCombinatorics, build_dual_complex
 from .pafunc import PAFunctionOnComplex
@@ -190,6 +188,8 @@ def lse_max_gap(values, m: int) -> float | np.ndarray:
 
     Reduces over the last axis: a float for a vector, else an array.
     """
+    import numpy as np
+
     x = np.asarray(values, dtype=float)
     if x.ndim == 0 or x.shape[-1] == 0:
         raise ValueError("need a non-empty vector")

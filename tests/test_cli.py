@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import berkhyb
 from berkhyb.cli import main
 from berkhyb.harness import ExperimentManifest, ManifestError, run, write_report
 from berkhyb.pafunc import ContinuityError, PAFunctionOnComplex
@@ -206,3 +210,49 @@ def test_ma_converge_r_near_one_writes_a_report(data_dir, tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     passed = {c["name"] for c in report["checks"] if c["passed"]}
     assert {"cln-linear-envelope", "cln-antisymmetry"} <= passed
+
+
+@pytest.mark.parametrize("rel", ["taken", "taken/sub/dir"])
+def test_out_naming_a_file_exit_two(data_dir, tmp_path, capsys, rel):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    out = tmp_path / rel
+    rc = main(["rho-r", "--manifest", str(manifest_path(data_dir, "rho_r.json")),
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {out}: not a directory\n"
+    assert taken.read_text() == "keep\n"
+    assert list(tmp_path.iterdir()) == [taken]
+
+
+def _libraries_loaded_by(code: str) -> list:
+    """numpy and mpmath, as far as ``code`` loads them in a fresh interpreter."""
+    probe = (code + "\nimport json, sys\nprint(json.dumps("
+             "[m for m in ('numpy', 'mpmath') if m in sys.modules]))")
+    env = {**os.environ, "PYTHONPATH": str(Path(berkhyb.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_import_and_manifest_load_need_neither_numpy_nor_mpmath(data_dir):
+    manifests = sorted(map(str, (data_dir / "manifests").glob("*.json")))
+    assert len(manifests) == 8
+    assert _libraries_loaded_by(
+        "import berkhyb.cli\n"
+        "from berkhyb.harness import ExperimentManifest\n"
+        f"for path in {manifests!r}:\n"
+        "    ExperimentManifest.load(path)") == []
+
+
+@pytest.mark.parametrize("kind,unused", [
+    ("retract", {"numpy", "mpmath"}), ("ma-model", {"numpy", "mpmath"}),
+    ("mz-check", {"numpy"}), ("na-limit", {"numpy"}),
+], ids=["retract", "ma-model", "mz-check", "na-limit"])
+def test_exact_kinds_leave_numpy_unloaded(data_dir, tmp_path, kind, unused):
+    argv = [kind, "--manifest",
+            str(manifest_path(data_dir, kind.replace("-", "_") + ".json")),
+            "--out", str(tmp_path / "out")]
+    loaded = _libraries_loaded_by(
+        f"from berkhyb.cli import main\nassert main({argv!r}) == 0")
+    assert unused.isdisjoint(loaded)

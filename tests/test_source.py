@@ -42,3 +42,25 @@ def test_every_method_is_referenced():
         and not (d.name.startswith("__") and d.name.endswith("__"))
         and everywhere[d.name] == _names(d)[d.name]]
     assert unreferenced == []
+
+
+def _eager_imports(node):
+    """(line, top-level package) of each absolute import that runs when the
+    module is imported, that is, outside every function body."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            for alias in child.names:
+                yield child.lineno, alias.name.split(".")[0]
+        elif isinstance(child, ast.ImportFrom):
+            if child.level == 0:
+                yield child.lineno, child.module.split(".")[0]
+        elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _eager_imports(child)
+
+
+def test_numpy_and_mpmath_are_imported_on_first_use():
+    # `import berkhyb.cli` and the exact kinds must not pay to load them
+    eager = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line, package in _eager_imports(ast.parse(path.read_text()))
+             if package in ("numpy", "mpmath")]
+    assert eager == []
