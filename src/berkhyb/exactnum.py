@@ -22,6 +22,7 @@ refinement terminates.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import cache
 from typing import Iterable, Union
@@ -29,6 +30,7 @@ from typing import Iterable, Union
 Rat = Union[int, Fraction]
 
 _PRECISIONS = (80, 160, 320, 640, 1280, 2560)
+_ZERO = Fraction(0)
 
 
 @cache
@@ -147,12 +149,19 @@ class LogRVal:
         self.b = as_fraction(logr)
         self.c = as_fraction(invlogr)
 
+    @classmethod
+    def _canonical(cls, a: Fraction, b: Fraction, c: Fraction) -> "LogRVal":
+        """Trusted constructor: a, b and c are already Fractions."""
+        self = cls.__new__(cls)
+        self.a, self.b, self.c = a, b, c
+        return self
+
     # -- constructors -------------------------------------------------
     @classmethod
     def of(cls, x) -> "LogRVal":
         if isinstance(x, LogRVal):
             return x
-        return cls(const=as_fraction(x))
+        return cls._canonical(as_fraction(x), _ZERO, _ZERO)
 
     @classmethod
     def logr(cls, coeff: Rat = 1) -> "LogRVal":
@@ -165,24 +174,25 @@ class LogRVal:
     # -- ring-ish operations ------------------------------------------
     def __add__(self, other) -> "LogRVal":
         o = LogRVal.of(other)
-        return LogRVal(self.a + o.a, self.b + o.b, self.c + o.c)
+        return LogRVal._canonical(self.a + o.a, self.b + o.b, self.c + o.c)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LogRVal":
-        return LogRVal(-self.a, -self.b, -self.c)
+        return LogRVal._canonical(-self.a, -self.b, -self.c)
 
     def __sub__(self, other) -> "LogRVal":
-        return self + (-LogRVal.of(other))
+        o = LogRVal.of(other)
+        return LogRVal._canonical(self.a - o.a, self.b - o.b, self.c - o.c)
 
     def __rsub__(self, other) -> "LogRVal":
-        return LogRVal.of(other) + (-self)
+        return LogRVal.of(other) - self
 
     def __mul__(self, o) -> "LogRVal":
         if not isinstance(o, LogRVal):
             # rational scalar: same canonical value as the general product
             q = as_fraction(o)
-            return LogRVal(self.a * q, self.b * q, self.c * q)
+            return LogRVal._canonical(self.a * q, self.b * q, self.c * q)
         if self.b * o.b != 0 or self.c * o.c != 0:
             raise ArithmeticError("product leaves the span {1, log r, 1/log r}")
         # (a1 + b1 L + c1/L)(a2 + b2 L + c2/L) with b1*b2 = c1*c2 = 0;
@@ -190,7 +200,7 @@ class LogRVal:
         const = self.a * o.a + self.b * o.c + self.c * o.b
         logr = self.a * o.b + self.b * o.a
         inv = self.a * o.c + self.c * o.a
-        return LogRVal(const, logr, inv)
+        return LogRVal._canonical(const, logr, inv)
 
     __rmul__ = __mul__
 
@@ -200,10 +210,11 @@ class LogRVal:
                 return self * Fraction(1, 1) / other.a
             if other.a == 0 and other.c == 0 and self.c == 0:
                 # (a + bL)/ (b2 L) = b/b2 + (a/b2)/L
-                return LogRVal(self.b / other.b, 0, self.a / other.b)
+                return LogRVal._canonical(self.b / other.b, _ZERO,
+                                          self.a / other.b)
             raise ArithmeticError("division leaves the span")
         q = as_fraction(other)
-        return LogRVal(self.a / q, self.b / q, self.c / q)
+        return LogRVal._canonical(self.a / q, self.b / q, self.c / q)
 
     def __eq__(self, other) -> bool:
         o = LogRVal.of(other)
@@ -305,10 +316,18 @@ class PrimeLogVal:
         self.logs = clean
 
     @classmethod
+    def _canonical(cls, const: Fraction, logs: dict) -> "PrimeLogVal":
+        """Trusted constructor: ``const`` is a Fraction and ``logs`` maps
+        int primes to nonzero Fractions; ``logs`` is taken, not copied."""
+        self = cls.__new__(cls)
+        self.const, self.logs = const, logs
+        return self
+
+    @classmethod
     def of(cls, x) -> "PrimeLogVal":
         if isinstance(x, PrimeLogVal):
             return x
-        return cls(const=as_fraction(x))
+        return cls._canonical(as_fraction(x), {})
 
     @classmethod
     def log_of_int(cls, n: int) -> "PrimeLogVal":
@@ -316,38 +335,50 @@ class PrimeLogVal:
         if n == 0:
             raise ValueError("log of zero")
         n = abs(n)
-        logs: dict[int, Fraction] = {}
+        logs: dict[int, int] = {}
         p = 2
         while p * p <= n:
             while n % p == 0:
-                logs[p] = logs.get(p, Fraction(0)) + 1
+                logs[p] = logs.get(p, 0) + 1
                 n //= p
             p += 1
         if n > 1:
-            logs[n] = logs.get(n, Fraction(0)) + 1
-        return cls(0, logs)
+            logs[n] = logs.get(n, 0) + 1
+        return cls._canonical(_ZERO, {p: Fraction(e) for p, e in logs.items()})
 
-    def __add__(self, other) -> "PrimeLogVal":
+    def _combine(self, other, op) -> "PrimeLogVal":
+        """``self op other`` for op in {add, sub}, zero coefficients dropped."""
         o = PrimeLogVal.of(other)
         logs = dict(self.logs)
         for p, q in o.logs.items():
-            logs[p] = logs.get(p, Fraction(0)) + q
-        return PrimeLogVal(self.const + o.const, logs)
+            s = op(logs.get(p, _ZERO), q)
+            if s:
+                logs[p] = s
+            else:
+                del logs[p]
+        return PrimeLogVal._canonical(op(self.const, o.const), logs)
+
+    def __add__(self, other) -> "PrimeLogVal":
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PrimeLogVal":
-        return PrimeLogVal(-self.const, {p: -q for p, q in self.logs.items()})
+        return PrimeLogVal._canonical(
+            -self.const, {p: -q for p, q in self.logs.items()})
 
     def __sub__(self, other) -> "PrimeLogVal":
-        return self + (-PrimeLogVal.of(other))
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other) -> "PrimeLogVal":
-        return PrimeLogVal.of(other) + (-self)
+        return PrimeLogVal.of(other) - self
 
     def __mul__(self, scalar) -> "PrimeLogVal":
         q = as_fraction(scalar)
-        return PrimeLogVal(self.const * q, {p: c * q for p, c in self.logs.items()})
+        if not q:
+            return PrimeLogVal._canonical(_ZERO, {})
+        return PrimeLogVal._canonical(
+            self.const * q, {p: c * q for p, c in self.logs.items()})
 
     __rmul__ = __mul__
 

@@ -151,7 +151,7 @@ def sample_circle_sups(func: Callable[[complex], float],
     pts = []
     for rho in radii:
         zs = rho * np.exp(1j * angles)
-        sup = max(func(complex(z)) for z in zs)
+        sup = max(map(func, zs.tolist()))
         pts.append((float(rho), float(sup)))
     return RadialSampling(tuple(pts))
 

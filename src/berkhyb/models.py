@@ -8,7 +8,7 @@ equations.  Connectedness of strata is declared, not verified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -38,12 +38,15 @@ class MonomialPullback:
 
     ``matrix[i][k]``: the target local equation z_i pulls back to
     prod_k (z'_k)^{matrix[i][k]} times a unit.  Multiplicity
-    compatibility a'^T = a^T M holds on matching charts.
+    compatibility a'^T = a^T M holds on matching charts.  The matrix is
+    immutable, so each pullback monomial is built once.
     """
 
     source: "SncModelCombinatorics"
     target: "SncModelCombinatorics"
     matrix: tuple[tuple[int, ...], ...]
+    _monomials: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def __post_init__(self):
         nt = len(self.target.components)
@@ -64,8 +67,11 @@ class MonomialPullback:
 
     def pullback_monomial(self, i: int) -> LaurentSeriesData:
         """The target equation z_i as a monomial in source variables."""
-        labels = [c.label for c in self.source.components]
-        return LaurentSeriesData.monomial(labels, self.matrix[i])
+        mono = self._monomials.get(i)
+        if mono is None:
+            mono = self._monomials[i] = LaurentSeriesData.monomial(
+                self.source.variable_labels(), self.matrix[i])
+        return mono
 
 
 class SncModelCombinatorics:
@@ -155,7 +161,10 @@ class SncModelCombinatorics:
         for label in labels:
             if labels.count(label) > 1:
                 raise ModelValidationError(f"duplicate component label {label!r}")
-        return cls(comps, data["strata"], name=data.get("name", "model"))
+        name = data.get("name", "model")
+        if not isinstance(name, str):
+            raise ModelValidationError(f"model name must be a string, got {name!r}")
+        return cls(comps, data["strata"], name=name)
 
 
 @dataclass(frozen=True)

@@ -186,11 +186,6 @@ def mz_fs_eval(family: Sequence[tuple[int, Fraction]], m: int, point: MZPoint):
     )
 
 
-def _branch(hull, cuts) -> BranchPA:
-    return BranchPA(tuple(s for s, _ in hull), tuple(c for _, c in hull),
-                    tuple(cuts))
-
-
 def _cut_le(cut, bound: Fraction) -> bool:
     """Exact: is a cut (rational, or ratio pair with positive den) <= bound?"""
     if isinstance(cut, tuple):
@@ -200,48 +195,60 @@ def _cut_le(cut, bound: Fraction) -> bool:
     return cut <= bound
 
 
-def _restrict_branch(pa: BranchPA, lo: Fraction,
-                     hi: Fraction | None = None) -> BranchPA:
+def _restrict_branch(hull, cuts, lo: Fraction, hi: Fraction) -> BranchPA:
     """Drop envelope pieces active only outside [lo, hi] (exact cut tests).
 
-    Envelopes are built over the whole line, but a branch starts at its
-    origin (and the archimedean branch ends at 1); the outgoing slope at
-    the origin is the slope of the piece active just inside.
+    Envelopes are built over the whole line, but the archimedean branch
+    runs from its origin to 1; the outgoing slope at the origin is the
+    slope of the piece active just inside.
     """
-    slopes, consts, cuts = list(pa.slopes), list(pa.consts), list(pa.cuts)
+    hull, cuts = list(hull), list(cuts)
     while cuts and _cut_le(cuts[0], lo):
-        slopes.pop(0)
-        consts.pop(0)
+        hull.pop(0)
         cuts.pop(0)
-    if hi is not None:
-        while cuts and not _cut_le(cuts[-1], hi):
-            slopes.pop()
-            consts.pop()
-            cuts.pop()
-    return BranchPA(tuple(slopes), tuple(consts), tuple(cuts))
+    while cuts and not _cut_le(cuts[-1], hi):
+        hull.pop()
+        cuts.pop()
+    return BranchPA(tuple(s for s, _ in hull), tuple(c for _, c in hull),
+                    tuple(cuts))
 
 
 def mz_from_family(family: Sequence[tuple[int, Fraction]], m: int) -> MZFunction:
-    """The MZFunction of m^{-1} max_a (log|n_a| + c_a), exact on every branch."""
+    """The MZFunction of m^{-1} max_a (log|n_a| + c_a), exact on every branch.
+
+    Each n_a is factored once.  A p-adic branch is built on one integer
+    lattice: with D (``lattice``) the lcm of the denominators of the c_a,
+    line a is (D m)^{-1} (-v_p(n_a) D x + c_a D).  Scaling every line by
+    the same positive constant changes neither the hull, nor its ties, nor
+    where its lines meet, so the hull is taken of the integer lines.
+    """
     fam = [(int(n), as_fraction(c)) for n, c in family]
     if any(n == 0 for n, _ in fam):
         raise ValueError("family members must be nonzero integers")
-    primes = sorted({p for n, _ in fam for p in PrimeLogVal.log_of_int(n).logs})
+    logs = [PrimeLogVal.log_of_int(n) for n, _ in fam]
     origin = max(c for _, c in fam) / m
+    lattice = math.lcm(*(c.denominator for _, c in fam))
+    scale = lattice * m
+    offsets = [c.numerator * (lattice // c.denominator) for _, c in fam]
     branches = {}
-    for p in primes:
-        lines = [
-            (Fraction(-padic_valuation(n, p), m), c / m) for n, c in fam
-        ]
+    for p in sorted({p for lg in logs for p in lg.logs}):
+        lines = [(-int(lg.logs.get(p, 0)) * lattice, o)
+                 for lg, o in zip(logs, offsets)]
         hull, edges = upper_hull(lines, lambda q: (q > 0) - (q < 0))
-        cuts = [num / den for num, den in edges]
-        branches[p] = _restrict_branch(_branch(hull, cuts), Fraction(0))
-    arch_lines = [
-        (PrimeLogVal.log_of_int(n) / m, c / m) for n, c in fam
-    ]
+        # the branch starts at the origin: drop pieces whose right cut
+        # num/den (den > 0) is <= 0
+        k = 0
+        while k < len(edges) and edges[k][0] <= 0:
+            k += 1
+        branches[p] = BranchPA(
+            tuple(Fraction(s, scale) for s, _ in hull[k:]),
+            tuple(Fraction(o, scale) for _, o in hull[k:]),
+            tuple(Fraction(num, den) for num, den in edges[k:]),
+        )
+    arch_lines = [(lg / m, c / m) for lg, (_, c) in zip(logs, fam)]
     # archimedean cuts stay (num, den) pairs: num/den leaves the span
     hull, edges = upper_hull(arch_lines, lambda v: PrimeLogVal.of(v).sign())
-    arch = _restrict_branch(_branch(hull, edges), Fraction(0), Fraction(1))
+    arch = _restrict_branch(hull, edges, Fraction(0), Fraction(1))
     default = BranchPA((Fraction(0),), (origin,))
     return MZFunction(origin, branches, arch, default)
 

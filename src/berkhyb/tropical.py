@@ -10,7 +10,7 @@ enters all order comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactnum import LogRVal, as_fraction, logr_max, logr_min
@@ -42,12 +42,18 @@ def _monomial_exponent(s: LaurentSeriesData) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class TropicalFSMetric:
-    """m^{-1} max_alpha (log|s_alpha| + c_alpha), relative to a reference."""
+    """m^{-1} max_alpha (log|s_alpha| + c_alpha), relative to a reference.
+
+    ``quotients`` pairs each s_alpha / reference^m with its c_alpha; it is
+    computed once, at construction.
+    """
 
     m: int
     entries: tuple[tuple[LaurentSeriesData, Fraction], ...]
     reference: LaurentSeriesData
     meromorphic_ok: bool = False
+    quotients: tuple[tuple[LaurentSeriesData, Fraction], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m <= 0:
@@ -58,6 +64,8 @@ class TropicalFSMetric:
         for s, _c in self.entries:
             if s.variables != self.reference.variables:
                 raise ConfigurationError("incompatible variable sets")
+        object.__setattr__(self, "quotients", tuple(
+            (self.quotient(s), c) for s, c in self.entries))
 
     @classmethod
     def build(cls, m, entries, reference, meromorphic_ok=False):
@@ -104,8 +112,8 @@ def tfs_eval(phi: TropicalFSMetric, v: QuasiMonomialPoint, r: Fraction) -> LogRV
     by the smallest valuation part.
     """
     candidates = []
-    for s, c in phi.entries:
-        val = qm_eval(v, phi.quotient(s))
+    for q, c in phi.quotients:
+        val = qm_eval(v, q)
         if val == INF:
             continue
         candidates.append(LogRVal(const=c, logr=val))
@@ -151,8 +159,8 @@ def na_limit_tfs(phi: TropicalFSMetric, model: SncModelCombinatorics,
         b = model.multiplicity(i)
         v = divisorial_point(model, i)
         candidates = []
-        for s, c in phi.entries:
-            val = qm_eval(v, phi.quotient(s))
+        for q, c in phi.quotients:
+            val = qm_eval(v, q)
             if val == INF:
                 continue
             ord_e = b * val  # ord_E = b_E * v_E on the quotient

@@ -243,3 +243,90 @@ def test_bundled_mz_check_never_reaches_the_fallback(data_dir):
             exactnum, "_filtered_sign", wraps=_filtered_sign) as filtered:
         assert run(man).passed()
     assert filtered.call_count > 0 and fallback.call_count == 0
+
+
+# -- trusted constructors against the validating ones --------------------
+
+SMALL_RATS = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+SCALARS = st.one_of(SMALL_RATS, st.integers(-5, 5))
+
+
+@st.composite
+def primelog_parts(draw):
+    # few primes and small coefficients, so sums often cancel to zero
+    primes = draw(st.lists(st.sampled_from(PRIMES[:5]), max_size=5, unique=True))
+    return draw(SMALL_RATS), {p: draw(SMALL_RATS) for p in primes}
+
+
+def _lin(u, s, v=(0, {}), t=0):
+    """s*u + t*v on (const, logs) parts, zero coefficients kept."""
+    (c1, l1), (c2, l2) = u, v
+    return s * c1 + t * c2, {p: s * l1.get(p, 0) + t * l2.get(p, 0)
+                             for p in {**l1, **l2}}
+
+
+def _same_primelog(got, parts):
+    want = PrimeLogVal(*parts)
+    assert type(got.const) is Fraction and got.const == want.const
+    assert all(type(p) is int and type(q) is Fraction and q != 0
+               for p, q in got.logs.items())
+    assert got.logs == want.logs
+    assert got == want and hash(got) == hash(want)
+    assert got.to_json() == want.to_json()
+
+
+@settings(max_examples=100, deadline=None)
+@given(primelog_parts(), primelog_parts(), SCALARS)
+def test_trusted_primelog_arithmetic_matches_validating(u, v, q):
+    x, y = PrimeLogVal(*u), PrimeLogVal(*v)
+    _same_primelog(x + y, _lin(u, 1, v, 1))
+    _same_primelog(x - y, _lin(u, 1, v, -1))
+    _same_primelog(x - x, (0, {}))
+    _same_primelog(-x, _lin(u, -1))
+    _same_primelog(x * q, _lin(u, q))
+    _same_primelog(q * x, _lin(u, q))
+    _same_primelog(x + q, _lin(u, 1, (1, {}), q))
+    _same_primelog(q - x, _lin(u, -1, (1, {}), q))
+    if q:
+        _same_primelog(x / q, _lin(u, Fraction(1) / q))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-10**6, 10**6).filter(bool))
+def test_trusted_log_of_int_matches_validating(n):
+    got = PrimeLogVal.log_of_int(n)
+    assert math.prod(p ** int(e) for p, e in got.logs.items()) == abs(n)
+    assert all(e.denominator == 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
+               for p, e in got.logs.items())
+    _same_primelog(got, (0, dict(got.logs)))
+
+
+def _same_logr(got, a, b, c):
+    want = LogRVal(a, b, c)
+    assert all(type(f) is Fraction for f in (got.a, got.b, got.c))
+    assert (got.a, got.b, got.c) == (want.a, want.b, want.c)
+    assert got == want and hash(got) == hash(want)
+    assert got.to_json() == want.to_json()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(SMALL_RATS, SMALL_RATS, SMALL_RATS),
+       st.tuples(SMALL_RATS, SMALL_RATS, SMALL_RATS), SCALARS)
+def test_trusted_logr_arithmetic_matches_validating(u, v, q):
+    (a1, b1, c1), (a2, b2, c2) = u, v
+    x, y = LogRVal(*u), LogRVal(*v)
+    _same_logr(x + y, a1 + a2, b1 + b2, c1 + c2)
+    _same_logr(x - y, a1 - a2, b1 - b2, c1 - c2)
+    _same_logr(-x, -a1, -b1, -c1)
+    _same_logr(x * q, a1 * q, b1 * q, c1 * q)
+    _same_logr(q * x, a1 * q, b1 * q, c1 * q)
+    _same_logr(x + q, a1 + q, b1, c1)
+    _same_logr(q - x, q - a1, -b1, -c1)
+    if q:
+        _same_logr(x / q, a1 / q, b1 / q, c1 / q)
+    # (a1 + b1 L)(a2 + c2 / L) = a1 a2 + b1 c2 + b1 a2 L + a1 c2 / L
+    _same_logr(LogRVal(a1, b1) * LogRVal(a2, 0, c2),
+               a1 * a2 + b1 * c2, b1 * a2, a1 * c2)
+    if b2:
+        # (a1 + b1 L) / (b2 L) = b1 / b2 + (a1 / b2) / L
+        _same_logr(LogRVal(a1, b1) / LogRVal.logr(b2), b1 / b2, 0, a1 / b2)

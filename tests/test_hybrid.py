@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from berkhyb.hybrid import (
+    N_ANGLES,
     HybridConfig,
     RadialSampling,
     RhoSample,
@@ -59,6 +60,37 @@ def test_path_limit_degenerate_cancellation():
 # ---------------------------------------------------------------------------
 
 RADII = [10.0 ** (-k) for k in range(1, 9)]
+
+
+def _circle_sups_reference(func, radii):
+    """sample_circle_sups as a complex(z) call on each numpy scalar."""
+    import numpy as np
+
+    angles = np.linspace(0.0, 2.0 * math.pi, N_ANGLES, endpoint=False)
+    return tuple((float(rho), float(max(func(complex(z))
+                                        for z in rho * np.exp(1j * angles))))
+                 for rho in radii)
+
+
+def _lelong_functions(scale=50.0, slope=1.5, floor=-5.0):
+    """The four functions that the lelong runner samples."""
+    def phi_main(z):
+        return math.log(abs(z * z + z * z * z))
+
+    return (phi_main,
+            lambda z: phi_main(z) + math.log(abs(1 + scale * z)),
+            lambda z: slope * math.log(abs(z)),
+            lambda z: max(math.log(abs(z)), floor))
+
+
+@pytest.mark.parametrize("params", [{}, {"scale": 7.0, "slope": 8 / 3,
+                                         "floor": -11.0}])
+def test_circle_sups_bit_identical_to_complex_reference(params):
+    for func in _lelong_functions(**params):
+        got = sample_circle_sups(func, RADII).points
+        want = _circle_sups_reference(func, RADII)
+        assert [(r.hex(), v.hex()) for r, v in got] == \
+            [(r.hex(), v.hex()) for r, v in want]
 
 
 def test_lelong_pure_log_exact():

@@ -189,6 +189,61 @@ def test_duplicate_component_labels_exit_two(data_dir, tmp_path):
     assert not written
 
 
+def test_non_string_model_name_exit_two(data_dir, tmp_path):
+    triangle = json.loads((data_dir / "models" / "triangle.json").read_text())
+    triangle["name"] = 0
+    bad = tmp_path / "triangle.json"
+    bad.write_text(json.dumps(triangle))
+    models = [str(data_dir / "models" / f"{m}.json")
+              for m in ("segment", "blowup")] + [str(bad)]
+    man = mutate(bundled(data_dir, "retract"), ("inputs", "models"), models)
+    rc, err, written = run_cli("retract", man, tmp_path)
+    assert rc == 2
+    assert f"{bad}: model name must be a string, got 0" in err
+    assert not written
+
+
+def _tfs_variant(data_dir, tmp_path, edit) -> Path:
+    tfs = json.loads((data_dir / "families" / "tfs_segment.json").read_text())
+    edit(tfs["metric"])
+    path = tmp_path / "tfs_variant.json"
+    path.write_text(json.dumps(tfs))
+    return path
+
+
+def test_na_limit_pole_fails_regularity_check_with_report(data_dir, tmp_path):
+    def pole(metric):
+        metric["entries"][1]["section"]["terms"][0]["exp"] = [-1, 0]
+
+    tfs = [str(_tfs_variant(data_dir, tmp_path, pole)),
+           str(data_dir / "families" / "tfs_triangle.json")]
+    man = mutate(bundled(data_dir, "na-limit"), ("inputs", "tfs"), tfs)
+    rc, err, written = run_cli("na-limit", man, tmp_path)
+    assert rc == 1 and err == ""
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    failed = {c["name"]: c["details"] for c in report["checks"] if not c["passed"]}
+    assert failed == {"regularity-segment":
+                      "section has a pole along component 0 (ord = -1)"}
+    assert "trivial-metric-zero-triangle" in {c["name"] for c in report["checks"]}
+
+
+def test_na_limit_trivial_metric_at_level_two(data_dir, tmp_path):
+    # relative to z^m the sections z^2, z^3 are regular, and the trivial
+    # metric's section is the reference to the m-th power
+    def level_two(metric):
+        metric["m"] = 2
+        metric["reference"]["terms"][0]["exp"] = [1, 0]
+        for entry, exp in zip(metric["entries"], ([2, 0], [3, 0], [2, 1])):
+            entry["section"]["terms"][0]["exp"] = exp
+
+    tfs = [str(_tfs_variant(data_dir, tmp_path, level_two))]
+    man = mutate(bundled(data_dir, "na-limit"), ("inputs", "tfs"), tfs)
+    rc, err, written = run_cli("na-limit", man, tmp_path)
+    assert rc == 0 and err == ""
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert "trivial-metric-zero-segment" in {c["name"] for c in report["checks"]}
+
+
 # Fuzz bases: the bundled manifests at sizes that keep each run short.
 # Every key is still mutated; the sizes only bound the run time.
 SMALL = {

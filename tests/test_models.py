@@ -13,7 +13,7 @@ from berkhyb.models import (
     identity_pullback,
     retraction,
 )
-from berkhyb.valuation import divisorial_point, qm_eval
+from berkhyb.valuation import LaurentSeriesData, divisorial_point, qm_eval
 
 
 def test_face_closure_enforced():
@@ -57,6 +57,18 @@ def test_pullback_multiplicity_compatibility(segment):
     MonomialPullback(blow, segment, ((1, 0, 1), (0, 1, 1)))  # a'^T = a^T M
     with pytest.raises(ModelValidationError):
         MonomialPullback(blow, segment, ((1, 0, 2), (0, 1, 1)))
+
+
+def test_cached_pullback_monomials_equal_fresh_ones(segment, blowup):
+    for pb in (MonomialPullback(blowup, segment, ((1, 0, 1), (0, 1, 1))),
+               identity_pullback(blowup)):
+        for i in range(len(pb.target.components)):
+            cached = pb.pullback_monomial(i)
+            fresh = LaurentSeriesData.monomial(
+                [c.label for c in pb.source.components], pb.matrix[i])
+            assert (cached.variables, cached.terms) == \
+                (fresh.variables, fresh.terms)
+            assert pb.pullback_monomial(i) is cached
 
 
 def test_retraction_identity_on_skeleton(segment, triangle):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from berkhyb.exactnum import PrimeLogVal
 from berkhyb.mztree import (
@@ -9,13 +11,16 @@ from berkhyb.mztree import (
     BranchPA,
     MZFunction,
     MZPoint,
+    _restrict_branch,
     mz_family_identity,
     mz_from_family,
     mz_fs_eval,
     mz_psh_check,
     mz_slopes,
+    padic_valuation,
     random_fs_family,
 )
+from berkhyb.pafunc import upper_hull
 
 
 FAM23 = [(2, Fraction(0)), (3, Fraction(0))]
@@ -156,3 +161,94 @@ def test_json_shape():
     data = F.to_json()
     assert set(data["branches"]) == {"2", "3", "inf", "default"}
     assert data["origin"] == "0"
+
+
+# ---------------------------------------------------------------------------
+# the integer-lattice build against the Fraction-based construction
+# ---------------------------------------------------------------------------
+
+def _prime_factors(n: int) -> list[int]:
+    n, p, out = abs(n), 2, []
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + ([n] if n > 1 else [])
+
+
+def reference_mz_from_family(family, m):
+    """mz_from_family as a Fraction line per member and prime, built with
+    the validating PrimeLogVal constructor."""
+    fam = [(int(n), Fraction(c)) for n, c in family]
+    primes = sorted({p for n, _ in fam for p in _prime_factors(n)})
+    origin = max(c for _, c in fam) / m
+    branches = {}
+    for p in primes:
+        lines = [(Fraction(-padic_valuation(n, p), m), c / m) for n, c in fam]
+        hull, edges = upper_hull(lines, lambda q: (q > 0) - (q < 0))
+        cuts = [num / den for num, den in edges]
+        while cuts and cuts[0] <= 0:
+            hull.pop(0)
+            cuts.pop(0)
+        branches[p] = BranchPA(tuple(s for s, _ in hull),
+                               tuple(c for _, c in hull), tuple(cuts))
+    arch_lines = [
+        (PrimeLogVal(0, {p: Fraction(padic_valuation(n, p), m)
+                         for p in _prime_factors(n)}), c / m)
+        for n, c in fam
+    ]
+    hull, edges = upper_hull(arch_lines, lambda v: PrimeLogVal.of(v).sign())
+    arch = _restrict_branch(hull, edges, Fraction(0), Fraction(1))
+    return MZFunction(origin, branches, arch,
+                      BranchPA((Fraction(0),), (origin,)))
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+CONSTS = st.builds(Fraction, st.integers(-10**30, 10**30),
+                   st.integers(1, 10**30))
+# |n| <= 10^6, often a prime power times a small cofactor
+MEMBERS = st.builds(
+    lambda base, cofactor, sign: sign * base * cofactor,
+    st.one_of(st.integers(1, 10**6),
+              st.builds(pow, st.sampled_from(SMALL_PRIMES), st.integers(1, 6))),
+    st.sampled_from((1, 2, 3, 4, 9, 12)),
+    st.sampled_from((1, -1)),
+).filter(lambda n: abs(n) <= 10**6)
+
+
+@st.composite
+def families(draw):
+    fam = draw(st.lists(st.tuples(MEMBERS, CONSTS), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        # equal |n| with a different c
+        n, c = draw(st.sampled_from(fam))
+        fam.append((-n, c + draw(CONSTS)))
+    if draw(st.booleans()):
+        # three p-adic lines -v x + c, v = 0, 1, 2, through (x0, c0)
+        p = draw(st.sampled_from(SMALL_PRIMES))
+        x0, c0 = draw(CONSTS), draw(CONSTS)
+        fam += [(1, c0), (p, c0 + x0), (p * p, c0 + 2 * x0)]
+    return draw(st.permutations(fam))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fam=families(), m=st.integers(1, 12))
+def test_lattice_build_matches_fraction_reference(fam, m):
+    got, want = mz_from_family(fam, m), reference_mz_from_family(fam, m)
+    assert got == want
+    assert got.to_json() == want.to_json()
+    for pa in got.branches.values():
+        assert all(type(x) is Fraction for x in pa.slopes + pa.consts + pa.cuts)
+
+
+def test_lattice_build_three_concurrent_lines():
+    # 1, 2 and 4 meet on the 2-branch at sigma = 1/3 with value 0: the
+    # middle line (slope -1) is dropped
+    fam = [(1, Fraction(0)), (2, Fraction(1, 3)), (4, Fraction(2, 3))]
+    F = mz_from_family(fam, 1)
+    assert F.branches[2] == BranchPA((Fraction(-2), Fraction(0)),
+                                     (Fraction(2, 3), Fraction(0)),
+                                     (Fraction(1, 3),))
+    assert F == reference_mz_from_family(fam, 1)

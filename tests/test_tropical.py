@@ -146,6 +146,16 @@ def test_na_limit_trivial_and_shift(segment, r, seg_labels):
         assert shifted.formula_values[i] == base.formula_values[i] + Fraction(2, 9)
 
 
+def test_quotients_computed_once_equal_fresh_ones(seg_labels):
+    ref = mono(seg_labels, (1, 0))
+    phi = TropicalFSMetric.build(
+        2, [(mono(seg_labels, (2, 1)), 0), (mono(seg_labels, (3, 0)), 1)], ref)
+    assert [(q.variables, q.terms, c) for q, c in phi.quotients] == [
+        (phi.quotient(s).variables, phi.quotient(s).terms, c)
+        for s, c in phi.entries]
+    assert phi.quotients[0][0].terms[0][0] == (0, 1)
+
+
 def test_na_limit_pole_detection(segment, r, seg_labels):
     from berkhyb.valuation import Coefficient
 
