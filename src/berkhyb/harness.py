@@ -76,6 +76,7 @@ from .valuation import (
     INF,
     Coefficient,
     LaurentSeriesData,
+    QuasiMonomialPoint,
     brute_force_min,
     divisorial_point,
     gauss_extension,
@@ -401,32 +402,73 @@ def _random_model() -> SncModelCombinatorics:
     return SncModelCombinatorics(comps, strata, name="valtest")
 
 
+def _randint(rng: random.Random, lo: int, hi: int) -> int:
+    """``rng.randint(lo, hi)`` from the same draws, without its call chain.
+
+    As in ``Random.randint``, the n = hi - lo + 1 values take
+    k = n.bit_length() bits of ``getrandbits``, drawn again while they
+    are >= n, so the value and the generator's end state are the same.
+    """
+    n = hi - lo + 1
+    if n <= 0:
+        raise ValueError(f"empty range for randint({lo}, {hi})")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return lo + r
+
+
+def _randints(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
+    """``[rng.randint(lo, hi) for _ in range(count)]``, drawn as _randint."""
+    n = hi - lo + 1
+    if n <= 0:
+        raise ValueError(f"empty range for randint({lo}, {hi})")
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        out.append(lo + r)
+    return out
+
+
 def _random_point(model, rng: random.Random):
-    stratum = rng.choice(model.strata)
-    raw = [(rng.randint(0, 6), rng.randint(1, 5)) for _ in stratum]
+    strata = model.strata
+    stratum = strata[_randint(rng, 0, len(strata) - 1)]
+    raw = [(_randint(rng, 0, 6), _randint(rng, 1, 5)) for _ in stratum]
     if not any(a for a, _ in raw):
-        raw[rng.randrange(len(raw))] = (1, 1)
+        raw[_randint(rng, 0, len(raw) - 1)] = (1, 1)
     # over the common denominator den, q_j = a_j/b_j = n_j/den, so the
     # normalized weight q_j / sum_i m_i q_i is n_j / sum_i m_i n_i
     den = math.lcm(*(b for _, b in raw))
     nums = [a * (den // b) for a, b in raw]
     total = sum(model.multiplicity(j) * n for j, n in zip(stratum, nums))
-    return model.point(stratum, [Fraction(n, total) for n in nums])
+    # trusted: a declared stratum, non-negative weights in lowest terms,
+    # and sum_j m_j w_j = 1 by the choice of total
+    return QuasiMonomialPoint._canonical(
+        model, stratum, tuple([Fraction(n, total) for n in nums]))
+
+
+def _unit_terms(exps: list[int], width: int) -> dict:
+    """The flat exponent draws ``exps``, cut into keys of length ``width``,
+    each carrying the unit tag."""
+    unit = Coefficient.unit()
+    return {tuple(exps[i:i + width]): unit for i in range(0, len(exps), width)}
 
 
 def _random_laurent(model, rng: random.Random, max_vars: int, max_terms: int,
                     lo: int, hi: int) -> LaurentSeriesData:
     labels = model.variable_labels()
-    nv = rng.randint(1, max_vars)
+    nv = _randint(rng, 1, max_vars)
     vars_ = tuple(rng.sample(labels, nv))
-    n_terms = rng.randint(1, max_terms)
-    terms = {}
-    for _ in range(n_terms):
-        exp = tuple([rng.randint(lo, hi) for _ in range(nv)])
-        terms[exp] = Coefficient.unit()
+    n_terms = _randint(rng, 1, max_terms)
     # trusted: the sampled labels are distinct (those of _random_model) and
     # the keys are distinct int tuples of length nv carrying unit tags
-    return LaurentSeriesData._canonical(vars_, terms)
+    return LaurentSeriesData._canonical(
+        vars_, _unit_terms(_randints(rng, lo, hi, n_terms * nv), nv))
 
 
 def run_val_eval(man: ExperimentManifest, rep: RunReport):
@@ -495,11 +537,9 @@ def run_val_eval(man: ExperimentManifest, rep: RunReport):
     for _ in range(n_superadd):
         v = _random_point(model, rng)
         f = _random_laurent(model, rng, 2, 8, 0, 6)
-        g_terms = {}
-        for _ in range(rng.randint(1, 8)):
-            exp = tuple(rng.randint(0, 6) for _ in f.variables)
-            g_terms[exp] = Coefficient.unit()
-        g = LaurentSeriesData._canonical(f.variables, g_terms)
+        nv = len(f.variables)
+        exps = _randints(rng, 0, 6, _randint(rng, 1, 8) * nv)
+        g = LaurentSeriesData._canonical(f.variables, _unit_terms(exps, nv))
         res = valuation_superadditivity_check(v, f, g)
         if not (res.product_ok and res.sum_ok):
             bad += 1
@@ -663,6 +703,12 @@ def run_ma_model(man: ExperimentManifest, rep: RunReport):
                          atom.mass])
     for pair in curve_pairs:
         table = load_table(pair["table"])
+        for idx, _b, _num in table.entries:
+            if table.model.components[idx].zval is None:
+                # the dual route compares atom positions on the u-line
+                raise ManifestError(
+                    f"{pair['table']}: model.components[{idx}].zval: "
+                    "required for a curve pair")
         family = load_family(pair["family"])
         mu_table = ma_model_metric(table)
         mu_pa = family_limit_measure(family, r)

@@ -14,7 +14,8 @@ from itertools import combinations
 from typing import Sequence
 
 from .exactnum import as_fraction, rat_from_str, rat_to_str
-from .valuation import INF, LaurentSeriesData, QuasiMonomialPoint, qm_eval
+from .valuation import INF, LaurentSeriesData, QuasiMonomialPoint, qm_eval, \
+    simplex_sum
 
 
 class ModelValidationError(ValueError):
@@ -243,16 +244,17 @@ def retraction(
             f"ambiguous minimal stratum for support {support}: {minimal}"
         )
     stratum = minimal[0]
-    wvec = tuple(weights[i] for i in stratum)
-    total = sum(
-        (Fraction(target.multiplicity(j)) * w for j, w in zip(stratum, wvec)),
-        Fraction(0),
-    )
-    if total != 1:
+    wvec = tuple([weights[i] for i in stratum])
+    total, den = simplex_sum(target, stratum, wvec)
+    if total != den:
         raise ModelInconsistencyError(
-            f"retracted weights violate the simplex constraint: sum = {total}"
+            "retracted weights violate the simplex constraint: "
+            f"sum = {Fraction(total, den)}"
         )
-    return QuasiMonomialPoint(target, stratum, wvec)
+    if any(w < 0 for w in wvec):
+        raise ValueError("weights must be non-negative")
+    # both checks of QuasiMonomialPoint.__post_init__ are done above
+    return QuasiMonomialPoint._canonical(target, stratum, wvec)
 
 
 def identity_pullback(model: SncModelCombinatorics) -> MonomialPullback:

@@ -286,14 +286,17 @@ class CurveFamily:
 
     @classmethod
     def from_json(cls, data):
-        entries = tuple(
-            FamilyEntry.build(
-                {int(k): complex(v[0], v[1]) for k, v in e["coeffs"].items()},
+        entries = []
+        for i, e in enumerate(data["entries"]):
+            coeffs = e["coeffs"]
+            if not isinstance(coeffs, dict):
+                raise ValueError(
+                    f"entries[{i}].coeffs: expected a JSON object, got {coeffs!r}")
+            entries.append(FamilyEntry.build(
+                {int(k): complex(v[0], v[1]) for k, v in coeffs.items()},
                 rat_from_str(e["q"]),
                 rat_from_str(e["c"]),
-            )
-            for e in data["entries"]
-        )
+            ))
         charts = tuple(
             Chart(
                 p=rat_from_str(ch["p"]),
@@ -306,7 +309,7 @@ class CurveFamily:
             for ch in data["charts"]
         )
         return cls(data["name"], int(data["m"]), int(data["degree"]),
-                   entries, charts, data.get("mode", "max"))
+                   tuple(entries), charts, data.get("mode", "max"))
 
 
 def family_profile(family: CurveFamily, r: Fraction) -> PAFunction1D:

@@ -111,7 +111,7 @@ class LaurentSeriesData:
         """
         self = cls.__new__(cls)
         self.variables = variables
-        self.terms = tuple(sorted((e, c) for e, c in acc.items() if not c.is_zero()))
+        self.terms = tuple(sorted([(e, c) for e, c in acc.items() if not c.is_zero()]))
         return self
 
     # -- constructors ---------------------------------------------------
@@ -146,7 +146,7 @@ class LaurentSeriesData:
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
                 exp = tuple(map(add, e1, e2))
-                c = c1.mul(c2)
+                c = _UNIT if c1 is _UNIT or c2 is _UNIT else c1.mul(c2)
                 acc[exp] = acc[exp].add(c) if exp in acc else c
         return LaurentSeriesData._canonical(self.variables, acc)
 
@@ -183,6 +183,15 @@ class LaurentSeriesData:
         return "Laurent(" + " + ".join(bits) + ")"
 
 
+def simplex_sum(model, stratum: Sequence[int],
+                weights: Sequence[Fraction]) -> tuple[int, int]:
+    """sum_j a_j w_j as the integer pair (sum_j a_j n_j, den), where n_j are
+    the numerators of the weights over their common denominator den; the
+    weights satisfy the simplex normalization exactly when the two agree."""
+    nums, den = _lattice(weights)
+    return sum(model.multiplicity(j) * n for j, n in zip(stratum, nums)), den
+
+
 @dataclass(frozen=True)
 class QuasiMonomialPoint:
     """A stratum of an snc model with a rational weight vector.
@@ -198,17 +207,26 @@ class QuasiMonomialPoint:
     def __post_init__(self):
         if len(self.stratum) != len(self.weights):
             raise ValueError("stratum/weight length mismatch")
-        # sum_j a_j w_j = 1 as the integer equality sum_j a_j n_j = den
-        # over the common denominator den of the weights
-        den = lcm(*(w.denominator for w in self.weights))
-        total = 0
-        for j, w in zip(self.stratum, self.weights):
-            if w < 0:
-                raise ValueError("weights must be non-negative")
-            total += self.model.multiplicity(j) * w.numerator * (den // w.denominator)
+        if any(w < 0 for w in self.weights):
+            raise ValueError("weights must be non-negative")
+        total, den = simplex_sum(self.model, self.stratum, self.weights)
         if total != den:
             raise ValueError(
                 f"weight normalization sum a_j w_j = {Fraction(total, den)} != 1")
+
+    @classmethod
+    def _canonical(cls, model, stratum: tuple, weights: tuple) -> "QuasiMonomialPoint":
+        """Trusted constructor for a point already known to be valid.
+
+        ``stratum`` is a tuple of component indices of ``model`` and
+        ``weights`` a tuple of as many non-negative Fractions with
+        sum_j a_j w_j = 1, so ``__post_init__`` has nothing to check.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "stratum", stratum)
+        object.__setattr__(self, "weights", weights)
+        return self
 
     def weight_of(self, j: int) -> Fraction:
         for jj, w in zip(self.stratum, self.weights):

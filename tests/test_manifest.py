@@ -203,6 +203,41 @@ def test_non_string_model_name_exit_two(data_dir, tmp_path):
     assert not written
 
 
+@pytest.mark.parametrize("kind", ["ma-model", "ma-converge"])
+def test_family_coeffs_not_an_object_exit_two(data_dir, tmp_path, kind):
+    family = json.loads((data_dir / "families" / "fam_isotrivial.json").read_text())
+    family["entries"][0]["coeffs"] = 0
+    bad = tmp_path / "fam_isotrivial.json"
+    bad.write_text(json.dumps(family))
+    man = bundled(data_dir, kind)
+    if kind == "ma-model":
+        man["inputs"]["curve_pairs"][0]["family"] = str(bad)
+    else:
+        man["inputs"]["families"] = [str(bad)]
+    rc, err, written = run_cli(kind, man, tmp_path)
+    assert rc == 2
+    assert f"{bad}: entries[0].coeffs: expected a JSON object, got 0" in err
+    assert not written
+
+
+def test_curve_pair_table_without_zval_exit_two(data_dir, tmp_path):
+    table = json.loads((data_dir / "tables" / "table_trivial_o1.json").read_text())
+    del table["model"]["components"][0]["zval"]
+    bad = tmp_path / "table_trivial_o1.json"
+    bad.write_text(json.dumps(table))
+    man = bundled(data_dir, "ma-model")
+    man["inputs"]["curve_pairs"][0]["table"] = str(bad)
+    rc, err, written = run_cli("ma-model", man, tmp_path)
+    assert rc == 2
+    assert f"{bad}: model.components[0].zval: required for a curve pair" in err
+    assert not written
+    # a table outside the curve pairs places no atom, so it needs no zval
+    man = bundled(data_dir, "ma-model")
+    man["inputs"]["tables"] = [str(bad)]
+    rc, err, written = run_cli("ma-model", man, tmp_path)
+    assert rc == 0 and written, err
+
+
 def _tfs_variant(data_dir, tmp_path, edit) -> Path:
     tfs = json.loads((data_dir / "families" / "tfs_segment.json").read_text())
     edit(tfs["metric"])

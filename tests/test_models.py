@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,22 @@ def test_retraction_unmatched_support_errors(segment):
     pb = MonomialPullback(blow, target, ((1, 0, 1), (0, 1, 1)))
     with pytest.raises(ModelInconsistencyError):
         retraction(target, divisorial_point(blow, 2), pb)
+
+
+@pytest.mark.parametrize("exp,total", [((1, -2), "-1/2"), ((3, 0), "3/2"),
+                                       ((1, 0), "1/2")])
+def test_retraction_rejects_negative_or_unnormalized_weights(segment, exp, total):
+    # the retracted weight of the one-component target is v(w1^a w2^b) at
+    # the barycenter of the segment; only 1 would be normalized
+    target = SncModelCombinatorics([Component("D", 1)], [[0]], name="point")
+    pb = MonomialPullback(segment, target, ((1, 1),))
+    pb._monomials[0] = LaurentSeriesData.monomial(["w1", "w2"], exp)
+    v = segment.point((0, 1), (Fraction(1, 2), Fraction(1, 2)))
+    with pytest.raises(ModelInconsistencyError, match=re.escape(
+            f"retracted weights violate the simplex constraint: sum = {total}")):
+        retraction(target, v, pb)
+    pb._monomials[0] = LaurentSeriesData.monomial(["w1", "w2"], (1, 1))
+    assert retraction(target, v, pb).weights == (Fraction(1),)
 
 
 def test_model_json_round_trip(blowup):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import re
 from fractions import Fraction
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 from berkhyb import valuation
 from berkhyb.exactnum import as_fraction, rat_to_str
-from berkhyb.harness import _random_laurent, _random_model, _random_point
+from berkhyb.harness import _randint, _randints, _random_laurent, \
+    _random_model, _random_point
+from berkhyb.models import SncModelCombinatorics
 from berkhyb.valuation import (
     INF,
     Coefficient,
@@ -276,6 +279,58 @@ def test_random_point_matches_fraction_formula():
         assert all(type(w) is Fraction for w in v.weights)
     assert forced  # the all-zero draw was redrawn at least once
     assert got_rng.getstate() == ref_rng.getstate()
+
+
+# n = 1, a power of two, 2^k + 1, a negative lo, and ranges wider than 2^40
+RANDINT_RANGES = [(5, 5), (0, 7), (-3, 12), (0, 16), (-10, 10),
+                  (-2**41, 2**41 + 5), (0, 2**64)]
+
+
+@pytest.mark.parametrize("lo,hi", RANDINT_RANGES)
+def test_randint_helpers_draw_as_random_randint(lo, hi):
+    for seed in range(100):
+        ref, one, many = (random.Random(seed) for _ in range(3))
+        want = [ref.randint(lo, hi) for _ in range(30)]
+        assert [_randint(one, lo, hi) for _ in range(30)] == want
+        assert _randints(many, lo, hi, 30) == want
+        assert _randints(many, lo, hi, 0) == []
+        assert one.getstate() == many.getstate() == ref.getstate()
+        # the streams stay aligned for whatever is drawn next
+        assert one.random() == many.random() == ref.random()
+
+
+def test_randint_helpers_reject_an_empty_range():
+    rng = random.Random(0)
+    with pytest.raises(ValueError, match="empty range"):
+        _randint(rng, 1, 0)
+    with pytest.raises(ValueError, match="empty range"):
+        _randints(rng, 1, 0, 3)
+
+
+def test_canonical_point_equals_validated_point(data_dir):
+    models = [_random_model()] + [
+        SncModelCombinatorics.from_json(json.loads(path.read_text()))
+        for path in sorted((data_dir / "models").glob("*.json"))]
+    rng = random.Random(2718)
+    for model in models:
+        for _ in range(300):
+            got = _random_point(model, rng)
+            want = model.point(got.stratum, got.weights)
+            assert (got.model, got.stratum, got.weights) == \
+                (want.model, want.stratum, want.weights)
+            assert got == want and hash(got) == hash(want)
+            assert all(type(w) is Fraction for w in got.weights)
+
+
+def test_validating_point_rejects_outside_weights(segment, blowup):
+    with pytest.raises(ValueError, match="^weights must be non-negative$"):
+        QuasiMonomialPoint(segment, (0, 1), (Fraction(-1, 2), Fraction(3, 2)))
+    with pytest.raises(ValueError, match=re.escape(
+            "weight normalization sum a_j w_j = 5/4 != 1")):
+        QuasiMonomialPoint(segment, (0, 1), (Fraction(3, 4), Fraction(1, 2)))
+    with pytest.raises(ValueError, match=re.escape(
+            "weight normalization sum a_j w_j = 2 != 1")):
+        QuasiMonomialPoint(blowup, (2,), (Fraction(1),))
 
 
 # ---------------------------------------------------------------------------
