@@ -310,9 +310,12 @@ class PrimeLogVal:
         clean = {}
         if logs:
             for p, q in logs.items():
+                # log p > 0 is what the sign's same-sign shortcut relies on
+                if type(p) is not int or p < 2:
+                    raise ValueError(f"log key must be an int >= 2, got {p!r}")
                 qf = as_fraction(q)
                 if qf != 0:
-                    clean[int(p)] = qf
+                    clean[p] = qf
         self.logs = clean
 
     @classmethod
@@ -396,23 +399,7 @@ class PrimeLogVal:
         return self.const == 0 and not self.logs
 
     def sign(self) -> int:
-        if self.is_zero():
-            return 0
-        if not self.logs:
-            return 1 if self.const > 0 else -1
-        const, logs = self.const, self.logs
-        s = _filtered_sign(lambda: [float(const)] + [
-            float(q) * _float_log(p) for p, q in logs.items()])
-        if s:
-            return s
-
-        def interval(ctx):
-            acc = ctx.mpf(const.numerator) / const.denominator
-            for p, q in logs.items():
-                acc += (ctx.mpf(q.numerator) / q.denominator) * ctx.log(ctx.mpf(p))
-            return acc
-
-        return _certified_sign(interval)
+        return primelog_sign(self.const, self.logs)
 
     def cmp(self, other) -> int:
         return (self - other).sign()
@@ -428,6 +415,36 @@ class PrimeLogVal:
             "const": str(self.const),
             "logs": {str(p): str(q) for p, q in sorted(self.logs.items())},
         }
+
+
+def primelog_sign(const: Rat, logs: dict) -> int:
+    """Certified sign of const + sum_p q_p log p.
+
+    ``const`` and the q_p are rationals or ints, the keys p ints >= 2 and
+    the q_p nonzero, as in a canonical ``PrimeLogVal``.  Since log p > 0,
+    a value whose const and coefficients all share one sign has that sign;
+    any other value goes through ``_filtered_sign``, then
+    ``_certified_sign``.
+    """
+    if not logs:
+        return (const > 0) - (const < 0)
+    qs = logs.values()
+    if const >= 0 and all(q > 0 for q in qs):
+        return 1
+    if const <= 0 and all(q < 0 for q in qs):
+        return -1
+    s = _filtered_sign(lambda: [float(const)] + [
+        float(q) * _float_log(p) for p, q in logs.items()])
+    if s:
+        return s
+
+    def interval(ctx):
+        acc = ctx.mpf(const.numerator) / const.denominator
+        for p, q in logs.items():
+            acc += (ctx.mpf(q.numerator) / q.denominator) * ctx.log(ctx.mpf(p))
+        return acc
+
+    return _certified_sign(interval)
 
 
 def primelog_max(values: Iterable[PrimeLogVal]) -> PrimeLogVal:

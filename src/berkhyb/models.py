@@ -14,8 +14,8 @@ from itertools import combinations
 from typing import Sequence
 
 from .exactnum import as_fraction, rat_from_str, rat_to_str
-from .valuation import INF, LaurentSeriesData, QuasiMonomialPoint, qm_eval, \
-    simplex_sum
+from .valuation import LaurentSeriesData, QuasiMonomialPoint, _lattice, \
+    _lattice_min
 
 
 class ModelValidationError(ValueError):
@@ -85,6 +85,10 @@ class SncModelCombinatorics:
         if any(c.multiplicity <= 0 for c in self.components):
             raise ModelValidationError("multiplicities must be strictly positive")
         n = len(self.components)
+        for s in strata:
+            # 0.0 or True would pass the range test below and hash like 0
+            if any(type(i) is not int for i in s):
+                raise ModelValidationError(f"stratum {s!r}: indices must be integers")
         declared = {tuple(sorted(set(s))) for s in strata}
         for s in declared:
             if any(i < 0 or i >= n for i in s) or not s:
@@ -221,40 +225,53 @@ def retraction(
     The output support is snapped to the minimal declared stratum
     containing it; ambiguity between several incomparable minimal strata
     is an error, as is a support contained in no declared stratum.
+
+    Each w_i is qm_eval's min-formula, taken on integers: v's weights are
+    put over their common denominator once, and Fractions are built only
+    for the stratum returned.
     """
     if pullback.target is not target or pullback.source is not v.model:
         raise ModelInconsistencyError("pullback does not connect the given models")
-    weights = []
+    # v's weights on one lattice: weight_of(j) = nums[j] / den, where
+    # weight_of takes the first entry of j in the stratum
+    lattice, den = _lattice(v.weights)
+    nums = dict(zip(reversed(v.stratum), reversed(lattice)))
+    index = v.model.component_index_by_equation
+    per_var = {}  # variable labels -> their numerators, as in qm_eval
+    values = []  # the value w_i = values[i] / den of each target component
     for i in range(len(target.components)):
-        w = qm_eval(v, pullback.pullback_monomial(i))
-        if w == INF:
+        mono = pullback.pullback_monomial(i)
+        if mono.is_zero():
             raise ModelInconsistencyError("pullback monomial evaluates to +inf")
-        weights.append(w)
-    support = tuple(i for i, w in enumerate(weights) if w > 0)
-    candidates = [s for s in target.strata if set(support) <= set(s)]
+        labels = mono.variables
+        if labels not in per_var:
+            per_var[labels] = [nums.get(index(label), 0) for label in labels]
+        values.append(_lattice_min(mono, per_var[labels]))
+    support = tuple(i for i, w in enumerate(values) if w > 0)
+    candidates = [(s, set(s)) for s in target.strata if set(support) <= set(s)]
     if not candidates:
         raise ModelInconsistencyError(
             f"support {support} not contained in any declared stratum"
         )
     minimal = [
-        s for s in candidates if not any(set(t) < set(s) for t in candidates)
+        s for s, ss in candidates if not any(t < ss for _, t in candidates)
     ]
     if len(minimal) != 1:
         raise ModelInconsistencyError(
             f"ambiguous minimal stratum for support {support}: {minimal}"
         )
     stratum = minimal[0]
-    wvec = tuple([weights[i] for i in stratum])
-    total, den = simplex_sum(target, stratum, wvec)
+    total = sum(target.multiplicity(i) * values[i] for i in stratum)
     if total != den:
         raise ModelInconsistencyError(
             "retracted weights violate the simplex constraint: "
             f"sum = {Fraction(total, den)}"
         )
-    if any(w < 0 for w in wvec):
+    if any(values[i] < 0 for i in stratum):
         raise ValueError("weights must be non-negative")
     # both checks of QuasiMonomialPoint.__post_init__ are done above
-    return QuasiMonomialPoint._canonical(target, stratum, wvec)
+    return QuasiMonomialPoint._canonical(
+        target, stratum, tuple([Fraction(values[i], den) for i in stratum]))
 
 
 def identity_pullback(model: SncModelCombinatorics) -> MonomialPullback:

@@ -14,14 +14,17 @@ to a non-negative quantity.  No floating point enters any verdict.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import PrimeLogVal, as_fraction, primelog_max, rat_to_str
+from .exactnum import PrimeLogVal, as_fraction, primelog_max, primelog_sign, \
+    rat_to_str
 from .pafunc import upper_hull
 
 NEG_INF = "-inf"
+_ZERO = Fraction(0)
 
 
 def _is_prime(n: int) -> bool:
@@ -186,41 +189,32 @@ def mz_fs_eval(family: Sequence[tuple[int, Fraction]], m: int, point: MZPoint):
     )
 
 
-def _cut_le(cut, bound: Fraction) -> bool:
-    """Exact: is a cut (rational, or ratio pair with positive den) <= bound?"""
-    if isinstance(cut, tuple):
-        num, den = cut
-        # num/den <= bound  <=>  num - bound*den <= 0, den > 0
-        return (PrimeLogVal.of(num) - den * bound).sign() <= 0
-    return cut <= bound
+class _LogVec(tuple):
+    """Integer coefficients (e_p) of sum_p e_p log p over a fixed prime basis.
 
-
-def _restrict_branch(hull, cuts, lo: Fraction, hi: Fraction) -> BranchPA:
-    """Drop envelope pieces active only outside [lo, hi] (exact cut tests).
-
-    Envelopes are built over the whole line, but the archimedean branch
-    runs from its origin to 1; the outgoing slope at the origin is the
-    slope of the piece active just inside.
+    Just the arithmetic ``upper_hull`` does on slopes: a difference of two
+    vectors and an integer times a vector.
     """
-    hull, cuts = list(hull), list(cuts)
-    while cuts and _cut_le(cuts[0], lo):
-        hull.pop(0)
-        cuts.pop(0)
-    while cuts and not _cut_le(cuts[-1], hi):
-        hull.pop()
-        cuts.pop()
-    return BranchPA(tuple(s for s, _ in hull), tuple(c for _, c in hull),
-                    tuple(cuts))
+
+    __slots__ = ()
+
+    def __sub__(self, other) -> "_LogVec":
+        return _LogVec(map(operator.sub, self, other))
+
+    def __rmul__(self, k: int) -> "_LogVec":
+        return _LogVec([k * e for e in self])
 
 
 def mz_from_family(family: Sequence[tuple[int, Fraction]], m: int) -> MZFunction:
     """The MZFunction of m^{-1} max_a (log|n_a| + c_a), exact on every branch.
 
-    Each n_a is factored once.  A p-adic branch is built on one integer
+    Each n_a is factored once, and every branch is built on one integer
     lattice: with D (``lattice``) the lcm of the denominators of the c_a,
-    line a is (D m)^{-1} (-v_p(n_a) D x + c_a D).  Scaling every line by
-    the same positive constant changes neither the hull, nor its ties, nor
-    where its lines meet, so the hull is taken of the integer lines.
+    the p-adic line a is (D m)^{-1} (-v_p(n_a) D x + c_a D) and the
+    archimedean one (D m)^{-1} (sum_p v_p(n_a) D log p x + c_a D).  Scaling
+    every line by the same positive constant changes neither the hull, nor
+    its ties, nor where its lines meet, so the hull is taken of the integer
+    lines, and exact values are built only for the pieces kept.
     """
     fam = [(int(n), as_fraction(c)) for n, c in family]
     if any(n == 0 for n, _ in fam):
@@ -230,25 +224,54 @@ def mz_from_family(family: Sequence[tuple[int, Fraction]], m: int) -> MZFunction
     lattice = math.lcm(*(c.denominator for _, c in fam))
     scale = lattice * m
     offsets = [c.numerator * (lattice // c.denominator) for _, c in fam]
+    primes = sorted({p for lg in logs for p in lg.logs})
+    # exps[a][k] = v_p(n_a) for p = primes[k]
+    exps = [[int(lg.logs.get(p, 0)) for p in primes] for lg in logs]
     branches = {}
-    for p in sorted({p for lg in logs for p in lg.logs}):
-        lines = [(-int(lg.logs.get(p, 0)) * lattice, o)
-                 for lg, o in zip(logs, offsets)]
+    for k, p in enumerate(primes):
+        lines = [(-e[k] * lattice, o) for e, o in zip(exps, offsets)]
         hull, edges = upper_hull(lines, lambda q: (q > 0) - (q < 0))
         # the branch starts at the origin: drop pieces whose right cut
         # num/den (den > 0) is <= 0
-        k = 0
-        while k < len(edges) and edges[k][0] <= 0:
-            k += 1
+        lo = 0
+        while lo < len(edges) and edges[lo][0] <= 0:
+            lo += 1
         branches[p] = BranchPA(
-            tuple(Fraction(s, scale) for s, _ in hull[k:]),
-            tuple(Fraction(o, scale) for _, o in hull[k:]),
-            tuple(Fraction(num, den) for num, den in edges[k:]),
+            tuple(Fraction(s, scale) for s, _ in hull[lo:]),
+            tuple(Fraction(o, scale) for _, o in hull[lo:]),
+            tuple(Fraction(num, den) for num, den in edges[lo:]),
         )
-    arch_lines = [(lg / m, c / m) for lg, (_, c) in zip(logs, fam)]
+
+    def vec_logs(vec, sign=1):
+        return {p: sign * e for p, e in zip(primes, vec) if e}
+
+    def arch_sign(x):
+        if isinstance(x, int):
+            return (x > 0) - (x < 0)
+        return primelog_sign(0, vec_logs(x))
+
+    arch_lines = [(_LogVec([v * lattice for v in e]), o)
+                  for e, o in zip(exps, offsets)]
+    hull, edges = upper_hull(arch_lines, arch_sign)
+    # the branch runs over [0, 1]: drop the pieces left of the cut
+    # num/den <= 0 (den > 0), then those right of a cut num/den > 1
+    lo, hi = 0, len(edges)
+    while lo < hi and edges[lo][0] <= 0:
+        lo += 1
+    while lo < hi and primelog_sign(edges[hi - 1][0],
+                                    vec_logs(edges[hi - 1][1], -1)) > 0:
+        hi -= 1
+
+    def primelog(vec):
+        return PrimeLogVal._canonical(
+            _ZERO, {p: Fraction(e, scale) for p, e in vec_logs(vec).items()})
+
     # archimedean cuts stay (num, den) pairs: num/den leaves the span
-    hull, edges = upper_hull(arch_lines, lambda v: PrimeLogVal.of(v).sign())
-    arch = _restrict_branch(hull, edges, Fraction(0), Fraction(1))
+    arch = BranchPA(
+        tuple(primelog(s) for s, _ in hull[lo:hi + 1]),
+        tuple(Fraction(o, scale) for _, o in hull[lo:hi + 1]),
+        tuple((Fraction(num, scale), primelog(den)) for num, den in edges[lo:hi]),
+    )
     default = BranchPA((Fraction(0),), (origin,))
     return MZFunction(origin, branches, arch, default)
 
@@ -274,11 +297,12 @@ def mz_slopes(f: MZFunction) -> MZSlopeReport:
     """Exact outgoing slopes and convexity verdicts, direct from PA data."""
     s_p, s_end, end_vals, convex = {}, {}, {}, {}
     for p, pa in f.branches.items():
-        s_p[p] = PrimeLogVal(0, {p: pa.first_slope()})
-        s_end[p] = PrimeLogVal(0, {p: pa.last_slope()})
-        if pa.last_slope() < 0:
+        first, last = pa.first_slope(), pa.last_slope()
+        s_p[p] = PrimeLogVal._canonical(_ZERO, {p: first} if first else {})
+        s_end[p] = PrimeLogVal._canonical(_ZERO, {p: last} if last else {})
+        if last < 0:
             end_vals[p] = NEG_INF
-        elif pa.last_slope() == 0:
+        elif last == 0:
             end_vals[p] = pa.consts[-1]
         else:
             end_vals[p] = "+inf"
@@ -367,7 +391,9 @@ def mz_family_identity(family: Sequence[tuple[int, Fraction]], m: int,
     n2_lcm = math.lcm(*argmax) if len(argmax) > 1 else argmax[0]
     target = (PrimeLogVal.log_of_int(n2_direct) - PrimeLogVal.log_of_int(n1)) / m
     matches = report.slope_sum == target
-    differs = PrimeLogVal.log_of_int(n2_lcm) != PrimeLogVal.log_of_int(n2_direct)
+    # n2_lcm, n2_direct > 0: by unique factorization their logs differ
+    # exactly when they do
+    differs = n2_lcm != n2_direct
     return FamilyIdentityReport(n1, n2_direct, n2_lcm, matches, differs)
 
 

@@ -86,6 +86,13 @@ def test_primelog_sign_certified():
             - PrimeLogVal.log_of_int(1023)).sign() == 1
 
 
+@pytest.mark.parametrize("key", [1, 0, -2, 2.0, "3", True])
+def test_primelog_rejects_log_keys_below_two(key):
+    # log 1 = 0 and log p < 0 or undefined below: the sign needs log p > 0
+    with pytest.raises(ValueError, match="log key must be an int >= 2"):
+        PrimeLogVal(0, {key: 1})
+
+
 def test_rat_strings():
     assert rat_to_str(Fraction(3, 7)) == "3/7"
     assert rat_to_str(Fraction(4)) == "4"
@@ -206,6 +213,31 @@ def test_primelog_near_tie_reaches_the_fallback(v, gap):
     with _fallbacks() as fallback:
         assert tie.sign() == _primelog_reference(tie) == (1 if gap < 0 else -1)
     assert fallback.call_count == 1
+
+
+# |q| from 2^-60 to 2^10
+MAGNITUDES = st.builds(lambda k, e: Fraction(k, 2 ** e), st.integers(1, 2 ** 10),
+                       st.integers(0, 60))
+
+
+@st.composite
+def same_signed(draw):
+    """A value whose const (possibly 0) and log coefficients share one sign."""
+    sign = draw(st.sampled_from((1, -1)))
+    primes = draw(st.lists(st.sampled_from(PRIMES), min_size=1, max_size=6,
+                           unique=True))
+    const = draw(st.one_of(st.just(Fraction(0)), MAGNITUDES))
+    return PrimeLogVal(sign * const, {p: sign * draw(MAGNITUDES) for p in primes})
+
+
+@settings(max_examples=100, deadline=None)
+@given(same_signed())
+def test_same_sign_shortcut_matches_certified_sign(v):
+    with _fallbacks() as fallback, mock.patch.object(
+            exactnum, "_filtered_sign", wraps=_filtered_sign) as filtered:
+        got = v.sign()
+    assert filtered.call_count == 0 and fallback.call_count == 0
+    assert got == _primelog_reference(v)
 
 
 @settings(max_examples=100, deadline=None)

@@ -203,6 +203,40 @@ def test_non_string_model_name_exit_two(data_dir, tmp_path):
     assert not written
 
 
+@pytest.mark.parametrize("index", [0.0, True, "0"])
+def test_non_integer_stratum_index_exits_two(data_dir, tmp_path, index):
+    segment = json.loads((data_dir / "models" / "segment.json").read_text())
+    segment["strata"][0] = [index]
+    bad = tmp_path / "segment.json"
+    bad.write_text(json.dumps(segment))
+    models = [str(bad)] + [str(data_dir / "models" / f"{m}.json")
+                           for m in ("triangle", "blowup")]
+    man = mutate(bundled(data_dir, "retract"), ("inputs", "models"), models)
+    rc, err, written = run_cli("retract", man, tmp_path)
+    assert rc == 2
+    assert f"{bad}: stratum [{index!r}]: indices must be integers" in err
+    assert not written
+
+
+def test_retraction_into_an_undeclared_stratum_fails_its_checks(data_dir,
+                                                                tmp_path):
+    # without its edge [0, 1], segment cannot host the barycenter of blowup
+    segment = json.loads((data_dir / "models" / "segment.json").read_text())
+    segment["strata"] = [[0], [1]]
+    bad = tmp_path / "segment.json"
+    bad.write_text(json.dumps(segment))
+    models = [str(bad)] + [str(data_dir / "models" / f"{m}.json")
+                           for m in ("triangle", "blowup")]
+    man = mutate(bundled(data_dir, "retract"), ("inputs", "models"), models)
+    rc, err, written = run_cli("retract", man, tmp_path)
+    assert rc == 1 and err == ""
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    failed = {c["name"]: c["details"] for c in report["checks"] if not c["passed"]}
+    reason = "support (0, 1) not contained in any declared stratum"
+    assert failed == {"blowup-barycenter": reason,
+                      "blowup-halfedge-matrix-oracle": reason}
+
+
 @pytest.mark.parametrize("kind", ["ma-model", "ma-converge"])
 def test_family_coeffs_not_an_object_exit_two(data_dir, tmp_path, kind):
     family = json.loads((data_dir / "families" / "fam_isotrivial.json").read_text())

@@ -14,7 +14,14 @@ from berkhyb.models import (
     identity_pullback,
     retraction,
 )
-from berkhyb.valuation import LaurentSeriesData, divisorial_point, qm_eval
+from berkhyb.harness import _random_point, load_models_with_pullbacks
+from berkhyb.valuation import (
+    INF,
+    LaurentSeriesData,
+    QuasiMonomialPoint,
+    divisorial_point,
+    qm_eval,
+)
 
 
 def test_face_closure_enforced():
@@ -157,3 +164,97 @@ def test_retraction_requires_matching_pullback(segment, triangle):
     v = divisorial_point(triangle, 0)
     with pytest.raises(ModelInconsistencyError):
         retraction(segment, v, pb)
+
+
+# ---------------------------------------------------------------------------
+# the integer-lattice retraction against one qm_eval per target component
+# ---------------------------------------------------------------------------
+
+def reference_retraction(target, v, pullback):
+    """retraction with Fraction weights w_i = qm_eval(v, pullback of z_i)."""
+    if pullback.target is not target or pullback.source is not v.model:
+        raise ModelInconsistencyError("pullback does not connect the given models")
+    weights = []
+    for i in range(len(target.components)):
+        w = qm_eval(v, pullback.pullback_monomial(i))
+        if w == INF:
+            raise ModelInconsistencyError("pullback monomial evaluates to +inf")
+        weights.append(w)
+    support = tuple(i for i, w in enumerate(weights) if w > 0)
+    candidates = [s for s in target.strata if set(support) <= set(s)]
+    if not candidates:
+        raise ModelInconsistencyError(
+            f"support {support} not contained in any declared stratum")
+    minimal = [s for s in candidates
+               if not any(set(t) < set(s) for t in candidates)]
+    if len(minimal) != 1:
+        raise ModelInconsistencyError(
+            f"ambiguous minimal stratum for support {support}: {minimal}")
+    stratum = minimal[0]
+    wvec = tuple(weights[i] for i in stratum)
+    total = sum((target.multiplicity(i) * w for i, w in zip(stratum, wvec)),
+                Fraction(0))
+    if total != 1:
+        raise ModelInconsistencyError(
+            f"retracted weights violate the simplex constraint: sum = {total}")
+    if any(w < 0 for w in wvec):
+        raise ValueError("weights must be non-negative")
+    return QuasiMonomialPoint(target, stratum, wvec)
+
+
+def _outcome(target, v, pullback, retract):
+    try:
+        out = retract(target, v, pullback)
+    except (ModelInconsistencyError, ValueError) as exc:
+        return type(exc), str(exc)
+    assert all(type(w) is Fraction for w in out.weights)
+    return out.model, out.stratum, out.weights
+
+
+def _pullbacks(data_dir):
+    """(target, pullback) pairs over the five bundled models: each model's
+    identity, blowup's pullback to segment, and targets that the blowup
+    points reach outside a declared stratum, at an ambiguous minimal
+    stratum, off the simplex, and with a negative weight."""
+    registry = load_models_with_pullbacks(
+        sorted((data_dir / "models").glob("*.json")))
+    assert len(registry) == 5
+    blow, seg = registry["blowup"], registry["segment"]
+    pairs = [(m, identity_pullback(m)) for m in registry.values()]
+    pairs.append((seg, blow.pullbacks[0]))
+    edgeless = SncModelCombinatorics(
+        [Component("w1", 1), Component("w2", 1)], [[0], [1]], name="edgeless")
+    pairs.append((edgeless, MonomialPullback(blow, edgeless,
+                                             ((1, 0, 1), (0, 1, 1)))))
+    # e pulls back from neither component: v_E retracts to support ()
+    pairs.append((seg, MonomialPullback(blow, seg, ((1, 0, 0), (0, 1, 0)))))
+    point = SncModelCombinatorics([Component("D", 1)], [[0]], name="point")
+    for exp in ((1, 0, 0), (1, -2, 1), (0, 0, 1), (1, 1, 1)):
+        pb = MonomialPullback(blow, point, ((1, 1, 2),))
+        pb._monomials[0] = LaurentSeriesData.monomial(["zp1", "zp2", "e"], exp)
+        pairs.append((point, pb))
+    pair = MonomialPullback(blow, seg, ((1, 0, 1), (0, 1, 1)))
+    pair._monomials[1] = LaurentSeriesData.monomial(["zp1", "zp2", "e"], (-1, 0, 0))
+    pairs.append((seg, pair))
+    return pairs
+
+
+def test_lattice_retraction_matches_qm_eval_reference(data_dir):
+    rng = random.Random(20261019)
+    messages = set()
+    for target, pb in _pullbacks(data_dir):
+        source = pb.source
+        points = [divisorial_point(source, i) for i in range(len(source.components))]
+        points += [_random_point(source, rng) for _ in range(60)]
+        for v in points:
+            got = _outcome(target, v, pb, retraction)
+            assert got == _outcome(target, v, pb, reference_retraction), (
+                target.name, v)
+            if isinstance(got[0], type):
+                messages.add(got[1])
+    # the error paths are reached (a negative weight never is: by face
+    # closure the stratum chosen for a nonempty support is the support)
+    for reason in ("not contained in any declared stratum",
+                   "ambiguous minimal stratum for support ()",
+                   "violate the simplex constraint"):
+        assert any(reason in msg for msg in messages), reason

@@ -11,7 +11,6 @@ from berkhyb.mztree import (
     BranchPA,
     MZFunction,
     MZPoint,
-    _restrict_branch,
     mz_family_identity,
     mz_from_family,
     mz_fs_eval,
@@ -178,6 +177,28 @@ def _prime_factors(n: int) -> list[int]:
     return out + ([n] if n > 1 else [])
 
 
+def _cut_le(cut, bound: Fraction) -> bool:
+    """Exact: is a cut (rational, or ratio pair with positive den) <= bound?"""
+    if isinstance(cut, tuple):
+        num, den = cut
+        # num/den <= bound  <=>  num - bound*den <= 0, den > 0
+        return (PrimeLogVal.of(num) - den * bound).sign() <= 0
+    return cut <= bound
+
+
+def _restrict_branch(hull, cuts, lo: Fraction, hi: Fraction) -> BranchPA:
+    """Drop envelope pieces active only outside [lo, hi] (exact cut tests)."""
+    hull, cuts = list(hull), list(cuts)
+    while cuts and _cut_le(cuts[0], lo):
+        hull.pop(0)
+        cuts.pop(0)
+    while cuts and not _cut_le(cuts[-1], hi):
+        hull.pop()
+        cuts.pop()
+    return BranchPA(tuple(s for s, _ in hull), tuple(c for _, c in hull),
+                    tuple(cuts))
+
+
 def reference_mz_from_family(family, m):
     """mz_from_family as a Fraction line per member and prime, built with
     the validating PrimeLogVal constructor."""
@@ -230,6 +251,18 @@ def families(draw):
         p = draw(st.sampled_from(SMALL_PRIMES))
         x0, c0 = draw(CONSTS), draw(CONSTS)
         fam += [(1, c0), (p, c0 + x0), (p * p, c0 + 2 * x0)]
+    if draw(st.booleans()):
+        # three archimedean lines (log|n| + k log p) x + c0 + k d, k = 0, 1,
+        # 2, through x = -d / log p: the triple test sees an exact zero; a
+        # small d <= 0 puts the point in [0, 3)
+        n, p = draw(MEMBERS), draw(st.sampled_from(SMALL_PRIMES))
+        c0 = draw(CONSTS)
+        d = draw(st.one_of(CONSTS, st.fractions(-2, 0, max_denominator=8)))
+        fam += [(n, c0), (n * p, c0 + d), (n * p * p, c0 + 2 * d)]
+    if draw(st.booleans()):
+        # equal c with a different |n|: the archimedean lines meet at x = 0
+        n, c = draw(st.sampled_from(fam))
+        fam.append((n * draw(st.sampled_from((2, 3, 5, 7, 1024))), c))
     return draw(st.permutations(fam))
 
 
@@ -241,6 +274,12 @@ def test_lattice_build_matches_fraction_reference(fam, m):
     assert got.to_json() == want.to_json()
     for pa in got.branches.values():
         assert all(type(x) is Fraction for x in pa.slopes + pa.consts + pa.cuts)
+    arch_logs = [s.logs for s in got.arch.slopes] + [d.logs for _, d in got.arch.cuts]
+    assert all(type(s.const) is Fraction for s in got.arch.slopes)
+    assert all(type(p) is int and type(q) is Fraction and q
+               for logs in arch_logs for p, q in logs.items())
+    assert all(type(x) is Fraction
+               for x in got.arch.consts + tuple(n for n, _ in got.arch.cuts))
 
 
 def test_lattice_build_three_concurrent_lines():
@@ -252,3 +291,19 @@ def test_lattice_build_three_concurrent_lines():
                                      (Fraction(2, 3), Fraction(0)),
                                      (Fraction(1, 3),))
     assert F == reference_mz_from_family(fam, 1)
+
+
+def test_archimedean_cut_at_zero_and_concurrent_lines():
+    # 2 and 4 with equal c meet at x = 0; 3, 6 and 12 with c = 0, -1, -2
+    # meet at x = 1 / log 2 > 1, beyond the branch
+    for fam in ([(2, Fraction(0)), (4, Fraction(0))],
+                [(3, Fraction(0)), (6, Fraction(-1)), (12, Fraction(-2))]):
+        F = mz_from_family(fam, 1)
+        assert F == reference_mz_from_family(fam, 1)
+        assert F.to_json() == reference_mz_from_family(fam, 1).to_json()
+    # 1, 2, 4 meet at x = 1 / (2 log 2) in (0, 1): the middle line drops
+    fam = [(1, Fraction(0)), (2, Fraction(-1, 2)), (4, Fraction(-1))]
+    F = mz_from_family(fam, 1)
+    assert F == reference_mz_from_family(fam, 1)
+    assert F.arch.slopes == (PrimeLogVal.of(0), PrimeLogVal(0, {2: 2}))
+    assert F.arch.cuts == ((Fraction(1), PrimeLogVal(0, {2: 2})),)
