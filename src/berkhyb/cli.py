@@ -14,12 +14,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from .harness import KINDS, ExperimentManifest, ManifestError, run, write_report
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="berkhyb",
         description="valuation / tropical-metric / hybrid-limit experiments",

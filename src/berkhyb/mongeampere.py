@@ -13,13 +13,21 @@ Its tropical profile in the valuation coordinate u = log|z|/log|t| is the
 convex function H(u) = m^{-1} max_a max_{k in supp s_a} (-k u - q_a - c_a/log r),
 whose slope jumps are the limit measure atoms.
 
-Grid hot path.  The chart geometry (log|xi| at the cell centers and
-their one-cell halo, and the cell order by log|xi|) does not depend on t;
-it is built once per (L, n) per process, read-only, and reused for every
-family, t and chart.  The grid side n is even and the centers are
-antisymmetric about 0 bit for bit, so no center sits on xi = 0.  There
-are two routes, and both store their cells flat: an index into the halo
-grid's interior and the number of grid cells each stored cell stands for.
+Grid hot path.  The chart geometry (log|xi| at the cells a route stores,
+sorted ascending) does not depend on t; it is built once per (L, n) per
+process, read-only, and reused for every family, t and chart.  The grid
+side n is even and the centers are antisymmetric about 0 bit for bit, so
+no center sits on xi = 0.
+
+For fixed |t| != 1, u = +-log|xi|/log|t| - p is monotone in log|xi|, so the
+stored cells' order by log|xi|, read forwards or backwards, sorts them by
+u.  The partition weight of a chart is zero below its lower ramp and above
+its upper ramp, so the cells of nonzero weight are one contiguous run of
+that order, found by bisection on u at O(log N) cells.  Only the run's
+cells get a Laplacian, u and a weight, and the GridMeasure holds them in
+ascending u: pushforward_log_radius is one mask compress, and every
+chart's cloud comes out sorted by u.  The raw Laplacian total stays the
+whole grid's: the stencil sums to the flux through the grid's boundary.
 
 A chart is radial when every family entry is a single monomial
 c t^e xi^k (true on every chart of such a family, inverted or not, and of
@@ -30,21 +38,21 @@ grid (the row flip, the column flip, the transpose and their products).
 So is the five-point stencil (N + S) + (E + W) - 4C: the flips permute
 the terms inside a pair sum, the transpose swaps the two pair sums, and
 floating-point addition is commutative, so the Laplacian masses are
-symmetric bit for bit.  A radial chart therefore evaluates the potential
-on the positive quadrant with a one-cell halo (the inner halo, at -h/2,
-mirrors the first row and column) and keeps the triangle i <= j of the
-quadrant's cells: n(n+2)/8 cells, each carrying the mass of its orbit,
-multiplicity 8, or 4 on the diagonal i = j.  Thresholds on cell masses
-(the pushforward's keep floor, the negative-mass floor) compare the mass
-of one grid cell.  A family with a multi-term entry takes the full route,
-every one of the n^2 cells once with multiplicity 1, its multi-term
-entries by Horner's rule on the complex nodes.
+symmetric bit for bit.  A radial chart therefore stores the triangle
+i <= j of the positive quadrant's cells, n(n+2)/8 cells, each carrying
+the mass of its orbit, multiplicity 8, or 4 on the diagonal i = j.  Every
+stencil neighbour of a stored cell is, up to those symmetries (and the
+mirror of the first row and column in the halo at -h/2), a stored cell or
+a point of the outer halo with the same log|xi| bit for bit.  So the
+potential is evaluated once per cell, on the run and the cells within h
+of it, and each neighbour value is gathered by its cached position.
+Thresholds on cell masses (the pushforward's keep floor, the
+negative-mass floor) compare the mass of one grid cell.
 
-On both routes, for fixed |t| != 1, u = +-log|xi|/log|t| - p is monotone in
-log|xi|, so the stored cells' order by log|xi|, read forwards or
-backwards, sorts every chart's cells by u: pushforward_log_radius emits
-each chart's cloud sorted by u, and the chart's partition ramps are
-contiguous runs of that order.
+A family with a multi-term entry takes the full route: the potential on
+all (n + 2)^2 halo nodes, its multi-term entries by Horner's rule on the
+complex nodes, the 2-D stencil on every one of the n^2 cells, and then a
+gather of the run's cells, each with multiplicity 1.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from typing import Sequence
 
 from .exactnum import LogRVal, as_fraction, rat_from_str, rat_to_str
@@ -287,29 +295,46 @@ class CurveFamily:
     @classmethod
     def from_json(cls, data):
         entries = []
-        for i, e in enumerate(data["entries"]):
+        for i, e in enumerate(_nonempty_list(data["entries"], "entries")):
             coeffs = e["coeffs"]
             if not isinstance(coeffs, dict):
                 raise ValueError(
                     f"entries[{i}].coeffs: expected a JSON object, got {coeffs!r}")
             entries.append(FamilyEntry.build(
                 {int(k): complex(v[0], v[1]) for k, v in coeffs.items()},
-                rat_from_str(e["q"]),
-                rat_from_str(e["c"]),
+                _float_sized(rat_from_str(e["q"]), f"entries[{i}].q"),
+                _float_sized(rat_from_str(e["c"]), f"entries[{i}].c"),
             ))
         charts = tuple(
             Chart(
-                p=rat_from_str(ch["p"]),
+                p=_float_sized(rat_from_str(ch["p"]), f"charts[{i}].p"),
                 invert=bool(ch.get("invert", False)),
                 L=float(ch.get("L", 2.0)),
                 u_lo=-math.inf if ch.get("u_lo") is None else float(ch["u_lo"]),
                 u_hi=math.inf if ch.get("u_hi") is None else float(ch["u_hi"]),
                 name=ch.get("name", "chart"),
             )
-            for ch in data["charts"]
+            for i, ch in enumerate(_nonempty_list(data["charts"], "charts"))
         )
-        return cls(data["name"], int(data["m"]), int(data["degree"]),
+        return cls(data["name"], _float_sized(int(data["m"]), "m"),
+                   _float_sized(int(data["degree"]), "degree"),
                    tuple(entries), charts, data.get("mode", "max"))
+
+
+def _nonempty_list(value, path: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"{path}: expected a nonempty list, got {value!r}")
+    return value
+
+
+def _float_sized(x, path: str):
+    """``x``, once float(x) is known not to overflow: the grid computes
+    with float(x)."""
+    try:
+        float(x)
+    except OverflowError:
+        raise ValueError(f"{path}: too large for a float") from None
+    return x
 
 
 def family_profile(family: CurveFamily, r: Fraction) -> PAFunction1D:
@@ -332,22 +357,22 @@ def family_limit_measure(family: CurveFamily, r: Fraction) -> AtomicMeasure:
 
 @dataclass
 class GridMeasure:
-    """A chart's grid measure: one flat entry per stored cell.
+    """A chart's grid measure: the run of cells of nonzero partition
+    weight, one flat entry per stored cell, in ascending u.
 
     Each stored cell carries the mass of the ``multiplicity`` grid cells
-    it stands for: 1.0 on the full route, which stores all n x n cells;
-    on the octant route of a radial chart, which stores the n(n+2)/8
-    cells of one octant, 8, or 4 on the diagonal, the cells of its orbit
-    under the symmetries of the square grid.
+    it stands for: 1.0 on the full route; on the octant route of a radial
+    chart, 8, or 4 on the diagonal, the cells of its orbit under the
+    symmetries of the square grid.  Every cell outside the run has
+    weighted mass 0.
     """
 
     chart: Chart
     resolution: int
     cell_masses: np.ndarray   # partition-weighted mass each stored cell carries
-    cell_u: np.ndarray        # valuation coordinate per stored cell
-    raw_total: float          # unweighted Laplacian total on this chart
+    cell_u: np.ndarray        # valuation coordinate per stored cell, ascending
+    raw_total: float          # unweighted Laplacian total over the whole grid
     total_mass: float         # weighted total
-    u_order: np.ndarray       # stored-cell indices that sort cell_u ascending
     multiplicity: np.ndarray | float  # grid cells per stored cell
 
     def per_cell_masses(self) -> np.ndarray:
@@ -355,30 +380,100 @@ class GridMeasure:
         return self.cell_masses / self.multiplicity  # exact: powers of two
 
     def negative_mass_floor(self) -> float:
-        return float(self.per_cell_masses().min())
+        """The least one-cell mass, or 0.0 when none is negative (cells
+        outside the run have mass 0)."""
+        return float(self.per_cell_masses().min(initial=0.0))
+
+
+def _laplacian(phi, n, s, e, w, c):
+    """dd^c phi per cell: the five-point stencil over 2 pi, where phi[n],
+    phi[s], phi[e], phi[w] and phi[c] are the values at each cell's N, S,
+    E and W neighbours and at the cell.
+
+    (N + S) + (E + W): each pair sum commutes, so the stencil is exactly
+    invariant under the 8 symmetries of the square grid.  The neighbour
+    values are read one pair at a time.
+    """
+    masses = phi[n] + phi[s]
+    masses += phi[e] + phi[w]
+    masses -= 4.0 * phi[c]
+    masses /= 2.0 * math.pi
+    return masses
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
 
 
 @dataclass(frozen=True)
-class _Cells:
-    """The cells one route stores for a chart, and their t-independent arrays."""
+class _OctantCells:
+    """The triangle i <= j of the positive quadrant's cells, sorted by log|xi|.
 
-    halo_log_abs: np.ndarray  # log|xi| at the centers of the halo grid
-    index: np.ndarray | slice  # the stored cells in the flat halo interior
-    multiplicity: np.ndarray | float  # grid cells each stored cell stands for
-    log_abs: np.ndarray       # log|xi| per stored cell
-    order: np.ndarray         # stored-cell indices sorted by log|xi|
+    A stencil neighbour of a stored cell is a stored cell, up to the
+    symmetries of the square grid (the inner halo at -h/2 mirrors the
+    first row and column, and the lower triangle is the transpose of the
+    upper), or a point of the quadrant's outer halo: the potential is
+    evaluated once per cell, and each neighbour value is read from where
+    that cell, or that halo point, sits.
+    """
 
-    @classmethod
-    def build(cls, halo_log_abs, index, multiplicity) -> "_Cells":
-        """The stored cells of a halo grid, with every array read-only."""
+    log_abs: np.ndarray       # log|xi| per cell, ascending
+    multiplicity: np.ndarray  # grid cells per stored cell: 8, or 4 on the diagonal
+    neighbours: np.ndarray    # (4, N): where each cell's N, S, E, W value sits
+                              # among the N cells and then the n/2 outer halo points
+    boundary: np.ndarray      # (2, n/2): log|xi| at one half-side's outer halo
+                              # and at the cells next to it
+    h: float                  # the cell side
+
+    def measure(self, potential, run: slice, step: int):
+        """The Laplacian masses (orbit masses) and multiplicities of the
+        cells ``run``, listed with ``step``, and the raw Laplacian total
+        over the whole grid.
+
+        The total is the boundary flux (discrete divergence theorem): the
+        stencil sums to halo minus adjacent cell over the 4n boundary
+        edges, which are 8 copies of one half-side.
+        """
         import numpy as np
 
-        log_abs = halo_log_abs[1:-1, 1:-1].ravel()[index]
-        order = np.argsort(log_abs, kind="stable")
-        for a in (halo_log_abs, index, multiplicity, log_abs, order):
-            if isinstance(a, np.ndarray):
-                a.setflags(write=False)
-        return cls(halo_log_abs, index, multiplicity, log_abs, order)
+        size = self.log_abs.size
+        outer, inner = potential(self.boundary)
+        raw_total = 8.0 * float(np.sum(outer - inner)) / (2.0 * math.pi)
+        # NaN where no value is needed: a stencil that read one would fail
+        # the mass check
+        phi = np.full(size + outer.size, math.nan)
+        phi[size:] = outer
+        if run.start < run.stop:
+            # a neighbour is at most h closer to 0, or farther, than its
+            # cell; 2h covers that with room for the rounding of exp and log
+            near = math.exp(self.log_abs[run.start]) - 2.0 * self.h
+            far = math.exp(self.log_abs[run.stop - 1]) + 2.0 * self.h
+            lo = int(np.searchsorted(self.log_abs, math.log(near))) if near > 0 else 0
+            hi = int(np.searchsorted(self.log_abs, math.log(far), side="right"))
+            phi[lo:hi] = potential(self.log_abs[lo:hi])
+        masses = _laplacian(phi, *self.neighbours[:, run], run)
+        multiplicity = self.multiplicity[run]
+        masses *= multiplicity  # exact
+        return masses[::step], multiplicity[::step], raw_total
+
+
+@dataclass(frozen=True)
+class _FullCells:
+    """All n^2 cells of the grid, sorted by log|xi|."""
+
+    halo_log_abs: np.ndarray  # log|xi| at the (n + 2)^2 centers of the halo grid
+    order: np.ndarray         # flat interior cells, sorted by log|xi|
+    log_abs: np.ndarray       # log|xi| per cell, in that order
+
+    def measure(self, potential, run: slice, step: int):
+        """As _OctantCells.measure, from the 2-D stencil on every cell."""
+        phi = potential(self.halo_log_abs)
+        inner = slice(1, -1)
+        masses = _laplacian(phi, (slice(2, None), inner), (slice(None, -2), inner),
+                            (inner, slice(2, None)), (inner, slice(None, -2)),
+                            (inner, inner))
+        return masses.ravel()[self.order[run][::step]], 1.0, float(masses.sum())
 
 
 def _complex_grid(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -390,14 +485,16 @@ class _ChartGeometry:
 
     ``centers`` holds the n cell centers plus a one-cell halo at each end;
     they are antisymmetric about 0 bit for bit, and for even n none is 0.
-    ``octant`` serves radial charts: log|xi| on the positive quadrant with
-    its halo, (n/2 + 2)^2 centers whose inner halo row and column (at
-    -h/2) mirror the first cells, and the triangle i <= j of the
-    quadrant's cells with multiplicity 8, or 4 on the diagonal.  ``full``
-    holds log|xi| on all (n + 2)^2 centers and stores every one of the n^2
-    cells once; it and the complex ``nodes`` are built only when a chart
-    of a family with a multi-term entry asks for them.  Every array is
-    read-only, because _geometry shares one instance per (L, n).
+    ``octant`` serves radial charts: the triangle i <= j of the positive
+    quadrant's cells, where each of their stencil neighbours sits, and one
+    half-side of the outer halo, read from the quadrant's (n/2 + 2)^2 halo
+    centers, whose inner halo row and column (at -h/2) mirror the first
+    cells; the halo grid itself is not kept.  ``full`` holds log|xi| on all
+    (n + 2)^2 centers and stores every one of the n^2 cells once; it and
+    the complex ``nodes`` are built only when a chart of a family with a
+    multi-term entry asks for them.  Both routes sort their cells by
+    log|xi|.  Every array is read-only, because _geometry shares one
+    instance per (L, n).
     """
 
     def __init__(self, L: float, n: int):
@@ -406,23 +503,27 @@ class _ChartGeometry:
         h = 2.0 * L / n
         self.n = n
         self.centers = h * (np.arange(n + 2) - (n + 1) / 2)
-        self.centers.setflags(write=False)
+        _read_only(self.centers)
 
     @cached_property
     def nodes(self) -> np.ndarray:
         nodes = _complex_grid(self.centers, self.centers)
-        nodes.setflags(write=False)
+        _read_only(nodes)
         return nodes
 
     @cached_property
-    def full(self) -> _Cells:
+    def full(self) -> _FullCells:
         import numpy as np
 
         halo = np.log(np.abs(_complex_grid(self.centers, self.centers)))
-        return _Cells.build(halo, slice(None), 1.0)
+        log_abs = halo[1:-1, 1:-1].ravel()
+        order = np.argsort(log_abs, kind="stable")
+        cells = _FullCells(halo, order, log_abs[order])
+        _read_only(cells.halo_log_abs, cells.order, cells.log_abs)
+        return cells
 
     @cached_property
-    def octant(self) -> _Cells:
+    def octant(self) -> _OctantCells:
         import numpy as np
 
         half = self.n // 2
@@ -431,7 +532,30 @@ class _ChartGeometry:
         # agree bit for bit (np.hypot would not)
         halo = np.log(np.abs(_complex_grid(quadrant, quadrant)))
         i, j = np.triu_indices(half)
-        return _Cells.build(halo, i * half + j, np.where(i == j, 4.0, 8.0))
+        order = np.argsort(halo[i + 1, j + 1], kind="stable")
+        i, j = i[order], j[order]
+        size = order.size
+        position = np.empty((half, half), dtype=np.intp)
+        position[i, j] = np.arange(size)
+
+        def where(a, b):
+            """Where the value at cell (a, b) of the quadrant sits; -1 is
+            the inner halo, n/2 the outer."""
+            a, b = np.maximum(a, 0), np.maximum(b, 0)  # mirror the inner halo
+            a, b = np.minimum(a, b), np.maximum(a, b)  # transpose
+            return np.where(b == half, size + a, position[a, np.minimum(b, half - 1)])
+
+        cells = _OctantCells(
+            halo[i + 1, j + 1],
+            np.where(i == j, 4.0, 8.0),
+            np.stack([where(i + 1, j), where(i - 1, j), where(i, j + 1),
+                      where(i, j - 1)]),
+            np.stack([halo[1:-1, -1], halo[1:-1, -2]]),
+            float(quadrant[1] - quadrant[0]),
+        )
+        _read_only(cells.log_abs, cells.multiplicity, cells.neighbours,
+                   cells.boundary)
+        return cells
 
 
 @cache
@@ -455,52 +579,80 @@ def _ramp_coordinate(u, end: float):
     return (u - (end - RAMP)) / (2 * RAMP)
 
 
-def partition_weight(chart: Chart, u: np.ndarray,
-                     order: np.ndarray | None = None) -> np.ndarray:
+def _ramp_bounds(end: float, u_at, size: int) -> tuple[int, int]:
+    """(below, above) for the ramp centered on ``end``, over ``size`` cells
+    in ascending u whose k-th u is ``u_at(k)``: the cells before ``below``
+    have ramp coordinate <= 0, those from ``above`` on >= 1."""
+    def x(k):
+        return _ramp_coordinate(u_at(k), end)
+    cells = range(size)
+    return (bisect.bisect_right(cells, 0.0, key=x),
+            bisect.bisect_left(cells, 1.0, key=x))
+
+
+def partition_weight(chart: Chart, u: np.ndarray) -> np.ndarray:
     """C^1 radial partition weight for the chart's owned u-interval.
 
     Ramps of half-width RAMP are centered on the declared interval
-    ends, so charts sharing an interface sum to one.  Given ``order``,
-    indices that sort the flat ``u`` ascending, each ramp is a contiguous
-    run of that order found by bisection: only its cells are evaluated,
-    and the cells on either side get their exact weight, 0 or 1, directly.
+    ends, so charts sharing an interface sum to one.  ``u`` is sorted
+    ascending, so each ramp is a contiguous run found by bisection: only
+    its cells are evaluated, and the cells on either side get their exact
+    weight, 0 or 1, directly.
     """
     import numpy as np
 
-    if order is None:
-        w = np.ones_like(u)
-        if math.isfinite(chart.u_lo):
-            w = w * _smoothstep(_ramp_coordinate(u, chart.u_lo))
-        if math.isfinite(chart.u_hi):
-            w = w * (1.0 - _smoothstep(_ramp_coordinate(u, chart.u_hi)))
-        return w
     w = np.ones(u.size)
     for end, falling in ((chart.u_lo, False), (chart.u_hi, True)):
         if not math.isfinite(end):
             continue
-        def x(i, end=end):
-            return _ramp_coordinate(u[i], end)
-        below = bisect.bisect_right(order, 0.0, key=x)
-        above = bisect.bisect_left(order, 1.0, key=x)
-        run = order[below:above]
-        s = _smoothstep(_ramp_coordinate(u[run], end))
+        below, above = _ramp_bounds(end, u.__getitem__, u.size)
+        s = _smoothstep(_ramp_coordinate(u[below:above], end))
         if falling:
-            w[order[above:]] = 0.0
-            w[run] *= np.subtract(1.0, s, out=s)
+            w[above:] = 0.0
+            w[below:above] *= np.subtract(1.0, s, out=s)
         else:
-            w[order[:below]] = 0.0
-            w[run] *= s
+            w[:below] = 0.0
+            w[below:above] *= s
     return w
+
+
+def _u(chart: Chart, log_abs, logabs_t: float):
+    """u = +-log|xi| / log|t| - p, for a float or an array of log|xi|."""
+    return (-log_abs if chart.invert else log_abs) / logabs_t - float(chart.p)
+
+
+def _u_run(chart: Chart, log_abs: np.ndarray, logabs_t: float) -> tuple[slice, int]:
+    """The chart's cells of nonzero partition weight: a slice of the cells
+    sorted by ``log_abs``, and the step (1 or -1) that lists them in
+    ascending u.
+
+    For fixed t, u is an increasing or a decreasing map of log|xi|; below
+    the lower ramp and above the upper one the weight is exactly 0.
+    """
+    size = log_abs.size
+    forward = (logabs_t < 0) == chart.invert
+
+    def u_at(k):  # u of the k-th cell by u
+        return _u(chart, log_abs[k if forward else size - 1 - k], logabs_t)
+    start = (_ramp_bounds(chart.u_lo, u_at, size)[0]
+             if math.isfinite(chart.u_lo) else 0)
+    stop = (_ramp_bounds(chart.u_hi, u_at, size)[1]
+            if math.isfinite(chart.u_hi) else size)
+    stop = max(start, stop)
+    if forward:
+        return slice(start, stop), 1
+    return slice(size - stop, size - start), -1
 
 
 def _entry_log_modulus(entry: FamilyEntry, degree: int, t: complex,
                        chart: Chart, geom: _ChartGeometry,
                        log_abs: np.ndarray) -> np.ndarray:
-    """log|t^q s(z)| at the chart's halo nodes, without the hybrid constant.
+    """log|t^q s(z)| at the points whose log|xi| is ``log_abs``, without
+    the hybrid constant.
 
-    A single-term section is real arithmetic on ``log_abs``, the cached
-    log|xi| of the route's halo grid; more terms use Horner's rule on the
-    complex nodes of the full grid.
+    A single-term section is real arithmetic on ``log_abs``, an array of
+    any shape; more terms use Horner's rule on the complex nodes of the
+    full grid, so ``log_abs`` must then be the full halo grid's.
     """
     import numpy as np
 
@@ -536,9 +688,9 @@ def _radial(family: CurveFamily) -> bool:
 def _potential_on_grid(family: CurveFamily, t: complex, chart: Chart,
                        geom: _ChartGeometry, log_r: float,
                        log_abs: np.ndarray) -> np.ndarray:
-    """Fiber potential (real array) at the nodes of the halo grid whose
-    log|xi| is ``log_abs``: the full grid's, or (radial families only) the
-    positive quadrant's."""
+    """Fiber potential (real array) at the points whose log|xi| is
+    ``log_abs``: the full halo grid, or (radial families only) any array
+    of log|xi|, on which it is evaluated element by element."""
     import numpy as np
 
     logabs_t = math.log(abs(t))
@@ -573,10 +725,11 @@ def ma_complex_curve(
     Each chart is an n x n cell grid on [-L, L]^2, n even, so that no cell
     center sits on xi = 0; masses are dd^c phi ~ (discrete Laplacian)/(2 pi)
     and are then weighted by the chart's partition-of-unity factor in the
-    valuation coordinate.  A radial family stores one octant of each chart
-    (see the module docstring).  The weighted totals must reproduce the
-    family degree within ``mass_tol``, else (a NaN total included) a
-    ResolutionError suggests a finer grid.  |t| = 1 is rejected: u is
+    valuation coordinate.  Each chart keeps only its run of cells of
+    nonzero weight, in ascending u, and a radial family stores one octant
+    of each chart (see the module docstring).  The weighted totals must
+    reproduce the family degree within ``mass_tol``, else (a NaN total
+    included) a ResolutionError suggests a finer grid.  |t| = 1 is rejected: u is
     undefined there.
     """
     if n < 16:
@@ -593,31 +746,20 @@ def ma_complex_curve(
     for chart in family.charts:
         geom = _geometry(chart.L, n)
         cells = geom.octant if radial else geom.full
-        phi = _potential_on_grid(family, t, chart, geom, log_r,
-                                 cells.halo_log_abs)
-        # (N + S) + (E + W): each pair sum commutes, so the stencil is
-        # exactly invariant under the 8 symmetries of the square grid
-        masses = phi[2:, 1:-1] + phi[:-2, 1:-1]
-        masses += phi[1:-1, 2:] + phi[1:-1, :-2]
-        masses -= 4.0 * phi[1:-1, 1:-1]
-        masses /= 2.0 * math.pi
-        masses = masses.ravel()[cells.index]
-        masses *= cells.multiplicity  # exact, and a no-op on the full route
-        u = (-cells.log_abs if chart.invert else cells.log_abs) / logabs_t
-        u -= float(chart.p)
-        # for fixed t, u is an increasing or a decreasing map of log|xi|
-        order = cells.order if (logabs_t < 0) == chart.invert else cells.order[::-1]
-        weighted = masses * partition_weight(chart, u, order=order)
+        potential = partial(_potential_on_grid, family, t, chart, geom, log_r)
+        run, step = _u_run(chart, cells.log_abs, logabs_t)
+        masses, multiplicity, raw_total = cells.measure(potential, run, step)
+        u = _u(chart, cells.log_abs[run][::step], logabs_t)
+        weighted = masses * partition_weight(chart, u)
         grids.append(
             GridMeasure(
                 chart=chart,
                 resolution=n,
                 cell_masses=weighted,
                 cell_u=u,
-                raw_total=float(masses.sum()),
+                raw_total=raw_total,
                 total_mass=float(weighted.sum()),
-                u_order=order,
-                multiplicity=cells.multiplicity,
+                multiplicity=multiplicity,
             )
         )
     total = sum(g.total_mass for g in grids)
@@ -652,14 +794,13 @@ def pushforward_log_radius(grid: GridMeasure) -> LineCloud:
 
     Mass-preserving by construction; cells whose own mass (not that of
     their orbit, on an octant) is at most MASS_FLOOR are dropped.  The
-    cloud comes out sorted by u, through the grid's cached cell order.
-    Leakage accounting reports the weighted mass missing from the chart
-    relative to its raw Laplacian total.
+    grid holds its cells in ascending u, so the cloud comes out sorted by
+    u.  Leakage accounting reports the weighted mass missing from the
+    chart relative to its raw Laplacian total.
     """
     import numpy as np
 
-    order = grid.u_order
-    kept = order[(np.abs(grid.per_cell_masses()) > MASS_FLOOR)[order]]
+    kept = np.abs(grid.per_cell_masses()) > MASS_FLOOR
     return LineCloud(grid.cell_u[kept], grid.cell_masses[kept],
                      grid.raw_total - grid.total_mass)
 
@@ -749,17 +890,25 @@ def weak_convergence_experiment(
 
     mu0 = family_limit_measure(family, r)
     u0, m0 = atoms_to_arrays(mu0, r)
+    exact = {name: mu0.pair_with(f).to_float(r)
+             for name, f in test_functions.items()}
     rows = []
     for t_abs in t_schedule:
         grids = ma_complex_curve(family, complex(t_abs), grid_n, r,
                                  mass_tol=mass_tol)
-        cloud = combine_clouds([pushforward_log_radius(g) for g in grids])
+        clouds = [pushforward_log_radius(g) for g in grids]
+        ends = np.cumsum([c.u.size for c in clouds])
+        cloud = combine_clouds(clouds)
+        # released here, or they would stay alive beside the next t's grids
+        del grids, clouds
         w1 = wasserstein1_line(cloud.u, cloud.mass, u0, m0)
+        # eval_float_array takes sorted input: each chart's cloud is
+        charts = np.split(cloud.u, ends[:-1])
         errs = {}
         for name, f in test_functions.items():
-            approx = float(np.sum(cloud.mass * f.eval_float_array(cloud.u)))
-            exact = mu0.pair_with(f).to_float(r)
-            errs[name] = abs(approx - exact)
+            values = np.concatenate([f.eval_float_array(u) for u in charts])
+            approx = float(np.sum(cloud.mass * values))
+            errs[name] = abs(approx - exact[name])
         rows.append(ConvergenceRow(t_abs, w1, errs, cloud.total()))
     w1s = [row.w1 for row in rows]
     monotone = all(b <= a * (1 + 1e-9) for a, b in zip(w1s, w1s[1:]))
@@ -784,22 +933,31 @@ class ClnReport:
     failure: str | None = None
 
 
-def pairing_difference(fam1: CurveFamily, fam2: CurveFamily,
-                        r: Fraction) -> LogRVal:
-    """int (h1 - h2) d MA(h1) - int (h1 - h2) d MA(h2), exact on profiles."""
-    h1, h2 = family_profile(fam1, r), family_profile(fam2, r)
-    mu1, mu2 = ma_pa_curve(h1), ma_pa_curve(h2)
+def _profiled(family: CurveFamily, r: Fraction):
+    """The family's profile h and its Monge-Ampere measure MA(h)."""
+    h = family_profile(family, r)
+    return h, ma_pa_curve(h)
+
+
+def _pairing_difference(profiled1, profiled2) -> LogRVal:
+    """pairing_difference of two _profiled families."""
+    (h1, mu1), (h2, mu2) = profiled1, profiled2
     # pair_with is linear in the function and LogRVal arithmetic is exact,
     # so pairing h1 and h2 separately gives the value of pairing h1 - h2
     return ((mu1.pair_with(h1) - mu1.pair_with(h2))
             - (mu2.pair_with(h1) - mu2.pair_with(h2)))
 
 
-def cross_pairing(fam1: CurveFamily, fam2: CurveFamily, r: Fraction) -> LogRVal:
+def _cross_pairing(profiled1, profiled2) -> LogRVal:
     """int h1 d MA(h2) - int h2 d MA(h1); exactly antisymmetric under swap."""
-    h1, h2 = family_profile(fam1, r), family_profile(fam2, r)
-    mu1, mu2 = ma_pa_curve(h1), ma_pa_curve(h2)
+    (h1, mu1), (h2, mu2) = profiled1, profiled2
     return mu2.pair_with(h1) - mu1.pair_with(h2)
+
+
+def pairing_difference(fam1: CurveFamily, fam2: CurveFamily,
+                        r: Fraction) -> LogRVal:
+    """int (h1 - h2) d MA(h1) - int (h1 - h2) d MA(h2), exact on profiles."""
+    return _pairing_difference(_profiled(fam1, r), _profiled(fam2, r))
 
 
 def cln_stability_check(
@@ -818,10 +976,11 @@ def cln_stability_check(
     import numpy as np
 
     idx = len(family.entries) - 1
+    base = _profiled(family, r)  # the unperturbed profile, built once
     ds, diffs = [], []
     for d in deltas:
-        pert = family.with_constant_shift(idx, d)
-        val = pairing_difference(family, pert, r)
+        pert = _profiled(family.with_constant_shift(idx, d), r)
+        val = _pairing_difference(base, pert)
         ds.append(abs(float(as_fraction(d))))
         diffs.append(abs(val.to_float(r)))
     ds_arr, diff_arr = np.array(ds), np.array(diffs)
@@ -831,9 +990,9 @@ def cln_stability_check(
     residual = (
         float(np.max(np.abs(diff_arr - fitted * ds_arr))) / scale if scale > 0 else 0.0
     )
-    pert = family.with_constant_shift(idx, deltas[0])
-    x12 = cross_pairing(family, pert, r)
-    x21 = cross_pairing(pert, family, r)
+    pert = _profiled(family.with_constant_shift(idx, deltas[0]), r)
+    x12 = _cross_pairing(base, pert)
+    x21 = _cross_pairing(pert, base)
     antisym = x12 == (-1) * x21
     failure = None
     if residual > residual_tol:

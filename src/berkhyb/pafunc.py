@@ -192,13 +192,20 @@ class PAFunction1D:
         return cached
 
     def eval_float_array(self, xs):
-        """Vectorized float evaluation (numpy array in, array out)."""
+        """Vectorized float evaluation of ``xs``, sorted ascending.
+
+        Piece k covers cuts[k-1] < x <= cuts[k]; one searchsorted of the
+        few cuts into ``xs`` gives each piece's slice of ``xs``.
+        """
         import numpy as np
 
         cuts, slopes, offsets = self._float_tables()
         xs = np.asarray(xs, dtype=float)
-        idx = np.searchsorted(cuts, xs, side="left")
-        return slopes[idx] * xs + offsets[idx]
+        out = np.empty_like(xs)
+        ends = [0, *np.searchsorted(xs, cuts, side="right").tolist(), xs.size]
+        for k, (a, b) in enumerate(zip(ends, ends[1:])):
+            out[a:b] = slopes[k] * xs[a:b] + offsets[k]
+        return out
 
     def kinks(self) -> list[tuple[LogRVal, Fraction]]:
         """(location, slope increase) at each breakpoint, zero jumps dropped."""

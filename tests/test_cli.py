@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import berkhyb
-from berkhyb.cli import main
+from berkhyb.cli import build_parser, main
 from berkhyb.harness import ExperimentManifest, ManifestError, run, write_report
 from berkhyb.pafunc import ContinuityError, PAFunctionOnComplex
 
@@ -210,6 +210,63 @@ def test_ma_converge_r_near_one_writes_a_report(data_dir, tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     passed = {c["name"] for c in report["checks"] if c["passed"]}
     assert {"cln-linear-envelope", "cln-antisymmetry"} <= passed
+
+
+@pytest.mark.parametrize("keys,value,json_path", [
+    (("entries",), [], "entries"),
+    (("entries",), {}, "entries"),
+    (("m",), 10**400, "m"),
+    (("entries", 1, "q"), 10**400, "entries[1].q"),
+    (("charts", 1, "p"), 10**400, "charts[1].p"),
+    (("charts",), [], "charts"),
+], ids=["entries-empty", "entries-object", "m-huge", "q-huge", "p-huge",
+        "charts-empty"])
+def test_family_content_error_exit_two(data_dir, tmp_path, capsys, keys, value,
+                                       json_path):
+    # each of these ended in a traceback, exit 1 and no report
+    fam = json.loads((data_dir / "families" / "fam_kink.json").read_text())
+    *parents, last = keys
+    target = fam
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    fam_path = tmp_path / "fam.json"
+    fam_path.write_text(json.dumps(fam))
+    # mass_tol >= degree, so that no chart at all passes the mass check
+    man = _ma_converge_manifest(data_dir, tmp_path, "mass_tol", 1.0)
+    src = json.loads(man.read_text())
+    src["inputs"] = {"families": [str(fam_path)], "cln_family": str(fam_path)}
+    src["params"]["grid"] = 64
+    man.write_text(json.dumps(src))
+    rc = main(["ma-converge", "--manifest", str(man), "--out",
+               str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {fam_path}: {json_path}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_one_process_runs_kinds_through_one_parser(data_dir, tmp_path, capsys):
+    # main parses with one parser per process; it keeps no state between runs
+    assert build_parser() is build_parser()
+    for kind, name in (("ma-model", "ma_model.json"), ("rho-r", "rho_r.json")):
+        out = tmp_path / kind
+        rc = main([kind, "--manifest", str(manifest_path(data_dir, name)),
+                   "--out", str(out)])
+        assert rc == 0
+        stdout = capsys.readouterr().out
+        assert "[FAIL]" not in stdout
+        assert stdout.endswith(f"report: {out / 'report.json'}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["frobnicate", "--manifest", "m.json"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: berkhyb ")
+    assert "invalid choice: 'frobnicate'" in err
+    rc = main(["retract", "--manifest", str(manifest_path(data_dir, "ma_model.json")),
+               "--out", str(tmp_path / "mismatch")])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: manifest kind 'ma-model' does not "
+                                       "match subcommand 'retract'\n")
 
 
 @pytest.mark.parametrize("rel", ["taken", "taken/sub/dir"])

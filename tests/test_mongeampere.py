@@ -11,13 +11,14 @@ from berkhyb import mongeampere
 from berkhyb.exactnum import LogRVal
 from berkhyb.harness import load_family, load_table
 from berkhyb.mongeampere import (
+    MASS_FLOOR,
+    RAMP,
     Chart,
     CurveFamily,
     FamilyEntry,
     ResolutionError,
     cln_stability_check,
     combine_clouds,
-    cross_pairing,
     family_limit_measure,
     family_profile,
     ma_complex_curve,
@@ -28,8 +29,10 @@ from berkhyb.mongeampere import (
     pushforward_log_radius,
     wasserstein1_line,
     weak_convergence_experiment,
+    _cross_pairing,
     _geometry,
     _potential_on_grid,
+    _profiled,
 )
 from berkhyb.pafunc import PAFunction1D
 
@@ -42,13 +45,95 @@ def std_charts(adapted_p=None, interface=-0.5):
     return tuple(charts)
 
 
-def octant_to_full(g, values):
-    """A radial chart's stored-cell values spread over the full (n, n) grid
-    by the 8 symmetries of the square grid.
+# ---------------------------------------------------------------------------
+# the 2-D reference: the stored cells, stencil, gather and order of the
+# route before it kept only the run of nonzero partition weight
+# ---------------------------------------------------------------------------
 
-    The stored cells are the triangle i <= j of the positive quadrant, in
-    ``np.triu_indices`` order.  Every grid cell must lie in the orbit of
-    exactly one of them, and every orbit must have the stored multiplicity.
+def _dense_weight(chart, u):
+    """The partition weight, cell by cell, with no ordering of ``u``."""
+    w = np.ones_like(u)
+    for end, falling in ((chart.u_lo, False), (chart.u_hi, True)):
+        if math.isfinite(end):
+            x = np.clip((u - (end - RAMP)) / (2 * RAMP), 0.0, 1.0)
+            s = x * x * (3.0 - 2.0 * x)
+            w = w * (1.0 - s if falling else s)
+    return w
+
+
+def _reference_cells(n, L, radial):
+    """log|xi| on the halo grid, and each stored cell's index into the flat
+    halo interior and multiplicity: on the octant the triangle i <= j of
+    the positive quadrant in ``np.triu_indices`` order, else all n^2 cells
+    in row-major order."""
+    centers = _geometry(L, n).centers
+    if radial:
+        half = n // 2
+        quadrant = centers[half:]
+        halo = np.log(np.abs(quadrant[:, None] + 1j * quadrant[None, :]))
+        i, j = np.triu_indices(half)
+        return halo, i * half + j, np.where(i == j, 4.0, 8.0)
+    halo = np.log(np.abs(centers[:, None] + 1j * centers[None, :]))
+    return halo, np.arange(n * n), np.ones(n * n)
+
+
+def _reference_layout(chart, t, n, radial=True):
+    """The stored cells of a chart in reference order: their u and
+    multiplicity, the permutation ``ids`` that lists them in ascending u,
+    and the run [start, stop) of that listing outside which the partition
+    weight is 0."""
+    halo, index, mult = _reference_cells(n, chart.L, radial)
+    log_abs = halo[1:-1, 1:-1].ravel()[index]
+    logabs_t = math.log(abs(t))
+    u = (-log_abs if chart.invert else log_abs) / logabs_t
+    u -= float(chart.p)
+    order = np.argsort(log_abs, kind="stable")
+    ids = order if (logabs_t < 0) == chart.invert else order[::-1]
+    sorted_u = u[ids]
+    start, stop = 0, u.size
+    if math.isfinite(chart.u_lo):
+        start = int(np.sum((sorted_u - (chart.u_lo - RAMP)) / (2 * RAMP) <= 0.0))
+    if math.isfinite(chart.u_hi):
+        stop -= int(np.sum((sorted_u - (chart.u_hi - RAMP)) / (2 * RAMP) >= 1.0))
+    return u, mult, ids, start, max(start, stop)
+
+
+def _reference_measure(family, t, n, r, chart, radial=True):
+    """The 2-D route: the potential on the halo grid, the five-point
+    stencil on every interior cell, gathered to the stored cells and
+    weighted, in reference order.  Returns the unweighted and weighted
+    masses (each cell carrying its orbit) and the _reference_layout."""
+    halo, index, mult = _reference_cells(n, chart.L, radial)
+    phi = _potential_on_grid(family, complex(t), chart, _geometry(chart.L, n),
+                             math.log(float(r)), halo)
+    masses = phi[2:, 1:-1] + phi[:-2, 1:-1]
+    masses += phi[1:-1, 2:] + phi[1:-1, :-2]
+    masses -= 4.0 * phi[1:-1, 1:-1]
+    masses /= 2.0 * math.pi
+    masses = masses.ravel()[index]
+    masses *= mult
+    layout = _reference_layout(chart, t, n, radial)
+    return masses, masses * _dense_weight(chart, layout[0]), layout
+
+
+def _spread(g, values, t, radial):
+    """A grid's run values on the reference's stored cells, 0 off the run,
+    after checking that the run is the reference's run in u order."""
+    u, mult, ids, start, stop = _reference_layout(g.chart, t, g.resolution, radial)
+    assert np.array_equal(g.cell_u, u[ids[start:stop]])
+    assert np.array_equal(g.multiplicity, mult[ids[start:stop]] if radial else 1.0)
+    stored = np.zeros(u.size)
+    stored[ids[start:stop]] = values
+    return stored
+
+
+def octant_to_full(g, values, t):
+    """A radial chart's run values spread over the full (n, n) grid by the
+    8 symmetries of the square grid, 0 off the run.
+
+    Every grid cell must lie in the orbit of exactly one cell of the
+    triangle i <= j of the positive quadrant, and every orbit must have
+    the multiplicity of that cell.
     """
     n = g.resolution
     half = n // 2
@@ -62,8 +147,14 @@ def octant_to_full(g, values):
                 assert np.all((before == -1) | (before == ids))
                 owner[rows, cols] = ids
     assert (owner >= 0).all()
-    assert np.array_equal(np.bincount(owner.ravel()), g.multiplicity)
-    return np.asarray(values)[owner]
+    assert np.array_equal(np.bincount(owner.ravel()), np.where(i == j, 4, 8))
+    return _spread(g, values, t, radial=True)[owner]
+
+
+def full_to_grid(g, values, t):
+    """A full-route chart's run values on the (n, n) grid, 0 off the run."""
+    n = g.resolution
+    return _spread(g, values, t, radial=False).reshape(n, n)
 
 
 @pytest.fixture()
@@ -165,7 +256,7 @@ def test_unit_circle_harmonic_measure(r):
     assert g.total_mass == pytest.approx(1.0, abs=1e-4)
     assert g.negative_mass_floor() > -1e-9
     # mass concentrated on the unit circle, uniformly in angle
-    masses = octant_to_full(g, g.per_cell_masses())
+    masses = octant_to_full(g, g.per_cell_masses(), 1e-3)
     n = g.resolution
     h = 2.0 * g.chart.L / n
     centers = -g.chart.L + h * (np.arange(n) + 0.5)
@@ -202,7 +293,7 @@ def test_harmonic_chart_has_no_interior_mass(r):
     )
     grids = ma_complex_curve(fam, complex(1e-3), 512, r, mass_tol=math.inf)
     g = grids[0]
-    masses = octant_to_full(g, g.per_cell_masses())
+    masses = octant_to_full(g, g.per_cell_masses(), 1e-3)
     n = g.resolution
     h = 2.0 * g.chart.L / n
     centers = -g.chart.L + h * (np.arange(n) + 0.5)
@@ -259,8 +350,8 @@ def test_wasserstein_exact_cases():
 def test_cln_zero_delta_and_antisymmetry(kink_family, r):
     assert pairing_difference(kink_family, kink_family, r).is_zero()
     pert = kink_family.with_constant_shift(1, Fraction(1, 7))
-    x12 = cross_pairing(kink_family, pert, r)
-    x21 = cross_pairing(pert, kink_family, r)
+    x12 = _cross_pairing(_profiled(kink_family, r), _profiled(pert, r))
+    x21 = _cross_pairing(_profiled(pert, r), _profiled(kink_family, r))
     assert x12 == (-1) * x21
 
 
@@ -289,7 +380,7 @@ def test_pairings_pinned_on_bundled_families(data_dir, r, name, delta,
     fam = load_family(data_dir / "families" / f"{name}.json")
     pert = fam.with_constant_shift(len(fam.entries) - 1, delta)
     assert pairing_difference(fam, pert, r) == difference
-    assert cross_pairing(fam, pert, r) == cross
+    assert _cross_pairing(_profiled(fam, r), _profiled(pert, r)) == cross
 
 
 def test_pairing_symmetry_on_bounded_profiles(r):
@@ -388,7 +479,7 @@ def test_shared_geometry_gives_identical_grids(data_dir, r):
         for a, b in zip(shared, fresh, strict=True):
             assert np.array_equal(a.cell_masses, b.cell_masses)
             assert np.array_equal(a.cell_u, b.cell_u)
-            assert np.array_equal(a.u_order, b.u_order)
+            assert np.array_equal(a.multiplicity, b.multiplicity)
 
 
 def test_geometry_is_built_once_per_grid():
@@ -401,10 +492,10 @@ def test_cached_geometry_arrays_are_read_only():
     # a grid no other test uses, so that a write that got through would
     # corrupt nothing else
     geom = _geometry(3.0, 32)
-    arrays = [geom.centers, geom.nodes]
-    for cells in (geom.octant, geom.full):
-        arrays += [cells.halo_log_abs, cells.log_abs, cells.order]
-    arrays += [geom.octant.index, geom.octant.multiplicity]
+    octant, full = geom.octant, geom.full
+    arrays = [geom.centers, geom.nodes, octant.log_abs, octant.multiplicity,
+              octant.neighbours, octant.boundary, full.halo_log_abs,
+              full.order, full.log_abs]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
@@ -441,16 +532,17 @@ def test_pushforward_clouds_sorted(r, t):
     )
     grids = ma_complex_curve(fam, complex(t), 128, r, mass_tol=math.inf)
     for g in grids:
-        masses = octant_to_full(g, g.per_cell_masses())
-        assert masses.shape == octant_to_full(g, g.cell_u).shape == (128, 128)
+        masses = octant_to_full(g, g.per_cell_masses(), t)
+        assert masses.shape == octant_to_full(g, g.cell_u, t).shape == (128, 128)
         cloud = pushforward_log_radius(g)
         assert cloud.u.size > 0
         assert np.all(np.diff(cloud.u) >= 0)
-        # the cached order and a fresh sort give the same cloud
-        plain = pushforward_log_radius(dataclasses.replace(
-            g, u_order=np.argsort(g.cell_u, kind="stable")))
-        assert np.array_equal(cloud.u, plain.u)
-        assert np.array_equal(np.sort(cloud.mass), np.sort(plain.mass))
+        # a fresh sort of the reference's stored cells gives the same cloud
+        _, weighted, (u, mult, *_) = _reference_measure(fam, t, 128, r, g.chart)
+        fresh = np.argsort(u, kind="stable")
+        kept = fresh[(np.abs(weighted / mult) > MASS_FLOOR)[fresh]]
+        assert np.array_equal(cloud.u, u[kept])
+        assert np.array_equal(np.sort(cloud.mass), np.sort(weighted[kept]))
 
 
 def test_wasserstein_independent_of_cloud_order(data_dir, r):
@@ -479,10 +571,10 @@ def test_partition_weight_ramp_runs_match_dense(chart):
                         rng.uniform(-1.0, 0.2, 4096 - near.size - 128)])
     u = rng.permutation(u)
     order = np.argsort(u, kind="stable")
-    dense = partition_weight(chart, u)
-    runs = partition_weight(chart, u, order=order)
+    dense = _dense_weight(chart, u)
+    runs = partition_weight(chart, u[order])
     assert runs.shape == u.shape
-    assert np.array_equal(dense, runs)
+    assert np.array_equal(dense[order], runs)
 
 
 # ---------------------------------------------------------------------------
@@ -514,13 +606,43 @@ def test_octant_expands_to_full_grid_bit_for_bit(data_dir, r, monkeypatch, n,
                 monkeypatch,
                 lambda: ma_complex_curve(fam, complex(t), n, r, mass_tol=math.inf))
             for o, f in zip(octant, full, strict=True):
-                assert o.cell_masses.size == n * (n + 2) // 8
-                assert f.multiplicity == 1.0 and f.cell_masses.shape == (n * n,)
-                assert np.array_equal(
-                    octant_to_full(o, o.per_cell_masses()).ravel(), f.cell_masses)
-                assert np.array_equal(octant_to_full(o, o.cell_u).ravel(),
-                                      f.cell_u)
+                assert o.cell_masses.size <= n * (n + 2) // 8
+                assert f.multiplicity == 1.0 and f.cell_masses.size <= n * n
+                assert np.array_equal(octant_to_full(o, o.per_cell_masses(), t),
+                                      full_to_grid(f, f.cell_masses, t))
+                assert np.array_equal(octant_to_full(o, o.cell_u, t),
+                                      full_to_grid(f, f.cell_u, t))
                 assert o.negative_mass_floor() == f.negative_mass_floor()
+
+
+@pytest.mark.parametrize("mode", ["max", "lse"])
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_run_matches_2d_reference_bit_for_bit(data_dir, r, monkeypatch, n, mode):
+    # the bundled charts plus an inverted chart with p != 0 and both ramps;
+    # both routes, against the 2-D stencil on every cell
+    extra = Chart(p=Fraction(1, 3), invert=True, name="inv", u_lo=-0.8, u_hi=-0.2)
+    for name in BUNDLED_CURVES:
+        fam = load_family(data_dir / "families" / f"{name}.json")
+        fam = dataclasses.replace(fam, mode=mode, charts=fam.charts + (extra,))
+        for t in (1e-3, 1e3):
+            octant, full = _octant_and_full(
+                monkeypatch,
+                lambda: ma_complex_curve(fam, complex(t), n, r, mass_tol=math.inf))
+            for radial, grids in ((True, octant), (False, full)):
+                for g in grids:
+                    _, weighted, (u, mult, ids, start, stop) = _reference_measure(
+                        fam, t, n, r, g.chart, radial)
+                    run = ids[start:stop]
+                    assert np.array_equal(g.cell_u, u[run])
+                    assert np.array_equal(g.cell_masses, weighted[run])
+                    assert np.array_equal(g.multiplicity,
+                                          mult[run] if radial else 1.0)
+                    assert not weighted[ids[:start]].any()
+                    assert not weighted[ids[stop:]].any()
+                    # the raw total stays the whole grid's
+                    grid_total = _reference_measure(fam, t, n, r, g.chart,
+                                                    radial=False)[0].sum()
+                    assert abs(g.raw_total - grid_total) <= 1e-12
 
 
 def test_octant_route_matches_full_route_on_bundled_families(data_dir, r,
@@ -569,7 +691,8 @@ def test_bundled_families_take_the_octant_route(data_dir, r):
         grids = ma_complex_curve(fam, complex(1e-3), n, r, mass_tol=math.inf)
         assert len(grids) == len(fam.charts)
         for g in grids:
-            assert g.cell_masses.size == g.cell_u.size == n * (n + 2) // 8
+            assert g.cell_masses.size == g.cell_u.size == g.multiplicity.size
+            assert g.cell_masses.size <= n * (n + 2) // 8
             assert np.array_equal(np.unique(g.multiplicity), [4.0, 8.0])
 
 

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from berkhyb.exactnum import LogRVal
@@ -50,6 +51,44 @@ def test_from_breakpoints_and_eval_float():
     assert f.eval(Fraction(0)) == LogRVal.of(1)
     arr = f.eval_float_array([-5.0, 0.0, 5.0])
     assert list(arr) == [0.0, 1.0, 2.0]
+
+
+def _searchsorted_reference(f, xs):
+    """Each x through the searchsorted of the cuts, as before sorted input."""
+    cuts, slopes, offsets = f._float_tables()
+    xs = np.asarray(xs, dtype=float)
+    idx = np.searchsorted(cuts, xs, side="left")
+    return slopes[idx] * xs + offsets[idx]
+
+
+@pytest.mark.parametrize("xs", [
+    [-3.0, -2.0, -2.0, -1.5, -1.0, -1.0, -0.0, 0.0, 0.0, 0.5, 1e-300, 4.0],
+    [-0.0, -0.0, 0.0],
+    [-2.0],
+    [1.0, 2.0, 3.0],
+    [],
+    sorted(np.random.default_rng(3).uniform(-3.0, 1.0, 500)),
+], ids=["on-cuts", "signed-zeros", "left-cut", "one-piece-slice", "empty",
+        "random"])
+def test_eval_float_array_matches_searchsorted(xs):
+    # cuts at -2, -1 and 0, the last one hit by -0.0 and +0.0; the pieces
+    # have slopes and offsets whose products round
+    f = PAFunction1D.from_breakpoints(
+        [Fraction(-2), Fraction(-1), Fraction(0)],
+        [Fraction(1, 3), Fraction(7, 5), Fraction(-2, 7)], R,
+        left_slope=Fraction(1, 7), right_slope=Fraction(-3, 11))
+    got = f.eval_float_array(xs)
+    want = _searchsorted_reference(f, xs)
+    assert got.shape == want.shape == (len(xs),)
+    assert np.array_equal(got, want)
+    assert [np.signbit(v) for v in got] == [np.signbit(v) for v in want]
+
+
+def test_eval_float_array_one_piece():
+    f = PAFunction1D([line(Fraction(2, 3), Fraction(1, 3))], [], R)
+    xs = np.array([-1.5, -0.0, 0.0, 0.1, 2.0])
+    assert np.array_equal(f.eval_float_array(xs), _searchsorted_reference(f, xs))
+    assert f.eval_float_array(np.zeros(0)).shape == (0,)
 
 
 def test_continuity_validation():
