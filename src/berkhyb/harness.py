@@ -1,7 +1,9 @@
 """Experiment harness: manifests, dispatch, deterministic reports.
 
 A manifest selects one experiment kind, input files, parameters and a
-seed.  Reports are written atomically (temp file + rename) and are
+seed.  Every input file is read once, at load, by the spec of its format
+below, which builds the domain object; an error names
+``<file>: <json path>: <reason>``.  Reports are written atomically (temp file + rename) and are
 byte-identical across runs for a fixed (manifest, seed): all randomness
 flows from the manifest seed through explicit generators, floats are
 serialized by repr, and wall-clock timing goes to a sidecar file that is
@@ -10,13 +12,14 @@ not part of the deterministic output set.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 import os
 import random
 import tempfile
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -43,7 +46,10 @@ from .models import (
     retraction,
 )
 from .mongeampere import (
+    Chart,
     CurveFamily,
+    EmptyMeasureError,
+    FamilyEntry,
     IntersectionTable,
     ResolutionError,
     cln_stability_check,
@@ -91,7 +97,17 @@ class ManifestError(ValueError):
     pass
 
 
-REQUIRED = object()  # the default of a key that the manifest must give
+class _Invalid(ValueError):
+    """A failed parse at a JSON path (a run of ``.key`` and ``[i]`` steps)
+    below the value parsed: ``step``, then the path of ``exc``, if any."""
+
+    def __init__(self, step: str, exc):
+        self.path = step + getattr(exc, "path", "")
+        self.reason = getattr(exc, "reason", exc)
+        super().__init__(f"{self.path.lstrip('.')}: {self.reason}")
+
+
+REQUIRED = object()  # the default of a key that must be given
 
 
 def _read_json(path: Path):
@@ -104,44 +120,72 @@ def _read_json(path: Path):
 
 def _field(obj: dict, key: str, default, parse):
     """``obj[key]`` (``default`` when absent, None stays None) through ``parse``;
-    a failure is re-raised as a ValueError that starts with the key."""
-    if key not in obj and default is None:
+    a failure is re-raised at ``.key``."""
+    if key in obj:
+        value = obj[key]
+    elif default is None:
         return None
+    elif default is REQUIRED:
+        raise _Invalid(f".{key}", "required key is missing")
+    else:
+        value = default
     try:
-        if key not in obj and default is REQUIRED:
-            raise ValueError("required key is missing")
-        return parse(obj.get(key, default))
+        return parse(value)
     except (ValueError, ArithmeticError) as exc:
-        raise ValueError(f"{key}: {exc}") from exc
+        raise _Invalid(f".{key}", exc) from exc
+
+
+def _bound(s: str):
+    """An interval end: an infinity as a float, else as an int when it is
+    one, which compares faster than a Fraction."""
+    if "inf" in s:
+        return float(s)
+    q = Fraction(s)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _interval(spec: str):
     """Membership test for an interval written like "[16, inf)" or "(0, 1)"."""
-    lo, hi = (float(s) if "inf" in s else Fraction(s)
-              for s in spec[1:-1].split(","))
-    return lambda x: ((lo <= x if spec[0] == "[" else lo < x)
-                      and (x <= hi if spec[-1] == "]" else x < hi))
+    lo, hi = map(_bound, spec[1:-1].split(","))
+    above = operator.le if spec[0] == "[" else operator.lt
+    below = operator.ge if spec[-1] == "]" else operator.gt
+    return lambda x: above(lo, x) and below(hi, x)
 
 
-def _number(what: str, types, cast):
+def _number(what: str, types: tuple, cast):
     def in_interval(interval: str = "(-inf, inf)"):
         inside = _interval(interval)
 
         def parse(value):
-            ok = isinstance(value, types) and not isinstance(value, bool)
-            x = cast(value) if ok else None
-            if x is None or not inside(x):
-                raise ValueError(f"expected {what} in {interval}, got {value!r}")
-            return x
+            # type(), not isinstance(): a bool is not an int here
+            if type(value) in types and inside(x := cast(value)):
+                return x
+            raise ValueError(f"expected {what} in {interval}, got {value!r}")
         return parse
     return in_interval
 
 
-_int = _number("an integer", int, int)
+_int = _number("an integer", (int,), int)
 _real = _number("a real", (int, float), float)
 _rat = _number("a rational", (int, str), rat_from_str)
 _COUNT, _POSITIVE, _TOL, _R = \
     _int("[0, inf)"), _int("[1, inf)"), _real("(0, inf)"), _rat("(0, 1)")
+
+
+def _typed(kind: type, what: str):
+    def parse(value):
+        if type(value) is not kind:
+            raise ValueError(f"expected {what}, got {value!r}")
+        return value
+    return parse
+
+
+_text, _flag = _typed(str, "a string"), _typed(bool, "true or false")
+
+
+def _null_is(value, parse):
+    """``parse``, with a JSON null standing for ``value``."""
+    return lambda v: value if v is None else parse(v)
 
 
 def _grid_side(value):
@@ -153,21 +197,47 @@ def _grid_side(value):
     return n
 
 
+def _items(parses, values) -> tuple:
+    out = []
+    try:
+        for parse, value in zip(parses, values):
+            out.append(parse(value))
+    except (ValueError, ArithmeticError) as exc:
+        raise _Invalid(f"[{len(out)}]", exc) from exc
+    return tuple(out)
+
+
 def _each(parse, min_len: int = 0):
+    """A list of at least ``min_len`` items, each through ``parse``."""
     def parse_list(value):
         if not isinstance(value, list) or len(value) < min_len:
-            raise ValueError(
-                f"expected a list of at least {min_len} items, got {value!r}")
-        return [parse(v) for v in value]
+            least = f" of at least {min_len} items" if min_len else ""
+            raise ValueError(f"expected a list{least}, got {value!r}")
+        return _items(itertools.repeat(parse), value)
     return parse_list
 
 
-def _block(**fields):
-    """Parse a JSON object whose fields are given as name=(default, parse)."""
+def _tuple(*parses):
+    """A list of exactly len(parses) items, the i-th through parses[i]."""
+    def parse_tuple(value):
+        if not isinstance(value, list) or len(value) != len(parses):
+            raise ValueError(
+                f"expected a list of {len(parses)} items, got {value!r}")
+        return _items(parses, value)
+    return parse_tuple
+
+
+def _block(build=None, /, **fields):
+    """Parse a JSON object whose fields are given as name=(default, parse).
+
+    The result is the dict of the parsed fields, or, given ``build``,
+    ``build(*values)`` with the values in the order the fields are given.
+    """
     def parse(value):
         if not isinstance(value, dict):
-            raise ValueError(f"expected an object, got {value!r}")
-        return {k: _field(value, k, d, p) for k, (d, p) in fields.items()}
+            raise ValueError(f"expected a JSON object, got {value!r}")
+        values = [_field(value, k, d, p) for k, (d, p) in fields.items()]
+        return build(*values) if build else dict(zip(fields, values))
     return parse
 
 
@@ -211,7 +281,7 @@ class ExperimentManifest:
     def _value(self, section: str, key: str, default, parse):
         try:
             return _field(self.raw.get(section, {}), key, default, parse)
-        except ValueError as exc:
+        except _Invalid as exc:
             raise ManifestError(f"{self.path}: {section}.{exc}") from exc
 
     def file(self, rel) -> Path:
@@ -331,62 +401,128 @@ def emit_plot_data(report: RunReport, target: Path):
 
 
 # ---------------------------------------------------------------------------
-# shared loaders
+# input files: one spec per format, each building its domain object
 # ---------------------------------------------------------------------------
 
-@contextmanager
-def _reading(path: Path):
-    """Content errors in the input file at ``path`` (a missing key, a value
-    of the wrong type or out of range) become a ManifestError naming it."""
+_FLOAT_SIZED = "[-1e308, 1e308]"  # the grid computes with float(x)
+
+_MODEL = _block(
+    SncModelCombinatorics,
+    components=(REQUIRED, _each(_block(
+        Component, label=(REQUIRED, _text), mult=(REQUIRED, _POSITIVE),
+        zval=(None, _rat())), 1)),
+    strata=(REQUIRED, _each(_each(_COUNT))),
+    name=("model", _text))
+_PULLBACK = _block(lambda target, matrix: (target, matrix),
+                   target=(REQUIRED, _text),
+                   matrix=(REQUIRED, _each(_each(_COUNT))))
+
+
+_RAT_PAIR = _tuple(_rat(), _rat())
+
+
+def _coefficient(value) -> Coefficient:
+    """The tag "unit", or an explicit complex rational [re, im]."""
+    if value == "unit":
+        return Coefficient.unit()
+    return Coefficient.explicit(*_RAT_PAIR(value))
+
+
+_LAURENT = _block(
+    LaurentSeriesData,
+    vars=(REQUIRED, _each(_text)),
+    terms=(REQUIRED, _each(_block(
+        lambda exp, coef: (exp, coef),
+        exp=(REQUIRED, _each(_int())), coef=("unit", _coefficient)))))
+_TFS = _block(
+    lambda model, metric: (model, metric),
+    model=(REQUIRED, _text),
+    metric=(REQUIRED, _block(
+        TropicalFSMetric.build,
+        m=(REQUIRED, _POSITIVE),
+        entries=(REQUIRED, _each(_block(
+            lambda section, c: (section, c),
+            section=(REQUIRED, _LAURENT), c=(REQUIRED, _rat())), 1)),
+        reference=(REQUIRED, _LAURENT),
+        meromorphic_ok=(False, _flag))))
+_TABLE = _block(
+    IntersectionTable.build,
+    model=(REQUIRED, _MODEL),
+    rows=(REQUIRED, _each(_tuple(_COUNT, _POSITIVE, _rat()))))
+_COMPLEX = _tuple(_real(), _real())
+
+
+def _coeffs(value) -> dict:
+    """{"k": [re, im]}: the coefficient of z^k."""
+    if not isinstance(value, dict):
+        raise ValueError(f"expected a JSON object, got {value!r}")
+    return {int(k): complex(*_field(value, k, REQUIRED, _COMPLEX)) for k in value}
+
+
+_FAMILY = _block(
+    CurveFamily,
+    name=(REQUIRED, _text),
+    m=(REQUIRED, _int(_FLOAT_SIZED)),
+    degree=(REQUIRED, _int(_FLOAT_SIZED)),
+    entries=(REQUIRED, _each(_block(
+        FamilyEntry.build, coeffs=(REQUIRED, _coeffs),
+        q=(REQUIRED, _rat(_FLOAT_SIZED)), c=(REQUIRED, _rat(_FLOAT_SIZED))), 1)),
+    charts=(REQUIRED, _each(_block(
+        Chart, p=(REQUIRED, _rat(_FLOAT_SIZED)), invert=(False, _flag),
+        # the cell side 2L/n stays a normal float, so no cell center is 0
+        L=(2.0, _real("[1e-300, 1e300]")),
+        # null or absent: the partition interval is open on that side
+        u_lo=(-math.inf, _null_is(-math.inf, _real("[-inf, inf]"))),
+        u_hi=(math.inf, _null_is(math.inf, _real("[-inf, inf]"))),
+        name=("chart", _text)), 1)),
+    mode=("max", _text))
+
+
+def _load(path: Path, parse):
+    """The JSON file at ``path`` through ``parse``; a failure is a
+    ManifestError that reads ``<file>: <json path>: <reason>``."""
+    data = _read_json(path)
     try:
-        yield
-    except ManifestError:
-        raise
-    except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
-        what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise ManifestError(f"{path}: {what}") from exc
+        return parse(data)
+    except (ValueError, ArithmeticError) as exc:
+        raise ManifestError(f"{path}: {exc}") from exc
+
+
+def _model_and_pullbacks(data):
+    return _MODEL(data), _field(data, "pullbacks", [], _each(_PULLBACK))
 
 
 def load_models_with_pullbacks(paths) -> dict:
-    registry = {}
-    pullbacks = {}
+    loaded = {}
     for p in paths:
-        with _reading(p):
-            data = _read_json(p)
-            model = SncModelCombinatorics.from_json(data)
-            registry[model.name] = model
-            pullbacks[model.name] = (p, data.get("pullbacks", []))
-    for name, (p, specs) in pullbacks.items():
-        with _reading(p):
-            for pb in specs:
-                target = registry.get(pb["target"])
-                if target is None:
-                    raise ManifestError(
-                        f"{p}: pullback target {pb['target']} not loaded")
-                registry[name].pullbacks.append(
-                    MonomialPullback(registry[name], target,
-                                     tuple(tuple(row) for row in pb["matrix"]))
-                )
+        model, pullbacks = _load(p, _model_and_pullbacks)
+        loaded[model.name] = p, model, pullbacks
+    registry = {name: model for name, (_, model, _) in loaded.items()}
+    for p, model, pullbacks in loaded.values():
+        for i, (target, matrix) in enumerate(pullbacks):
+            try:
+                if target not in registry:
+                    raise _Invalid(".target",
+                                   f"pullback target {target} not loaded")
+                model.pullbacks.append(
+                    MonomialPullback(model, registry[target], matrix))
+            except ValueError as exc:
+                where = _Invalid(f".pullbacks[{i}]", exc)
+                raise ManifestError(f"{p}: {where}") from exc
     return registry
 
 
 def load_tfs_file(path: Path, model_dir: Path):
-    with _reading(path):
-        data = _read_json(path)
-        model_path = (model_dir / data["model"]).resolve()
-        metric = TropicalFSMetric.from_json(data["metric"])
-    with _reading(model_path):
-        return SncModelCombinatorics.from_json(_read_json(model_path)), metric
+    model, metric = _load(path, _TFS)
+    return _load((model_dir / model).resolve(), _MODEL), metric
 
 
 def load_family(path: Path) -> CurveFamily:
-    with _reading(path):
-        return CurveFamily.from_json(_read_json(path))
+    return _load(path, _FAMILY)
 
 
 def load_table(path: Path) -> IntersectionTable:
-    with _reading(path):
-        return IntersectionTable.from_json(_read_json(path))
+    return _load(path, _TABLE)
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +888,7 @@ def run_ma_converge(man: ExperimentManifest, rep: RunReport):
     grid = man.param("grid", 1024, _grid_side)
     w1_tol = man.param("w1_tol", 0.05, _TOL)
     mass_tol = man.param("mass_tol", 1e-4, _TOL)
-    test_function = _block(name=(REQUIRED, str), xs=(REQUIRED, _each(_rat(), 1)),
+    test_function = _block(name=(REQUIRED, _text), xs=(REQUIRED, _each(_rat(), 1)),
                            ys=(REQUIRED, _each(_rat(), 1)))
     tests = man.param("test_functions", [], lambda specs: {
         f["name"]: PAFunction1D.from_breakpoints(f["xs"], f["ys"], r)
@@ -771,6 +907,9 @@ def run_ma_converge(man: ExperimentManifest, rep: RunReport):
                 f"grid-resolution-{fam.name}", False,
                 f"{exc}; suggested_n = {exc.suggested_n}",
             ))
+            continue
+        except EmptyMeasureError as exc:
+            rep.checks.append(Check(f"positive-mass-{fam.name}", False, str(exc)))
             continue
         for row in conv.rows:
             out = [fam.name, row.t_abs, row.w1, row.captured_mass]

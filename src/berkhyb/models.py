@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .exactnum import as_fraction, rat_from_str, rat_to_str
+from .exactnum import as_fraction
 from .valuation import LaurentSeriesData, QuasiMonomialPoint, _lattice, \
     _lattice_min
 
@@ -85,6 +85,11 @@ class SncModelCombinatorics:
         if any(c.multiplicity <= 0 for c in self.components):
             raise ModelValidationError("multiplicities must be strictly positive")
         n = len(self.components)
+        # component_index_by_equation looks components up by label
+        self._eq_index = {c.label: i for i, c in enumerate(self.components)}
+        for i, c in enumerate(self.components):
+            if self._eq_index[c.label] != i:
+                raise ModelValidationError(f"duplicate component label {c.label!r}")
         for s in strata:
             # 0.0 or True would pass the range test below and hash like 0
             if any(type(i) is not int for i in s):
@@ -98,7 +103,6 @@ class SncModelCombinatorics:
         self.strata = tuple(sorted(declared, key=lambda s: (len(s), s)))
         self._strata_set = set(self.strata)
         self._check_face_closure()
-        self._eq_index = {c.label: i for i, c in enumerate(self.components)}
         self.pullbacks: list[MonomialPullback] = []
 
     def _check_face_closure(self):
@@ -135,41 +139,6 @@ class SncModelCombinatorics:
         return LaurentSeriesData.monomial(
             self.variable_labels(), [c.multiplicity for c in self.components]
         )
-
-    # -- serialization -----------------------------------------------------
-    def to_json(self):
-        data = {
-            "name": self.name,
-            "components": [
-                {
-                    "label": c.label,
-                    "mult": c.multiplicity,
-                    **({"zval": rat_to_str(c.zval)} if c.zval is not None else {}),
-                }
-                for c in self.components
-            ],
-            "strata": [list(s) for s in self.strata],
-        }
-        return data
-
-    @classmethod
-    def from_json(cls, data) -> "SncModelCombinatorics":
-        comps = [
-            Component(
-                c["label"],
-                int(c["mult"]),
-                rat_from_str(c["zval"]) if "zval" in c else None,
-            )
-            for c in data["components"]
-        ]
-        labels = [c.label for c in comps]
-        for label in labels:
-            if labels.count(label) > 1:
-                raise ModelValidationError(f"duplicate component label {label!r}")
-        name = data.get("name", "model")
-        if not isinstance(name, str):
-            raise ModelValidationError(f"model name must be a string, got {name!r}")
-        return cls(comps, data["strata"], name=name)
 
 
 @dataclass(frozen=True)
@@ -267,9 +236,8 @@ def retraction(
             "retracted weights violate the simplex constraint: "
             f"sum = {Fraction(total, den)}"
         )
-    if any(values[i] < 0 for i in stratum):
-        raise ValueError("weights must be non-negative")
-    # both checks of QuasiMonomialPoint.__post_init__ are done above
+    # no value is < 0, as MonomialPullback exponents and v's weights are >= 0;
+    # with the simplex sum above, both QuasiMonomialPoint checks hold
     return QuasiMonomialPoint._canonical(
         target, stratum, tuple([Fraction(values[i], den) for i in stratum]))
 

@@ -65,7 +65,7 @@ from fractions import Fraction
 from functools import cache, cached_property, partial
 from typing import Sequence
 
-from .exactnum import LogRVal, as_fraction, rat_from_str, rat_to_str
+from .exactnum import LogRVal, as_fraction
 from .models import SncModelCombinatorics
 from .pafunc import AffineLine, PAFunction1D, upper_envelope
 from .tropical import lse_max_gap
@@ -75,6 +75,10 @@ class ResolutionError(ValueError):
     def __init__(self, message, suggested_n=None):
         super().__init__(message)
         self.suggested_n = suggested_n
+
+
+class EmptyMeasureError(ValueError):
+    """A measure that W1 would compare has no positive mass."""
 
 
 # ---------------------------------------------------------------------------
@@ -143,18 +147,6 @@ class IntersectionTable:
                 )
             entries.append((int(idx), int(b), as_fraction(num)))
         return cls(model, tuple(entries))
-
-    def to_json(self):
-        return {
-            "model": self.model.to_json(),
-            "rows": [[i, b, rat_to_str(n)] for i, b, n in self.entries],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        model = SncModelCombinatorics.from_json(data["model"])
-        rows = [(r[0], r[1], rat_from_str(r[2])) for r in data["rows"]]
-        return cls.build(model, rows)
 
 
 def ma_model_metric(table: IntersectionTable) -> AtomicMeasure:
@@ -261,80 +253,6 @@ class CurveFamily:
                 new_entries.append(e)
         return CurveFamily(self.name, self.m, self.degree, tuple(new_entries),
                            self.charts, self.mode)
-
-    # -- serialization --------------------------------------------------
-    def to_json(self):
-        return {
-            "name": self.name,
-            "m": self.m,
-            "degree": self.degree,
-            "mode": self.mode,
-            "entries": [
-                {
-                    "coeffs": {
-                        str(k): [v.real, v.imag] for k, v in e.coeffs
-                    },
-                    "q": rat_to_str(e.q),
-                    "c": rat_to_str(e.c),
-                }
-                for e in self.entries
-            ],
-            "charts": [
-                {
-                    "p": rat_to_str(ch.p),
-                    "invert": ch.invert,
-                    "L": ch.L,
-                    "u_lo": None if math.isinf(ch.u_lo) else ch.u_lo,
-                    "u_hi": None if math.isinf(ch.u_hi) else ch.u_hi,
-                    "name": ch.name,
-                }
-                for ch in self.charts
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        entries = []
-        for i, e in enumerate(_nonempty_list(data["entries"], "entries")):
-            coeffs = e["coeffs"]
-            if not isinstance(coeffs, dict):
-                raise ValueError(
-                    f"entries[{i}].coeffs: expected a JSON object, got {coeffs!r}")
-            entries.append(FamilyEntry.build(
-                {int(k): complex(v[0], v[1]) for k, v in coeffs.items()},
-                _float_sized(rat_from_str(e["q"]), f"entries[{i}].q"),
-                _float_sized(rat_from_str(e["c"]), f"entries[{i}].c"),
-            ))
-        charts = tuple(
-            Chart(
-                p=_float_sized(rat_from_str(ch["p"]), f"charts[{i}].p"),
-                invert=bool(ch.get("invert", False)),
-                L=float(ch.get("L", 2.0)),
-                u_lo=-math.inf if ch.get("u_lo") is None else float(ch["u_lo"]),
-                u_hi=math.inf if ch.get("u_hi") is None else float(ch["u_hi"]),
-                name=ch.get("name", "chart"),
-            )
-            for i, ch in enumerate(_nonempty_list(data["charts"], "charts"))
-        )
-        return cls(data["name"], _float_sized(int(data["m"]), "m"),
-                   _float_sized(int(data["degree"]), "degree"),
-                   tuple(entries), charts, data.get("mode", "max"))
-
-
-def _nonempty_list(value, path: str) -> list:
-    if not isinstance(value, list) or not value:
-        raise ValueError(f"{path}: expected a nonempty list, got {value!r}")
-    return value
-
-
-def _float_sized(x, path: str):
-    """``x``, once float(x) is known not to overflow: the grid computes
-    with float(x)."""
-    try:
-        float(x)
-    except OverflowError:
-        raise ValueError(f"{path}: too large for a float") from None
-    return x
 
 
 def family_profile(family: CurveFamily, r: Fraction) -> PAFunction1D:
@@ -890,6 +808,10 @@ def weak_convergence_experiment(
 
     mu0 = family_limit_measure(family, r)
     u0, m0 = atoms_to_arrays(mu0, r)
+    # W1 compares the unit-mass normalizations of the two measures
+    if not m0.sum() > 0:
+        raise EmptyMeasureError(
+            "the limit measure has no mass: the family's profile is affine")
     exact = {name: mu0.pair_with(f).to_float(r)
              for name, f in test_functions.items()}
     rows = []
@@ -901,6 +823,10 @@ def weak_convergence_experiment(
         cloud = combine_clouds(clouds)
         # released here, or they would stay alive beside the next t's grids
         del grids, clouds
+        if not cloud.total() > 0:
+            raise EmptyMeasureError(
+                f"captured mass {cloud.total()!r} at |t| = {t_abs!r}, where W1 "
+                "needs a positive mass; check the charts' u_lo, u_hi and L")
         w1 = wasserstein1_line(cloud.u, cloud.mass, u0, m0)
         # eval_float_array takes sorted input: each chart's cloud is
         charts = np.split(cloud.u, ends[:-1])

@@ -81,29 +81,6 @@ class TropicalFSMetric:
             [(tuple(a + b for a, b in zip(exp, shift)), c) for exp, c in s.terms],
         )
 
-    def to_json(self):
-        return {
-            "m": self.m,
-            "entries": [
-                {"section": s.to_json(), "c": str(c)} for s, c in self.entries
-            ],
-            "reference": self.reference.to_json(),
-            "meromorphic_ok": self.meromorphic_ok,
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        entries = [
-            (LaurentSeriesData.from_json(e["section"]), Fraction(e["c"]))
-            for e in data["entries"]
-        ]
-        return cls.build(
-            data["m"],
-            entries,
-            LaurentSeriesData.from_json(data["reference"]),
-            data.get("meromorphic_ok", False),
-        )
-
 
 def tfs_eval(phi: TropicalFSMetric, v: QuasiMonomialPoint, r: Fraction) -> LogRVal:
     """Exact relative potential m^{-1} max_a ((log r) qm_eval(v, s_a/ref^m) + c_a).

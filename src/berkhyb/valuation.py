@@ -16,7 +16,7 @@ from math import lcm
 from operator import add, mul
 from typing import Callable, Mapping, Sequence
 
-from .exactnum import Rat, as_fraction, rat_from_str, rat_to_str
+from .exactnum import Rat, as_fraction
 
 INF = "inf"  # distinguished +infinity marker for valuation values
 _ZERO = Fraction(0)
@@ -64,11 +64,6 @@ class Coefficient:
         if self.kind == "unit":
             return 1.0 + 0j
         return complex(float(self.re), float(self.im))
-
-    def to_json(self):
-        if self.kind == "unit":
-            return "unit"
-        return [rat_to_str(self.re), rat_to_str(self.im)]
 
 
 _UNIT = Coefficient("unit")  # frozen, so every unit tag can be this one
@@ -149,27 +144,6 @@ class LaurentSeriesData:
                 c = _UNIT if c1 is _UNIT or c2 is _UNIT else c1.mul(c2)
                 acc[exp] = acc[exp].add(c) if exp in acc else c
         return LaurentSeriesData._canonical(self.variables, acc)
-
-    # -- serialization ----------------------------------------------------
-    def to_json(self):
-        return {
-            "vars": list(self.variables),
-            "terms": [
-                {"exp": list(exp), "coef": coef.to_json()} for exp, coef in self.terms
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "LaurentSeriesData":
-        terms = []
-        for t in data["terms"]:
-            coef = t.get("coef", "unit")
-            if coef == "unit":
-                c = Coefficient.unit()
-            else:
-                c = Coefficient.explicit(rat_from_str(coef[0]), rat_from_str(coef[1]))
-            terms.append((tuple(t["exp"]), c))
-        return cls(data["vars"], terms)
 
     def __repr__(self):
         if self.is_zero():

@@ -245,6 +245,29 @@ def test_family_content_error_exit_two(data_dir, tmp_path, capsys, keys, value,
     assert not (tmp_path / "out").exists()
 
 
+def test_zero_captured_mass_fails_a_check_with_report(data_dir, tmp_path):
+    # the only chart's partition interval, u >= 100, misses its grid, and
+    # mass_tol >= degree lets the zero mass past the grid-resolution check
+    fam = json.loads((data_dir / "families" / "fam_kink.json").read_text())
+    fam["charts"] = [dict(fam["charts"][0], u_lo=100)]
+    fam_path = tmp_path / "fam.json"
+    fam_path.write_text(json.dumps(fam))
+    man = _ma_converge_manifest(data_dir, tmp_path, "mass_tol", 5)
+    src = json.loads(man.read_text())
+    src["inputs"] = {"families": [str(fam_path)], "cln_family": str(fam_path)}
+    src["params"]["grid"] = 64
+    man.write_text(json.dumps(src))
+    rc = main(["ma-converge", "--manifest", str(man), "--out",
+               str(tmp_path / "out")])
+    assert rc == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    failed = {c["name"]: c["details"] for c in report["checks"] if not c["passed"]}
+    assert failed == {"positive-mass-kink": (
+        "captured mass 0.0 at |t| = 0.01, where W1 needs a positive mass; "
+        "check the charts' u_lo, u_hi and L")}
+    assert report["tables"]["convergence"]["rows"] == []
+
+
 def test_one_process_runs_kinds_through_one_parser(data_dir, tmp_path, capsys):
     # main parses with one parser per process; it keeps no state between runs
     assert build_parser() is build_parser()

@@ -1,7 +1,8 @@
-"""Exit-code contract of the CLI under bad manifest values.
+"""Exit-code contract of the CLI under bad manifest values and input files.
 
 A bad value exits 2 with a message naming ``params.<key>`` or
-``inputs.<key>`` and writes nothing; a good one runs and exits 0 or 1.
+``inputs.<key>`` (or, in an input file, ``<file>: <json path>``) and
+writes nothing; a good one runs and exits 0 or 1.
 """
 
 import contextlib
@@ -9,14 +10,16 @@ import copy
 import io
 import json
 import math
+import shutil
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from berkhyb.cli import main
+from conftest import DATA_DIR
 from berkhyb.harness import ExperimentManifest, run
 
 
@@ -161,7 +164,7 @@ def test_input_file_missing_a_key_exits_two(data_dir, tmp_path, kind, key,
     man = mutate(bundled(data_dir, kind), ("inputs", key), [str(bad)])
     rc, err, written = run_cli(kind, man, tmp_path)
     assert rc == 2
-    assert str(bad) in err and repr(drop) in err
+    assert f"{bad}: {drop}: required key is missing" in err
     assert not written
 
 
@@ -171,7 +174,8 @@ def test_missing_pullback_target_names_the_model_file(data_dir, tmp_path):
     man = mutate(bundled(data_dir, "retract"), ("inputs", "models"), [blowup])
     rc, err, written = run_cli("retract", man, tmp_path)
     assert rc == 2
-    assert f"{blowup}: pullback target segment not loaded" in err
+    assert (f"{blowup}: pullbacks[0].target: pullback target segment "
+            "not loaded") in err
     assert not written
 
 
@@ -199,7 +203,7 @@ def test_non_string_model_name_exit_two(data_dir, tmp_path):
     man = mutate(bundled(data_dir, "retract"), ("inputs", "models"), models)
     rc, err, written = run_cli("retract", man, tmp_path)
     assert rc == 2
-    assert f"{bad}: model name must be a string, got 0" in err
+    assert f"{bad}: name: expected a string, got 0" in err
     assert not written
 
 
@@ -214,7 +218,8 @@ def test_non_integer_stratum_index_exits_two(data_dir, tmp_path, index):
     man = mutate(bundled(data_dir, "retract"), ("inputs", "models"), models)
     rc, err, written = run_cli("retract", man, tmp_path)
     assert rc == 2
-    assert f"{bad}: stratum [{index!r}]: indices must be integers" in err
+    assert (f"{bad}: strata[0][0]: expected an integer in [0, inf), "
+            f"got {index!r}") in err
     assert not written
 
 
@@ -349,3 +354,61 @@ def test_one_key_fuzz_keeps_the_exit_contract(data_dir, kind, data):
         rc, err, written = run_cli(kind, man, Path(tmp))
     assert rc in (0, 1, 2)
     assert written == (rc != 2), err
+
+
+# Each bundled input file and the kind whose bundled manifest reads it
+READERS = {
+    "models/segment.json": "retract", "models/triangle.json": "retract",
+    "models/blowup.json": "retract", "models/pone_blowinf.json": "na-limit",
+    "families/tfs_segment.json": "na-limit",
+    "families/tfs_blowinf.json": "na-limit",
+    "families/tfs_triangle.json": "na-limit",
+    "families/fam_kink.json": "ma-converge",
+    "families/fam_isotrivial.json": "ma-converge",
+    "families/fam_threesec.json": "ma-converge",
+    "families/fam_d21.json": "ma-model",
+    "tables/table_trivial_o1.json": "ma-model",
+    "tables/table_blowinf_L.json": "ma-model",
+    "tables/table_blowinf_d21.json": "ma-model",
+    "tables/table_ndim.json": "ma-model",
+}
+# grid 64 misses the default mass_tol 1e-4; mass_tol 1 lets the run reach W1
+FILE_SMALL = {"retract": {"n_points": 20},
+              "ma-converge": {"grid": 64, "mass_tol": 1.0}}
+
+
+def _key_paths(value, prefix=()):
+    """The path of every entry below ``value``, at any depth."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _key_paths(child, prefix + (key,))
+
+
+FILE_TARGETS = st.sampled_from(sorted(READERS)).flatmap(
+    lambda name: st.tuples(st.just(name), st.sampled_from(list(_key_paths(
+        json.loads((DATA_DIR / name).read_text()))))))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(target=FILE_TARGETS, value=VALUES)
+# a tfs term that is not an object, and a chart L of 0, once escaped
+@example(target=("families/tfs_segment.json",
+                 ("metric", "entries", 0, "section", "terms", 0)), value=0)
+@example(target=("families/fam_kink.json", ("charts", 0, "L")), value=0)
+def test_one_key_input_file_fuzz_keeps_the_exit_contract(target, value):
+    name, path = target
+    kind = READERS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp).resolve() / "data"  # input paths are resolved
+        shutil.copytree(DATA_DIR, data)
+        content = json.loads((data / name).read_text())
+        (data / name).write_text(json.dumps(mutate(content, path, value)))
+        man = bundled(data, kind)
+        man["params"].update(FILE_SMALL.get(kind, {}))
+        rc, err, written = run_cli(kind, man, Path(tmp))
+    assert rc in (0, 1, 2)
+    assert written == (rc != 2), err
+    if rc == 2:  # one line naming an input file of the copy
+        assert err.startswith(f"error: {data}/") and err.count("\n") == 1, err

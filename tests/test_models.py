@@ -152,11 +152,18 @@ def test_retraction_rejects_negative_or_unnormalized_weights(segment, exp, total
     assert retraction(target, v, pb).weights == (Fraction(1),)
 
 
-def test_model_json_round_trip(blowup):
-    back = SncModelCombinatorics.from_json(blowup.to_json())
-    assert back.name == blowup.name
-    assert [c.label for c in back.components] == [c.label for c in blowup.components]
-    assert back.strata == blowup.strata
+def test_model_json_round_trip(data_dir, segment, blowup):
+    # the bundled model files, read through the harness, against the
+    # models built in code
+    registry = load_models_with_pullbacks(
+        [data_dir / "models" / "segment.json", data_dir / "models" / "blowup.json"])
+    for model in (segment, blowup):
+        back = registry[model.name]
+        assert (back.name, back.components, back.strata) == \
+            (model.name, model.components, model.strata)
+    (pb,) = registry["blowup"].pullbacks
+    assert pb.target is registry["segment"]
+    assert pb.matrix == ((1, 0, 1), (0, 1, 1))
 
 
 def test_retraction_requires_matching_pullback(segment, triangle):

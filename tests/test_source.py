@@ -64,3 +64,15 @@ def test_numpy_and_mpmath_are_imported_on_first_use():
              for line, package in _eager_imports(ast.parse(path.read_text()))
              if package in ("numpy", "mpmath")]
     assert eager == []
+
+
+def test_input_formats_live_in_harness():
+    # harness parses every input file; no other module reads JSON
+    readers = [
+        f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+        if path.name != "harness.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "from_json"
+        or isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+        and isinstance(node.value, ast.Name) and node.value.id == "json"]
+    assert readers == []

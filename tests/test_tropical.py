@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from berkhyb.exactnum import LogRVal
+from berkhyb.harness import load_tfs_file
 from berkhyb.tropical import (
     BasepointError,
     RegularityError,
@@ -169,16 +171,28 @@ def test_na_limit_pole_detection(segment, r, seg_labels):
     assert res.dual_route_equal
 
 
-def test_tfs_json_round_trip(seg_labels):
+def test_tfs_json_round_trip(seg_labels, data_dir, tmp_path):
+    # a tfs file, read through the harness, against the metric built in code
     phi = TropicalFSMetric.build(
         2,
         [(one(seg_labels), Fraction(1, 3)), (mono(seg_labels, (0, 2)), -1)],
         one(seg_labels),
     )
-    back = TropicalFSMetric.from_json(phi.to_json())
-    assert back.m == phi.m
-    assert [(s.terms, c) for s, c in back.entries] == \
-        [(s.terms, c) for s, c in phi.entries]
+
+    def section(exp):
+        return {"vars": list(seg_labels), "terms": [{"exp": exp, "coef": "unit"}]}
+
+    path = tmp_path / "tfs.json"
+    path.write_text(json.dumps({"model": "segment.json", "metric": {
+        "m": 2, "reference": section([0, 0]),
+        "entries": [{"section": section([0, 0]), "c": "1/3"},
+                    {"section": section([0, 2]), "c": -1}]}}))
+    model, back = load_tfs_file(path, data_dir / "models")
+    assert model.name == "segment"
+    assert (back.m, back.meromorphic_ok) == (phi.m, phi.meromorphic_ok)
+    assert [(s.variables, s.terms, c) for s, c in back.entries] == \
+        [(s.variables, s.terms, c) for s, c in phi.entries]
+    assert back.reference.terms == phi.reference.terms
 
 
 # ---------------------------------------------------------------------------

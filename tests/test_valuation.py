@@ -1,5 +1,4 @@
 import hashlib
-import json
 import random
 import re
 from fractions import Fraction
@@ -10,9 +9,8 @@ from hypothesis import strategies as st
 
 from berkhyb import valuation
 from berkhyb.exactnum import as_fraction, rat_to_str
-from berkhyb.harness import _randint, _randints, _random_laurent, \
-    _random_model, _random_point
-from berkhyb.models import SncModelCombinatorics
+from berkhyb.harness import _LAURENT, _randint, _randints, _random_laurent, \
+    _random_model, _random_point, load_models_with_pullbacks
 from berkhyb.valuation import (
     INF,
     Coefficient,
@@ -171,9 +169,16 @@ def test_laurent_json_round_trip():
         [((1, -2), Coefficient.unit()),
          ((0, 3), Coefficient.explicit(Fraction(1, 2), Fraction(-2, 7)))],
     )
-    back = LaurentSeriesData.from_json(f.to_json())
+    # the Laurent data format, read by the harness; coef defaults to unit
+    data = {"vars": ["z", "t"], "terms": [{"exp": [1, -2]},
+                                          {"exp": [0, 3], "coef": ["1/2", "-2/7"]}]}
+    back = _LAURENT(data)
     assert back.variables == f.variables
     assert back.terms == f.terms
+    data["terms"][1]["coef"] = ["1/2"]
+    with pytest.raises(ValueError, match=re.escape(
+            "terms[1].coef: expected a list of 2 items, got ['1/2']")):
+        _LAURENT(data)
 
 
 def test_formal_product_tracks_cancellation():
@@ -308,9 +313,8 @@ def test_randint_helpers_reject_an_empty_range():
 
 
 def test_canonical_point_equals_validated_point(data_dir):
-    models = [_random_model()] + [
-        SncModelCombinatorics.from_json(json.loads(path.read_text()))
-        for path in sorted((data_dir / "models").glob("*.json"))]
+    models = [_random_model(), *load_models_with_pullbacks(
+        sorted((data_dir / "models").glob("*.json"))).values()]
     rng = random.Random(2718)
     for model in models:
         for _ in range(300):
