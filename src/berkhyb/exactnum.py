@@ -428,10 +428,11 @@ def primelog_sign(const: Rat, logs: dict) -> int:
     """
     if not logs:
         return (const > 0) - (const < 0)
+    # a rational's sign is its numerator's, which skips Fraction comparison
     qs = logs.values()
-    if const >= 0 and all(q > 0 for q in qs):
+    if const.numerator >= 0 and all(q.numerator > 0 for q in qs):
         return 1
-    if const <= 0 and all(q < 0 for q in qs):
+    if const.numerator <= 0 and all(q.numerator < 0 for q in qs):
         return -1
     s = _filtered_sign(lambda: [float(const)] + [
         float(q) * _float_log(p) for p, q in logs.items()])

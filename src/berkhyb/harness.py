@@ -1101,8 +1101,6 @@ def run_lelong(man: ExperimentManifest, rep: RunReport):
 
 
 def run_rho_r(man: ExperimentManifest, rep: RunReport):
-    import numpy as np
-
     # the numeric samples lie on |t| = 3/10 and the round trips map into
     # r' = 3/4 > r; for r >= 3/10, r^500 is still a normal double
     cfg = HybridConfig(r=man.param("r", "1/2", _rat("[3/10, 3/4)")))
@@ -1125,10 +1123,12 @@ def run_rho_r(man: ExperimentManifest, rep: RunReport):
     exact_ok = all(a.value == b.value for a, b in zip(samples, back))
     rep.checks.append(Check("round-trip-exact", exact_ok,
                              f"{len(samples)} samples, rational radius exponents"))
-    # numeric round trip for phi = log|1 + t| scaled data
+    # numeric round trip for phi = log|1 + t| scaled data, at 25 angles
+    # from 0.1 to 6.0 with both ends included
+    step = (6.0 - 0.1) / 24
     num = [RhoSample(complex(0.3 * math.cos(a), 0.3 * math.sin(a)),
                       math.log(abs(1 + 0.3 * math.cos(a) + 0.3j * math.sin(a))))
-           for a in np.linspace(0.1, 6.0, 25)]
+           for a in [k * step + 0.1 for k in range(24)] + [6.0]]
     rt = rho_r_inverse(rho_r_forward(num, cfg), cfg, r_prime=Fraction(9, 10))
     num_ok = all(abs(a.value - b.value) <= tol * max(1.0, abs(a.value))
                  for a, b in zip(num, rt))

@@ -13,6 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Sequence
 
 from .exactnum import as_fraction
@@ -44,6 +45,22 @@ class PathLimitResult:
     note: str = ""
 
 
+def _line_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+    """Least-squares slope and intercept of the line through (xs[i], ys[i]).
+
+    The slope is Sxy / Sxx, with the centred sums taken by math.fsum over
+    pairwise differences, n*Sxy = sum_{i<j} (x_i - x_j)(y_i - y_j), so
+    that no rounded mean enters them; the intercept is the fsum mean of
+    y - slope * x.  A line with integer x and integer coefficients comes
+    back exactly.  The xs must not all be equal.
+    """
+    pairs = list(combinations(range(len(xs)), 2))
+    sxx = math.fsum((xs[i] - xs[j]) ** 2 for i, j in pairs)
+    sxy = math.fsum((xs[i] - xs[j]) * (ys[i] - ys[j]) for i, j in pairs)
+    slope = sxy / sxx
+    return slope, math.fsum([*ys, *(-slope * x for x in xs)]) / len(xs)
+
+
 def _path_prediction(f: LaurentSeriesData, w: Fraction):
     weights = []
     for label in f.variables:
@@ -64,14 +81,13 @@ def hybrid_path_limit(
 ) -> PathLimitResult:
     """Sample log|f(z(t),t)| / log|t| along z(t) = c t^w and extrapolate.
 
-    The limit is extrapolated by a linear fit in 1/log|t| on the last
-    RICHARDSON_POINTS samples (the log-linear error model).  Exact zeros
-    of f on the path are re-sampled on a rotated t; persistent
-    cancellation or a limit far from the monomial prediction is reported
-    as a degenerate-path diagnostic, not an error.
+    The limit is the intercept of the closed-form least-squares line
+    (``_line_fit``) in 1/log|t| through the last RICHARDSON_POINTS
+    samples (the log-linear error model).  Exact zeros of f on the path
+    are re-sampled on a rotated t; persistent cancellation or a limit far
+    from the monomial prediction is reported as a degenerate-path
+    diagnostic, not an error.
     """
-    import numpy as np
-
     if c == 0:
         raise ValueError("path coefficient c must be nonzero")
     sched = [float(cfg.r) * 10.0 ** (-k) for k in range(SCHEDULE_K_MAX + 1)]
@@ -110,10 +126,8 @@ def hybrid_path_limit(
         return result
     pts = result.samples[-RICHARDSON_POINTS:]
     if len(pts) >= 2:
-        xs = np.array([1.0 / math.log(a) for a, _ in pts])
-        ys = np.array([v for _, v in pts])
-        slope, intercept = np.polyfit(xs, ys, 1)
-        result.limit = float(intercept)
+        _, result.limit = _line_fit([1.0 / math.log(a) for a, _ in pts],
+                                    [v for _, v in pts])
     else:
         result.limit = result.samples[-1][1]
     if result.prediction == INF:
@@ -144,16 +158,17 @@ class RadialSampling:
 
 def sample_circle_sups(func: Callable[[complex], float],
                        radii: Sequence[float]) -> RadialSampling:
-    """sup over N_ANGLES equally spaced angles of func on each circle."""
-    import numpy as np
+    """sup over N_ANGLES equally spaced angles of func on each circle.
 
-    angles = np.linspace(0.0, 2.0 * math.pi, N_ANGLES, endpoint=False)
-    pts = []
-    for rho in radii:
-        zs = rho * np.exp(1j * angles)
-        sup = max(map(func, zs.tolist()))
-        pts.append((float(rho), float(sup)))
-    return RadialSampling(tuple(pts))
+    The points are rho * exp(i k step), k < N_ANGLES, in complex
+    arithmetic, with step = 2 pi / N_ANGLES and each angle k * step
+    rounded once.
+    """
+    step = 2.0 * math.pi / N_ANGLES
+    unit = [cmath.exp(1j * (k * step)) for k in range(N_ANGLES)]
+    return RadialSampling(tuple(
+        (float(rho), float(max(map(func, [rho * u for u in unit]))))
+        for rho in radii))
 
 
 @dataclass
@@ -168,12 +183,12 @@ def lelong_estimate(sampling: RadialSampling) -> LelongEstimate:
     """Slope of circle sups against log rho, measured at the smallest decade.
 
     Requires at least 4 radii spanning at least 3 decades.  The estimate
-    is the least-squares slope over radii within one decade of the
-    smallest; per-decade slopes act as a drift diagnostic, and
-    non-monotone sup values beyond tolerance produce a warning.
+    is the slope of the closed-form least-squares line (``_line_fit``)
+    over radii within one decade of the smallest; per-decade slopes of
+    the same fit act as a drift diagnostic, and the band's half-width is
+    the larger of that drift and the estimate line's largest residual.
+    Non-monotone sup values beyond tolerance produce a warning.
     """
-    import numpy as np
-
     pts = list(sampling.points)
     if len(pts) < 4:
         raise ValueError("need at least 4 radii")
@@ -185,34 +200,27 @@ def lelong_estimate(sampling: RadialSampling) -> LelongEstimate:
     if any(v2 > v1 + MONOTONE_TOL for v1, v2 in zip(vals, vals[1:])):
         warnings.append("sup values not monotone along decreasing radii")
 
-    def ls_slope(sub):
-        xs = np.array([math.log(r) for r, _ in sub])
-        ys = np.array([v for _, v in sub])
-        if len(sub) == 1:
-            return math.nan
-        return float(np.polyfit(xs, ys, 1)[0])
+    def fit(sub):
+        return _line_fit([math.log(r) for r, _ in sub], [v for _, v in sub])
 
     smallest = [(r, v) for r, v in pts if r <= rho_min * 10.0 * (1 + 1e-12)]
     if len(smallest) < 2:
         smallest = pts[-2:]
-    estimate = ls_slope(smallest)
+    estimate, intercept = fit(smallest)
     decade_slopes = []
     k = 0
     while True:
         lo, hi = rho_min * 10.0 ** k, rho_min * 10.0 ** (k + 1)
         sub = [(r, v) for r, v in pts if lo * (1 - 1e-12) <= r <= hi * (1 + 1e-12)]
         if len(sub) >= 2:
-            decade_slopes.append(ls_slope(sub))
+            decade_slopes.append(fit(sub)[0])
         if hi >= rho_max:
             break
         k += 1
     drift = 0.0
     if len(decade_slopes) >= 2:
         drift = abs(decade_slopes[0] - decade_slopes[1])
-    xs = np.array([math.log(r) for r, _ in smallest])
-    ys = np.array([v for _, v in smallest])
-    fit = np.polyfit(xs, ys, 1)
-    resid = float(np.max(np.abs(np.polyval(fit, xs) - ys))) if len(xs) > 1 else 0.0
+    resid = max(abs(estimate * math.log(r) + intercept - v) for r, v in smallest)
     half = max(drift, resid)
     return LelongEstimate(estimate, (estimate - half, estimate + half),
                           decade_slopes, warnings)

@@ -106,7 +106,8 @@ class LaurentSeriesData:
         """
         self = cls.__new__(cls)
         self.variables = variables
-        self.terms = tuple(sorted([(e, c) for e, c in acc.items() if not c.is_zero()]))
+        self.terms = tuple(sorted([(e, c) for e, c in acc.items()
+                                   if c is _UNIT or not c.is_zero()]))
         return self
 
     # -- constructors ---------------------------------------------------

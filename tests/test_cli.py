@@ -328,7 +328,8 @@ def test_import_and_manifest_load_need_neither_numpy_nor_mpmath(data_dir):
 @pytest.mark.parametrize("kind,unused", [
     ("retract", {"numpy", "mpmath"}), ("ma-model", {"numpy", "mpmath"}),
     ("mz-check", {"numpy"}), ("na-limit", {"numpy"}),
-], ids=["retract", "ma-model", "mz-check", "na-limit"])
+    ("lelong", {"numpy", "mpmath"}), ("rho-r", {"numpy", "mpmath"}),
+], ids=["retract", "ma-model", "mz-check", "na-limit", "lelong", "rho-r"])
 def test_exact_kinds_leave_numpy_unloaded(data_dir, tmp_path, kind, unused):
     argv = [kind, "--manifest",
             str(manifest_path(data_dir, kind.replace("-", "_") + ".json")),

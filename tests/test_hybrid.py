@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from berkhyb.hybrid import (
     HybridConfig,
     RadialSampling,
     RhoSample,
+    _line_fit,
     hybrid_path_limit,
     khyb_convexity_check,
     lelong_estimate,
@@ -125,6 +127,58 @@ def test_lelong_non_monotone_warning():
                  + (10.0 if k == 4 else 0.0)) for k in range(1, 9))
     est = lelong_estimate(RadialSampling(pts))
     assert est.warnings
+
+
+def _exact_line_fit(xs, ys):
+    """Least-squares slope and intercept in exact rational arithmetic."""
+    X, Y = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    mx, my = sum(X) / len(X), sum(Y) / len(Y)
+    slope = (sum((x - mx) * (y - my) for x, y in zip(X, Y))
+             / sum((x - mx) ** 2 for x in X))
+    return slope, my - slope * mx
+
+
+@pytest.mark.parametrize("spread,centre", [
+    (math.log(10.0), 5.0),   # lelong: one radius per decade
+    (math.log(10.0), 18.0),  # lelong at the smallest bundled decades
+    (0.007, 0.06),           # path limits: 1/log|t| at |t| = r 10^-k
+], ids=["decades-near-0", "decades-far", "path-limit"])
+def test_line_fit_matches_polyfit_and_the_exact_fit(spread, centre):
+    import numpy as np
+
+    eps = 2.0 ** -52
+    rng = random.Random(20261019)
+    for _ in range(300):
+        n = rng.randint(2, 10)
+        x0 = -centre * rng.uniform(0.5, 1.5)
+        xs = [x0 + spread * (i + rng.uniform(-0.25, 0.25)) for i in range(n)]
+        a = rng.choice((-1, 1)) * rng.uniform(0.5, 3.0)
+        b = rng.choice((-1, 1)) * rng.uniform(0.5, 3.0)
+        ys = [a * x + b + rng.uniform(-1e-3, 1e-3) for x in xs]
+        slope, intercept = _line_fit(xs, ys)
+        # eps times these scales bound the change that rounding each x_i
+        # and y_i once makes in the slope and the intercept
+        mx = math.fsum(xs) / n
+        sxx = math.fsum((x - mx) ** 2 for x in xs)
+        mags = [abs(y) + abs(slope * x) for x, y in zip(xs, ys)]
+        slope_scale = math.fsum(abs(x - mx) * m for x, m in zip(xs, mags)) / sxx
+        icpt_scale = math.fsum(abs(1 / n - mx * (x - mx) / sxx) * m
+                               for x, m in zip(xs, mags))
+        np_slope, np_intercept = np.polyfit(xs, ys, 1)
+        assert abs(slope - np_slope) <= 8 * eps * slope_scale
+        assert abs(intercept - np_intercept) <= 8 * eps * icpt_scale
+        ex_slope, ex_intercept = _exact_line_fit(xs, ys)
+        assert abs(slope - float(ex_slope)) <= 4 * eps * abs(slope)
+        assert abs(intercept - float(ex_intercept)) <= 4 * eps * icpt_scale
+
+
+def test_line_fit_returns_an_integer_line_exactly():
+    rng = random.Random(4711)
+    for _ in range(2000):
+        xs = rng.sample(range(-1000, 1001), rng.randint(2, 10))
+        a, b = rng.randint(-50, 50), rng.randint(-1000, 1000)
+        assert _line_fit([float(x) for x in xs],
+                         [float(a * x + b) for x in xs]) == (a, b)
 
 
 # ---------------------------------------------------------------------------
