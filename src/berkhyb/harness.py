@@ -72,6 +72,7 @@ from .mztree import (
     BranchPA,
     MZFunction,
     MZPoint,
+    _LogVec,
     mz_family_identity,
     mz_from_family,
     mz_fs_eval,
@@ -1014,20 +1015,16 @@ def run_mz_check(man: ExperimentManifest, rep: RunReport):
         "sum = log(max over argmax / gcd) exactly on every family; "
         f"lcm form differs on {discrepancies} families (surfaced, not asserted)",
     ))
-    viol = MZFunction(
-        Fraction(0),
-        {2: BranchPA((Fraction(-1),), (Fraction(0),))},
-        BranchPA((Fraction(0),), (Fraction(0),)),
-        BranchPA((Fraction(0),), (Fraction(0),)),
-    )
+    # crafted on the unit lattice: scale 1, no archimedean primes
+    viol = MZFunction(1, (), 0, {2: BranchPA((-1,), (0,))},
+                      BranchPA((_LogVec(),), (0,)), BranchPA((0,), (0,)))
     vv = mz_psh_check(viol)
     slope_reason = any("slope-sum" in reas for reas in vv.reasons)
     rep.checks.append(Check("crafted-violator-fails-slope-sum",
                              (not vv.passed) and slope_reason,
                              "; ".join(vv.reasons)))
-    const = MZFunction(Fraction(0), {},
-                        BranchPA((Fraction(0),), (Fraction(0),)),
-                        BranchPA((Fraction(0),), (Fraction(0),)))
+    const = MZFunction(1, (), 0, {}, BranchPA((_LogVec(),), (0,)),
+                       BranchPA((0,), (0,)))
     rep.checks.append(Check("zero-function-passes",
                              mz_psh_check(const).passed, ""))
     rep.tables["mz_families"] = {

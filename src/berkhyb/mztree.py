@@ -4,7 +4,9 @@ The tree is a wedge of branches: for each prime p a branch [0, +inf]
 carrying |.|_p^eps, and an archimedean branch [0, 1] carrying |.|^x,
 glued at the trivial absolute value.  Values are kept exact in the
 Q-span of {1} and {log p}; p-adic branches are parametrized by
-sigma = eps * log p so their piecewise data is purely rational.
+sigma = eps * log p so their piecewise data is purely rational.  A
+function's branch data lives on one integer lattice: ints, and int
+vectors over a prime basis, all over one positive scale.
 
 A function is subharmonic iff every branch restriction is convex with
 the sign constraints on outgoing slopes and the slopes at the origin sum
@@ -19,8 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import PrimeLogVal, as_fraction, primelog_max, primelog_sign, \
-    rat_to_str
+from .exactnum import PrimeLogVal, as_fraction, primelog_max, primelog_sign
 from .pafunc import upper_hull
 
 NEG_INF = "-inf"
@@ -72,21 +73,38 @@ class MZPoint:
                     raise ValueError("p-adic parameter must be non-negative")
 
 
-@dataclass(frozen=True)
-class BranchPA:
-    """Piecewise-affine data on one branch.
+class _LogVec(tuple):
+    """Integer coefficients (e_p) of sum_p e_p log p over a fixed prime basis.
 
-    Pieces are (slope, const) with value = slope * s + const in the branch
-    coordinate s; cuts are the interior breakpoints.  On a p-adic branch
-    the coordinate is sigma = eps * log p (slopes and cuts rational); on
-    the archimedean branch it is x in [0,1] and slopes are prime-log
-    combinations while cuts may be exact ratios, kept as
-    (rational, prime-log) pairs num/den.
+    Just the arithmetic ``upper_hull`` does on slopes: a difference of two
+    vectors and an integer times a vector.
     """
 
-    slopes: tuple            # Fraction (p-adic) or PrimeLogVal (archimedean)
-    consts: tuple[Fraction, ...]
-    cuts: tuple = ()         # Fraction, or (Fraction, PrimeLogVal) ratio pairs
+    __slots__ = ()
+
+    def __sub__(self, other) -> "_LogVec":
+        return _LogVec(map(operator.sub, self, other))
+
+    def __rmul__(self, k: int) -> "_LogVec":
+        return _LogVec([k * e for e in self])
+
+
+@dataclass(frozen=True)
+class BranchPA:
+    """Piecewise-affine data on one branch, on its function's lattice.
+
+    Pieces are (slope, const) with value (slope * s + const) / scale in the
+    branch coordinate s; cuts are the interior breakpoints s = num/den,
+    den > 0, kept as the (num, den) pairs ``upper_hull`` returns.  On a
+    p-adic branch the coordinate is sigma = eps * log p and every slope,
+    const, num and den is an int; on the archimedean branch it is x in
+    [0,1], slopes and dens are ``_LogVec``s over the function's primes, and
+    consts and nums are ints.
+    """
+
+    slopes: tuple
+    consts: tuple[int, ...]
+    cuts: tuple = ()
 
     def __post_init__(self):
         if len(self.slopes) != len(self.consts) or not self.slopes:
@@ -94,69 +112,56 @@ class BranchPA:
         if len(self.cuts) != len(self.slopes) - 1:
             raise ValueError("cut count must be piece count - 1")
 
-    def value_at_zero(self) -> Fraction:
-        return self.consts[0]
-
-    def first_slope(self):
-        return self.slopes[0]
-
-    def last_slope(self):
-        return self.slopes[-1]
-
-    def is_convex(self) -> bool:
-        for a, b in zip(self.slopes, self.slopes[1:]):
-            if isinstance(a, PrimeLogVal) or isinstance(b, PrimeLogVal):
-                if PrimeLogVal.of(b).cmp(PrimeLogVal.of(a)) < 0:
-                    return False
-            elif b < a:
-                return False
-        return True
+    def is_convex(self, sign) -> bool:
+        return all(sign(b - a) >= 0 for a, b in zip(self.slopes, self.slopes[1:]))
 
 
 @dataclass
 class MZFunction:
-    """Exact per-branch data; all but finitely many branches share a default."""
+    """Exact per-branch data; all but finitely many branches share a default.
 
-    origin: Fraction
+    Every branch lives on one lattice: a value is an int, or an int vector
+    over ``primes``, divided by ``scale`` > 0; ``origin`` is the value at
+    the trivial absolute value, times ``scale``.
+    """
+
+    scale: int
+    primes: tuple[int, ...]   # the basis of the archimedean vectors
+    origin: int
     branches: dict            # prime -> BranchPA (sigma coordinate)
     arch: BranchPA            # x coordinate on [0,1]
     default: BranchPA         # sigma coordinate, for all remaining primes
 
     def __post_init__(self):
-        for p, pa in self.branches.items():
-            if pa.value_at_zero() != self.origin:
-                raise ValueError(f"branch {p} disagrees with origin value")
-        if self.arch.value_at_zero() != self.origin:
-            raise ValueError("archimedean branch disagrees with origin value")
-        if self.default.value_at_zero() != self.origin:
-            raise ValueError("default branch disagrees with origin value")
+        labelled = [*self.branches.items(), ("inf", self.arch),
+                    ("default", self.default)]
+        for label, pa in labelled:
+            if pa.consts[0] != self.origin:
+                raise ValueError(f"branch {label} disagrees with origin value")
 
-    def to_json(self):
-        def branch_json(pa: BranchPA):
-            return {
-                "slopes": [
-                    s.to_json() if isinstance(s, PrimeLogVal) else rat_to_str(s)
-                    for s in pa.slopes
-                ],
-                "consts": [rat_to_str(c) for c in pa.consts],
-                "cuts": [
-                    rat_to_str(c) if not isinstance(c, tuple)
-                    else {"num": rat_to_str(c[0]), "den": c[1].to_json()}
-                    for c in pa.cuts
-                ],
-            }
 
-        data = {"origin": rat_to_str(self.origin), "branches": {}}
-        for p in sorted(self.branches):
-            data["branches"][str(p)] = branch_json(self.branches[p])
-        data["branches"]["inf"] = branch_json(self.arch)
-        data["branches"]["default"] = branch_json(self.default)
-        return data
+def _lattice_sign(primes):
+    """Certified sign of an int, or of the vector sum_k e_k log primes[k]."""
+    def sign(x) -> int:
+        if isinstance(x, int):
+            return (x > 0) - (x < 0)
+        return primelog_sign(0, {p: e for p, e in zip(primes, x) if e})
+    return sign
 
 
 # ---------------------------------------------------------------------------
 # Fubini-Study functions from integer families
 # ---------------------------------------------------------------------------
+
+def _family(family: Sequence[tuple[int, Fraction]]) -> list[tuple[int, Fraction]]:
+    """The family as (int, Fraction) pairs: non-empty, every member nonzero."""
+    fam = [(int(n), as_fraction(c)) for n, c in family]
+    if not fam:
+        raise ValueError("family must be non-empty")
+    if any(n == 0 for n, _ in fam):
+        raise ValueError("family members must be nonzero integers")
+    return fam
+
 
 def mz_fs_eval(family: Sequence[tuple[int, Fraction]], m: int, point: MZPoint):
     """Evaluate m^{-1} max_a (log|n_a| + c_a) at a point of the tree.
@@ -164,11 +169,7 @@ def mz_fs_eval(family: Sequence[tuple[int, Fraction]], m: int, point: MZPoint):
     Returns a PrimeLogVal, or the NEG_INF marker at the outer end of a
     p-adic branch dividing every n_a.
     """
-    if not family:
-        raise ValueError("family must be non-empty")
-    if any(n == 0 for n, _ in family):
-        raise ValueError("family members must be nonzero integers")
-    fam = [(int(n), as_fraction(c)) for n, c in family]
+    fam = _family(family)
     if point.branch == "origin":
         return PrimeLogVal.of(max(c for _, c in fam) / m)
     if point.branch == "inf":
@@ -189,91 +190,53 @@ def mz_fs_eval(family: Sequence[tuple[int, Fraction]], m: int, point: MZPoint):
     )
 
 
-class _LogVec(tuple):
-    """Integer coefficients (e_p) of sum_p e_p log p over a fixed prime basis.
-
-    Just the arithmetic ``upper_hull`` does on slopes: a difference of two
-    vectors and an integer times a vector.
-    """
-
-    __slots__ = ()
-
-    def __sub__(self, other) -> "_LogVec":
-        return _LogVec(map(operator.sub, self, other))
-
-    def __rmul__(self, k: int) -> "_LogVec":
-        return _LogVec([k * e for e in self])
-
-
 def mz_from_family(family: Sequence[tuple[int, Fraction]], m: int) -> MZFunction:
     """The MZFunction of m^{-1} max_a (log|n_a| + c_a), exact on every branch.
 
     Each n_a is factored once, and every branch is built on one integer
-    lattice: with D (``lattice``) the lcm of the denominators of the c_a,
-    the p-adic line a is (D m)^{-1} (-v_p(n_a) D x + c_a D) and the
-    archimedean one (D m)^{-1} (sum_p v_p(n_a) D log p x + c_a D).  Scaling
-    every line by the same positive constant changes neither the hull, nor
-    its ties, nor where its lines meet, so the hull is taken of the integer
-    lines, and exact values are built only for the pieces kept.
+    lattice: with D the lcm of the denominators of the c_a, the p-adic
+    line a is (D m)^{-1} (-v_p(n_a) D x + c_a D) and the archimedean one
+    (D m)^{-1} (sum_p v_p(n_a) D log p x + c_a D).  Scaling every line by
+    the same positive constant changes neither the hull, nor its ties, nor
+    where its lines meet, so the hull is taken of the integer lines and
+    the pieces it keeps are stored as they are, with ``scale`` D m.
     """
-    fam = [(int(n), as_fraction(c)) for n, c in family]
-    if any(n == 0 for n, _ in fam):
-        raise ValueError("family members must be nonzero integers")
+    fam = _family(family)
     logs = [PrimeLogVal.log_of_int(n) for n, _ in fam]
-    origin = max(c for _, c in fam) / m
     lattice = math.lcm(*(c.denominator for _, c in fam))
-    scale = lattice * m
     offsets = [c.numerator * (lattice // c.denominator) for _, c in fam]
-    primes = sorted({p for lg in logs for p in lg.logs})
+    primes = tuple(sorted({p for lg in logs for p in lg.logs}))
     # exps[a][k] = v_p(n_a) for p = primes[k]
     exps = [[int(lg.logs.get(p, 0)) for p in primes] for lg in logs]
+    sign = _lattice_sign(primes)
     branches = {}
     for k, p in enumerate(primes):
         lines = [(-e[k] * lattice, o) for e, o in zip(exps, offsets)]
-        hull, edges = upper_hull(lines, lambda q: (q > 0) - (q < 0))
+        hull, edges = upper_hull(lines, sign)
         # the branch starts at the origin: drop pieces whose right cut
         # num/den (den > 0) is <= 0
         lo = 0
         while lo < len(edges) and edges[lo][0] <= 0:
             lo += 1
-        branches[p] = BranchPA(
-            tuple(Fraction(s, scale) for s, _ in hull[lo:]),
-            tuple(Fraction(o, scale) for _, o in hull[lo:]),
-            tuple(Fraction(num, den) for num, den in edges[lo:]),
-        )
-
-    def vec_logs(vec, sign=1):
-        return {p: sign * e for p, e in zip(primes, vec) if e}
-
-    def arch_sign(x):
-        if isinstance(x, int):
-            return (x > 0) - (x < 0)
-        return primelog_sign(0, vec_logs(x))
+        branches[p] = BranchPA(*zip(*hull[lo:]), tuple(edges[lo:]))
 
     arch_lines = [(_LogVec([v * lattice for v in e]), o)
                   for e, o in zip(exps, offsets)]
-    hull, edges = upper_hull(arch_lines, arch_sign)
+    hull, edges = upper_hull(arch_lines, sign)
     # the branch runs over [0, 1]: drop the pieces left of the cut
-    # num/den <= 0 (den > 0), then those right of a cut num/den > 1
+    # num/den <= 0 (den > 0), then those right of a cut num/den > 1, that
+    # is num > sum_p den_p log p
     lo, hi = 0, len(edges)
     while lo < hi and edges[lo][0] <= 0:
         lo += 1
-    while lo < hi and primelog_sign(edges[hi - 1][0],
-                                    vec_logs(edges[hi - 1][1], -1)) > 0:
+    while lo < hi and primelog_sign(
+            edges[hi - 1][0],
+            {p: -e for p, e in zip(primes, edges[hi - 1][1]) if e}) > 0:
         hi -= 1
-
-    def primelog(vec):
-        return PrimeLogVal._canonical(
-            _ZERO, {p: Fraction(e, scale) for p, e in vec_logs(vec).items()})
-
-    # archimedean cuts stay (num, den) pairs: num/den leaves the span
-    arch = BranchPA(
-        tuple(primelog(s) for s, _ in hull[lo:hi + 1]),
-        tuple(Fraction(o, scale) for _, o in hull[lo:hi + 1]),
-        tuple((Fraction(num, scale), primelog(den)) for num, den in edges[lo:hi]),
-    )
-    default = BranchPA((Fraction(0),), (origin,))
-    return MZFunction(origin, branches, arch, default)
+    arch = BranchPA(*zip(*hull[lo:hi + 1]), tuple(edges[lo:hi]))
+    origin = max(offsets)
+    return MZFunction(lattice * m, primes, origin, branches, arch,
+                      BranchPA((0,), (origin,)))
 
 
 # ---------------------------------------------------------------------------
@@ -293,27 +256,32 @@ class MZSlopeReport:
     notes: list[str] = field(default_factory=list)
 
 
+def _report_log(scale: int, logs) -> PrimeLogVal:
+    """sum_p e_p log p / scale from (p, e_p) int pairs, zero e_p dropped."""
+    return PrimeLogVal._canonical(
+        _ZERO, {p: Fraction(e, scale) for p, e in logs if e})
+
+
 def mz_slopes(f: MZFunction) -> MZSlopeReport:
-    """Exact outgoing slopes and convexity verdicts, direct from PA data."""
+    """Exact outgoing slopes and convexity verdicts, decided on the lattice."""
+    sign = _lattice_sign(f.primes)
     s_p, s_end, end_vals, convex = {}, {}, {}, {}
+    # the outgoing slopes at 0, summed per prime
+    total = dict(zip(f.primes, f.arch.slopes[0]))
     for p, pa in f.branches.items():
-        first, last = pa.first_slope(), pa.last_slope()
-        s_p[p] = PrimeLogVal._canonical(_ZERO, {p: first} if first else {})
-        s_end[p] = PrimeLogVal._canonical(_ZERO, {p: last} if last else {})
+        first, last = pa.slopes[0], pa.slopes[-1]
+        s_p[p] = _report_log(f.scale, [(p, first)])
+        s_end[p] = _report_log(f.scale, [(p, last)])
         if last < 0:
             end_vals[p] = NEG_INF
         elif last == 0:
-            end_vals[p] = pa.consts[-1]
+            end_vals[p] = Fraction(pa.consts[-1], f.scale)
         else:
             end_vals[p] = "+inf"
-        convex[p] = pa.is_convex()
-    convex["inf"] = f.arch.is_convex()
-    convex["default"] = f.default.is_convex()
-    s_inf = PrimeLogVal.of(f.arch.first_slope())
-    slope_sum = s_inf
-    for p in f.branches:
-        slope_sum = slope_sum + s_p[p]
-    inf_increasing = all(PrimeLogVal.of(s).sign() >= 0 for s in f.arch.slopes)
+        convex[p] = pa.is_convex(sign)
+        total[p] = total.get(p, 0) + first
+    convex["inf"] = f.arch.is_convex(sign)
+    convex["default"] = f.default.is_convex(sign)
     default_zero = all(s == 0 for s in f.default.slopes)
     notes = []
     if not default_zero:
@@ -322,10 +290,10 @@ def mz_slopes(f: MZFunction) -> MZSlopeReport:
         s_p=s_p,
         s_p_end=s_end,
         end_values=end_vals,
-        s_inf=s_inf,
-        slope_sum=slope_sum,
+        s_inf=_report_log(f.scale, zip(f.primes, f.arch.slopes[0])),
+        slope_sum=_report_log(f.scale, total.items()),
         branch_convex=convex,
-        inf_increasing=inf_increasing,
+        inf_increasing=all(sign(s) >= 0 for s in f.arch.slopes),
         default_slope_zero=default_zero,
         notes=notes,
     )
@@ -383,12 +351,10 @@ class FamilyIdentityReport:
 
 def mz_family_identity(family: Sequence[tuple[int, Fraction]], m: int,
                        report: MZSlopeReport) -> FamilyIdentityReport:
-    fam = [(int(n), as_fraction(c)) for n, c in family]
+    fam = _family(family)
     cmax = max(c for _, c in fam)
     argmax = [abs(n) for n, c in fam if c == cmax]
-    n1 = math.gcd(*argmax) if len(argmax) > 1 else argmax[0]
-    n2_direct = max(argmax)
-    n2_lcm = math.lcm(*argmax) if len(argmax) > 1 else argmax[0]
+    n1, n2_direct, n2_lcm = math.gcd(*argmax), max(argmax), math.lcm(*argmax)
     target = (PrimeLogVal.log_of_int(n2_direct) - PrimeLogVal.log_of_int(n1)) / m
     matches = report.slope_sum == target
     # n2_lcm, n2_direct > 0: by unique factorization their logs differ

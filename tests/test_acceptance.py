@@ -27,7 +27,7 @@ from berkhyb.hybrid import HybridConfig, hybrid_path_limit, lelong_estimate, \
 from berkhyb.models import identity_pullback, retraction
 from berkhyb.mongeampere import family_limit_measure, ma_model_metric, \
     cln_stability_check, weak_convergence_experiment
-from berkhyb.mztree import BranchPA, MZFunction, mz_family_identity, \
+from berkhyb.mztree import BranchPA, MZFunction, _LogVec, mz_family_identity, \
     mz_from_family, mz_psh_check
 from berkhyb.pafunc import PAFunction1D
 from berkhyb.tropical import lse_max_gap, na_limit_tfs
@@ -226,10 +226,8 @@ def test_criterion_10_mz_characterization():
     fam23 = [(2, Fraction(0)), (3, Fraction(0))]
     ident23 = mz_family_identity(
         fam23, 1, mz_psh_check(mz_from_family(fam23, 1)).report)
-    viol = MZFunction(Fraction(0),
-                      {2: BranchPA((Fraction(-1),), (Fraction(0),))},
-                      BranchPA((Fraction(0),), (Fraction(0),)),
-                      BranchPA((Fraction(0),), (Fraction(0),)))
+    viol = MZFunction(1, (), 0, {2: BranchPA((-1,), (0,))},
+                      BranchPA((_LogVec(),), (0,)), BranchPA((0,), (0,)))
     vv = mz_psh_check(viol)
     violator_ok = (not vv.passed) and any("slope-sum" in x for x in vv.reasons)
     report("criterion 10 (M(Z) characterization)",

@@ -1,8 +1,9 @@
 """Call counts on the exact paths of mz-check and retract (no timing).
 
-The archimedean hull of ``mz_from_family`` runs on integer lattice lines,
-and ``retraction`` takes every component's value on one integer lattice;
-these guards fail when either falls back to the exact-value arithmetic.
+``mz_from_family`` takes its hulls on one integer lattice and
+``mz_slopes``/``mz_psh_check`` decide the verdict on it, and
+``retraction`` takes every component's value on one integer lattice;
+these guards fail when any falls back to the exact-value arithmetic.
 """
 
 import random
@@ -11,7 +12,8 @@ from unittest import mock
 from berkhyb import harness, models, valuation
 from berkhyb.exactnum import PrimeLogVal
 from berkhyb.harness import ExperimentManifest, run
-from berkhyb.mztree import mz_from_family, mz_psh_check, random_fs_family
+from berkhyb.mztree import mz_family_identity, mz_from_family, mz_psh_check, \
+    mz_slopes, random_fs_family
 
 
 def _counting(obj, name):
@@ -19,15 +21,32 @@ def _counting(obj, name):
                              side_effect=getattr(obj, name))
 
 
-def test_mz_from_family_makes_no_primelog_arithmetic():
+def _mz_families():
     rng = random.Random(7)
-    families = harness._reference_families(harness._REFERENCE_FAMILIES) + [
+    return harness._reference_families(harness._REFERENCE_FAMILIES) + [
         random_fs_family(rng) for _ in range(50)]
+
+
+def test_mz_from_family_makes_no_primelog_arithmetic():
+    families = _mz_families()
     with _counting(PrimeLogVal, "_combine") as combine:
         built = [mz_from_family(fam, m) for fam in families for m in (1, 2, 3)]
         assert combine.call_count == 0
-        # the counter is live: the verdict compares archimedean slopes
-        assert all(mz_psh_check(F).passed for F in built)
+        # the counter is live: the closed form subtracts two logs
+        mz_family_identity(families[0], 1, mz_slopes(built[0]))
+    assert combine.call_count > 0
+
+
+def test_mz_verdict_makes_no_primelog_arithmetic():
+    families = _mz_families()
+    built = [(fam, m, mz_from_family(fam, m)) for fam in families for m in (1, 2, 3)]
+    with _counting(PrimeLogVal, "_combine") as combine:
+        verdicts = [mz_psh_check(F) for _, _, F in built]
+        reports = [mz_slopes(F) for _, _, F in built]
+        assert combine.call_count == 0
+        assert all(v.passed for v in verdicts)
+        assert all(mz_family_identity(fam, m, rep).slope_sum_matches_direct
+                   for (fam, m, _), rep in zip(built, reports))
     assert combine.call_count > 0
 
 

@@ -1,11 +1,13 @@
 """The one certified upper hull against brute-force pointwise maxima.
 
-Three scalar spans use it: rational lines (p-adic branches of the M_Z
-tree), rational slopes with offsets in {1, log r, 1/log r} (line
-envelopes), and prime-log slopes with rational offsets (the archimedean
-branch).  Each is checked against the direct max of all input lines,
-including duplicate and parallel slopes, three lines through one point,
-and probes exactly at the cuts.
+It is checked on three scalar spans: rational lines, rational slopes
+with offsets in {1, log r, 1/log r} (line envelopes), and prime-log
+slopes with rational offsets; and on the M_Z tree, whose branches take
+it on one integer lattice (int lines on the p-adic branches, int vectors
+over a prime basis with int offsets on the archimedean branch), through
+their exact view.  Each is checked against the direct max of all input
+lines, including duplicate and parallel slopes, three lines through one
+point, and probes exactly at the cuts.
 """
 
 import hashlib
@@ -18,6 +20,7 @@ from berkhyb.exactnum import LogRVal, PrimeLogVal, logr_max, primelog_max
 from berkhyb.harness import ExperimentManifest, run, write_report
 from berkhyb.mztree import MZPoint, mz_from_family, mz_fs_eval
 from berkhyb.pafunc import AffineLine, upper_envelope, upper_hull
+from mz_exact import exact_view, padic_value
 
 
 R = Fraction(1, 2)
@@ -176,20 +179,12 @@ def random_family(rng):
     return fam
 
 
-def padic_value(pa, p: int, eps: Fraction) -> PrimeLogVal:
-    """Branch value at eps; sigma = eps*log p passes a rational cut when larger."""
-    idx = 0
-    while idx < len(pa.cuts) and PrimeLogVal(-pa.cuts[idx], {p: eps}).sign() > 0:
-        idx += 1
-    return PrimeLogVal(pa.consts[idx], {p: pa.slopes[idx] * eps})
-
-
 def test_tree_branches_match_fs_eval():
     rng = random.Random(31337)
     xs = [Fraction(k, 12) for k in range(13)]
     for _ in range(60):
         fam, m = random_family(rng), rng.choice((1, 2, 3))
-        F = mz_from_family(fam, m)
+        F = exact_view(mz_from_family(fam, m))
         for p, pa in F.branches.items():
             for eps in (Fraction(0), Fraction(1, 5), Fraction(1), Fraction(7, 2),
                         Fraction(40)):
