@@ -17,7 +17,7 @@ import sys
 from functools import cache
 from pathlib import Path
 
-from .harness import KINDS, ExperimentManifest, ManifestError, run, write_report
+from .manifest import KINDS, ExperimentManifest, ManifestError, run, write_report
 
 
 @cache

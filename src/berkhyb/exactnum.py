@@ -23,6 +23,7 @@ refinement terminates.
 from __future__ import annotations
 
 import operator
+from decimal import Context
 from fractions import Fraction
 from functools import cache
 from typing import Iterable, Union
@@ -75,17 +76,22 @@ _TINY = 2.0 ** -500
 
 @cache
 def _float_log(q: Rat) -> float:
-    """log q within one ulp, for a positive rational (or int) q != 1.
+    """log q rounded to nearest, for a positive rational (or int) q != 1.
 
-    The interval context works 64 bits beyond the operands' length, so the
-    numerator and denominator are exact and the enclosure is narrower than
-    2^-62 |log q|: |log q| >= |n - d| / max(n, d) >= 2^-bits.  That holds for
-    q near 1 too, where a 53-bit quotient would round to 1.  The float of the
-    midpoint is then within half an ulp plus that width.
+    With b the bit length of q's numerator n and denominator d, the
+    decimal context works at more than b log10(2) + 25 digits.  The
+    quotient then rounds by less than a relative 10^-24 2^-b, and so moves
+    log q by less than that in absolute terms; since
+    |log q| >= |n - d| / max(n, d) >= 2^-b, also for q near 1, where a
+    53-bit quotient would round to 1, that is a relative 10^-24.  ``ln`` is
+    correctly rounded, so the decimal logarithm lies within a relative
+    2 10^-24 of log q, and its float (correctly rounded) is log q rounded
+    to nearest unless log q lies that close to a midpoint between two
+    floats.  Either way the error is below u (1 + 2^-25), u = 2^-53.
     """
     bits = max(q.numerator.bit_length(), q.denominator.bit_length())
-    ctx = _interval_context(bits + 64)
-    return float(ctx.log(ctx.mpf(q.numerator) / ctx.mpf(q.denominator)).mid)
+    ctx = Context(prec=bits * 30103 // 100000 + 26)
+    return float(ctx.ln(ctx.divide(q.numerator, q.denominator)))
 
 
 def _filtered_sign(make_terms) -> int:
@@ -97,16 +103,17 @@ def _filtered_sign(make_terms) -> int:
 
     * ``float(Fraction)`` is correctly rounded: relative error <= u, or an
       absolute error <= 2^-1075 when the result is subnormal;
-    * m_f = ``_float_log`` is within one ulp, so m_f = m (1 + e), |e| <= 2u;
+    * m_f = ``_float_log`` is m rounded to nearest, up to a relative
+      2 10^-24, so m_f = m (1 + e) with |e| <= u (1 + 2^-25);
     * the product or quotient rounds once more: relative u, absolute 2^-1075.
 
-    So t_i = x_i (1 + h_i) + a_i with |h_i| <= 4u + O(u^2) and
+    So t_i = x_i (1 + h_i) + a_i with |h_i| <= 3u + O(u^2) and
     |a_i| <= 2^-1075 (1 + (1 + u) 2^500) < 2^-574, since every factor lies in
     [2^-500, 2^500] (log p is in [log 2, 2^63) for any int p; ``LogRVal``
     filters only when |L| >= 2^-500).  Adding the k terms in order costs at
     most (k-1) u (1 + O(ku)) sum |t_i|; additions are exact in the subnormal
     range (and Python 3.12's compensated ``sum`` has a smaller bound).  The
-    total error is therefore below (k+3) u (1 + O(ku)) sum |t_i| + k 2^-574,
+    total error is therefore below (k+2) u (1 + O(ku)) sum |t_i| + k 2^-574,
     which 2 (k+2) u sum |t_i| + _TINY covers, the rounding of the bound
     itself included, for any k < 2^70.  When |sum| exceeds it, the float sign
     is the exact sign.

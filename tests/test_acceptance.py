@@ -14,16 +14,14 @@ import numpy as np
 import pytest
 
 from berkhyb.harness import (
-    ExperimentManifest,
     load_family,
     load_models_with_pullbacks,
     load_table,
     load_tfs_file,
-    run,
-    write_report,
 )
 from berkhyb.hybrid import HybridConfig, hybrid_path_limit, lelong_estimate, \
     sample_circle_sups
+from berkhyb.manifest import ExperimentManifest, run, write_report
 from berkhyb.models import identity_pullback, retraction
 from berkhyb.mongeampere import family_limit_measure, ma_model_metric, \
     cln_stability_check, weak_convergence_experiment

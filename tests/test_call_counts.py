@@ -11,7 +11,7 @@ from unittest import mock
 
 from berkhyb import harness, models, valuation
 from berkhyb.exactnum import PrimeLogVal
-from berkhyb.harness import ExperimentManifest, run
+from berkhyb.manifest import ExperimentManifest, run
 from berkhyb.mztree import mz_family_identity, mz_from_family, mz_psh_check, \
     mz_slopes, random_fs_family
 

@@ -8,7 +8,9 @@ import pytest
 
 import berkhyb
 from berkhyb.cli import build_parser, main
-from berkhyb.harness import ExperimentManifest, ManifestError, run, write_report
+from berkhyb import harness
+from berkhyb.manifest import KINDS, ExperimentManifest, ManifestError, run, \
+    write_report
 from berkhyb.pafunc import ContinuityError, PAFunctionOnComplex
 
 
@@ -139,7 +141,7 @@ def test_timing_sidecar_separate(data_dir, tmp_path):
 
 
 def test_emit_plot_data_empty_report(tmp_path):
-    from berkhyb.harness import RunReport, emit_plot_data
+    from berkhyb.manifest import RunReport, emit_plot_data
 
     report = RunReport(kind="ma-model", seed=0, version="0", manifest_echo={})
     emit_plot_data(report, tmp_path / "plot.csv")
@@ -305,10 +307,12 @@ def test_out_naming_a_file_exit_two(data_dir, tmp_path, capsys, rel):
     assert list(tmp_path.iterdir()) == [taken]
 
 
-def _libraries_loaded_by(code: str) -> list:
-    """numpy and mpmath, as far as ``code`` loads them in a fresh interpreter."""
-    probe = (code + "\nimport json, sys\nprint(json.dumps("
-             "[m for m in ('numpy', 'mpmath') if m in sys.modules]))")
+def _modules_loaded_by(code: str) -> list:
+    """numpy, mpmath and the berkhyb modules, as far as ``code`` loads them
+    in a fresh interpreter."""
+    probe = (code + "\nimport json, sys\nprint(json.dumps(sorted("
+             "m for m in sys.modules if m in ('numpy', 'mpmath')"
+             " or m.startswith('berkhyb.'))))")
     env = {**os.environ, "PYTHONPATH": str(Path(berkhyb.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
@@ -316,24 +320,40 @@ def _libraries_loaded_by(code: str) -> list:
 
 
 def test_import_and_manifest_load_need_neither_numpy_nor_mpmath(data_dir):
+    # nor any layer module: the runners are loaded by the first run
     manifests = sorted(map(str, (data_dir / "manifests").glob("*.json")))
     assert len(manifests) == 8
-    assert _libraries_loaded_by(
+    assert _modules_loaded_by(
         "import berkhyb.cli\n"
-        "from berkhyb.harness import ExperimentManifest\n"
         f"for path in {manifests!r}:\n"
-        "    ExperimentManifest.load(path)") == []
+        "    berkhyb.cli.ExperimentManifest.load(path)") == [
+            "berkhyb.cli", "berkhyb.exactnum", "berkhyb.manifest"]
+
+
+def test_every_kind_has_one_runner():
+    assert tuple(harness.RUNNERS) == KINDS
+
+
+def _without_lse(data_dir: Path, tmp_path: Path) -> Path:
+    """The bundled val-eval manifest without its numpy-sampled lse check."""
+    raw = json.loads(manifest_path(data_dir, "val_eval.json").read_text())
+    del raw["params"]["lse"]
+    path = tmp_path / "val_eval.json"
+    path.write_text(json.dumps(raw))
+    return path
 
 
 @pytest.mark.parametrize("kind,unused", [
     ("retract", {"numpy", "mpmath"}), ("ma-model", {"numpy", "mpmath"}),
-    ("mz-check", {"numpy"}), ("na-limit", {"numpy"}),
+    ("mz-check", {"numpy", "mpmath"}), ("na-limit", {"numpy", "mpmath"}),
     ("lelong", {"numpy", "mpmath"}), ("rho-r", {"numpy", "mpmath"}),
-], ids=["retract", "ma-model", "mz-check", "na-limit", "lelong", "rho-r"])
+    ("val-eval", {"numpy", "mpmath"}),
+], ids=["retract", "ma-model", "mz-check", "na-limit", "lelong", "rho-r",
+        "val-eval-without-lse"])
 def test_exact_kinds_leave_numpy_unloaded(data_dir, tmp_path, kind, unused):
-    argv = [kind, "--manifest",
-            str(manifest_path(data_dir, kind.replace("-", "_") + ".json")),
-            "--out", str(tmp_path / "out")]
-    loaded = _libraries_loaded_by(
+    manifest = (_without_lse(data_dir, tmp_path) if kind == "val-eval" else
+                manifest_path(data_dir, kind.replace("-", "_") + ".json"))
+    argv = [kind, "--manifest", str(manifest), "--out", str(tmp_path / "out")]
+    loaded = _modules_loaded_by(
         f"from berkhyb.cli import main\nassert main({argv!r}) == 0")
     assert unused.isdisjoint(loaded)

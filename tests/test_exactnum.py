@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -6,6 +7,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import round_nearest, to_float
 
 from berkhyb import exactnum
 from berkhyb.exactnum import (
@@ -20,7 +22,7 @@ from berkhyb.exactnum import (
     rat_from_str,
     rat_to_str,
 )
-from berkhyb.harness import ExperimentManifest, run
+from berkhyb.manifest import ExperimentManifest, run
 
 
 R = Fraction(1, 2)
@@ -267,6 +269,24 @@ def test_exact_zeros_are_structural(v, a, b, c, r, q):
     assert (LogRVal(a, b, c) - LogRVal(a, b, c)).sign(r) == 0
     t = float(q) * _float_log(3)
     assert _filtered_sign(lambda: [t, -t]) == 0
+
+
+def _log_to_nearest(q) -> float:
+    """log q at 300 bits, rounded to the nearest float."""
+    with mpmath.workprec(300):
+        x = mpmath.log(_mp(Fraction(q)))
+    return to_float(x._mpf_, rnd=round_nearest)
+
+
+def test_float_log_is_rounded_to_nearest():
+    rng = random.Random(7)
+    primes = [p for p in range(2, 10**4)
+              if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    qs = primes + [Fraction(10**k + 1, 10**k) for k in range(1, 60)]
+    qs += [Fraction(1, 10**k) for k in range(1, 60)]
+    qs += [Fraction(rng.randint(1, 10**30), rng.randint(1, 10**30))
+           for _ in range(2000)]
+    assert [q for q in qs if q != 1 and _float_log(q) != _log_to_nearest(q)] == []
 
 
 def test_bundled_mz_check_never_reaches_the_fallback(data_dir):

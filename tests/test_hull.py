@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from berkhyb.exactnum import LogRVal, PrimeLogVal, logr_max, primelog_max
-from berkhyb.harness import ExperimentManifest, run, write_report
+from berkhyb.manifest import ExperimentManifest, run, write_report
 from berkhyb.mztree import MZPoint, mz_from_family, mz_fs_eval
 from berkhyb.pafunc import AffineLine, upper_envelope, upper_hull
 from mz_exact import exact_view, padic_value

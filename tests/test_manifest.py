@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from berkhyb.cli import main
 from conftest import DATA_DIR
-from berkhyb.harness import ExperimentManifest, run
+from berkhyb.manifest import ExperimentManifest, run
 
 
 MANIFESTS = {
