@@ -281,9 +281,6 @@ class LogRVal:
             parts.append(f"({self.c})/logr")
         return " + ".join(parts) if parts else "0"
 
-    def to_json(self):
-        return {"const": str(self.a), "logr": str(self.b), "invlogr": str(self.c)}
-
 
 def logr_max(values: Iterable[LogRVal], r: Fraction) -> LogRVal:
     vals = list(values)
@@ -416,12 +413,6 @@ class PrimeLogVal:
         for p in sorted(self.logs):
             parts.append(f"({self.logs[p]})*log{p}")
         return " + ".join(parts) if parts else "0"
-
-    def to_json(self):
-        return {
-            "const": str(self.const),
-            "logs": {str(p): str(q) for p, q in sorted(self.logs.items())},
-        }
 
 
 def primelog_sign(const: Rat, logs: dict) -> int:

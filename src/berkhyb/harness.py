@@ -4,7 +4,8 @@ Every input file is read once, at load, by the spec of its format below,
 built from the parse combinators of ``manifest``; the spec builds the
 domain object, and an error names ``<file>: <json path>: <reason>``.
 Each experiment kind has one runner, which reads its parameters at its
-top and appends checks and tables to the report.  ``manifest.run``
+top and adds checks and tables to the report through ``RunReport.check``
+and ``RunReport.table``; ``manifest`` renders them.  ``manifest.run``
 imports this module on the first run of a process, and with it every
 layer module.
 """
@@ -24,7 +25,6 @@ from .manifest import (
     _POSITIVE,
     _R,
     _TOL,
-    Check,
     ManifestError,
     RunReport,
     _Invalid,
@@ -278,18 +278,7 @@ def _randint(rng: random.Random, lo: int, hi: int) -> int:
 
 def _randints(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
     """``[rng.randint(lo, hi) for _ in range(count)]``, drawn as _randint."""
-    n = hi - lo + 1
-    if n <= 0:
-        raise ValueError(f"empty range for randint({lo}, {hi})")
-    k = n.bit_length()
-    getrandbits = rng.getrandbits
-    out = []
-    for _ in range(count):
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        out.append(lo + r)
-    return out
+    return [_randint(rng, lo, hi) for _ in range(count)]
 
 
 def _random_point(model, rng: random.Random):
@@ -349,17 +338,17 @@ def run_val_eval(man: ExperimentManifest, rep: RunReport):
         if qm_eval(v, f) != brute_force_min(v, f):
             mismatch += 1
     elapsed = time.perf_counter() - t0
-    rep.checks.append(Check(
+    rep.check(
         "qm-eval-equals-brute-force",
         mismatch == 0,
         f"{n} random Laurent inputs, {mismatch} mismatches",
-    ))
+    )
     # the measured seconds stay out of the report: byte-identical outputs
-    rep.checks.append(Check(
+    rep.check(
         "qm-eval-brute-force-runtime",
         elapsed < 1.0,
         f"{n} dual evaluations within the 1s budget",
-    ))
+    )
     # fixed formula examples (raw weight vectors, no simplex normalization)
     f1 = LaurentSeriesData(["z1", "z2"], [((1, 0), Coefficient.unit())])
     f2 = LaurentSeriesData(["z1", "z2"], [((2, 0), Coefficient.unit()),
@@ -370,13 +359,13 @@ def run_val_eval(man: ExperimentManifest, rep: RunReport):
         and weighted_min_of_terms(f2, w12) == Fraction(5, 6)
         and qm_eval(_random_point(model, rng), LaurentSeriesData.zero(["x1"])) == INF
     )
-    rep.checks.append(Check("min-formula-worked-examples", ok, "1/2, 5/6, +inf"))
+    rep.check("min-formula-worked-examples", ok, "1/2, 5/6, +inf")
     # normalization v(t) = 1 and degree-1 homogeneity on monomials
     norm_ok = all(
         qm_eval(_random_point(model, rng), model.uniformizer()) == 1
         for _ in range(50)
     )
-    rep.checks.append(Check("uniformizer-normalization", norm_ok, "v(t)=1 on 50 points"))
+    rep.check("uniformizer-normalization", norm_ok, "v(t)=1 on 50 points")
     homog_ok = True
     for _ in range(50):
         mono = LaurentSeriesData.monomial(
@@ -386,7 +375,7 @@ def run_val_eval(man: ExperimentManifest, rep: RunReport):
         lhs = weighted_min_of_terms(mono, [k * w for w in ws])
         rhs = k * weighted_min_of_terms(mono, ws)
         homog_ok = homog_ok and lhs == rhs
-    rep.checks.append(Check("monomial-weight-homogeneity", homog_ok, "50 samples"))
+    rep.check("monomial-weight-homogeneity", homog_ok, "50 samples")
     # superadditivity property sweep
     bad = 0
     for _ in range(n_superadd):
@@ -398,8 +387,7 @@ def run_val_eval(man: ExperimentManifest, rep: RunReport):
         res = valuation_superadditivity_check(v, f, g)
         if not (res.product_ok and res.sum_ok):
             bad += 1
-    rep.checks.append(Check("valuation-superadditivity", bad == 0,
-                             f"{bad} violations"))
+    rep.check("valuation-superadditivity", bad == 0, f"{bad} violations")
     # gauss extension: trivial coefficient oracle returns ord_t
     g_ok = True
     for _ in range(n_gauss):
@@ -414,8 +402,8 @@ def run_val_eval(man: ExperimentManifest, rep: RunReport):
                             [(0, "s0"), (1, "s1")]) == 1
         and gauss_extension(lambda h: Fraction(0), []) == INF
     )
-    rep.checks.append(Check("gauss-extension", g_ok and examples,
-                             "trivial oracle = ord_t; worked examples"))
+    rep.check("gauss-extension", g_ok and examples,
+              "trivial oracle = ord_t; worked examples")
     if lse is not None:
         import numpy as np
 
@@ -432,15 +420,13 @@ def run_val_eval(man: ExperimentManifest, rep: RunReport):
             bound = math.log(nn) / (2 * mm)
             violations += int(np.sum((gaps < 0) | (gaps > bound + 1e-12)))
             checked += count
-        rep.checks.append(Check(
+        rep.check(
             "lse-max-envelope", violations == 0,
             f"0 <= chi - max <= log(N)/(2m) on {checked} samples: "
             f"{violations} violations",
-        ))
-    rep.tables["val_eval_summary"] = {
-        "columns": ["quantity", "value"],
-        "rows": [["random_inputs", n], ["mismatches", mismatch]],
-    }
+        )
+    rep.table("val_eval_summary", ["quantity", "value"],
+              [["random_inputs", n], ["mismatches", mismatch]])
 
 
 def run_retract(man: ExperimentManifest, rep: RunReport):
@@ -456,8 +442,8 @@ def run_retract(man: ExperimentManifest, rep: RunReport):
         v = _random_point(model, rng)
         back = retraction(model, v, identities[k % len(names)])
         all_ok = all_ok and back.same_valuation(v)
-    rep.checks.append(Check("retraction-idempotence", all_ok,
-                             f"rho o i = id on {n_points} rational points"))
+    rep.check("retraction-idempotence", all_ok,
+              f"rho o i = id on {n_points} rational points")
     blow = registry.get("blowup")
     seg = registry.get("segment")
     if blow is not None and seg is not None and blow.pullbacks:
@@ -470,7 +456,7 @@ def run_retract(man: ExperimentManifest, rep: RunReport):
             details = str(bary.weights)
         except ModelInconsistencyError as exc:
             ok, details = False, str(exc)
-        rep.checks.append(Check("blowup-barycenter", ok, details))
+        rep.check("blowup-barycenter", ok, details)
         half_ok, details = True, "w = (u+s, s) on 25 points"
         try:
             for _ in range(25):
@@ -482,21 +468,18 @@ def run_retract(man: ExperimentManifest, rep: RunReport):
                 half_ok = half_ok and out.weight_map() == expect
         except ModelInconsistencyError as exc:
             half_ok, details = False, str(exc)
-        rep.checks.append(Check("blowup-halfedge-matrix-oracle", half_ok,
-                                 details))
+        rep.check("blowup-halfedge-matrix-oracle", half_ok, details)
     euler_rows = []
     for name in names:
         dc = build_dual_complex(registry[name])
         euler_rows.append([name, dc.vertex_count(), dc.euler_characteristic()])
-    rep.checks.append(Check(
+    rep.check(
         "dual-complex-vertices",
         all(r[1] == len(registry[r[0]].components) for r in euler_rows),
         "vertex count equals component count",
-    ))
-    rep.tables["dual_complexes"] = {
-        "columns": ["model", "vertices", "euler_characteristic"],
-        "rows": euler_rows,
-    }
+    )
+    rep.table("dual_complexes", ["model", "vertices", "euler_characteristic"],
+              euler_rows)
 
 
 def run_na_limit(man: ExperimentManifest, rep: RunReport):
@@ -512,24 +495,24 @@ def run_na_limit(man: ExperimentManifest, rep: RunReport):
         except (RegularityError, BasepointError) as exc:
             # the shifted metric below has phi's sections, and the trivial
             # one neither poles nor base points, so only this call can raise
-            rep.checks.append(Check(f"regularity-{model.name}", False, str(exc)))
+            rep.check(f"regularity-{model.name}", False, str(exc))
             continue
-        rep.checks.append(Check(
+        rep.check(
             f"dual-route-{model.name}", res.dual_route_equal,
             "formula value = direct restriction at every divisorial point",
-        ))
+        )
         try:
             ok, details = res.pa.check_face_continuity(), "exact"
         except ContinuityError as exc:
             ok, details = False, str(exc)
-        rep.checks.append(Check(f"face-continuity-{model.name}", ok, details))
+        rep.check(f"face-continuity-{model.name}", ok, details)
         shifted = na_limit_tfs(tfs_shift(phi, shift), model, r)
         shift_ok = all(
             shifted.restriction_values[i] == res.restriction_values[i] + shift
             for i in range(len(model.components))
         )
-        rep.checks.append(Check(f"constant-shift-covariance-{model.name}",
-                                 shift_ok, f"shift by {shift}"))
+        rep.check(f"constant-shift-covariance-{model.name}",
+                  shift_ok, f"shift by {shift}")
         # the reference metric itself: one section, reference^m
         ref_m = LaurentSeriesData.monomial(
             phi.reference.variables,
@@ -537,14 +520,11 @@ def run_na_limit(man: ExperimentManifest, rep: RunReport):
         trivial = TropicalFSMetric.build(phi.m, [(ref_m, 0)], phi.reference)
         tres = na_limit_tfs(trivial, model, r)
         triv_ok = all(v.is_zero() for v in tres.restriction_values.values())
-        rep.checks.append(Check(f"trivial-metric-zero-{model.name}", triv_ok, ""))
+        rep.check(f"trivial-metric-zero-{model.name}", triv_ok, "")
         for k, stratum, g_logr, g_const in res.pa.csv_rows():
             rows.append([model.name, k, stratum, g_logr, g_const])
-    rep.tables["pa_functions"] = {
-        "columns": ["model", "simplex_id", "stratum", "gradient_logr",
-                     "gradient_const"],
-        "rows": rows,
-    }
+    rep.table("pa_functions", ["model", "simplex_id", "stratum",
+                               "gradient_logr", "gradient_const"], rows)
 
 
 def run_ma_model(man: ExperimentManifest, rep: RunReport):
@@ -558,10 +538,10 @@ def run_ma_model(man: ExperimentManifest, rep: RunReport):
         mu = ma_model_metric(table)
         expected = sum((b * num for _, b, num in table.entries), Fraction(0))
         ok = mu.total_mass() == expected and not mu.flags
-        rep.checks.append(Check(
+        rep.check(
             f"total-mass-{table.model.name}", ok,
             f"mass {mu.total_mass()} = sum of table entries {expected}",
-        ))
+        )
         for atom in mu.atoms:
             rows.append([table.model.name, atom.label,
                          "" if atom.u is None else rat_to_str(atom.u.a),
@@ -577,26 +557,23 @@ def run_ma_model(man: ExperimentManifest, rep: RunReport):
         family = load_family(pair["family"])
         mu_table = ma_model_metric(table)
         mu_pa = family_limit_measure(family, r)
-        rep.checks.append(Check(
+        rep.check(
             f"dual-route-curve-{family.name}",
             mu_pa.same_atoms(mu_table),
             "ma_pa_curve = ma_model_metric exactly",
-        ))
+        )
     # affine input gives the empty measure; the standard single-kink example
     affine = PAFunction1D.from_breakpoints([Fraction(0)], [Fraction(1)], r,
                                             left_slope=2, right_slope=2)
-    rep.checks.append(Check("affine-empty-measure",
-                             not ma_pa_curve(affine).nonzero().atoms, ""))
+    rep.check("affine-empty-measure",
+              not ma_pa_curve(affine).nonzero().atoms, "")
     vee = PAFunction1D.from_breakpoints([Fraction(-1)], [Fraction(0)], r,
                                          left_slope=0, right_slope=1)
     atoms = ma_pa_curve(vee).nonzero().atoms
     ok = (len(atoms) == 1 and atoms[0].mass == 1
           and atoms[0].u == LogRVal.of(Fraction(-1)))
-    rep.checks.append(Check("single-kink-max(0,u+1)", ok, "mass 1 at u = -1"))
-    rep.tables["atomic_measures"] = {
-        "columns": ["model", "component", "u", "mass"],
-        "rows": rows,
-    }
+    rep.check("single-kink-max(0,u+1)", ok, "mass 1 at u = -1")
+    rep.table("atomic_measures", ["model", "component", "u", "mass"], rows)
 
 
 def run_ma_converge(man: ExperimentManifest, rep: RunReport):
@@ -623,13 +600,13 @@ def run_ma_converge(man: ExperimentManifest, rep: RunReport):
             conv = weak_convergence_experiment(fam, t_schedule, tests, grid, r,
                                                 mass_tol=mass_tol)
         except ResolutionError as exc:
-            rep.checks.append(Check(
+            rep.check(
                 f"grid-resolution-{fam.name}", False,
                 f"{exc}; suggested_n = {exc.suggested_n}",
-            ))
+            )
             continue
         except EmptyMeasureError as exc:
-            rep.checks.append(Check(f"positive-mass-{fam.name}", False, str(exc)))
+            rep.check(f"positive-mass-{fam.name}", False, str(exc))
             continue
         for row in conv.rows:
             out = [fam.name, row.t_abs, row.w1, row.captured_mass]
@@ -637,45 +614,41 @@ def run_ma_converge(man: ExperimentManifest, rep: RunReport):
                 out.append(row.test_errors[name])
             rows.append(out)
         final_w1 = conv.rows[-1].w1
-        rep.checks.append(Check(
+        rep.check(
             f"w1-at-smallest-t-{fam.name}", final_w1 <= w1_tol,
             f"W1 = {final_w1:.6f} <= {w1_tol}",
-        ))
-        rep.checks.append(Check(
+        )
+        rep.check(
             f"w1-monotone-{fam.name}", conv.monotone,
             conv.failure or "errors non-increasing along the schedule",
-        ))
+        )
         mass_ok = all(
             abs(row.captured_mass - float(fam.ma_mass())) <= mass_tol
             for row in conv.rows
         )
-        rep.checks.append(Check(
+        rep.check(
             f"grid-mass-{fam.name}", mass_ok,
             f"total mass within {mass_tol} of degree {fam.ma_mass()}",
-        ))
+        )
     cln_rows = []
     if cln_family is not None:
         fam = load_family(cln_family)
         cln = cln_stability_check(fam, deltas, r, residual_tol=cln_tol)
-        rep.checks.append(Check(
+        rep.check(
             "cln-linear-envelope", cln.failure is None,
             f"fitted C = {cln.fitted_constant:.6f}, residual {cln.residual:.2e}",
-        ))
-        rep.checks.append(Check("cln-antisymmetry", cln.antisymmetry_exact,
-                                 "cross pairing negates under swap, exact"))
-        rep.checks.append(Check(
+        )
+        rep.check("cln-antisymmetry", cln.antisymmetry_exact,
+                  "cross pairing negates under swap, exact")
+        rep.check(
             "cln-zero-delta",
-            pairing_difference(fam, fam, r).is_zero(), "exact zero"))
+            pairing_difference(fam, fam, r).is_zero(), "exact zero")
         for d, diff in zip(cln.deltas, cln.differences):
             cln_rows.append([fam.name, d, diff])
-    rep.tables["convergence"] = {
-        "columns": ["family", "t", "w1", "captured_mass"]
-        + [f"err_{name}" for name in sorted(tests)],
-        "rows": rows,
-    }
+    rep.table("convergence", ["family", "t", "w1", "captured_mass"]
+              + [f"err_{name}" for name in sorted(tests)], rows)
     if cln_rows:
-        rep.tables["cln"] = {"columns": ["family", "delta", "difference"],
-                              "rows": cln_rows}
+        rep.table("cln", ["family", "delta", "difference"], cln_rows)
 
 
 # the checks of run_mz_check on these families carry frozen expectations
@@ -702,15 +675,15 @@ def run_mz_check(man: ExperimentManifest, rep: RunReport):
         and mz_fs_eval(fam23, 1, MZPoint("origin")).is_zero()
         and rep23.s_p[2].is_zero() and rep23.s_p[3].is_zero()
     )
-    rep.checks.append(Check("family-2-3-worked-example", checks23,
-                             "branch value 0, slopes (0, 0, log 3)"))
+    rep.check("family-2-3-worked-example", checks23,
+              "branch value 0, slopes (0, 0, log 3)")
     F2 = mz_from_family(fam2, 1)
     rep2 = mz_slopes(F2)
     ok2 = (rep2.slope_sum.is_zero()
            and rep2.end_values[2] == "-inf"
            and mz_fs_eval(fam2, 1, MZPoint("2", "inf")) == "-inf")
-    rep.checks.append(Check("family-2-slopes-and-polar-end", ok2,
-                             "s_2 = -log 2, s_inf = log 2, sum 0; end is polar"))
+    rep.check("family-2-slopes-and-polar-end", ok2,
+              "s_2 = -log 2, s_inf = log 2, sum 0; end is polar")
     n_pass = 0
     ident_ok = True
     discrepancies = 0
@@ -727,29 +700,27 @@ def run_mz_check(man: ExperimentManifest, rep: RunReport):
             discrepancies += 1
         rows.append([i, str(fam), m, verdict.passed,
                      ident.slope_sum_matches_direct, ident.lcm_form_differs])
-    rep.checks.append(Check("random-families-pass", n_pass == n_rand,
-                             f"{n_pass}/{n_rand} FS families pass the checker"))
-    rep.checks.append(Check(
+    rep.check("random-families-pass", n_pass == n_rand,
+              f"{n_pass}/{n_rand} FS families pass the checker")
+    rep.check(
         "slope-sum-closed-form", ident_ok,
         "sum = log(max over argmax / gcd) exactly on every family; "
         f"lcm form differs on {discrepancies} families (surfaced, not asserted)",
-    ))
+    )
     # crafted on the unit lattice: scale 1, no archimedean primes
     viol = MZFunction(1, (), 0, {2: BranchPA((-1,), (0,))},
                       BranchPA((_LogVec(),), (0,)), BranchPA((0,), (0,)))
     vv = mz_psh_check(viol)
     slope_reason = any("slope-sum" in reas for reas in vv.reasons)
-    rep.checks.append(Check("crafted-violator-fails-slope-sum",
-                             (not vv.passed) and slope_reason,
-                             "; ".join(vv.reasons)))
+    rep.check("crafted-violator-fails-slope-sum",
+              (not vv.passed) and slope_reason,
+              "; ".join(vv.reasons))
     const = MZFunction(1, (), 0, {}, BranchPA((_LogVec(),), (0,)),
                        BranchPA((0,), (0,)))
-    rep.checks.append(Check("zero-function-passes",
-                             mz_psh_check(const).passed, ""))
-    rep.tables["mz_families"] = {
-        "columns": ["index", "family", "m", "passed", "identity", "lcm_differs"],
-        "rows": rows,
-    }
+    rep.check("zero-function-passes", mz_psh_check(const).passed, "")
+    rep.table("mz_families",
+              ["index", "family", "m", "passed", "identity", "lcm_differs"],
+              rows)
 
 
 def run_lelong(man: ExperimentManifest, rep: RunReport):
@@ -777,43 +748,38 @@ def run_lelong(man: ExperimentManifest, rep: RunReport):
 
     samp = sample_circle_sups(phi_main, radii)
     est = lelong_estimate(samp)
-    rep.checks.append(Check(
+    rep.check(
         "t2-plus-t3-slope", abs(est.estimate - 2.0) <= tol,
         f"estimate {est.estimate!r}, target 2 within {tol}",
-    ))
+    )
 
     def phi_pert(z: complex) -> float:
         return phi_main(z) + math.log(abs(1 + scale * z))
 
     est_p = lelong_estimate(sample_circle_sups(phi_pert, radii))
-    rep.checks.append(Check(
+    rep.check(
         "bounded-perturbation-invariance",
         abs(est_p.estimate - 2.0) <= tol,
         f"perturbed estimate {est_p.estimate!r} within {tol}",
-    ))
+    )
     slope_f = float(slope)
     est_pure = lelong_estimate(
         sample_circle_sups(lambda z: slope_f * math.log(abs(z)), radii))
-    rep.checks.append(Check(
+    rep.check(
         "pure-log-exact", abs(est_pure.estimate - slope_f) <= 1e-9,
         f"slope {est_pure.estimate!r} vs {slope_f!r}",
-    ))
+    )
     est_b = lelong_estimate(
         sample_circle_sups(lambda z: max(math.log(abs(z)), floor), radii))
-    rep.checks.append(Check(
+    rep.check(
         "bounded-function-zero", abs(est_b.estimate) <= 1e-9,
         f"estimate {est_b.estimate!r}",
-    ))
-    rep.tables["lelong_sweep"] = {
-        "columns": ["log10_rho", "sup_value", "series"],
-        "rows": [[math.log10(rho), val, "t2_plus_t3"]
-                 for rho, val in samp.points],
-    }
-    rep.tables["lelong_fit"] = {
-        "columns": ["series", "estimate", "band_lo", "band_hi"],
-        "rows": [["t2_plus_t3", est.estimate, est.band[0], est.band[1]],
-                 ["perturbed", est_p.estimate, est_p.band[0], est_p.band[1]]],
-    }
+    )
+    rep.table("lelong_sweep", ["log10_rho", "sup_value", "series"],
+              [[math.log10(rho), val, "t2_plus_t3"] for rho, val in samp.points])
+    rep.table("lelong_fit", ["series", "estimate", "band_lo", "band_hi"],
+              [["t2_plus_t3", est.estimate, est.band[0], est.band[1]],
+               ["perturbed", est_p.estimate, est_p.band[0], est_p.band[1]]])
 
 
 def run_rho_r(man: ExperimentManifest, rep: RunReport):
@@ -837,8 +803,8 @@ def run_rho_r(man: ExperimentManifest, rep: RunReport):
     down = rho_r_inverse(samples, cfg, r_prime=Fraction(3, 4))
     back = rho_r_forward(down, cfg)
     exact_ok = all(a.value == b.value for a, b in zip(samples, back))
-    rep.checks.append(Check("round-trip-exact", exact_ok,
-                             f"{len(samples)} samples, rational radius exponents"))
+    rep.check("round-trip-exact", exact_ok,
+              f"{len(samples)} samples, rational radius exponents")
     # numeric round trip for phi = log|1 + t| scaled data, at 25 angles
     # from 0.1 to 6.0 with both ends included
     step = (6.0 - 0.1) / 24
@@ -848,15 +814,15 @@ def run_rho_r(man: ExperimentManifest, rep: RunReport):
     rt = rho_r_inverse(rho_r_forward(num, cfg), cfg, r_prime=Fraction(9, 10))
     num_ok = all(abs(a.value - b.value) <= tol * max(1.0, abs(a.value))
                  for a, b in zip(num, rt))
-    rep.checks.append(Check("round-trip-numeric", num_ok, f"tolerance {tol}"))
+    rep.check("round-trip-numeric", num_ok, f"tolerance {tol}")
     # constant function transforms onto the rescaling factor
     const = [RhoSample(rfl ** k, Fraction(1), Fraction(k)) for k in ks]
     fwd = rho_r_forward(const, cfg)
-    rep.checks.append(Check(
+    rep.check(
         "constant-maps-to-logr-factor",
         all(s.value == Fraction(k) for s, k in zip(fwd, ks)),
         "phi = 1 maps to log_r|t|",
-    ))
+    )
     # convexity checks on the hybrid field spectrum
     lam = [Fraction(i, 8) for i in range(9)]
     sq = [(x, x * x) for x in lam]
@@ -867,13 +833,13 @@ def run_rho_r(man: ExperimentManifest, rep: RunReport):
             (Fraction(3), Fraction(-2))]
     pa = [(x, max(a * x + b for a, b in affs)) for x in lam]
     v3 = khyb_convexity_check(pa)
-    rep.checks.append(Check("khyb-square-convex", v1.convex, ""))
-    rep.checks.append(Check(
+    rep.check("khyb-square-convex", v1.convex, "")
+    rep.check(
         "khyb-concave-detected", not v2.convex,
-        f"worst violation {v2.worst_violation}"))
-    rep.checks.append(Check(
+        f"worst violation {v2.worst_violation}")
+    rep.check(
         "khyb-pa-exact-zero-violation",
-        v3.convex and v3.worst_violation == 0, "exact rational arithmetic"))
+        v3.convex and v3.worst_violation == 0, "exact rational arithmetic")
     if paths is not None:
         f = LaurentSeriesData(["z", "t"], [((1, 0), Coefficient.explicit(1)),
                                            ((0, 1), Coefficient.explicit(-1))])
@@ -885,19 +851,15 @@ def run_rho_r(man: ExperimentManifest, rep: RunReport):
             worst = max(worst, err)
             path_rows.append([rat_to_str(w), res.limit,
                               rat_to_str(res.prediction), err])
-        rep.checks.append(Check(
+        rep.check(
             "path-limits-match-monomial-prediction", worst <= paths["tol"],
             f"f = z - t along z = c t^w: worst error {worst!r} <= {paths['tol']}",
-        ))
-        rep.tables["path_limits"] = {
-            "columns": ["w", "limit", "prediction", "error"],
-            "rows": path_rows,
-        }
-    rep.tables["rho_r_roundtrip"] = {
-        "columns": ["k", "angle_index", "value", "roundtrip"],
-        "rows": [[rat_to_str(s.k), i % n_ang, s.value, b.value]
-                 for i, (s, b) in enumerate(zip(samples, back))],
-    }
+        )
+        rep.table("path_limits", ["w", "limit", "prediction", "error"],
+                  path_rows)
+    rep.table("rho_r_roundtrip", ["k", "angle_index", "value", "roundtrip"],
+              [[rat_to_str(s.k), i % n_ang, s.value, b.value]
+               for i, (s, b) in enumerate(zip(samples, back))])
 
 
 RUNNERS = {

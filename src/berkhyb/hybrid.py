@@ -278,29 +278,20 @@ def rho_r_inverse(samples: Sequence[RhoSample], cfg: HybridConfig,
 @dataclass
 class ConvexityVerdict:
     convex: bool
-    worst_violation: object  # Fraction or float; positive means violation
+    worst_violation: Fraction  # positive means violation
 
 
 def khyb_convexity_check(samples: Sequence[tuple]) -> ConvexityVerdict:
-    """Discrete midpoint convexity on consecutive triples of (lambda, value).
-
-    Exact when the samples are rational; the worst violation is
+    """Discrete midpoint convexity on consecutive triples of rational
+    (lambda, value) pairs, in exact arithmetic; the worst violation is
     max over triples of v_mid - chord, positive iff convexity fails.
     """
     if len(samples) < 3:
         raise ValueError("need at least 3 samples")
     pts = sorted(samples, key=lambda p: p[0])
-    exact = all(
-        isinstance(l, (int, Fraction)) and isinstance(v, (int, Fraction))
-        for l, v in pts
-    )
-    worst = Fraction(0) if exact else 0.0
+    worst = Fraction(0)
     for (l1, v1), (l2, v2), (l3, v3) in zip(pts, pts[1:], pts[2:]):
-        if exact:
-            l1, v1, l2, v2, l3, v3 = map(as_fraction, (l1, v1, l2, v2, l3, v3))
+        l1, v1, l2, v2, l3, v3 = map(as_fraction, (l1, v1, l2, v2, l3, v3))
         chord = v1 + (v3 - v1) * (l2 - l1) / (l3 - l1)
-        gap = v2 - chord
-        if gap > worst:
-            worst = gap
-    tol = 0 if exact else 1e-12
-    return ConvexityVerdict(convex=worst <= tol, worst_violation=worst)
+        worst = max(worst, v2 - chord)
+    return ConvexityVerdict(convex=worst <= 0, worst_violation=worst)

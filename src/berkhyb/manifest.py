@@ -27,7 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .exactnum import LogRVal, rat_from_str, rat_to_str
+from .exactnum import rat_from_str, rat_to_str
 
 # the experiment kinds; harness.RUNNERS holds one runner for each
 KINDS = ("val-eval", "retract", "na-limit", "ma-model", "ma-converge",
@@ -235,6 +235,10 @@ class Check:
 
 @dataclass
 class RunReport:
+    """A run's checks and tables.  Runners add them through ``check`` and
+    ``table``; ``to_json``, ``write_report`` and ``emit_plot_data`` render
+    them, each table cell through ``_cell``."""
+
     kind: str
     seed: int
     version: str
@@ -242,6 +246,12 @@ class RunReport:
     checks: list[Check] = field(default_factory=list)
     tables: dict = field(default_factory=dict)  # name -> {"columns": [...], "rows": [...]}
     wall_clock: float = 0.0
+
+    def check(self, name: str, passed: bool, details: str = ""):
+        self.checks.append(Check(name, passed, details))
+
+    def table(self, name: str, columns: list, rows: list):
+        self.tables[name] = {"columns": columns, "rows": rows}
 
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
@@ -251,7 +261,7 @@ class RunReport:
         tables = {
             name: {
                 "columns": t["columns"],
-                "rows": [[_jsonable(v) for v in row] for row in t["rows"]],
+                "rows": [[_cell(v) for v in row] for row in t["rows"]],
             }
             for name, t in self.tables.items()
         }
@@ -283,22 +293,15 @@ def atomic_write_text(path: Path, text: str):
         raise
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    if isinstance(x, Fraction):
-        return rat_to_str(x)
-    return str(x)
+def _cell(v):
+    """A table cell as it is written: a Fraction as "n/d"; a bool, int, float
+    or str, the only other cell types, as it is."""
+    return rat_to_str(v) if isinstance(v, Fraction) else v
 
 
-def _jsonable(v):
-    if isinstance(v, Fraction):
-        return rat_to_str(v)
-    if isinstance(v, LogRVal):
-        return v.to_json()
-    if isinstance(v, (bool, int, float, str)) or v is None:
-        return v
-    return str(v)
+def _csv(v) -> str:
+    # str of a float is its repr
+    return str(_cell(v))
 
 
 def write_report(report: RunReport, out_dir: Path):
@@ -310,7 +313,7 @@ def write_report(report: RunReport, out_dir: Path):
     for name, table in report.tables.items():
         lines = [",".join(table["columns"])]
         for row in table["rows"]:
-            lines.append(",".join(_fmt(v) for v in row))
+            lines.append(",".join(map(_csv, row)))
         atomic_write_text(out_dir / f"{name}.csv", "\n".join(lines) + "\n")
     emit_plot_data(report, out_dir / "plot_data.csv")
     atomic_write_text(
@@ -325,10 +328,10 @@ def emit_plot_data(report: RunReport, target: Path):
     for name, table in report.tables.items():
         cols = table["columns"]
         for row in table["rows"]:
-            key = _fmt(row[0]) if row else ""
+            key = _csv(row[0]) if row else ""
             for col, val in zip(cols[1:], row[1:]):
                 if isinstance(val, (int, float, Fraction)):
-                    rows.append(f"{report.kind}/{name},{key},{col},{_fmt(val)}")
+                    rows.append(f"{report.kind}/{name},{key},{col},{_csv(val)}")
     atomic_write_text(Path(target), "\n".join(rows) + "\n")
 
 

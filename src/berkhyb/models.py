@@ -90,14 +90,16 @@ class SncModelCombinatorics:
         for i, c in enumerate(self.components):
             if self._eq_index[c.label] != i:
                 raise ModelValidationError(f"duplicate component label {c.label!r}")
-        for s in strata:
+        declared = set()
+        for k, s in enumerate(strata):
             # 0.0 or True would pass the range test below and hash like 0
             if any(type(i) is not int for i in s):
-                raise ModelValidationError(f"stratum {s!r}: indices must be integers")
-        declared = {tuple(sorted(set(s))) for s in strata}
-        for s in declared:
+                raise ModelValidationError(
+                    f"strata[{k}]: indices must be integers, got {s!r}")
+            s = tuple(sorted(set(s)))
             if any(i < 0 or i >= n for i in s) or not s:
-                raise ModelValidationError(f"bad stratum {s}")
+                raise ModelValidationError(f"strata[{k}]: bad stratum {s}")
+            declared.add(s)
         for i in range(n):
             declared.add((i,))
         self.strata = tuple(sorted(declared, key=lambda s: (len(s), s)))

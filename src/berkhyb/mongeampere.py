@@ -135,14 +135,14 @@ class IntersectionTable:
     @classmethod
     def build(cls, model, rows):
         entries = []
-        for idx, b, num in rows:
+        for i, (idx, b, num) in enumerate(rows):
             if not model.has_component(idx):
-                raise ValueError(f"component {idx} not in model")
+                raise ValueError(f"rows[{i}][0]: component {idx} not in model")
             if int(b) <= 0:
-                raise ValueError("b_E must be strictly positive")
+                raise ValueError(f"rows[{i}][1]: b_E must be strictly positive")
             if int(b) != model.multiplicity(idx):
                 raise ValueError(
-                    f"b_E = {b} disagrees with model multiplicity "
+                    f"rows[{i}][1]: b_E = {b} disagrees with model multiplicity "
                     f"{model.multiplicity(idx)} at component {idx}"
                 )
             entries.append((int(idx), int(b), as_fraction(num)))

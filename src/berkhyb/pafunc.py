@@ -164,12 +164,10 @@ class PAFunction1D:
             if not dx.is_rational():
                 # generic slope (dy/dx) only representable when dx rational
                 raise ValueError("breakpoint spacing must be rational")
-            s = None
-            if dy.is_rational():
-                s = dy.rational_part() / dx.rational_part()
-                pieces.append(AffineLine(s, ys[i] - s * xs[i]))
-            else:
+            if not dy.is_rational():
                 raise ValueError("interpolation needs rational value differences")
+            s = dy.rational_part() / dx.rational_part()
+            pieces.append(AffineLine(s, ys[i] - s * xs[i]))
         rs = as_fraction(right_slope)
         pieces.append(AffineLine(rs, ys[-1] - rs * xs[-1]))
         return cls(pieces, xs, r)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -146,6 +147,37 @@ def test_emit_plot_data_empty_report(tmp_path):
     report = RunReport(kind="ma-model", seed=0, version="0", manifest_echo={})
     emit_plot_data(report, tmp_path / "plot.csv")
     assert (tmp_path / "plot.csv").read_text() == "experiment,t,series,value\n"
+
+
+
+def test_bundled_table_cells_are_in_the_renderers_domain(data_dir):
+    # manifest renders only these cell types; a new one needs a renderer case
+    cells = {type(v) for name in sorted((data_dir / "manifests").glob("*.json"))
+             for table in run(ExperimentManifest.load(name)).tables.values()
+             for row in table["rows"] for v in row}
+    assert cells <= {bool, int, float, str, Fraction}
+
+
+def test_cells_render_alike_in_json_csv_and_plot_data(tmp_path):
+    from berkhyb.manifest import RunReport
+
+    report = RunReport(kind="rho-r", seed=0, version="0", manifest_echo={})
+    report.check("ok", True)
+    report.table("cells", ["k", "q", "flag", "x", "name"],
+                 [[Fraction(1, 3), Fraction(-2, 3), True, 2 / 3, "a"]])
+    write_report(report, tmp_path)
+    data = json.loads((tmp_path / "report.json").read_text())
+    assert data["checks"] == [{"name": "ok", "passed": True, "details": ""}]
+    assert data["tables"]["cells"]["rows"] == [["1/3", "-2/3", True, 2 / 3, "a"]]
+    text = "".join((tmp_path / "report.json").read_text().split())
+    assert '["1/3","-2/3",true,0.6666666666666666,"a"]' in text
+    assert (tmp_path / "cells.csv").read_text() == (
+        "k,q,flag,x,name\n1/3,-2/3,True,0.6666666666666666,a\n")
+    assert (tmp_path / "plot_data.csv").read_text() == (
+        "experiment,t,series,value\n"
+        "rho-r/cells,1/3,q,-2/3\n"
+        "rho-r/cells,1/3,flag,True\n"
+        "rho-r/cells,1/3,x,0.6666666666666666\n")
 
 
 _DROP = object()

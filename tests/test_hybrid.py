@@ -223,3 +223,12 @@ def test_khyb_convexity_examples():
     pa = [(x, max(a * x + b for a, b in affs)) for x in lam]
     res = khyb_convexity_check(pa)
     assert res.convex and res.worst_violation == 0
+
+
+def test_khyb_convexity_is_exact_only():
+    lam = [Fraction(i, 6) for i in range(7)]
+    bad = khyb_convexity_check([(x, -x * x) for x in lam])
+    assert bad.worst_violation == Fraction(1, 36)
+    assert type(bad.worst_violation) is Fraction
+    with pytest.raises(TypeError):
+        khyb_convexity_check([(0, 0.0), (1, 1.0), (2, 4.0)])

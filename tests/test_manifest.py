@@ -223,6 +223,31 @@ def test_non_integer_stratum_index_exits_two(data_dir, tmp_path, index):
     assert not written
 
 
+@pytest.mark.parametrize("kind,key,source,path,value,reason", [
+    ("retract", "models", "models/segment.json", ("strata", 0), [5],
+     "strata[0]: bad stratum (5,)"),
+    ("ma-model", "tables", "tables/table_ndim.json", ("rows", 0, 1), 10**40,
+     f"rows[0][1]: b_E = {10**40} disagrees with model multiplicity 2 "
+     "at component 0"),
+])
+def test_cross_key_rule_names_the_key_at_fault(data_dir, tmp_path, kind, key,
+                                               source, path, value, reason):
+    # the constructor checks these rules against other keys (the component
+    # count, the model's multiplicities), yet names the key it rejects
+    content = mutate(json.loads((data_dir / source).read_text()), path, value)
+    bad = tmp_path / Path(source).name
+    bad.write_text(json.dumps(content))
+    inputs = [str(bad)]
+    if kind == "retract":
+        inputs += [str(data_dir / "models" / f"{m}.json")
+                   for m in ("triangle", "blowup")]
+    man = mutate(bundled(data_dir, kind), ("inputs", key), inputs)
+    rc, err, written = run_cli(kind, man, tmp_path)
+    assert rc == 2
+    assert f"{bad}: {reason}" in err
+    assert not written
+
+
 def test_retraction_into_an_undeclared_stratum_fails_its_checks(data_dir,
                                                                 tmp_path):
     # without its edge [0, 1], segment cannot host the barycenter of blowup

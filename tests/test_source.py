@@ -77,3 +77,26 @@ def test_input_formats_live_in_harness():
         or isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
         and isinstance(node.value, ast.Name) and node.value.id == "json"]
     assert readers == []
+
+
+def _report_layout(tree):
+    """Lines that build a Check or spell a table key ("columns", "rows") as a
+    dict key or a subscript."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and "Check" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            yield node.lineno
+        keys = (node.keys if isinstance(node, ast.Dict)
+                else [node.slice] if isinstance(node, ast.Subscript) else [])
+        if any(isinstance(k, ast.Constant) and k.value in ("columns", "rows")
+               for k in keys):
+            yield node.lineno
+
+
+def test_only_manifest_knows_the_check_record_and_table_layout():
+    # runners add checks and tables through RunReport.check and .table
+    spelled = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+               if path.name != "manifest.py"
+               for line in _report_layout(ast.parse(path.read_text()))]
+    assert spelled == []
+    assert list(_report_layout(ast.parse((SRC / "manifest.py").read_text())))
