@@ -3,8 +3,9 @@
     berkhyb <kind> --manifest <path> [--out <dir>] [--seed <u64>]
 
 Exit status: 0 when every check passes, 1 on check failures (the report
-is still written), 2 on manifest/parse errors or an output path that is
-not a directory (no outputs are written).
+is still written), 2 on manifest/parse errors, on inputs whose exact
+order cannot be certified, or on an output path that is not a directory
+(no outputs are written).
 The default output directory is ``berkhyb-out/<kind>`` under the current
 directory, or $BERKHYB_OUT when set.
 """

@@ -12,16 +12,18 @@ Two small exact number types are used throughout the package:
   primes.  Logarithms of distinct primes are linearly independent over Q
   (unique factorization), so equality is again structural.
 
-Order comparisons cannot be structural.  A sign is first read from a
-float evaluation when it exceeds a rigorous forward error bound
-(``_filtered_sign``, Shewchuk's adaptive-predicate filter); only values
-below that bound are certified with mpmath interval arithmetic at
-increasing precision.  A nonzero value is bounded away from zero, so the
-refinement terminates.
+Order comparisons cannot be structural.  A sign is certified with
+integers alone: ``_fixed_log`` gives 10^k log n to within 1, so a value
+cleared of denominators and scaled by a power of 10^k is an int w up to
+an error below an int bound err, and when |w| > err, w has the value's
+sign.  ``_certified_sign`` raises k until that holds.  A nonzero value is
+bounded away from zero, so some k separates it; the ladder stops at 800
+digits with ``PrecisionError``.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from decimal import Context
 from fractions import Fraction
@@ -30,48 +32,42 @@ from typing import Iterable, Union
 
 Rat = Union[int, Fraction]
 
-_PRECISIONS = (80, 160, 320, 640, 1280, 2560)
+_DIGITS = (20, 50, 100, 200, 400, 800)
 _ZERO = Fraction(0)
 
 
-@cache
-def _interval_context(prec: int) -> MPIntervalContext:
-    """A private interval context at ``prec`` bits, built on first use.
-
-    The global ``mpmath.iv`` is never read or changed.  This is the one
-    place that imports mpmath.
-    """
-    from mpmath.ctx_iv import MPIntervalContext
-
-    ctx = MPIntervalContext()
-    ctx.prec = prec
-    return ctx
-
-
 class PrecisionError(ArithmeticError):
-    """Interval refinement failed to separate a value from zero."""
+    """The digit ladder ran out before a value separated from zero."""
 
 
-def _certified_sign(make_interval) -> int:
-    """Sign of a provably nonzero quantity via interval refinement.
+@cache
+def _fixed_log(n: int, digits: int) -> int:
+    """10^digits log n rounded to an int, for an int n >= 1: within 0.51.
 
-    ``make_interval`` receives an interval context (``mpmath.iv`` API) and
-    returns an interval enclosing the quantity.
+    log n < n.bit_length() has at most m = len(str(n.bit_length())) digits
+    before the point, so at m + digits + 2 significant digits the correctly
+    rounded ``ln`` errs by at most 10^-(digits+2) / 2.  Scaling is exact and
+    rounding to an int adds at most 1/2.  Every operation runs in the local
+    context, so the thread's decimal context plays no part.
     """
-    for prec in _PRECISIONS:
-        val = make_interval(_interval_context(prec))
-        if val > 0:
-            return 1
-        if val < 0:
-            return -1
-    raise PrecisionError("interval refinement exhausted; value too close to zero")
+    ctx = Context(prec=len(str(n.bit_length())) + digits + 2)
+    return int(ctx.to_integral_value(ctx.scaleb(ctx.ln(n), digits)))
 
 
-# Every float factor that multiplies a rounded input in ``_filtered_sign``
-# (log p, L, 1/L) lies in [2^-500, 2^500]; _TINY bounds the absolute
-# error that underflow adds to a sum of such terms.
-_FACTOR_MIN = 2.0 ** -500
-_TINY = 2.0 ** -500
+def _certified_sign(enclose) -> int:
+    """Sign of a nonzero value from integer enclosures of ever more digits.
+
+    ``enclose(digits)`` returns ints (w, err) with |w - X| <= err for some
+    real X of the value's sign, or (0, 0) when that rung cannot tell.  The
+    first rung decides all but near ties; the later rungs are their
+    fallback.
+    """
+    for digits in _DIGITS:
+        w, err = enclose(digits)
+        if abs(w) > err:
+            return 1 if w > 0 else -1
+    raise PrecisionError(
+        f"sign undecided at {_DIGITS[-1]} digits; value too close to zero")
 
 
 @cache
@@ -92,44 +88,6 @@ def _float_log(q: Rat) -> float:
     bits = max(q.numerator.bit_length(), q.denominator.bit_length())
     ctx = Context(prec=bits * 30103 // 100000 + 26)
     return float(ctx.ln(ctx.divide(q.numerator, q.denominator)))
-
-
-def _filtered_sign(make_terms) -> int:
-    """Sign of the exact sum that ``make_terms()`` approximates, or 0 if unsure.
-
-    ``make_terms`` returns k floats t_i, each an exact term x_i (a rational
-    q, or q times a factor m in {log p, L, 1/L}) evaluated as float(q),
-    float(q) * m_f or float(q) / m_f.  With u = 2^-53:
-
-    * ``float(Fraction)`` is correctly rounded: relative error <= u, or an
-      absolute error <= 2^-1075 when the result is subnormal;
-    * m_f = ``_float_log`` is m rounded to nearest, up to a relative
-      2 10^-24, so m_f = m (1 + e) with |e| <= u (1 + 2^-25);
-    * the product or quotient rounds once more: relative u, absolute 2^-1075.
-
-    So t_i = x_i (1 + h_i) + a_i with |h_i| <= 3u + O(u^2) and
-    |a_i| <= 2^-1075 (1 + (1 + u) 2^500) < 2^-574, since every factor lies in
-    [2^-500, 2^500] (log p is in [log 2, 2^63) for any int p; ``LogRVal``
-    filters only when |L| >= 2^-500).  Adding the k terms in order costs at
-    most (k-1) u (1 + O(ku)) sum |t_i|; additions are exact in the subnormal
-    range (and Python 3.12's compensated ``sum`` has a smaller bound).  The
-    total error is therefore below (k+2) u (1 + O(ku)) sum |t_i| + k 2^-574,
-    which 2 (k+2) u sum |t_i| + _TINY covers, the rounding of the bound
-    itself included, for any k < 2^70.  When |sum| exceeds it, the float sign
-    is the exact sign.
-
-    Returns 0 when the sum is within the bound, when a conversion raises
-    ``OverflowError``, and on inf or nan: an inf term makes the bound inf and
-    a nan compares false.
-    """
-    try:
-        terms = make_terms()
-    except OverflowError:
-        return 0
-    total = sum(terms)
-    if abs(total) > (len(terms) + 2) * 2.0 ** -52 * sum(map(abs, terms)) + _TINY:
-        return 1 if total > 0 else -1
-    return 0
 
 
 def as_fraction(x: Rat) -> Fraction:
@@ -243,26 +201,34 @@ class LogRVal:
 
     # -- order (needs the radius) --------------------------------------
     def sign(self, r: Fraction) -> int:
-        if self.is_zero():
-            return 0
+        """Certified sign at a positive rational radius r != 1.
+
+        With (A, B, C) = D (a, b, c) cleared of denominators and
+        lam = 10^k log r, the value times 10^(2k) D log r is
+        f(lam) = (A 10^k + B lam) lam + C 10^(2k).  The enclosure takes
+        l = _fixed_log(num r) - _fixed_log(den r), so |l - lam| < 2 and
+        |f(l) - f(lam)| = |l - lam| |A 10^k + B (l + lam)|
+                        < 2 (|A| 10^k + |B| (2 |l| + 2)).
+        Once |l| > 2, l has the sign of log r, so f(l) sign(l) has the
+        value's sign up to that error.
+        """
         if self.b == 0 and self.c == 0:
-            return 1 if self.a > 0 else -1
-        a, b, c = self.a, self.b, self.c
-        L = _float_log(r)
-        if abs(L) >= _FACTOR_MIN:
-            s = _filtered_sign(lambda: (float(a), float(b) * L, float(c) / L))
-            if s:
-                return s
+            return (self.a > 0) - (self.a < 0)
+        abc = self.a, self.b, self.c
+        d = math.lcm(*[q.denominator for q in abc])
+        A, B, C = [q.numerator * (d // q.denominator) for q in abc]
+        num, den = r.numerator, r.denominator
 
-        def interval(ctx):
-            L = ctx.log(ctx.mpf(r.numerator) / ctx.mpf(r.denominator))
-            return (
-                ctx.mpf(a.numerator) / a.denominator
-                + (ctx.mpf(b.numerator) / b.denominator) * L
-                + (ctx.mpf(c.numerator) / c.denominator) / L
-            )
+        def enclose(k):
+            l = _fixed_log(num, k) - _fixed_log(den, k)
+            if abs(l) <= 2:  # the sign of log r is not certain yet
+                return 0, 0
+            s = 10 ** k
+            w = (A * s + B * l) * l + C * s * s
+            err = 2 * (abs(A) * s + abs(B) * (2 * abs(l) + 2))
+            return (w if l > 0 else -w), err
 
-        return _certified_sign(interval)
+        return _certified_sign(enclose)
 
     def cmp(self, other, r: Fraction) -> int:
         return (self - other).sign(r)
@@ -420,9 +386,10 @@ def primelog_sign(const: Rat, logs: dict) -> int:
 
     ``const`` and the q_p are rationals or ints, the keys p ints >= 2 and
     the q_p nonzero, as in a canonical ``PrimeLogVal``.  Since log p > 0,
-    a value whose const and coefficients all share one sign has that sign;
-    any other value goes through ``_filtered_sign``, then
-    ``_certified_sign``.
+    a value whose const and coefficients all share one sign has that sign.
+    Otherwise, with (C, N_p) = D (const, q_p) cleared of denominators,
+    10^k D times the value is C 10^k + sum_p N_p 10^k log p, and
+    w = C 10^k + sum_p N_p _fixed_log(p, k) is within sum_p |N_p| of it.
     """
     if not logs:
         return (const > 0) - (const < 0)
@@ -432,18 +399,12 @@ def primelog_sign(const: Rat, logs: dict) -> int:
         return 1
     if const.numerator <= 0 and all(q.numerator < 0 for q in qs):
         return -1
-    s = _filtered_sign(lambda: [float(const)] + [
-        float(q) * _float_log(p) for p, q in logs.items()])
-    if s:
-        return s
-
-    def interval(ctx):
-        acc = ctx.mpf(const.numerator) / const.denominator
-        for p, q in logs.items():
-            acc += (ctx.mpf(q.numerator) / q.denominator) * ctx.log(ctx.mpf(p))
-        return acc
-
-    return _certified_sign(interval)
+    d = math.lcm(const.denominator, *[q.denominator for q in qs])
+    C = const.numerator * (d // const.denominator)
+    terms = [(p, q.numerator * (d // q.denominator)) for p, q in logs.items()]
+    err = sum([abs(n) for _, n in terms])
+    return _certified_sign(lambda k: (
+        C * 10 ** k + sum([n * _fixed_log(p, k) for p, n in terms]), err))
 
 
 def primelog_max(values: Iterable[PrimeLogVal]) -> PrimeLogVal:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .exactnum import rat_from_str, rat_to_str
+from .exactnum import PrecisionError, rat_from_str, rat_to_str
 
 # the experiment kinds; harness.RUNNERS holds one runner for each
 KINDS = ("val-eval", "retract", "na-limit", "ma-model", "ma-converge",
@@ -343,6 +343,11 @@ def run(man: ExperimentManifest) -> RunReport:
     t0 = time.perf_counter()
     report = RunReport(kind=man.kind, seed=man.seed, version=__version__,
                        manifest_echo=man.raw)
-    harness.RUNNERS[man.kind](man, report)
+    try:
+        harness.RUNNERS[man.kind](man, report)
+    except PrecisionError as exc:
+        # an input whose order no certified sign can settle, such as a
+        # radius too close to 1, is rejected like any other bad input
+        raise ManifestError(f"{man.path}: {exc}") from exc
     report.wall_clock = time.perf_counter() - t0
     return report

@@ -86,11 +86,12 @@ class SncModelCombinatorics:
             raise ModelValidationError("multiplicities must be strictly positive")
         n = len(self.components)
         # component_index_by_equation looks components up by label
-        self._eq_index = {c.label: i for i, c in enumerate(self.components)}
+        self._eq_index = {}
         for i, c in enumerate(self.components):
-            if self._eq_index[c.label] != i:
-                raise ModelValidationError(f"duplicate component label {c.label!r}")
-        declared = set()
+            if self._eq_index.setdefault(c.label, i) != i:
+                raise ModelValidationError(
+                    f"components[{i}].label: duplicate component label {c.label!r}")
+        declared = {}  # stratum -> index of its first declaration
         for k, s in enumerate(strata):
             # 0.0 or True would pass the range test below and hash like 0
             if any(type(i) is not int for i in s):
@@ -99,22 +100,18 @@ class SncModelCombinatorics:
             s = tuple(sorted(set(s)))
             if any(i < 0 or i >= n for i in s) or not s:
                 raise ModelValidationError(f"strata[{k}]: bad stratum {s}")
-            declared.add(s)
-        for i in range(n):
-            declared.add((i,))
-        self.strata = tuple(sorted(declared, key=lambda s: (len(s), s)))
-        self._strata_set = set(self.strata)
-        self._check_face_closure()
-        self.pullbacks: list[MonomialPullback] = []
-
-    def _check_face_closure(self):
-        for s in self.strata:
-            for k in range(1, len(s)):
-                for sub in combinations(s, k):
-                    if sub not in self._strata_set:
+            declared.setdefault(s, k)
+        # every vertex is a stratum, so only faces of two or more vertices
+        # can be missing
+        for s, k in declared.items():
+            for j in range(2, len(s)):
+                for sub in combinations(s, j):
+                    if sub not in declared:
                         raise ModelValidationError(
-                            f"strata not face-closed: {sub} missing under {s}"
-                        )
+                            f"strata[{k}]: not face-closed: {sub} missing under {s}")
+        self.strata = tuple(sorted({*declared, *((i,) for i in range(n))},
+                                   key=lambda s: (len(s), s)))
+        self.pullbacks: list[MonomialPullback] = []
 
     # -- accessors -------------------------------------------------------
     def has_component(self, i: int) -> bool:

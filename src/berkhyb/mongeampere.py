@@ -233,9 +233,11 @@ class CurveFamily:
     def __post_init__(self):
         if self.m <= 0 or self.degree <= 0:
             raise ValueError("m and degree must be positive")
-        for e in self.entries:
-            if max(k for k, _ in e.coeffs) > self.degree:
-                raise ValueError("entry degree exceeds declared family degree")
+        for i, e in enumerate(self.entries):
+            top = max(k for k, _ in e.coeffs)
+            if top > self.degree:
+                raise ValueError(f"entries[{i}].coeffs: entry degree {top} "
+                                 f"exceeds declared family degree {self.degree}")
         if self.mode not in ("max", "lse"):
             raise ValueError("mode must be 'max' or 'lse'")
 

@@ -1,20 +1,25 @@
+import contextlib
+import decimal
 import math
 import random
 from fractions import Fraction
+from functools import cache
 from unittest import mock
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import round_nearest, to_float
 
 from berkhyb import exactnum
 from berkhyb.exactnum import (
     LogRVal,
     PrimeLogVal,
+    _DIGITS,
     _certified_sign,
-    _filtered_sign,
+    _fixed_log,
     _float_log,
     as_fraction,
     logr_max,
@@ -107,29 +112,23 @@ def test_as_fraction_rejects_floats():
         as_fraction(0.5)
 
 
-class _NoGlobalIV:
-    """Stands in for mpmath.iv: any use of the global interval context fails."""
-
-    def __getattr__(self, name):
-        raise AssertionError(f"global mpmath.iv touched: .{name}")
-
-
-def test_certified_sign_leaves_global_iv_alone(monkeypatch):
-    import mpmath
-
-    monkeypatch.setattr(mpmath, "iv", _NoGlobalIV())
-    # log 2 to 40 places: lo < log 2 < lo + 1e-40, a tie that 80 bits cannot split
+def test_certified_sign_ignores_the_thread_decimal_context():
+    # log 2 to 40 places: lo < log 2 < lo + 1e-40, a tie that 20 digits
+    # cannot split; a 5-digit thread context must not shorten any rung
     lo = Fraction("0.6931471805599453094172321214581765680755")
     hi = lo + Fraction(1, 10**40)
-    assert LogRVal.logr(1).sign(R) == -1  # log(1/2) < 0
-    assert LogRVal(const=lo, logr=1).sign(R) == -1
-    assert LogRVal(const=hi, logr=1).sign(R) == 1
-    assert (PrimeLogVal.log_of_int(3) - PrimeLogVal.log_of_int(2)).sign() == 1
-    assert PrimeLogVal(-lo, {2: 1}).sign() == 1
-    assert PrimeLogVal(-hi, {2: 1}).sign() == -1
+    _fixed_log.cache_clear()
+    with decimal.localcontext() as ctx:
+        ctx.prec = 5
+        assert LogRVal.logr(1).sign(R) == -1  # log(1/2) < 0
+        assert LogRVal(const=lo, logr=1).sign(R) == -1
+        assert LogRVal(const=hi, logr=1).sign(R) == 1
+        assert (PrimeLogVal.log_of_int(3) - PrimeLogVal.log_of_int(2)).sign() == 1
+        assert PrimeLogVal(-lo, {2: 1}).sign() == 1
+        assert PrimeLogVal(-hi, {2: 1}).sign() == -1
 
 
-# -- the float filter against the interval reference ---------------------
+# -- the digit ladder against an mpmath interval reference ---------------
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
           67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113]
@@ -162,6 +161,20 @@ def _mp(q: Fraction, ctx=mpmath):
     return ctx.mpf(q.numerator) / q.denominator
 
 
+def _interval_sign(make_interval) -> int:
+    """Sign of a nonzero value from mpmath intervals of rising precision;
+    ``make_interval`` maps an interval context to an enclosure."""
+    for prec in (80, 160, 320, 640, 1280, 2560, 5120):
+        ctx = MPIntervalContext()  # the global mpmath.iv is left alone
+        ctx.prec = prec
+        val = make_interval(ctx)
+        if val > 0:
+            return 1
+        if val < 0:
+            return -1
+    raise AssertionError("the reference cannot separate the value from zero")
+
+
 def _primelog_reference(v: PrimeLogVal) -> int:
     if v.is_zero():
         return 0
@@ -170,7 +183,7 @@ def _primelog_reference(v: PrimeLogVal) -> int:
         return _mp(v.const, ctx) + sum(
             (_mp(q, ctx) * ctx.log(ctx.mpf(p)) for p, q in v.logs.items()),
             ctx.mpf(0))
-    return _certified_sign(interval)
+    return _interval_sign(interval)
 
 
 def _logr_reference(v: LogRVal, r: Fraction) -> int:
@@ -180,11 +193,25 @@ def _logr_reference(v: LogRVal, r: Fraction) -> int:
     def interval(ctx):
         L = ctx.log(ctx.mpf(r.numerator) / ctx.mpf(r.denominator))
         return _mp(v.a, ctx) + _mp(v.b, ctx) * L + _mp(v.c, ctx) / L
-    return _certified_sign(interval)
+    return _interval_sign(interval)
 
 
-def _fallbacks():
-    return mock.patch.object(exactnum, "_certified_sign", wraps=_certified_sign)
+@contextlib.contextmanager
+def _rungs():
+    """The digits each ``_certified_sign`` call tried, one list per call."""
+    calls = []
+
+    def recording(enclose):
+        tried = []
+        calls.append(tried)
+
+        def logged(digits):
+            tried.append(digits)
+            return enclose(digits)
+        return _certified_sign(logged)
+
+    with mock.patch.object(exactnum, "_certified_sign", recording):
+        yield calls
 
 
 @st.composite
@@ -212,9 +239,10 @@ def test_primelog_near_tie_reaches_the_fallback(v, gap):
     with mpmath.workprec(400):
         exact = _rational(sum(_mp(q) * mpmath.log(p) for p, q in v.logs.items()))
     tie = PrimeLogVal(-exact - gap, v.logs)  # -gap, up to 2^-400 of exact
-    with _fallbacks() as fallback:
+    with _rungs() as calls:
         assert tie.sign() == _primelog_reference(tie) == (1 if gap < 0 else -1)
-    assert fallback.call_count == 1
+    # 20 digits cannot see a gap of 10^-40: the later rungs decide it
+    assert len(calls) == 1 and len(calls[0]) > 1
 
 
 # |q| from 2^-60 to 2^10
@@ -235,10 +263,9 @@ def same_signed(draw):
 @settings(max_examples=100, deadline=None)
 @given(same_signed())
 def test_same_sign_shortcut_matches_certified_sign(v):
-    with _fallbacks() as fallback, mock.patch.object(
-            exactnum, "_filtered_sign", wraps=_filtered_sign) as filtered:
+    with _rungs() as calls:
         got = v.sign()
-    assert filtered.call_count == 0 and fallback.call_count == 0
+    assert calls == []
     assert got == _primelog_reference(v)
 
 
@@ -257,18 +284,22 @@ def test_logr_near_tie_reaches_the_fallback(b, c, r, gap):
         L = mpmath.log(_mp(r))
         exact = _rational(_mp(b) * L + _mp(c) / L)
     tie = LogRVal(-exact - gap, b, c)  # -gap, up to 2^-400 of exact
-    with _fallbacks() as fallback:
+    with _rungs() as calls:
         assert tie.sign(r) == _logr_reference(tie, r) == (1 if gap < 0 else -1)
-    assert fallback.call_count == 1
+    assert len(calls) == 1 and len(calls[0]) > 1
 
 
 @settings(max_examples=50, deadline=None)
-@given(primelogs(), SCALED, SCALED, SCALED, radii(near_one=300), RATS)
-def test_exact_zeros_are_structural(v, a, b, c, r, q):
-    assert (v - v).sign() == 0
-    assert (LogRVal(a, b, c) - LogRVal(a, b, c)).sign(r) == 0
-    t = float(q) * _float_log(3)
-    assert _filtered_sign(lambda: [t, -t]) == 0
+@given(primelogs(), SCALED, SCALED, SCALED, radii(near_one=300))
+def test_exact_zeros_are_structural(v, a, b, c, r):
+    with _rungs() as calls:
+        assert (v - v).sign() == 0
+        assert (LogRVal(a, b, c) - LogRVal(a, b, c)).sign(r) == 0
+    assert calls == []
+
+
+def _primes_below(n: int) -> list[int]:
+    return [p for p in range(2, n) if all(p % d for d in range(2, math.isqrt(p) + 1))]
 
 
 def _log_to_nearest(q) -> float:
@@ -280,21 +311,57 @@ def _log_to_nearest(q) -> float:
 
 def test_float_log_is_rounded_to_nearest():
     rng = random.Random(7)
-    primes = [p for p in range(2, 10**4)
-              if all(p % d for d in range(2, math.isqrt(p) + 1))]
-    qs = primes + [Fraction(10**k + 1, 10**k) for k in range(1, 60)]
+    qs = _primes_below(10**4)
+    qs += [Fraction(10**k + 1, 10**k) for k in range(1, 60)]
     qs += [Fraction(1, 10**k) for k in range(1, 60)]
     qs += [Fraction(rng.randint(1, 10**30), rng.randint(1, 10**30))
            for _ in range(2000)]
     assert [q for q in qs if q != 1 and _float_log(q) != _log_to_nearest(q)] == []
 
 
-def test_bundled_mz_check_never_reaches_the_fallback(data_dir):
-    man = ExperimentManifest.load(data_dir / "manifests" / "mz_check.json")
-    with _fallbacks() as fallback, mock.patch.object(
-            exactnum, "_filtered_sign", wraps=_filtered_sign) as filtered:
+@cache
+def _fixed_log_cases() -> list[tuple[int, int]]:
+    """(n, digits): every rung for primes below 10^4 and for numerators and
+    denominators up to 10^30; at the two top rungs, where one decimal ln
+    costs milliseconds, every 25th prime and every 6th large int."""
+    rng = random.Random(7)
+    big = [10**k + e for k in range(1, 31) for e in (-1, 0, 1)]
+    big += [rng.randint(1, 10**30) for _ in range(100)]
+    primes = _primes_below(10**4)
+    return [(n, k) for k in _DIGITS for n in (
+        primes + big if k <= 200 else primes[::25] + big[::6])]
+
+
+@cache
+def _scaled_log(n: int, digits: int):
+    """10^digits log n at 300 bits more than the digits need."""
+    with mpmath.workprec(int(digits * 3.33) + 300):
+        return mpmath.log(n) * mpmath.mpf(10) ** digits
+
+
+@pytest.mark.parametrize("thread_prec", [None, 5], ids=["default", "prec5"])
+def test_fixed_log_is_within_its_bound(thread_prec):
+    _fixed_log.cache_clear()
+    with decimal.localcontext() as ctx:
+        if thread_prec:
+            ctx.prec = thread_prec
+        got = [_fixed_log(n, k) for n, k in _fixed_log_cases()]
+    worst = max(abs(w - _scaled_log(n, k))
+                for w, (n, k) in zip(got, _fixed_log_cases()))
+    assert worst <= 0.51
+
+
+@pytest.mark.parametrize("manifest,laddered", [
+    ("mz_check", True), ("na_limit", True),
+    ("ma_model", False),  # no sign of ma-model needs the ladder
+])
+def test_bundled_exact_kinds_decide_every_sign_on_the_first_rung(
+        data_dir, manifest, laddered):
+    man = ExperimentManifest.load(data_dir / "manifests" / f"{manifest}.json")
+    with _rungs() as calls:
         assert run(man).passed()
-    assert filtered.call_count > 0 and fallback.call_count == 0
+    assert bool(calls) == laddered
+    assert all(tried == [_DIGITS[0]] for tried in calls)
 
 
 # -- trusted constructors against the validating ones --------------------

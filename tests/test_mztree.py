@@ -397,23 +397,17 @@ def test_crafted_verdicts_match_primelog_reference(f):
     assert_verdict_matches_reference(f)
 
 
-def test_mixed_sign_archimedean_slopes_reach_the_float_filter():
+def test_mixed_sign_archimedean_slopes_reach_the_certified_sign():
     # archimedean slopes log(3/2) > log(9/8) > 0 > log(2/3): mixed-sign
-    # vectors, whose signs and order only the float filter decides
+    # vectors, whose signs and order only the digit ladder decides
     arch = BranchPA((_LogVec((-1, 1)), _LogVec((-3, 2)), _LogVec((1, -1))),
                     (0, 1, 2), ((1, _LogVec((1, 1))), (2, _LogVec((1, 1)))))
     f = MZFunction(6, (2, 3), 0, {2: BranchPA((1, -2, 0), (0, 1, 1), ((1, 2), (3, 1)))},
                    arch, BranchPA((0,), (0,)))
-    calls = []
-
-    def counting(make_terms):
-        calls.append(1)
-        return filtered(make_terms)
-
-    filtered = exactnum._filtered_sign
-    with mock.patch.object(exactnum, "_filtered_sign", counting):
+    with mock.patch.object(exactnum, "_certified_sign",
+                           wraps=exactnum._certified_sign) as certified:
         assert_verdict_matches_reference(f)
-    assert calls
+    assert certified.call_count
     reasons = mz_psh_check(f).reasons
     assert "branch 2 is not convex" in reasons
     assert "branch inf is not convex" in reasons

@@ -66,6 +66,17 @@ def test_numpy_and_mpmath_are_imported_on_first_use():
     assert eager == []
 
 
+def test_no_module_imports_mpmath():
+    # certified signs need only ints and decimal; mpmath is the tests' oracle
+    imports = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Import)
+               and any(a.name.split(".")[0] == "mpmath" for a in node.names)
+               or isinstance(node, ast.ImportFrom) and node.level == 0
+               and node.module.split(".")[0] == "mpmath"]
+    assert imports == []
+
+
 def test_input_formats_live_in_harness():
     # manifest reads the JSON and harness parses every input file through
     # it; no other module reads JSON
