@@ -179,6 +179,21 @@ def test_missing_pullback_target_names_the_model_file(data_dir, tmp_path):
     assert not written
 
 
+def test_duplicate_component_labels_exit_two(data_dir, tmp_path):
+    segment = json.loads((data_dir / "models" / "segment.json").read_text())
+    segment["components"][1]["label"] = "w1"
+    bad = tmp_path / "segment.json"
+    bad.write_text(json.dumps(segment))
+    models = [str(bad)] + [str(data_dir / "models" / f"{m}.json")
+                           for m in ("triangle", "blowup")]
+    man = mutate(bundled(data_dir, "retract"), ("inputs", "models"), models)
+    rc, err, written = run_cli("retract", man, tmp_path)
+    assert rc == 2
+    assert (f"{bad}: components[1].label: duplicate component label 'w1'"
+            in err)
+    assert not written
+
+
 def test_non_string_model_name_exit_two(data_dir, tmp_path):
     triangle = json.loads((data_dir / "models" / "triangle.json").read_text())
     triangle["name"] = 0
@@ -215,8 +230,6 @@ def test_non_integer_stratum_index_exits_two(data_dir, tmp_path, index):
     ("ma-model", "tables", "tables/table_ndim.json", ("rows", 0, 1), 10**40,
      f"rows[0][1]: b_E = {10**40} disagrees with model multiplicity 2 "
      "at component 0"),
-    ("retract", "models", "models/segment.json", ("components", 1, "label"),
-     "w1", "components[1].label: duplicate component label 'w1'"),
     ("retract", "models", "models/triangle.json", ("strata", 3), [0],
      "strata[6]: not face-closed: (0, 1) missing under (0, 1, 2)"),
     ("ma-converge", "families", "families/fam_kink.json", ("entries", 1, "coeffs"),
@@ -226,7 +239,7 @@ def test_non_integer_stratum_index_exits_two(data_dir, tmp_path, index):
 def test_cross_key_rule_names_the_key_at_fault(data_dir, tmp_path, kind, key,
                                                source, path, value, reason):
     # the constructor checks these rules against other keys (the component
-    # count and labels, the other strata, the model's multiplicities, the
+    # count, the other strata, the model's multiplicities, the
     # family degree), yet names the key it rejects
     content = mutate(json.loads((data_dir / source).read_text()), path, value)
     bad = tmp_path / Path(source).name
