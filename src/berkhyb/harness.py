@@ -18,7 +18,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .exactnum import LogRVal, rat_from_str, rat_to_str
+from .exactnum import LogRVal, rat_from_str
 from .manifest import (
     REQUIRED,
     _COUNT,
@@ -29,6 +29,7 @@ from .manifest import (
     RunReport,
     _Invalid,
     _block,
+    _decreasing,
     _each,
     _field,
     _flag,
@@ -544,7 +545,7 @@ def run_ma_model(man: ExperimentManifest, rep: RunReport):
         )
         for atom in mu.atoms:
             rows.append([table.model.name, atom.label,
-                         "" if atom.u is None else rat_to_str(atom.u.a),
+                         "" if atom.u is None else atom.u.a,
                          atom.mass])
     for pair in curve_pairs:
         table = load_table(pair["table"])
@@ -580,8 +581,10 @@ def run_ma_converge(man: ExperimentManifest, rep: RunReport):
     families = man.input("families", REQUIRED, _each(man.file, 1))
     cln_family = man.input("cln_family", None, man.file)
     r = man.param("r", "1/2", _R)
-    # the potential divides by log|t|
-    t_schedule = man.param("t_schedule", REQUIRED, _each(_real("(0, 1)"), 1))
+    # the potential divides by log|t|; the checks read the last t as the
+    # smallest
+    t_schedule = man.param("t_schedule", REQUIRED,
+                           _decreasing(_each(_real("(0, 1)"), 1)))
     grid = man.param("grid", 1024, _grid_side)
     w1_tol = man.param("w1_tol", 0.05, _TOL)
     mass_tol = man.param("mass_tol", 1e-4, _TOL)
@@ -849,8 +852,7 @@ def run_rho_r(man: ExperimentManifest, rep: RunReport):
             res = hybrid_path_limit(f, complex(paths["c"]), w, cfg)
             err = abs(res.limit - float(min(w, 1)))
             worst = max(worst, err)
-            path_rows.append([rat_to_str(w), res.limit,
-                              rat_to_str(res.prediction), err])
+            path_rows.append([w, res.limit, res.prediction, err])
         rep.check(
             "path-limits-match-monomial-prediction", worst <= paths["tol"],
             f"f = z - t along z = c t^w: worst error {worst!r} <= {paths['tol']}",
@@ -858,7 +860,7 @@ def run_rho_r(man: ExperimentManifest, rep: RunReport):
         rep.table("path_limits", ["w", "limit", "prediction", "error"],
                   path_rows)
     rep.table("rho_r_roundtrip", ["k", "angle_index", "value", "roundtrip"],
-              [[rat_to_str(s.k), i % n_ang, s.value, b.value]
+              [[s.k, i % n_ang, s.value, b.value]
                for i, (s, b) in enumerate(zip(samples, back))])
 
 

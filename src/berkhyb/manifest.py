@@ -149,6 +149,19 @@ def _each(parse, min_len: int = 0):
     return parse_list
 
 
+def _decreasing(parse):
+    """``parse``, whose list must then strictly decrease; a failure is at
+    the first item that is not below the one before it."""
+    def parse_decreasing(value):
+        items = parse(value)
+        for i in range(1, len(items)):
+            if not items[i] < items[i - 1]:
+                raise _Invalid(f"[{i}]", f"expected less than {items[i - 1]!r}, "
+                                         f"got {items[i]!r}")
+        return items
+    return parse_decreasing
+
+
 def _tuple(*parses):
     """A list of exactly len(parses) items, the i-th through parses[i]."""
     def parse_tuple(value):
@@ -323,14 +336,17 @@ def write_report(report: RunReport, out_dir: Path):
 
 
 def emit_plot_data(report: RunReport, target: Path):
-    """Tidy long-format CSV (experiment, t, series, value) from all tables."""
+    """Tidy long-format CSV (experiment, t, series, value) from all tables:
+    one row per number (int, float or Fraction) past each row's first cell.
+    A bool is an int, but no value on an axis, so it is left out."""
     rows = ["experiment,t,series,value"]
     for name, table in report.tables.items():
         cols = table["columns"]
         for row in table["rows"]:
             key = _csv(row[0]) if row else ""
             for col, val in zip(cols[1:], row[1:]):
-                if isinstance(val, (int, float, Fraction)):
+                if (isinstance(val, (int, float, Fraction))
+                        and not isinstance(val, bool)):
                     rows.append(f"{report.kind}/{name},{key},{col},{_csv(val)}")
     atomic_write_text(Path(target), "\n".join(rows) + "\n")
 

@@ -23,10 +23,13 @@ For fixed |t| != 1, u = +-log|xi|/log|t| - p is monotone in log|xi|, so the
 stored cells' order by log|xi|, read forwards or backwards, sorts them by
 u.  The partition weight of a chart is zero below its lower ramp and above
 its upper ramp, so the cells of nonzero weight are one contiguous run of
-that order, found by bisection on u at O(log N) cells.  Only the run's
-cells get a Laplacian, u and a weight, and the GridMeasure holds them in
-ascending u: pushforward_log_radius is one mask compress, and every
-chart's cloud comes out sorted by u.  The raw Laplacian total stays the
+that order, found by bisection on u at O(log N) cells.  On a radial
+chart (below) the run also starts where the potential stops being flat:
+dd^c phi vanishes where one constant section dominates, and a cell whose
+five stencil points read one finite value has mass +0.0 exactly.  Only
+the run's cells get a Laplacian, u and a weight, and the GridMeasure
+holds them in ascending u: pushforward_log_radius is one index gather,
+and every chart's cloud comes out sorted by u.  The raw Laplacian total stays the
 whole grid's: the stencil sums to the flux through the grid's boundary.
 
 A chart is radial when every family entry is a single monomial
@@ -278,7 +281,9 @@ def family_limit_measure(family: CurveFamily, r: Fraction) -> AtomicMeasure:
 @dataclass
 class GridMeasure:
     """A chart's grid measure: the run of cells of nonzero partition
-    weight, one flat entry per stored cell, in ascending u.
+    weight, one flat entry per stored cell, in ascending u.  On the octant
+    route the run starts where the potential stops being flat, and may
+    hold no cell.
 
     Each stored cell carries the mass of the ``multiplicity`` grid cells
     it stands for: 1.0 on the full route; on the octant route of a radial
@@ -348,12 +353,19 @@ class _OctantCells:
 
     def measure(self, potential, run: slice, step: int):
         """The Laplacian masses (orbit masses) and multiplicities of the
-        cells ``run``, listed with ``step``, and the raw Laplacian total
-        over the whole grid.
+        cells of ``run`` from where the potential stops being flat, listed
+        with ``step``, the raw Laplacian total over the whole grid, and
+        that narrowed run.
 
         The total is the boundary flux (discrete divergence theorem): the
         stencil sums to halo minus adjacent cell over the 4n boundary
         edges, which are 8 copies of one half-side.
+
+        The potential is flat at a finite value f out to the radius R of
+        the first cell that reads another value (at most L, where the
+        outer halo starts, unless the halo reads f too).  A cell with
+        |xi| + 2h < R reads f at all five stencil points, so its mass is
+        (f + f) + (f + f) - 4f = +0.0 exactly, and the run starts after it.
         """
         import numpy as np
 
@@ -372,10 +384,22 @@ class _OctantCells:
             lo = int(np.searchsorted(self.log_abs, math.log(near))) if near > 0 else 0
             hi = int(np.searchsorted(self.log_abs, math.log(far), side="right"))
             phi[lo:hi] = potential(self.log_abs[lo:hi])
+            flat = phi[lo]
+            # 4f finite, so that the flat stencil cannot overflow
+            if math.isfinite(4.0 * flat):
+                # phi[lo] is flat, so 0 means that every window value is
+                first = int(np.argmax(phi[lo:hi] != flat))
+                radius = math.exp(self.log_abs[lo + first]) if first else math.inf
+                if not np.all(outer == flat):
+                    radius = min(radius, self.h * outer.size)  # L = h n/2
+                if radius > 2.0 * self.h:
+                    start = int(np.searchsorted(self.log_abs,
+                                                math.log(radius - 2.0 * self.h)))
+                    run = slice(min(max(run.start, start), run.stop), run.stop)
         masses = _laplacian(phi, *self.neighbours[:, run], run)
         multiplicity = self.multiplicity[run]
         masses *= multiplicity  # exact
-        return masses[::step], multiplicity[::step], raw_total
+        return masses[::step], multiplicity[::step], raw_total, run
 
 
 @dataclass(frozen=True)
@@ -387,13 +411,15 @@ class _FullCells:
     log_abs: np.ndarray       # log|xi| per cell, in that order
 
     def measure(self, potential, run: slice, step: int):
-        """As _OctantCells.measure, from the 2-D stencil on every cell."""
+        """As _OctantCells.measure, from the 2-D stencil on every cell, and
+        on the whole of ``run``."""
         phi = potential(self.halo_log_abs)
         inner = slice(1, -1)
         masses = _laplacian(phi, (slice(2, None), inner), (slice(None, -2), inner),
                             (inner, slice(2, None)), (inner, slice(None, -2)),
                             (inner, inner))
-        return masses.ravel()[self.order[run][::step]], 1.0, float(masses.sum())
+        return (masses.ravel()[self.order[run][::step]], 1.0, float(masses.sum()),
+                run)
 
 
 def _complex_grid(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -647,10 +673,11 @@ def ma_complex_curve(
     and are then weighted by the chart's partition-of-unity factor in the
     valuation coordinate.  Each chart keeps only its run of cells of
     nonzero weight, in ascending u, and a radial family stores one octant
-    of each chart (see the module docstring).  The weighted totals must
-    reproduce the family degree within ``mass_tol``, else (a NaN total
-    included) a ResolutionError suggests a finer grid.  |t| = 1 is rejected: u is
-    undefined there.
+    of each chart, from where its potential stops being flat (see the
+    module docstring); u and the weights are taken on that run only.  The
+    weighted totals must reproduce the family degree within ``mass_tol``,
+    else (a NaN total included) a ResolutionError suggests a finer grid.
+    |t| = 1 is rejected: u is undefined there.
     """
     if n < 16:
         raise ResolutionError("grid too small", suggested_n=max(64, 2 * n))
@@ -668,7 +695,7 @@ def ma_complex_curve(
         cells = geom.octant if radial else geom.full
         potential = partial(_potential_on_grid, family, t, chart, geom, log_r)
         run, step = _u_run(chart, cells.log_abs, logabs_t)
-        masses, multiplicity, raw_total = cells.measure(potential, run, step)
+        masses, multiplicity, raw_total, run = cells.measure(potential, run, step)
         u = _u(chart, cells.log_abs[run][::step], logabs_t)
         weighted = masses * partition_weight(chart, u)
         grids.append(
@@ -720,7 +747,7 @@ def pushforward_log_radius(grid: GridMeasure) -> LineCloud:
     """
     import numpy as np
 
-    kept = np.abs(grid.per_cell_masses()) > MASS_FLOOR
+    kept = np.flatnonzero(np.abs(grid.per_cell_masses()) > MASS_FLOOR)
     return LineCloud(grid.cell_u[kept], grid.cell_masses[kept],
                      grid.raw_total - grid.total_mass)
 

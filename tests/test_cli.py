@@ -1,10 +1,12 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import berkhyb
@@ -173,10 +175,10 @@ def test_cells_render_alike_in_json_csv_and_plot_data(tmp_path):
     assert '["1/3","-2/3",true,0.6666666666666666,"a"]' in text
     assert (tmp_path / "cells.csv").read_text() == (
         "k,q,flag,x,name\n1/3,-2/3,True,0.6666666666666666,a\n")
+    # the plot takes the numbers past the key, and a bool is not one
     assert (tmp_path / "plot_data.csv").read_text() == (
         "experiment,t,series,value\n"
         "rho-r/cells,1/3,q,-2/3\n"
-        "rho-r/cells,1/3,flag,True\n"
         "rho-r/cells,1/3,x,0.6666666666666666\n")
 
 
@@ -201,21 +203,25 @@ def _ma_converge_manifest(data_dir: Path, tmp_path: Path, key, value) -> Path:
     return man
 
 
-@pytest.mark.parametrize("key,value", [
-    ("t_schedule", _DROP),
-    ("t_schedule", []),
-    ("t_schedule", [1.0]),
-    ("grid", "abc"),
-    ("grid", 8),
-    ("grid", 17),
-], ids=["no-t_schedule", "empty-t_schedule", "t-one", "grid-abc", "grid-8",
-        "grid-17"])
-def test_ma_converge_bad_params_exit_two(data_dir, tmp_path, capsys, key, value):
+@pytest.mark.parametrize("key,value,where", [
+    ("t_schedule", _DROP, "params.t_schedule"),
+    ("t_schedule", [], "params.t_schedule"),
+    ("t_schedule", [1.0], "params.t_schedule[0]"),
+    # the w1 checks read the last t as the smallest
+    ("t_schedule", [0.0001, 0.001, 0.01], "params.t_schedule[1]"),
+    ("t_schedule", [0.01, 0.001, 0.001], "params.t_schedule[2]"),
+    ("grid", "abc", "params.grid"),
+    ("grid", 8, "params.grid"),
+    ("grid", 17, "params.grid"),
+], ids=["no-t_schedule", "empty-t_schedule", "t-one", "t-ascending",
+        "t-repeated", "grid-abc", "grid-8", "grid-17"])
+def test_ma_converge_bad_params_exit_two(data_dir, tmp_path, capsys, key, value,
+                                         where):
     man = _ma_converge_manifest(data_dir, tmp_path, key, value)
     rc = main(["ma-converge", "--manifest", str(man), "--out",
                str(tmp_path / "out")])
     assert rc == 2
-    assert key in capsys.readouterr().err
+    assert f"{where}: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -229,6 +235,34 @@ def test_ma_converge_unresolved_grid_fails_check(data_dir, tmp_path):
     assert set(failed) == {"grid-resolution-kink", "grid-resolution-isotrivial",
                            "grid-resolution-threesec"}
     assert all("suggested_n = 2048" in d for d in failed.values())
+
+
+@pytest.mark.parametrize("value", [-math.inf, math.nan], ids=["minus-inf", "nan"])
+def test_ma_converge_non_finite_potential_fails_resolution(data_dir, tmp_path,
+                                                           monkeypatch, value):
+    # a chart whose potential reads one non-finite value everywhere is not
+    # flat: its stencil gives NaN masses and the mass check fails, where a
+    # cut of its cells would leave a silent 0.0
+    from berkhyb import mongeampere
+
+    potential = mongeampere._potential_on_grid
+
+    def non_finite_main(family, t, chart, geom, log_r, log_abs):
+        if chart.name == "main":
+            return np.full(log_abs.shape, value)
+        return potential(family, t, chart, geom, log_r, log_abs)
+
+    monkeypatch.setattr(mongeampere, "_potential_on_grid", non_finite_main)
+    man = _ma_converge_manifest(data_dir, tmp_path, "grid", 64)
+    with np.errstate(invalid="ignore"):
+        rc = main(["ma-converge", "--manifest", str(man), "--out",
+                   str(tmp_path / "out")])
+    assert rc == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    failed = {c["name"]: c["details"] for c in report["checks"] if not c["passed"]}
+    nan = "captured mass nan vs degree 1.0 (deficit nan); kink circles unresolved; "
+    assert failed == {f"grid-resolution-{name}": nan + "suggested_n = 128"
+                      for name in ("kink", "isotrivial", "threesec")}
 
 
 def test_ma_converge_r_near_one_writes_a_report(data_dir, tmp_path):

@@ -116,18 +116,40 @@ def _reference_measure(family, t, n, r, chart, radial=True):
     return masses, masses * _dense_weight(chart, layout[0]), layout
 
 
-def _spread(g, values, t, radial):
+def _kept_run(g, t, ids, start, stop):
+    """The reference ids of a grid's run, in u order: the reference run
+    ``ids[start:stop]`` less the cells nearest xi = 0 that the run does not
+    hold, since it keeps the far end (the cells of largest |xi|)."""
+    size = g.cell_u.size
+    assert size <= stop - start
+    # ids lists the cells by ascending log|xi| when it is forward
+    if (math.log(abs(t)) < 0) == g.chart.invert:
+        return ids[stop - size:stop], ids[start:stop - size]
+    return ids[start:start + size], ids[start + size:stop]
+
+
+def _assert_plus_zero(values):
+    """Every value is +0.0, compared bit for bit."""
+    assert not values.view(np.uint64).any()
+
+
+def _spread(fam, g, values, t, r, radial):
     """A grid's run values on the reference's stored cells, 0 off the run,
-    after checking that the run is the reference's run in u order."""
-    u, mult, ids, start, stop = _reference_layout(g.chart, t, g.resolution, radial)
-    assert np.array_equal(g.cell_u, u[ids[start:stop]])
-    assert np.array_equal(g.multiplicity, mult[ids[start:stop]] if radial else 1.0)
+    after checking that the run is a contiguous sub-run of the reference's
+    run in u order that ends at its far end, and that every reference cell
+    it cuts off has weighted mass +0.0 in the 2-D reference."""
+    _, weighted, (u, mult, ids, start, stop) = _reference_measure(
+        fam, t, g.resolution, r, g.chart, radial)
+    run, cut = _kept_run(g, t, ids, start, stop)
+    assert np.array_equal(g.cell_u, u[run])
+    assert np.array_equal(g.multiplicity, mult[run] if radial else 1.0)
+    _assert_plus_zero(weighted[cut])
     stored = np.zeros(u.size)
-    stored[ids[start:stop]] = values
+    stored[run] = values
     return stored
 
 
-def octant_to_full(g, values, t):
+def octant_to_full(fam, g, values, t, r):
     """A radial chart's run values spread over the full (n, n) grid by the
     8 symmetries of the square grid, 0 off the run.
 
@@ -148,13 +170,13 @@ def octant_to_full(g, values, t):
                 owner[rows, cols] = ids
     assert (owner >= 0).all()
     assert np.array_equal(np.bincount(owner.ravel()), np.where(i == j, 4, 8))
-    return _spread(g, values, t, radial=True)[owner]
+    return _spread(fam, g, values, t, r, radial=True)[owner]
 
 
-def full_to_grid(g, values, t):
+def full_to_grid(fam, g, values, t, r):
     """A full-route chart's run values on the (n, n) grid, 0 off the run."""
     n = g.resolution
-    return _spread(g, values, t, radial=False).reshape(n, n)
+    return _spread(fam, g, values, t, r, radial=False).reshape(n, n)
 
 
 @pytest.fixture()
@@ -256,7 +278,7 @@ def test_unit_circle_harmonic_measure(r):
     assert g.total_mass == pytest.approx(1.0, abs=1e-4)
     assert g.negative_mass_floor() > -1e-9
     # mass concentrated on the unit circle, uniformly in angle
-    masses = octant_to_full(g, g.per_cell_masses(), 1e-3)
+    masses = octant_to_full(fam, g, g.per_cell_masses(), 1e-3, r)
     n = g.resolution
     h = 2.0 * g.chart.L / n
     centers = -g.chart.L + h * (np.arange(n) + 0.5)
@@ -293,7 +315,7 @@ def test_harmonic_chart_has_no_interior_mass(r):
     )
     grids = ma_complex_curve(fam, complex(1e-3), 512, r, mass_tol=math.inf)
     g = grids[0]
-    masses = octant_to_full(g, g.per_cell_masses(), 1e-3)
+    masses = octant_to_full(fam, g, g.per_cell_masses(), 1e-3, r)
     n = g.resolution
     h = 2.0 * g.chart.L / n
     centers = -g.chart.L + h * (np.arange(n) + 0.5)
@@ -532,8 +554,9 @@ def test_pushforward_clouds_sorted(r, t):
     )
     grids = ma_complex_curve(fam, complex(t), 128, r, mass_tol=math.inf)
     for g in grids:
-        masses = octant_to_full(g, g.per_cell_masses(), t)
-        assert masses.shape == octant_to_full(g, g.cell_u, t).shape == (128, 128)
+        masses = octant_to_full(fam, g, g.per_cell_masses(), t, r)
+        assert masses.shape == (128, 128)
+        assert octant_to_full(fam, g, g.cell_u, t, r).shape == (128, 128)
         cloud = pushforward_log_radius(g)
         assert cloud.u.size > 0
         assert np.all(np.diff(cloud.u) >= 0)
@@ -608,11 +631,37 @@ def test_octant_expands_to_full_grid_bit_for_bit(data_dir, r, monkeypatch, n,
             for o, f in zip(octant, full, strict=True):
                 assert o.cell_masses.size <= n * (n + 2) // 8
                 assert f.multiplicity == 1.0 and f.cell_masses.size <= n * n
-                assert np.array_equal(octant_to_full(o, o.per_cell_masses(), t),
-                                      full_to_grid(f, f.cell_masses, t))
-                assert np.array_equal(octant_to_full(o, o.cell_u, t),
-                                      full_to_grid(f, f.cell_u, t))
+                assert np.array_equal(
+                    octant_to_full(fam, o, o.per_cell_masses(), t, r),
+                    full_to_grid(fam, f, f.cell_masses, t, r))
+                # the octant's run ends where the full route's does, and
+                # the cells it holds have the same u
+                held = octant_to_full(fam, o, np.ones(o.cell_u.size), t, r) == 1.0
+                assert full_to_grid(fam, f, np.ones(f.cell_u.size), t, r)[held].all()
+                assert np.array_equal(octant_to_full(fam, o, o.cell_u, t, r)[held],
+                                      full_to_grid(fam, f, f.cell_u, t, r)[held])
                 assert o.negative_mass_floor() == f.negative_mass_floor()
+
+
+def _assert_run_matches_reference(fam, g, t, r, radial):
+    """A grid's run against the 2-D stencil on every cell, bit for bit;
+    returns the reference cells the run cuts off, each of mass +0.0."""
+    n = g.resolution
+    _, weighted, (u, mult, ids, start, stop) = _reference_measure(
+        fam, t, n, r, g.chart, radial)
+    run, cut = _kept_run(g, t, ids, start, stop)
+    if not radial:
+        assert cut.size == 0  # the full route keeps its run
+    assert np.array_equal(g.cell_u, u[run])
+    assert np.array_equal(g.cell_masses, weighted[run])
+    assert np.array_equal(g.multiplicity, mult[run] if radial else 1.0)
+    _assert_plus_zero(weighted[cut])
+    assert not weighted[ids[:start]].any()
+    assert not weighted[ids[stop:]].any()
+    # the raw total stays the whole grid's
+    grid_total = _reference_measure(fam, t, n, r, g.chart, radial=False)[0].sum()
+    assert abs(g.raw_total - grid_total) <= 1e-12
+    return cut
 
 
 @pytest.mark.parametrize("mode", ["max", "lse"])
@@ -630,19 +679,50 @@ def test_run_matches_2d_reference_bit_for_bit(data_dir, r, monkeypatch, n, mode)
                 lambda: ma_complex_curve(fam, complex(t), n, r, mass_tol=math.inf))
             for radial, grids in ((True, octant), (False, full)):
                 for g in grids:
-                    _, weighted, (u, mult, ids, start, stop) = _reference_measure(
-                        fam, t, n, r, g.chart, radial)
-                    run = ids[start:stop]
-                    assert np.array_equal(g.cell_u, u[run])
-                    assert np.array_equal(g.cell_masses, weighted[run])
-                    assert np.array_equal(g.multiplicity,
-                                          mult[run] if radial else 1.0)
-                    assert not weighted[ids[:start]].any()
-                    assert not weighted[ids[stop:]].any()
-                    # the raw total stays the whole grid's
-                    grid_total = _reference_measure(fam, t, n, r, g.chart,
-                                                    radial=False)[0].sum()
-                    assert abs(g.raw_total - grid_total) <= 1e-12
+                    _assert_run_matches_reference(fam, g, t, r, radial)
+
+
+@pytest.mark.parametrize("mode", ["max", "lse"])
+@pytest.mark.parametrize("n", [16, 64])
+def test_flat_cut_near_ties_matches_2d_reference(r, n, mode):
+    # phi = max(0, log|a xi|) is flat inside its kink circle |xi| = 1/a;
+    # put that circle on a cell's |xi|, or within 2 ulps of it, so that the
+    # cell at the kink reads 0, or a value just off it
+    quadrant = _geometry(2.0, n).centers[n // 2:]
+    i, j = np.triu_indices(n // 2)
+    radii = np.unique(np.abs(quadrant[i + 1] + 1j * quadrant[j + 1]))
+    picks = radii[[1, radii.size // 4, radii.size // 2, 3 * radii.size // 4, -2]]
+    cut = 0
+    for radius in picks:
+        for k in range(-2, 3):
+            a = 1.0 / radius * (1.0 + k * 2.0 ** -52)
+            fam = CurveFamily(
+                "tie", 1, 1, (FamilyEntry.build({0: 1}), FamilyEntry.build({1: a})),
+                (Chart(name="main"), Chart(invert=True, name="inf")), mode=mode)
+            for t in (1e-3, 1e3):
+                for g in ma_complex_curve(fam, complex(t), n, r, mass_tol=math.inf):
+                    cut += _assert_run_matches_reference(fam, g, t, r, True).size
+    if mode == "max":
+        assert cut > 0
+
+
+def test_flat_cut_keeps_the_cells_next_to_the_outer_halo(r, monkeypatch):
+    # a potential flat on every cell but not at the outer halo's corner,
+    # which lies just beyond |xi| = L sqrt 2: the corner cell reads the halo,
+    # so the run must keep it
+    edge = math.log(2.0 * math.sqrt(2.0))
+
+    def step(family, t, chart, geom, log_r, log_abs):
+        return np.where(log_abs > edge, 1.0, 0.0)
+
+    monkeypatch.setattr(mongeampere, "_potential_on_grid", step)
+    monkeypatch.setitem(globals(), "_potential_on_grid", step)
+    fam = CurveFamily("step", 1, 1, (FamilyEntry.build({0: 1}),),
+                      (Chart(name="main"),))
+    for t in (1e-3, 1e3):
+        (g,) = ma_complex_curve(fam, complex(t), 16, r, mass_tol=math.inf)
+        assert _assert_run_matches_reference(fam, g, t, r, True).size > 0
+        assert g.total_mass > 0
 
 
 def test_octant_route_matches_full_route_on_bundled_families(data_dir, r,
@@ -693,7 +773,8 @@ def test_bundled_families_take_the_octant_route(data_dir, r):
         for g in grids:
             assert g.cell_masses.size == g.cell_u.size == g.multiplicity.size
             assert g.cell_masses.size <= n * (n + 2) // 8
-            assert np.array_equal(np.unique(g.multiplicity), [4.0, 8.0])
+            # a chart whose potential is flat on its whole run keeps no cell
+            assert set(np.unique(g.multiplicity)) <= {4.0, 8.0}
 
 
 def test_odd_grid_rejected(kink_family, r):
