@@ -85,17 +85,18 @@ def _bound(s: str):
     return q.numerator if q.denominator == 1 else q
 
 
-def _interval(spec: str):
-    """Membership test for an interval written like "[16, inf)" or "(0, 1)"."""
-    lo, hi = map(_bound, spec[1:-1].split(","))
+def _interval(spec: str, bound):
+    """Membership test for an interval written like "[16, inf)" or "(0, 1)",
+    whose ends ``bound`` parses."""
+    lo, hi = map(bound, spec[1:-1].split(","))
     above = operator.le if spec[0] == "[" else operator.lt
     below = operator.ge if spec[-1] == "]" else operator.gt
     return lambda x: above(lo, x) and below(hi, x)
 
 
-def _number(what: str, types: tuple, cast):
+def _number(what: str, types: tuple, cast, bound=_bound):
     def in_interval(interval: str = "(-inf, inf)"):
-        inside = _interval(interval)
+        inside = _interval(interval, bound)
 
         def parse(value):
             # type(), not isinstance(): a bool is not an int here
@@ -107,7 +108,9 @@ def _number(what: str, types: tuple, cast):
 
 
 _int = _number("an integer", (int,), int)
-_real = _number("a real", (int, float), float)
+# float ends, so that a real written as an end is inside it: the float
+# 1e300 lies above the decimal 10^300
+_real = _number("a real", (int, float), float, float)
 _rat = _number("a rational", (int, str), rat_from_str)
 _COUNT, _POSITIVE, _TOL, _R = \
     _int("[0, inf)"), _int("[1, inf)"), _real("(0, inf)"), _rat("(0, 1)")

@@ -27,7 +27,7 @@ that order, found by bisection on u at O(log N) cells.  On a radial
 chart (below) the run also starts where the potential stops being flat:
 dd^c phi vanishes where one constant section dominates, and a cell whose
 five stencil points read one finite value has mass +0.0 exactly.  Only
-the run's cells get a Laplacian, u and a weight, and the GridMeasure
+the run's cells get a mass, u and a weight, and the GridMeasure
 holds them in ascending u: pushforward_log_radius is one index gather,
 and every chart's cloud comes out sorted by u.  The raw Laplacian total stays the
 whole grid's: the stencil sums to the flux through the grid's boundary.
@@ -47,10 +47,21 @@ the mass of its orbit, multiplicity 8, or 4 on the diagonal i = j.  Every
 stencil neighbour of a stored cell is, up to those symmetries (and the
 mirror of the first row and column in the halo at -h/2), a stored cell or
 a point of the outer halo with the same log|xi| bit for bit.  So the
-potential is evaluated once per cell, on the run and the cells within h
-of it, and each neighbour value is gathered by its cached position.
-Thresholds on cell masses (the pushforward's keep floor, the
-negative-mass floor) compare the mass of one grid cell.
+potential is evaluated once per cell, and each neighbour value is
+gathered by its cached position.  Thresholds on cell masses (the
+pushforward's keep floor, the negative-mass floor) compare the mass of
+one grid cell.
+
+In max mode a radial potential is the largest of lines in log|xi| (each
+entry's _line), and away from where they cross one line is the float
+maximum (_pieces).  On the flat piece (slope 0) phi reads one value, so
+its cells are cut from the run without evaluating phi.  On an exact
+piece (no constant, slope k and m powers of two) phi is (k/m) log|xi|
+bit for bit, and so is its stencil: scaling by a power of two commutes
+with every rounding.  Its cells take (k/m) Lambda, where Lambda, the
+orbit masses of log|xi|, is cached with the geometry.  Only the stencil
+segments, the bands within 2h of a piece's end and the pieces of other
+lines (all of lse mode), evaluate phi, on the cells within 2h of them.
 
 A family with a multi-term entry takes the full route: the potential on
 all (n + 2)^2 halo nodes, its multi-term entries by Horner's rule on the
@@ -340,7 +351,9 @@ class _OctantCells:
     first row and column, and the lower triangle is the transpose of the
     upper), or a point of the quadrant's outer halo: the potential is
     evaluated once per cell, and each neighbour value is read from where
-    that cell, or that halo point, sits.
+    that cell, or that halo point, sits.  The cells of a piece of the
+    potential are one contiguous slice, found by bisection on log|xi|;
+    log_stencil, Lambda, is built on first use and kept, read-only.
     """
 
     log_abs: np.ndarray       # log|xi| per cell, ascending
@@ -351,7 +364,77 @@ class _OctantCells:
                               # and at the cells next to it
     h: float                  # the cell side
 
-    def measure(self, potential, run: slice, step: int):
+    @property
+    def span(self) -> float:
+        """The largest |log|xi|| at a stencil point: the first cell's or
+        the last outer halo point's."""
+        return max(abs(float(self.log_abs[0])), abs(float(self.boundary[0, -1])))
+
+    @cached_property
+    def log_stencil(self) -> np.ndarray:
+        """Lambda: each cell's orbit mass under phi = log|xi|, the stencil
+        of log|xi| times the multiplicity."""
+        import numpy as np
+
+        masses = _laplacian(np.concatenate([self.log_abs, self.boundary[0]]),
+                            *self.neighbours, slice(0, self.log_abs.size))
+        masses *= self.multiplicity
+        _read_only(masses)
+        return masses
+
+    def _inside(self, lo: float, hi: float) -> tuple[int, int]:
+        """The cells [a, b) whose stencil points all have lo < log|xi| < hi:
+        those more than 2h inside it in radius, since a neighbour is at
+        most h closer to 0, or farther, than its cell; the other h covers
+        the rounding of exp and log.  Compared in log|xi|, so an end far
+        off the grid takes no exp."""
+        import numpy as np
+
+        log_2h = math.log(2.0 * self.h)
+        a = (0 if lo == -math.inf else
+             np.searchsorted(self.log_abs, np.logaddexp(lo, log_2h), side="right"))
+        b = (np.searchsorted(self.log_abs, hi + math.log1p(-math.exp(log_2h - hi)))
+             if hi > log_2h else 0)
+        return int(a), int(b)
+
+    def _window(self, a: int, b: int) -> tuple[int, int]:
+        """The cells [lo, hi) within 2h in radius of the cells [a, b): they
+        hold every stencil point of those cells but the outer halo."""
+        import numpy as np
+
+        near = math.exp(self.log_abs[a]) - 2.0 * self.h
+        far = math.exp(self.log_abs[b - 1]) + 2.0 * self.h
+        lo = int(np.searchsorted(self.log_abs, math.log(near))) if near > 0 else 0
+        hi = int(np.searchsorted(self.log_abs, math.log(far), side="right"))
+        return lo, hi
+
+    def _flat_cut(self, phi, outer, lo: int, hi: int, a: int, b: int) -> int:
+        """The first cell of [a, b) whose stencil may read two values, where
+        phi is known on the window [lo, hi) of those cells.
+
+        phi is flat at a finite value f out to the radius R of the first
+        window cell that reads another value (at most L, where the outer
+        halo starts, unless the halo reads f too).  A cell with |xi| + 2h
+        < R reads f at all five stencil points, so its mass is
+        (f + f) + (f + f) - 4f = +0.0 exactly.
+        """
+        import numpy as np
+
+        flat = phi[lo]
+        # 4f finite, so that the flat stencil cannot overflow
+        if not math.isfinite(4.0 * flat):
+            return a
+        # phi[lo] is flat, so 0 means that every window value is
+        first = int(np.argmax(phi[lo:hi] != flat))
+        radius = math.exp(self.log_abs[lo + first]) if first else math.inf
+        if not np.all(outer == flat):
+            radius = min(radius, self.h * outer.size)  # L = h n/2
+        if radius <= 2.0 * self.h:
+            return a
+        cut = int(np.searchsorted(self.log_abs, math.log(radius - 2.0 * self.h)))
+        return min(max(a, cut), b)
+
+    def measure(self, potential, pieces, run: slice, step: int):
         """The Laplacian masses (orbit masses) and multiplicities of the
         cells of ``run`` from where the potential stops being flat, listed
         with ``step``, the raw Laplacian total over the whole grid, and
@@ -361,45 +444,59 @@ class _OctantCells:
         stencil sums to halo minus adjacent cell over the 4n boundary
         edges, which are 8 copies of one half-side.
 
-        The potential is flat at a finite value f out to the radius R of
-        the first cell that reads another value (at most L, where the
-        outer halo starts, unless the halo reads f too).  A cell with
-        |xi| + 2h < R reads f at all five stencil points, so its mass is
-        (f + f) + (f + f) - 4f = +0.0 exactly, and the run starts after it.
+        ``pieces`` are the potential's _pieces.  The run's cells inside the
+        flat piece have mass +0.0 and are cut without evaluating phi; a
+        cell inside an exact piece has mass scale * Lambda, read from
+        log_stencil.  The cells left, the bands within 2h of a piece's end
+        and the pieces of any other line, form stencil segments: phi is
+        evaluated on each one's window and its stencil taken there.  When
+        the run starts with a stencil segment, its leading flat cells are
+        cut as well (_flat_cut).
         """
         import numpy as np
 
         size = self.log_abs.size
         outer, inner = potential(self.boundary)
         raw_total = 8.0 * float(np.sum(outer - inner)) / (2.0 * math.pi)
-        # NaN where no value is needed: a stencil that read one would fail
-        # the mass check
-        phi = np.full(size + outer.size, math.nan)
-        phi[size:] = outer
-        if run.start < run.stop:
-            # a neighbour is at most h closer to 0, or farther, than its
-            # cell; 2h covers that with room for the rounding of exp and log
-            near = math.exp(self.log_abs[run.start]) - 2.0 * self.h
-            far = math.exp(self.log_abs[run.stop - 1]) + 2.0 * self.h
-            lo = int(np.searchsorted(self.log_abs, math.log(near))) if near > 0 else 0
-            hi = int(np.searchsorted(self.log_abs, math.log(far), side="right"))
+        start, stop = run.start, run.stop
+        segments = []  # (a, b, scale) in ascending log|xi|; None: the stencil
+        at = start  # the first cell no segment holds
+        for lo, hi, scale in pieces:
+            a, b = self._inside(lo, hi)
+            a, b = max(a, at), min(b, stop)
+            if a >= b:
+                continue
+            if scale is None:  # the flat piece: the lowest, from log|xi| = -inf
+                at = start = b
+                continue
+            if at < a:
+                segments.append((at, a, None))
+            segments.append((a, b, scale))
+            at = b
+        if at < stop:
+            segments.append((at, stop, None))
+        masses = np.empty(stop - start)
+        offset = start
+        phi = None
+        for a, b, scale in segments:
+            if scale is not None:
+                np.multiply(self.log_stencil[a:b], scale,
+                            out=masses[a - offset:b - offset])
+                continue
+            if phi is None:
+                # NaN where no value is needed: a stencil that read one
+                # would fail the mass check
+                phi = np.full(size + outer.size, math.nan)
+                phi[size:] = outer
+            lo, hi = self._window(a, b)
             phi[lo:hi] = potential(self.log_abs[lo:hi])
-            flat = phi[lo]
-            # 4f finite, so that the flat stencil cannot overflow
-            if math.isfinite(4.0 * flat):
-                # phi[lo] is flat, so 0 means that every window value is
-                first = int(np.argmax(phi[lo:hi] != flat))
-                radius = math.exp(self.log_abs[lo + first]) if first else math.inf
-                if not np.all(outer == flat):
-                    radius = min(radius, self.h * outer.size)  # L = h n/2
-                if radius > 2.0 * self.h:
-                    start = int(np.searchsorted(self.log_abs,
-                                                math.log(radius - 2.0 * self.h)))
-                    run = slice(min(max(run.start, start), run.stop), run.stop)
-        masses = _laplacian(phi, *self.neighbours[:, run], run)
-        multiplicity = self.multiplicity[run]
-        masses *= multiplicity  # exact
-        return masses[::step], multiplicity[::step], raw_total, run
+            if a == start:
+                a = start = self._flat_cut(phi, outer, lo, hi, a, b)
+            np.multiply(_laplacian(phi, *self.neighbours[:, a:b], slice(a, b)),
+                        self.multiplicity[a:b], out=masses[a - offset:b - offset])
+        run = slice(start, stop)
+        return (masses[start - offset:][::step], self.multiplicity[run][::step],
+                raw_total, run)
 
 
 @dataclass(frozen=True)
@@ -590,39 +687,62 @@ def _u_run(chart: Chart, log_abs: np.ndarray, logabs_t: float) -> tuple[slice, i
     return slice(size - stop, size - start), -1
 
 
-def _entry_log_modulus(entry: FamilyEntry, degree: int, t: complex,
-                       chart: Chart, geom: _ChartGeometry,
-                       log_abs: np.ndarray) -> np.ndarray:
-    """log|t^q s(z)| at the points whose log|xi| is ``log_abs``, without
-    the hybrid constant.
+def _powers(entry: FamilyEntry, degree: int, chart: Chart):
+    """(xi_exp, t_exp, coef) per term of the section, on the chart."""
+    return [((degree - k) if chart.invert else k,
+             float(entry.q) - float(chart.p) * k, coef)
+            for k, coef in entry.coeffs]
 
-    A single-term section is real arithmetic on ``log_abs``, an array of
-    any shape; more terms use Horner's rule on the complex nodes of the
-    full grid, so ``log_abs`` must then be the full halo grid's.
+
+def _hybrid_term(entry: FamilyEntry, logabs_t: float,
+                 log_r: float) -> tuple[float, ...]:
+    """(c / log r) log|t|, when c != 0."""
+    return (float(entry.c) / log_r * logabs_t,) if entry.c else ()
+
+
+def _line(entry: FamilyEntry, degree: int, chart: Chart, logabs_t: float,
+          log_r: float) -> tuple[int, tuple[float, ...]]:
+    """A single-term entry's term of the potential as a line in log|xi|:
+    its slope xi_exp, and the constants added in turn to log|xi| * xi_exp,
+    log|coef| + t_exp log|t| and then the hybrid constant's term."""
+    ((xi_exp, t_exp, coef),) = _powers(entry, degree, chart)
+    return xi_exp, ((math.log(abs(coef)) + t_exp * logabs_t,)
+                    + _hybrid_term(entry, logabs_t, log_r))
+
+
+def _entry_term(entry: FamilyEntry, degree: int, t: complex, chart: Chart,
+                geom: _ChartGeometry, log_r: float,
+                log_abs: np.ndarray) -> np.ndarray:
+    """The entry's term of the potential, log|t^q s(z)| + (c / log r) log|t|,
+    at the points whose log|xi| is ``log_abs``.
+
+    A single-term section is its _line, real arithmetic on ``log_abs``, an
+    array of any shape; more terms use Horner's rule on the complex nodes
+    of the full grid, so ``log_abs`` must then be the full halo grid's.
     """
     import numpy as np
 
     logabs_t = math.log(abs(t))
-    powers = [((degree - k) if chart.invert else k,
-               float(entry.q) - float(chart.p) * k, coef)
-              for k, coef in entry.coeffs]
-    if len(powers) == 1:
-        xi_exp, t_exp, coef = powers[0]
+    if len(entry.coeffs) == 1:
+        xi_exp, adds = _line(entry, degree, chart, logabs_t, log_r)
         term = np.multiply(log_abs, xi_exp)
-        term += math.log(abs(coef)) + t_exp * logabs_t
-        return term
-    log_t = cmath.log(t)
-    poly = {}  # xi-exponent -> coefficient
-    for xi_exp, t_exp, coef in powers:
-        poly[xi_exp] = poly.get(xi_exp, 0) + coef * cmath.exp(t_exp * log_t)
-    top = max(poly)
-    acc = np.full(geom.nodes.shape, poly[top], dtype=complex)
-    for j in range(top - 1, -1, -1):
-        acc *= geom.nodes
-        if j in poly:
-            acc += poly[j]
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(acc))
+    else:
+        log_t = cmath.log(t)
+        poly = {}  # xi-exponent -> coefficient
+        for xi_exp, t_exp, coef in _powers(entry, degree, chart):
+            poly[xi_exp] = poly.get(xi_exp, 0) + coef * cmath.exp(t_exp * log_t)
+        top = max(poly)
+        acc = np.full(geom.nodes.shape, poly[top], dtype=complex)
+        for j in range(top - 1, -1, -1):
+            acc *= geom.nodes
+            if j in poly:
+                acc += poly[j]
+        with np.errstate(divide="ignore"):
+            term = np.log(np.abs(acc))
+        adds = _hybrid_term(entry, logabs_t, log_r)
+    for add in adds:
+        term += add
+    return term
 
 
 def _radial(family: CurveFamily) -> bool:
@@ -639,13 +759,10 @@ def _potential_on_grid(family: CurveFamily, t: complex, chart: Chart,
     of log|xi|, on which it is evaluated element by element."""
     import numpy as np
 
-    logabs_t = math.log(abs(t))
     phi = None
     terms = []
     for e in family.entries:
-        term = _entry_log_modulus(e, family.degree, t, chart, geom, log_abs)
-        if e.c:
-            term += float(e.c) / log_r * logabs_t
+        term = _entry_term(e, family.degree, t, chart, geom, log_r, log_abs)
         if family.mode == "lse":
             terms.append(term)
         elif phi is None:
@@ -657,6 +774,67 @@ def _potential_on_grid(family: CurveFamily, t: complex, chart: Chart,
         phi = np.max(stack, axis=-1) + lse_max_gap(stack, family.m)
     phi /= family.m
     return phi
+
+
+def _power_of_two(k: int) -> bool:
+    """k = 2^j, 0 <= j < 256: then 2^j log|xi| and its stencil, scaled by
+    2^j / m, neither overflow nor fall below the normal floats."""
+    return 0 < k < 2 ** 256 and not k & (k - 1)
+
+
+def _pieces(family: CurveFamily, chart: Chart, logabs_t: float, log_r: float,
+            span: float) -> list[tuple[float, float, float | None]]:
+    """The flat and exact pieces of a radial max-mode potential at stencil
+    points with |log|xi|| <= ``span``: (lo, hi, scale) for each line whose
+    float term is the float maximum wherever lo < log|xi| < hi, in
+    ascending lo.
+
+    Each entry's term is a _line: slope k, constants summing to C.  On a
+    flat line (k = 0, 4 C/m finite) phi is C/m, and a cell whose stencil
+    reads it at all five points has mass +0.0 (scale None).  On an exact
+    line every constant is 0.0 and k and m are powers of two, so phi is
+    (k/m) log|xi| bit for bit, and its stencil is k/m (the scale) times
+    that of log|xi|: scaling by a power of two commutes with every
+    rounding.  Another line's float term is within 2^-50 (k span + sum
+    |constants|) of k log|xi| + C; a piece keeps its line above every
+    other by four times that, which also covers the rounding of its ends.
+    A non-finite constant, lse mode or any other line gives no piece:
+    those cells take the stencil.
+    """
+    if family.mode != "max":
+        return []
+    lines = []
+    for e in family.entries:
+        slope, adds = _line(e, family.degree, chart, logabs_t, log_r)
+        const = 0.0  # the float sum, as the potential adds it
+        for add in adds:
+            const += add
+        size = slope * span + sum(abs(add) for add in adds)
+        if not (math.isfinite(const) and math.isfinite(size)):
+            return []
+        lines.append((slope, const, size, not any(adds)))
+    pieces = []
+    for i, (slope, const, size, zero) in enumerate(lines):
+        if slope == 0 and math.isfinite(4.0 * (const / family.m)):
+            scale = None
+        elif zero and _power_of_two(slope) and _power_of_two(family.m):
+            scale = slope / family.m
+        else:
+            continue
+        lo, hi = -math.inf, math.inf
+        for j, (s, c, other, _) in enumerate(lines):
+            if j == i:
+                continue
+            margin = 2.0 ** -48 * (size + other)
+            if s < slope:
+                lo = max(lo, (c - const + margin) / (slope - s))
+            elif s > slope:
+                hi = min(hi, (const - c - margin) / (s - slope))
+            elif not const > c + margin:
+                hi = -math.inf
+        if lo < hi:
+            pieces.append((lo, hi, scale))
+    return sorted(pieces, key=lambda piece: piece[0])
 
 
 def ma_complex_curve(
@@ -673,8 +851,9 @@ def ma_complex_curve(
     and are then weighted by the chart's partition-of-unity factor in the
     valuation coordinate.  Each chart keeps only its run of cells of
     nonzero weight, in ascending u, and a radial family stores one octant
-    of each chart, from where its potential stops being flat (see the
-    module docstring); u and the weights are taken on that run only.  The
+    of each chart, from where its potential stops being flat, and scales
+    the masses of its exact pieces from Lambda (see the module
+    docstring); u and the weights are taken on that run only.  The
     weighted totals must reproduce the family degree within ``mass_tol``,
     else (a NaN total included) a ResolutionError suggests a finer grid.
     |t| = 1 is rejected: u is undefined there.
@@ -695,7 +874,12 @@ def ma_complex_curve(
         cells = geom.octant if radial else geom.full
         potential = partial(_potential_on_grid, family, t, chart, geom, log_r)
         run, step = _u_run(chart, cells.log_abs, logabs_t)
-        masses, multiplicity, raw_total, run = cells.measure(potential, run, step)
+        if radial:
+            pieces = _pieces(family, chart, logabs_t, log_r, cells.span)
+            measured = cells.measure(potential, pieces, run, step)
+        else:
+            measured = cells.measure(potential, run, step)
+        masses, multiplicity, raw_total, run = measured
         u = _u(chart, cells.log_abs[run][::step], logabs_t)
         weighted = masses * partition_weight(chart, u)
         grids.append(

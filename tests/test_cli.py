@@ -242,7 +242,8 @@ def test_ma_converge_non_finite_potential_fails_resolution(data_dir, tmp_path,
                                                            monkeypatch, value):
     # a chart whose potential reads one non-finite value everywhere is not
     # flat: its stencil gives NaN masses and the mass check fails, where a
-    # cut of its cells would leave a silent 0.0
+    # cut of its cells would leave a silent 0.0.  The stub potential has no
+    # flat or exact piece, so every cell takes the stencil
     from berkhyb import mongeampere
 
     potential = mongeampere._potential_on_grid
@@ -253,6 +254,7 @@ def test_ma_converge_non_finite_potential_fails_resolution(data_dir, tmp_path,
         return potential(family, t, chart, geom, log_r, log_abs)
 
     monkeypatch.setattr(mongeampere, "_potential_on_grid", non_finite_main)
+    monkeypatch.setattr(mongeampere, "_pieces", lambda *args: [])
     man = _ma_converge_manifest(data_dir, tmp_path, "grid", 64)
     with np.errstate(invalid="ignore"):
         rc = main(["ma-converge", "--manifest", str(man), "--out",
@@ -310,6 +312,65 @@ def test_family_content_error_exit_two(data_dir, tmp_path, capsys, keys, value,
                str(tmp_path / "out")])
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: {fam_path}: {json_path}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def _run_kink_with(data_dir, tmp_path, keys, value) -> int:
+    """ma-converge at grid 64 on fam_kink with the value at ``keys``
+    replaced; returns the exit status."""
+    fam = json.loads((data_dir / "families" / "fam_kink.json").read_text())
+    *parents, last = keys
+    target = fam
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    fam_path = tmp_path / "fam.json"
+    fam_path.write_text(json.dumps(fam))
+    man = _ma_converge_manifest(data_dir, tmp_path, "grid", 64)
+    src = json.loads(man.read_text())
+    src["inputs"] = {"families": [str(fam_path)], "cln_family": str(fam_path)}
+    man.write_text(json.dumps(src))
+    return main(["ma-converge", "--manifest", str(man), "--out",
+                 str(tmp_path / "out")])
+
+
+def _failed_checks(tmp_path) -> dict:
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    return {c["name"]: c["details"] for c in report["checks"] if not c["passed"]}
+
+
+@pytest.mark.parametrize("keys,value,captured", [
+    (("entries", 0, "q"), "1e300", "0.998181 vs degree 1.0 (deficit 1.82e-03)"),
+    (("entries", 1, "q"), "1e308", "0.000000 vs degree 1.0 (deficit 1.00e+00)"),
+    (("entries", 1, "q"), "-1e308", "nan vs degree 1.0 (deficit nan)"),
+    (("entries", 1, "c"), "1e300", "0.000000 vs degree 1.0 (deficit 1.00e+00)"),
+    (("entries", 0, "c"), "1e308", "nan vs degree 1.0 (deficit nan)"),
+    (("entries", 0, "c"), "-1e300", "0.998181 vs degree 1.0 (deficit 1.82e-03)"),
+])
+def test_ma_converge_huge_t_power_or_constant_writes_a_report(
+        data_dir, tmp_path, keys, value, captured):
+    # a t-power or hybrid constant near the float range: its term's
+    # constant is infinite, or the kink circle is far off the grid
+    with np.errstate(invalid="ignore"):
+        rc = _run_kink_with(data_dir, tmp_path, keys, value)
+    assert rc == 1
+    assert _failed_checks(tmp_path) == {"grid-resolution-kink": (
+        f"captured mass {captured}; kink circles unresolved; suggested_n = 128")}
+
+
+def test_chart_side_at_its_bound_runs(data_dir, tmp_path):
+    # the float 1e300 lies above the decimal 10^300, so the bound is
+    # compared as a float; the 64-cell chart then misses the kink circle
+    rc = _run_kink_with(data_dir, tmp_path, ("charts", 1, "L"), 1e300)
+    assert rc == 1
+    assert set(_failed_checks(tmp_path)) == {"w1-at-smallest-t-kink"}
+
+
+def test_chart_side_past_its_bound_exits_two(data_dir, tmp_path, capsys):
+    above = math.nextafter(1e300, math.inf)
+    assert _run_kink_with(data_dir, tmp_path, ("charts", 0, "L"), above) == 2
+    assert capsys.readouterr().err.endswith(
+        f"charts[0].L: expected a real in [1e-300, 1e300], got {above!r}\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -706,23 +706,200 @@ def test_flat_cut_near_ties_matches_2d_reference(r, n, mode):
         assert cut > 0
 
 
-def test_flat_cut_keeps_the_cells_next_to_the_outer_halo(r, monkeypatch):
-    # a potential flat on every cell but not at the outer halo's corner,
-    # which lies just beyond |xi| = L sqrt 2: the corner cell reads the halo,
-    # so the run must keep it
-    edge = math.log(2.0 * math.sqrt(2.0))
-
-    def step(family, t, chart, geom, log_r, log_abs):
-        return np.where(log_abs > edge, 1.0, 0.0)
-
-    monkeypatch.setattr(mongeampere, "_potential_on_grid", step)
-    monkeypatch.setitem(globals(), "_potential_on_grid", step)
-    fam = CurveFamily("step", 1, 1, (FamilyEntry.build({0: 1}),),
+def test_flat_cut_keeps_the_cells_next_to_the_outer_halo(r):
+    # phi = max(0, log|xi / R|), with the kink circle |xi| = R between the
+    # corner cell and its outer halo neighbour, which lies just beyond
+    # |xi| = L sqrt 2: phi is flat on every cell but not at that halo
+    # point, so the corner cell reads the halo and the run must keep it
+    quadrant = _geometry(2.0, 16).centers[8:]
+    corner = abs(complex(quadrant[-2], quadrant[-2]))
+    halo = abs(complex(quadrant[-2], quadrant[-1]))
+    radius = 0.5 * (corner + halo)
+    fam = CurveFamily("step", 1, 1, (FamilyEntry.build({0: 1}),
+                                     FamilyEntry.build({1: 1.0 / radius})),
                       (Chart(name="main"),))
     for t in (1e-3, 1e3):
         (g,) = ma_complex_curve(fam, complex(t), 16, r, mass_tol=math.inf)
         assert _assert_run_matches_reference(fam, g, t, r, True).size > 0
         assert g.total_mass > 0
+
+
+# ---------------------------------------------------------------------------
+# flat and exact pieces of radial max-mode potentials
+# ---------------------------------------------------------------------------
+
+TIE_CHARTS = (Chart(name="main"), Chart(invert=True, name="inf"))
+
+
+def _tie_radii(n):
+    """Five cell radii |xi| of the n-grid on [-2, 2]^2, from the center out
+    to the corner."""
+    quadrant = _geometry(2.0, n).centers[n // 2:]
+    i, j = np.triu_indices(n // 2)
+    radii = np.unique(np.abs(quadrant[i + 1] + 1j * quadrant[j + 1]))
+    return radii[[1, radii.size // 4, radii.size // 2, 3 * radii.size // 4, -2]]
+
+
+def _scales(fam, t, n, r):
+    """The scales of the family's pieces on each tie chart: None for a flat
+    piece, k/m for an exact one."""
+    span = _geometry(2.0, n).octant.span
+    return {scale for chart in fam.charts
+            for *_, scale in mongeampere._pieces(fam, chart, math.log(t),
+                                                 math.log(float(r)), span)}
+
+
+def _assert_ties_match_reference(families, n, r):
+    """Each family on the tie charts, at log|t| of both signs, against the
+    2-D reference bit for bit; returns the scales of their pieces."""
+    scales = set()
+    for fam in families:
+        for t in (1e-3, 1e3):
+            scales |= _scales(fam, t, n, r)
+            for g in ma_complex_curve(fam, complex(t), n, r, mass_tol=math.inf):
+                _assert_run_matches_reference(fam, g, t, r, True)
+    return scales
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_exact_pieces_near_ties_match_2d_reference(r, n):
+    # phi = max(log|a|, log|xi|) is flat inside its kink circle |xi| = a
+    # and exact outside it: on the main chart from the sections a and xi,
+    # on the inverted one from 1 and a xi.  The circle sits on a cell's
+    # |xi|, or within 2 ulps of it
+    families = []
+    for radius in _tie_radii(n):
+        for k in range(-2, 3):
+            a = radius * (1.0 + k * 2.0 ** -52)
+            for sections in (({0: a}, {1: 1}), ({0: 1}, {1: a})):
+                families.append(CurveFamily(
+                    "tie", 1, 1, tuple(map(FamilyEntry.build, sections)),
+                    TIE_CHARTS))
+    assert _assert_ties_match_reference(families, n, r) == {None, 1.0}
+
+
+@pytest.mark.parametrize("case", ["slope-3", "m-3", "slope-3-m-3", "constant",
+                                  "lse"])
+@pytest.mark.parametrize("n", [16, 64])
+def test_stencil_pieces_near_ties_match_2d_reference(r, n, case):
+    # the tie families of the exact test, with an active line that is not
+    # exact: slope 3, m = 3, both (3/3 = 1, but fl(3 log|xi|) / 3 is not
+    # log|xi|), a constant log 2 on it, or lse mode
+    families = []
+    for radius in _tie_radii(n):
+        for k in range(-2, 3):
+            a = radius * (1.0 + k * 2.0 ** -52)
+            m, degree, mode = 1, 1, "max"
+            sections = ({0: a}, {1: 1})
+            if case.startswith("slope-3"):
+                degree, sections = 3, ({0: a ** 3}, {3: 1})
+            if case.endswith("m-3"):
+                m = 3
+            if case == "constant":
+                sections = ({0: 2 * a}, {1: 2})
+            if case == "lse":
+                mode = "lse"
+            families.append(CurveFamily(
+                "tie", m, degree, tuple(map(FamilyEntry.build, sections)),
+                TIE_CHARTS, mode=mode))
+    assert _assert_ties_match_reference(families, n, r) <= {None}
+
+
+def test_lse_run_starts_where_the_potential_stops_being_flat(r):
+    # lse mode has no piece, but where 2m times the gap between the two
+    # terms exceeds 37, log(1 + exp(-2m gap)) is 0.0 and phi reads one
+    # value: the float scan of the run's first stencil segment cuts there
+    fam = CurveFamily("steep", 1, 8, (FamilyEntry.build({0: 1}),
+                                      FamilyEntry.build({8: 1})),
+                      TIE_CHARTS, mode="lse")
+    for t in (1e-3, 1e3):
+        cut = 0
+        for g in ma_complex_curve(fam, complex(t), 256, r, mass_tol=math.inf):
+            cut += _assert_run_matches_reference(fam, g, t, r, True).size
+        assert cut > 0
+
+
+@pytest.mark.parametrize("q,c,kind", [
+    (10 ** 308, 0, math.isinf),
+    (-10 ** 308, 0, math.isinf),
+    (10 ** 308, 10 ** 308, math.isnan),
+], ids=["q-huge", "q-huge-negative", "q-and-c-huge"])
+def test_no_piece_with_a_non_finite_constant(data_dir, r, q, c, kind):
+    fam = load_family(data_dir / "families" / "fam_kink.json")
+    span = _geometry(2.0, 64).octant.span
+    log_r, logabs_t = math.log(float(r)), math.log(1e-3)
+    for index, e in enumerate(fam.entries):
+        entries = list(fam.entries)
+        entries[index] = FamilyEntry(e.coeffs, Fraction(q), Fraction(c))
+        huge = dataclasses.replace(fam, entries=tuple(entries))
+        for chart in huge.charts:
+            _, adds = mongeampere._line(entries[index], fam.degree, chart,
+                                        logabs_t, log_r)
+            assert kind(sum(adds))
+            assert mongeampere._pieces(huge, chart, logabs_t, log_r, span) == []
+
+
+def _routes(monkeypatch, fam, chart, t, n, r):
+    """|xi| of the chart's run cells whose masses came from the stencil,
+    and of those whose masses came from log_stencil."""
+    cells = _geometry(chart.L, n).octant
+    assert not cells.log_stencil.flags.writeable  # built before the spies
+    stencil, runs = [], []
+    laplacian, measure = mongeampere._laplacian, mongeampere._OctantCells.measure
+
+    def spy_laplacian(phi, *where):
+        stencil.append(where[-1])
+        return laplacian(phi, *where)
+
+    def spy_measure(self, *args):
+        measured = measure(self, *args)
+        runs.append(measured[-1])
+        return measured
+
+    with monkeypatch.context() as m:
+        m.setattr(mongeampere, "_laplacian", spy_laplacian)
+        m.setattr(mongeampere._OctantCells, "measure", spy_measure)
+        ma_complex_curve(dataclasses.replace(fam, charts=(chart,)), complex(t),
+                         n, r, mass_tol=math.inf)
+    (run,) = runs
+    took_stencil = np.zeros(cells.log_abs.size, dtype=bool)
+    for where in stencil:
+        took_stencil[where] = True
+    radius = np.exp(cells.log_abs[run])
+    return radius[took_stencil[run]], radius[~took_stencil[run]]
+
+
+def test_bundled_families_take_the_exact_route_off_the_kinks(data_dir, r,
+                                                             monkeypatch):
+    # a refactor that sent every cell to the stencil would keep the bytes
+    # and lose the speed
+    n = 64
+    band = 2.0 * (4.0 / n) * (1.0 + 1e-9)  # 2h, and the rounding of exp
+    for name, charts in (("fam_isotrivial", ("main", "inf")),
+                         ("fam_kink", ("adapted",))):
+        fam = load_family(data_dir / "families" / f"{name}.json")
+        for chart in fam.charts:
+            for t in (1e-3, 1e3):
+                stencil, exact = _routes(monkeypatch, fam, chart, t, n, r)
+                if chart.name in charts:
+                    # the kink circle is |xi| = 1
+                    assert exact.size > 0
+                    assert np.all(np.abs(stencil - 1.0) <= band)
+    # on threesec's main chart, without its partition ramp, the piece
+    # log|xi| / 2 is exact, and 2 log|xi| + log|t| / 2 takes the stencil;
+    # at |t| = 1/2 they meet on |xi| = sqrt 2
+    fam = load_family(data_dir / "families" / "fam_threesec.json")
+    stencil, exact = _routes(monkeypatch, fam, Chart(name="main"), 0.5, n, r)
+    assert exact.size > 0
+    assert np.all((exact > 1.0 + band) & (exact < math.sqrt(2.0) - band))
+    assert np.all((np.abs(stencil - 1.0) <= band) | (stencil > math.sqrt(2.0) - band))
+    assert np.any(stencil > math.sqrt(2.0) + band)
+    # lse mode has no exact piece
+    for chart in fam.charts:
+        for t in (1e-3, 1e3):
+            lse = dataclasses.replace(fam, mode="lse")
+            stencil, exact = _routes(monkeypatch, lse, chart, t, n, r)
+            assert exact.size == 0 and stencil.size > 0
 
 
 def test_octant_route_matches_full_route_on_bundled_families(data_dir, r,
