@@ -10,6 +10,7 @@ monomial valuation with v(z) = w, v(t) = 1.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -156,16 +157,23 @@ class RadialSampling:
             raise ValueError("radii positive and values finite required")
 
 
+@functools.cache
+def _unit_circle(n: int) -> tuple[complex, ...]:
+    """exp(i k step), k < n, with step = 2 pi / n and each angle k * step
+    rounded once; built on first use, so kinds that sample no circle
+    never pay for it."""
+    step = 2.0 * math.pi / n
+    return tuple(cmath.exp(1j * (k * step)) for k in range(n))
+
+
 def sample_circle_sups(func: Callable[[complex], float],
                        radii: Sequence[float]) -> RadialSampling:
     """sup over N_ANGLES equally spaced angles of func on each circle.
 
-    The points are rho * exp(i k step), k < N_ANGLES, in complex
-    arithmetic, with step = 2 pi / N_ANGLES and each angle k * step
-    rounded once.
+    The points are rho * u, in complex arithmetic, for each u of
+    ``_unit_circle(N_ANGLES)``.
     """
-    step = 2.0 * math.pi / N_ANGLES
-    unit = [cmath.exp(1j * (k * step)) for k in range(N_ANGLES)]
+    unit = _unit_circle(N_ANGLES)
     return RadialSampling(tuple(
         (float(rho), float(max(map(func, [rho * u for u in unit]))))
         for rho in radii))

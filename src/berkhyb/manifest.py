@@ -20,7 +20,6 @@ import itertools
 import json
 import operator
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -297,8 +296,12 @@ class RunReport:
 
 
 def atomic_write_text(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=path.suffix)
+    """Write ``text`` to a new file beside ``path`` and rename it over
+    ``path``, so no reader sees a partial file.  The file is created with
+    mode 0o666 less the umask, as ``open(path, "w")`` would create it
+    (``tempfile.mkstemp`` would give 0o600)."""
+    tmp = path.with_name(f".tmp-{os.urandom(8).hex()}{path.suffix}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -322,6 +325,7 @@ def _csv(v) -> str:
 
 def write_report(report: RunReport, out_dir: Path):
     out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write_text(
         out_dir / "report.json",
         json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n",

@@ -6,6 +6,13 @@ A metric is m^{-1} max over finitely many section entries of
 trivialization at level one.  Exact evaluation at a quasi-monomial point
 returns an element of the span {1, log r}; the base radius r in (0,1)
 enters all order comparisons.
+
+The checks of ``na-limit`` read these values: the dual-route and
+face-continuity checks read ``na_limit_tfs`` of the metric (both routes
+and the PA function on the dual complex); the constant-shift and
+trivial-metric checks read only ``restriction_values``, the direct
+restriction at the divisorial points, of the shifted metric and of
+reference^m.
 """
 
 from __future__ import annotations
@@ -109,6 +116,14 @@ def tfs_shift(phi: TropicalFSMetric, c) -> TropicalFSMetric:
     )
 
 
+def restriction_values(phi: TropicalFSMetric, model: SncModelCombinatorics,
+                       r: Fraction) -> dict:
+    """Direct restriction of phi to Sk(model): component -> tfs_eval at its
+    divisorial point.  Raises BasepointError where every entry is -infinity."""
+    return {i: tfs_eval(phi, divisorial_point(model, i), r)
+            for i in range(len(model.components))}
+
+
 @dataclass
 class NALimitResult:
     """Relative non-archimedean limit of a tropical family on a model."""
@@ -130,7 +145,6 @@ def na_limit_tfs(phi: TropicalFSMetric, model: SncModelCombinatorics,
     values barycentrically on every simplex.
     """
     formula = {}
-    restrict = {}
     n = len(model.components)
     for i in range(n):
         b = model.multiplicity(i)
@@ -150,7 +164,8 @@ def na_limit_tfs(phi: TropicalFSMetric, model: SncModelCombinatorics,
             raise BasepointError(f"no entry is finite at component {i}")
         nu = logr_min(candidates, r)
         formula[i] = LogRVal(logr=Fraction(1, b)) * nu / phi.m
-        restrict[i] = tfs_eval(phi, v, r)
+    # every component has a finite entry by now, so this raises nothing
+    restrict = restriction_values(phi, model, r)
     equal = all(formula[i] == restrict[i] for i in range(n))
     complex_ = build_dual_complex(model)
     pieces = {}

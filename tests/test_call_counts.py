@@ -4,12 +4,14 @@
 ``mz_slopes``/``mz_psh_check`` decide the verdict on it, and
 ``retraction`` takes every component's value on one integer lattice;
 these guards fail when any falls back to the exact-value arithmetic.
+``na-limit`` takes the full limit once per tfs file; its shift and
+trivial checks read only the direct restriction.
 """
 
 import random
 from unittest import mock
 
-from berkhyb import harness, models, valuation
+from berkhyb import harness, models, tropical, valuation
 from berkhyb.exactnum import PrimeLogVal
 from berkhyb.manifest import ExperimentManifest, run
 from berkhyb.mztree import mz_family_identity, mz_from_family, mz_psh_check, \
@@ -61,3 +63,28 @@ def test_run_retract_makes_no_qm_eval_call(data_dir, monkeypatch):
     man = ExperimentManifest.load(data_dir / "manifests" / "retract.json")
     assert run(man).passed()
     assert [c.call_count for c in counters] == [0] * len(counters)
+
+
+def test_run_na_limit_takes_one_full_limit_per_file(data_dir, monkeypatch):
+    depth, outside = [0], []
+    limit, logr_min = tropical.na_limit_tfs, tropical.logr_min
+
+    def counted_limit(*args):
+        depth[0] += 1
+        try:
+            return limit(*args)
+        finally:
+            depth[0] -= 1
+
+    def watched_logr_min(*args):
+        if not depth[0]:
+            outside.append(args)
+        return logr_min(*args)
+
+    counter = mock.Mock(side_effect=counted_limit)
+    monkeypatch.setattr(harness, "na_limit_tfs", counter)
+    monkeypatch.setattr(tropical, "logr_min", watched_logr_min)
+    man = ExperimentManifest.load(data_dir / "manifests" / "na_limit.json")
+    assert run(man).passed()
+    assert counter.call_count == len(man.raw["inputs"]["tfs"]) == 3
+    assert outside == []

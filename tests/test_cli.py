@@ -12,8 +12,8 @@ import pytest
 import berkhyb
 from berkhyb.cli import build_parser, main
 from berkhyb import harness
-from berkhyb.manifest import KINDS, ExperimentManifest, ManifestError, run, \
-    write_report
+from berkhyb.manifest import KINDS, ExperimentManifest, ManifestError, \
+    atomic_write_text, run, write_report
 from berkhyb.pafunc import ContinuityError, PAFunctionOnComplex
 
 
@@ -120,6 +120,60 @@ def test_seed_override_recorded(data_dir, tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["seed"] == 777
     assert report["manifest"]["seed"] == 777
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_output_files_keep_the_umask_mode(data_dir, tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        rc = main(["na-limit", "--manifest",
+                   str(manifest_path(data_dir, "na_limit.json")),
+                   "--out", str(tmp_path / "out")])
+    finally:
+        os.umask(old)
+    assert rc == 0
+    files = sorted(p.name for p in (tmp_path / "out").iterdir())
+    assert files == ["pa_functions.csv", "plot_data.csv", "report.json",
+                     "timing.json"]
+    for name in files:
+        mode = (tmp_path / "out" / name).stat().st_mode & 0o777
+        assert mode == 0o666 & ~umask, (name, oct(mode))
+
+
+class _Boom(Exception):
+    pass
+
+
+def _half_write_then_raise(fdopen):
+    def opened(fd, mode):
+        fh = fdopen(fd, mode)
+        write = fh.write
+
+        def half(text):
+            write(text[:len(text) // 2])
+            fh.flush()
+            raise _Boom
+        fh.write = half
+        return fh
+    return opened
+
+
+@pytest.mark.parametrize("fault", ["write", "replace"])
+def test_atomic_write_leaves_no_temp_file(tmp_path, monkeypatch, fault):
+    target = tmp_path / "report.json"
+    atomic_write_text(target, "old\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+    if fault == "write":
+        monkeypatch.setattr(os, "fdopen", _half_write_then_raise(os.fdopen))
+    else:
+        def replace(src, dst):
+            raise _Boom
+        monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(_Boom):
+        atomic_write_text(target, "new contents\n")
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+    assert target.read_text() == "old\n"
 
 
 def test_emit_plot_data_shapes(data_dir, tmp_path):

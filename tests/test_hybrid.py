@@ -1,15 +1,22 @@
+import cmath
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import berkhyb
 from berkhyb.hybrid import (
     N_ANGLES,
     HybridConfig,
     RadialSampling,
     RhoSample,
     _line_fit,
+    _unit_circle,
     hybrid_path_limit,
     khyb_convexity_check,
     lelong_estimate,
@@ -72,6 +79,24 @@ def _circle_sups_reference(func, radii):
     return tuple((float(rho), float(max(func(complex(z))
                                         for z in rho * np.exp(1j * angles))))
                  for rho in radii)
+
+
+def test_unit_circle_is_built_once_and_bit_identical():
+    step = 2.0 * math.pi / N_ANGLES
+    fresh = [cmath.exp(1j * (k * step)) for k in range(N_ANGLES)]
+    cached = _unit_circle(N_ANGLES)
+    assert _unit_circle(N_ANGLES) is cached
+    assert [(u.real.hex(), u.imag.hex()) for u in cached] == \
+        [(u.real.hex(), u.imag.hex()) for u in fresh]
+
+
+def test_unit_circle_is_not_built_at_import():
+    probe = ("import berkhyb.harness, berkhyb.hybrid as h\n"
+             "print(h._unit_circle.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": str(Path(berkhyb.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "0"
 
 
 def _lelong_functions(scale=50.0, slope=1.5, floor=-5.0):

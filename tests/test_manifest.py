@@ -12,12 +12,14 @@ import json
 import math
 import shutil
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from berkhyb import harness, tropical
 from berkhyb.cli import main
 from conftest import DATA_DIR
 from berkhyb.manifest import ExperimentManifest, run
@@ -361,6 +363,60 @@ def test_na_limit_trivial_metric_at_level_two(data_dir, tmp_path):
     assert rc == 0 and err == ""
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert "trivial-metric-zero-segment" in {c["name"] for c in report["checks"]}
+
+
+NA_LIMIT_MODELS = ("segment", "pone_blowinf", "triangle")
+
+
+def _failed_na_limit_checks(data_dir, tmp_path) -> dict:
+    """Run the bundled na-limit manifest; it must exit 1 with its report
+    written and nothing on stderr.  Return the failed checks' details."""
+    rc, err, written = run_cli("na-limit", bundled(data_dir, "na-limit"), tmp_path)
+    assert (rc, err, written) == (1, "", True)
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    return {c["name"]: c["details"] for c in report["checks"] if not c["passed"]}
+
+
+def test_na_limit_off_shift_fails_shift_covariance(data_dir, tmp_path,
+                                                   monkeypatch):
+    monkeypatch.setattr(harness, "tfs_shift", lambda phi, c: tropical.tfs_shift(
+        phi, Fraction(c) + Fraction(1, 1000)))
+    assert _failed_na_limit_checks(data_dir, tmp_path) == {
+        f"constant-shift-covariance-{name}": "shift by 3/7"
+        for name in NA_LIMIT_MODELS}
+
+
+def test_na_limit_trivial_metric_with_a_constant_fails(data_dir, tmp_path,
+                                                      monkeypatch):
+    class PlusOne:
+        """TropicalFSMetric whose built entries carry c + 1; the runner
+        builds only the trivial metric through this name."""
+
+        @staticmethod
+        def build(m, entries, reference, meromorphic_ok=False):
+            return tropical.TropicalFSMetric.build(
+                m, [(s, c + 1) for s, c in entries], reference, meromorphic_ok)
+
+    monkeypatch.setattr(harness, "TropicalFSMetric", PlusOne)
+    assert _failed_na_limit_checks(data_dir, tmp_path) == {
+        f"trivial-metric-zero-{name}": "" for name in NA_LIMIT_MODELS}
+
+
+def test_na_limit_pole_skips_the_files_later_checks(data_dir, tmp_path):
+    def pole(metric):
+        metric["entries"][1]["section"]["terms"][0]["exp"] = [-1, 0]
+
+    tfs = [str(_tfs_variant(data_dir, tmp_path, pole)),
+           str(data_dir / "families" / "tfs_triangle.json")]
+    man = mutate(bundled(data_dir, "na-limit"), ("inputs", "tfs"), tfs)
+    rc, err, written = run_cli("na-limit", man, tmp_path)
+    assert (rc, err, written) == (1, "", True)
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [c["name"] for c in report["checks"]] == [
+        "regularity-segment", "dual-route-triangle", "face-continuity-triangle",
+        "constant-shift-covariance-triangle", "trivial-metric-zero-triangle"]
+    rows = report["tables"]["pa_functions"]["rows"]
+    assert {row[0] for row in rows} == {"triangle"}
 
 
 # Fuzz bases: the bundled manifests at sizes that keep each run short.

@@ -16,6 +16,7 @@ from berkhyb.tropical import (
     TropicalFSMetric,
     lse_max_gap,
     na_limit_tfs,
+    restriction_values,
     tfs_eval,
     tfs_shift,
 )
@@ -193,6 +194,29 @@ def test_tfs_json_round_trip(seg_labels, data_dir, tmp_path):
     assert [(s.variables, s.terms, c) for s, c in back.entries] == \
         [(s.variables, s.terms, c) for s, c in phi.entries]
     assert back.reference.terms == phi.reference.terms
+
+
+BUNDLED_TFS = ("tfs_segment.json", "tfs_blowinf.json", "tfs_triangle.json")
+
+
+@pytest.mark.parametrize("name", BUNDLED_TFS)
+@pytest.mark.parametrize("r", [Fraction(1, 2), Fraction(1, 3), Fraction(3, 4),
+                               Fraction(99, 100)], ids=str)
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(shift=st.fractions(min_value=-20, max_value=20, max_denominator=50))
+def test_restriction_values_match_the_full_limit(data_dir, name, r, shift):
+    # the shift and trivial checks of na-limit read the helper alone
+    model, phi = load_tfs_file(data_dir / "families" / name, data_dir / "models")
+    for metric in (phi, tfs_shift(phi, shift)):
+        assert restriction_values(metric, model, r) == \
+            na_limit_tfs(metric, model, r).restriction_values
+
+
+def test_restriction_values_raise_at_a_base_point(segment, r, seg_labels):
+    zero = LaurentSeriesData(seg_labels, [])
+    phi = TropicalFSMetric.build(1, [(zero, 0)], one(seg_labels))
+    with pytest.raises(BasepointError):
+        restriction_values(phi, segment, r)
 
 
 # ---------------------------------------------------------------------------
