@@ -5,7 +5,7 @@
 Exit status: 0 when every check passes, 1 on check failures (the report
 is still written), 2 on manifest/parse errors, on inputs whose exact
 order cannot be certified, or on an output path that is not a directory
-(no outputs are written).
+or cannot be looked up (no outputs are written).
 The default output directory is ``berkhyb-out/<kind>`` under the current
 directory, or $BERKHYB_OUT when set.
 """
@@ -13,6 +13,7 @@ directory, or $BERKHYB_OUT when set.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from functools import cache
@@ -38,21 +39,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _not_a_directory(path: Path) -> bool:
-    """Whether ``path``, or the nearest of its ancestors that exists, is
-    something other than a directory, so the report cannot be written."""
-    for p in (path, *path.parents):
-        if p.exists():
-            return not p.is_dir()
-    return False
+def _unwritable(path: Path) -> str | None:
+    """Why the report cannot be written to ``path``, or None: the nearest of
+    it and its ancestors that exists is not a directory, a lookup fails, or
+    a directory to be made below it has a name too long for it."""
+    missing = []
+    try:
+        for p in (path, *path.parents):
+            if p.exists():
+                break
+            missing.append(os.fsencode(p.name))
+        if not p.is_dir():
+            return "not a directory"
+        longest = os.pathconf(p, "PC_NAME_MAX")
+    except OSError as exc:
+        return exc.strerror
+    if any(len(name) > longest for name in missing):
+        return os.strerror(errno.ENAMETOOLONG)
+    return None
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = Path(args.out or os.environ.get("BERKHYB_OUT")
                    or Path("berkhyb-out") / args.kind)
-    if _not_a_directory(out_dir):
-        print(f"error: {out_dir}: not a directory", file=sys.stderr)
+    reason = _unwritable(out_dir)
+    if reason:
+        print(f"error: {out_dir}: {reason}", file=sys.stderr)
         return 2
     try:
         manifest = ExperimentManifest.load(args.manifest)

@@ -174,11 +174,22 @@ _TABLE = _block(
 _COMPLEX = _tuple(_real(), _real())
 
 
+def _power(key: str) -> int:
+    """A coefficient key: an integer in canonical decimal, so that no two
+    keys name one power of z ("01" and "1_0" are not keys)."""
+    try:
+        if str(int(key)) == key:
+            return int(key)
+    except ValueError:  # not an integer, or too many digits
+        pass
+    raise _Invalid(f".{key}", "expected an integer in canonical decimal")
+
+
 def _coeffs(value) -> dict:
     """{"k": [re, im]}: the coefficient of z^k."""
     if not isinstance(value, dict):
         raise ValueError(f"expected a JSON object, got {value!r}")
-    return {int(k): complex(*_field(value, k, REQUIRED, _COMPLEX)) for k in value}
+    return {_power(k): complex(*_field(value, k, REQUIRED, _COMPLEX)) for k in value}
 
 
 _FAMILY = _block(

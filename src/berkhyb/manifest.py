@@ -235,8 +235,12 @@ class ExperimentManifest:
         """An existing input path, relative to the manifest's directory."""
         if not isinstance(rel, str):
             raise ValueError(f"expected a path, got {rel!r}")
-        path = (self.path.parent / rel).resolve()
-        if not path.exists():
+        try:
+            path = (self.path.parent / rel).resolve()
+            found = path.exists()
+        except OSError as exc:  # a name too long, say
+            raise ValueError(f"cannot look up the input: {exc.strerror}") from exc
+        if not found:
             raise ValueError(f"referenced input does not exist: {path}")
         return path
 

@@ -143,7 +143,6 @@ class SncModelCombinatorics:
 @dataclass(frozen=True)
 class Simplex:
     stratum: tuple[int, ...]
-    multiplicities: tuple[int, ...]
 
 
 class DualComplex:
@@ -151,10 +150,7 @@ class DualComplex:
 
     def __init__(self, model: SncModelCombinatorics):
         self.model = model
-        self.simplices = tuple(
-            Simplex(s, tuple(model.multiplicity(j) for j in s)) for s in model.strata
-        )
-        self._by_stratum = {s.stratum: s for s in self.simplices}
+        self.simplices = tuple(Simplex(s) for s in model.strata)
 
     def faces_of(self, stratum) -> list[tuple[int, ...]]:
         s = tuple(sorted(stratum))
@@ -179,7 +175,7 @@ class DualComplex:
 
 
 def build_dual_complex(model: SncModelCombinatorics) -> DualComplex:
-    """Dual complex of the special fiber; validation errors surface here."""
+    """Dual complex of the special fiber (perfbench traces this name)."""
     return DualComplex(model)
 
 

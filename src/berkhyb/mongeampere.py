@@ -24,7 +24,7 @@ stored cells' order by log|xi|, read forwards or backwards, sorts them by
 u.  The partition weight of a chart is zero below its lower ramp and above
 its upper ramp, so the cells of nonzero weight are one contiguous run of
 that order, found by bisection on u at O(log N) cells.  On a radial
-chart (below) the run also starts where the potential stops being flat:
+chart (below) the run also starts past the potential's flat piece:
 dd^c phi vanishes where one constant section dominates, and a cell whose
 five stencil points read one finite value has mass +0.0 exactly.  Only
 the run's cells get a mass, u and a weight, and the GridMeasure
@@ -52,16 +52,18 @@ gathered by its cached position.  Thresholds on cell masses (the
 pushforward's keep floor, the negative-mass floor) compare the mass of
 one grid cell.
 
-In max mode a radial potential is the largest of lines in log|xi| (each
-entry's _line), and away from where they cross one line is the float
-maximum (_pieces).  On the flat piece (slope 0) phi reads one value, so
-its cells are cut from the run without evaluating phi.  On an exact
-piece (no constant, slope k and m powers of two) phi is (k/m) log|xi|
-bit for bit, and so is its stencil: scaling by a power of two commutes
-with every rounding.  Its cells take (k/m) Lambda, where Lambda, the
-orbit masses of log|xi|, is cached with the geometry.  Only the stencil
-segments, the bands within 2h of a piece's end and the pieces of other
-lines (all of lse mode), evaluate phi, on the cells within 2h of them.
+A radial potential is built from lines in log|xi| (each entry's _line).
+Away from where they cross, one line tops the others by a margin that
+makes phi that line over m bit for bit (_pieces); in lse mode the margin
+is widened until the log-sum-exp correction rounds to 0.0.  On the flat
+piece (slope 0) phi reads one value, so its cells are cut from the run
+without evaluating phi.  On an exact piece (no constant, slope k and m
+powers of two) phi is (k/m) log|xi| bit for bit, and so is its stencil:
+scaling by a power of two commutes with every rounding.  Its cells take
+(k/m) Lambda, where Lambda, the orbit masses of log|xi|, is cached with
+the geometry.  Only the stencil segments, the bands within 2h of a
+piece's end and the pieces of other lines, evaluate phi, on the cells
+within 2h of them.
 
 A family with a multi-term entry takes the full route: the potential on
 all (n + 2)^2 halo nodes, its multi-term entries by Horner's rule on the
@@ -293,8 +295,8 @@ def family_limit_measure(family: CurveFamily, r: Fraction) -> AtomicMeasure:
 class GridMeasure:
     """A chart's grid measure: the run of cells of nonzero partition
     weight, one flat entry per stored cell, in ascending u.  On the octant
-    route the run starts where the potential stops being flat, and may
-    hold no cell.
+    route the run starts past the potential's flat piece, and may hold no
+    cell.
 
     Each stored cell carries the mass of the ``multiplicity`` grid cells
     it stands for: 1.0 on the full route; on the octant route of a radial
@@ -408,37 +410,10 @@ class _OctantCells:
         hi = int(np.searchsorted(self.log_abs, math.log(far), side="right"))
         return lo, hi
 
-    def _flat_cut(self, phi, outer, lo: int, hi: int, a: int, b: int) -> int:
-        """The first cell of [a, b) whose stencil may read two values, where
-        phi is known on the window [lo, hi) of those cells.
-
-        phi is flat at a finite value f out to the radius R of the first
-        window cell that reads another value (at most L, where the outer
-        halo starts, unless the halo reads f too).  A cell with |xi| + 2h
-        < R reads f at all five stencil points, so its mass is
-        (f + f) + (f + f) - 4f = +0.0 exactly.
-        """
-        import numpy as np
-
-        flat = phi[lo]
-        # 4f finite, so that the flat stencil cannot overflow
-        if not math.isfinite(4.0 * flat):
-            return a
-        # phi[lo] is flat, so 0 means that every window value is
-        first = int(np.argmax(phi[lo:hi] != flat))
-        radius = math.exp(self.log_abs[lo + first]) if first else math.inf
-        if not np.all(outer == flat):
-            radius = min(radius, self.h * outer.size)  # L = h n/2
-        if radius <= 2.0 * self.h:
-            return a
-        cut = int(np.searchsorted(self.log_abs, math.log(radius - 2.0 * self.h)))
-        return min(max(a, cut), b)
-
     def measure(self, potential, pieces, run: slice, step: int):
         """The Laplacian masses (orbit masses) and multiplicities of the
-        cells of ``run`` from where the potential stops being flat, listed
-        with ``step``, the raw Laplacian total over the whole grid, and
-        that narrowed run.
+        cells of ``run`` past the flat piece, listed with ``step``, the raw
+        Laplacian total over the whole grid, and that narrowed run.
 
         The total is the boundary flux (discrete divergence theorem): the
         stencil sums to halo minus adjacent cell over the 4n boundary
@@ -449,9 +424,7 @@ class _OctantCells:
         cell inside an exact piece has mass scale * Lambda, read from
         log_stencil.  The cells left, the bands within 2h of a piece's end
         and the pieces of any other line, form stencil segments: phi is
-        evaluated on each one's window and its stencil taken there.  When
-        the run starts with a stencil segment, its leading flat cells are
-        cut as well (_flat_cut).
+        evaluated on each one's window and its stencil taken there.
         """
         import numpy as np
 
@@ -476,12 +449,11 @@ class _OctantCells:
         if at < stop:
             segments.append((at, stop, None))
         masses = np.empty(stop - start)
-        offset = start
         phi = None
         for a, b, scale in segments:
             if scale is not None:
                 np.multiply(self.log_stencil[a:b], scale,
-                            out=masses[a - offset:b - offset])
+                            out=masses[a - start:b - start])
                 continue
             if phi is None:
                 # NaN where no value is needed: a stencil that read one
@@ -490,13 +462,10 @@ class _OctantCells:
                 phi[size:] = outer
             lo, hi = self._window(a, b)
             phi[lo:hi] = potential(self.log_abs[lo:hi])
-            if a == start:
-                a = start = self._flat_cut(phi, outer, lo, hi, a, b)
             np.multiply(_laplacian(phi, *self.neighbours[:, a:b], slice(a, b)),
-                        self.multiplicity[a:b], out=masses[a - offset:b - offset])
+                        self.multiplicity[a:b], out=masses[a - start:b - start])
         run = slice(start, stop)
-        return (masses[start - offset:][::step], self.multiplicity[run][::step],
-                raw_total, run)
+        return masses[::step], self.multiplicity[run][::step], raw_total, run
 
 
 @dataclass(frozen=True)
@@ -784,25 +753,31 @@ def _power_of_two(k: int) -> bool:
 
 def _pieces(family: CurveFamily, chart: Chart, logabs_t: float, log_r: float,
             span: float) -> list[tuple[float, float, float | None]]:
-    """The flat and exact pieces of a radial max-mode potential at stencil
-    points with |log|xi|| <= ``span``: (lo, hi, scale) for each line whose
-    float term is the float maximum wherever lo < log|xi| < hi, in
-    ascending lo.
+    """The flat and exact pieces of a radial potential at stencil points
+    with |log|xi|| <= ``span``: (lo, hi, scale) for each line whose float
+    term is phi's top term, by a margin that makes phi that term over m
+    bit for bit, wherever lo < log|xi| < hi, in ascending lo.
 
-    Each entry's term is a _line: slope k, constants summing to C.  On a
-    flat line (k = 0, 4 C/m finite) phi is C/m, and a cell whose stencil
-    reads it at all five points has mass +0.0 (scale None).  On an exact
-    line every constant is 0.0 and k and m are powers of two, so phi is
-    (k/m) log|xi| bit for bit, and its stencil is k/m (the scale) times
+    Each entry's term is a _line: slope k, constants summing to C.  Another
+    line's float term is within 2^-50 (k span + sum |constants|) of
+    k log|xi| + C; a piece keeps its line above every other by four times
+    that, which also covers the rounding of its ends, and by D (lse_gap)
+    more.  In max mode D = 0.  In lse mode phi adds (2m)^-1 log sum exp(2m (x - top))
+    to the top term; D = (64 log 2 + log N) / (2m), for N entries, puts
+    each other exp below 2^-64 / N, so the sum rounds to 1.0 (11 bits under
+    the half-ulp of 1.0, room for a SIMD exp and the rounding of D), the
+    log is 0.0, and phi is the top term over m, as in max mode.
+
+    On a flat line (k = 0, 4 C/m finite) phi is C/m, and a cell whose
+    stencil reads it at all five points has mass +0.0 (scale None).  On an
+    exact line every constant is 0.0 and k and m are powers of two, so phi
+    is (k/m) log|xi| bit for bit, and its stencil is k/m (the scale) times
     that of log|xi|: scaling by a power of two commutes with every
-    rounding.  Another line's float term is within 2^-50 (k span + sum
-    |constants|) of k log|xi| + C; a piece keeps its line above every
-    other by four times that, which also covers the rounding of its ends.
-    A non-finite constant, lse mode or any other line gives no piece:
+    rounding.  A non-finite constant or any other line gives no piece:
     those cells take the stencil.
     """
-    if family.mode != "max":
-        return []
+    lse_gap = ((64.0 * math.log(2.0) + math.log(len(family.entries)))
+               / (2 * family.m) if family.mode == "lse" else 0.0)
     lines = []
     for e in family.entries:
         slope, adds = _line(e, family.degree, chart, logabs_t, log_r)
@@ -825,7 +800,7 @@ def _pieces(family: CurveFamily, chart: Chart, logabs_t: float, log_r: float,
         for j, (s, c, other, _) in enumerate(lines):
             if j == i:
                 continue
-            margin = 2.0 ** -48 * (size + other)
+            margin = 2.0 ** -48 * (size + other) + lse_gap
             if s < slope:
                 lo = max(lo, (c - const + margin) / (slope - s))
             elif s > slope:
@@ -851,11 +826,11 @@ def ma_complex_curve(
     and are then weighted by the chart's partition-of-unity factor in the
     valuation coordinate.  Each chart keeps only its run of cells of
     nonzero weight, in ascending u, and a radial family stores one octant
-    of each chart, from where its potential stops being flat, and scales
-    the masses of its exact pieces from Lambda (see the module
-    docstring); u and the weights are taken on that run only.  The
-    weighted totals must reproduce the family degree within ``mass_tol``,
-    else (a NaN total included) a ResolutionError suggests a finer grid.
+    of each chart, past its potential's flat piece, and scales the masses
+    of its exact pieces from Lambda (see the module docstring); u and the
+    weights are taken on that run only.  The weighted totals must
+    reproduce the family degree within ``mass_tol``, else (a NaN total
+    included) a ResolutionError suggests a finer grid.
     |t| = 1 is rejected: u is undefined there.
     """
     if n < 16:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from typing import Sequence
 
 from .exactnum import LogRVal, as_fraction
@@ -176,18 +176,15 @@ class PAFunction1D:
         xv = x if isinstance(x, LogRVal) else LogRVal.of(as_fraction(x))
         return self._piece_at(xv).eval(xv)
 
+    @cached_property
     def _float_tables(self):
-        cached = getattr(self, "_ftab", None)
-        if cached is None:
-            import numpy as np
+        import numpy as np
 
-            cached = (
-                np.array([c.to_float(self.r) for c in self.cuts]),
-                np.array([float(p.slope) for p in self.pieces]),
-                np.array([p.offset.to_float(self.r) for p in self.pieces]),
-            )
-            self._ftab = cached
-        return cached
+        return (
+            np.array([c.to_float(self.r) for c in self.cuts]),
+            np.array([float(p.slope) for p in self.pieces]),
+            np.array([p.offset.to_float(self.r) for p in self.pieces]),
+        )
 
     def eval_float_array(self, xs):
         """Vectorized float evaluation of ``xs``, sorted ascending.
@@ -197,7 +194,7 @@ class PAFunction1D:
         """
         import numpy as np
 
-        cuts, slopes, offsets = self._float_tables()
+        cuts, slopes, offsets = self._float_tables
         xs = np.asarray(xs, dtype=float)
         out = np.empty_like(xs)
         ends = [0, *np.searchsorted(xs, cuts, side="right").tolist(), xs.size]

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -50,6 +51,22 @@ def test_cli_missing_input_exit_two(tmp_path):
     rc = main(["ma-model", "--manifest", str(man), "--out",
                str(tmp_path / "out")])
     assert rc == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_overlong_input_exit_two(tmp_path, capsys):
+    # the lookup of a 300-character name fails with ENAMETOOLONG
+    man = tmp_path / "man.json"
+    man.write_text(json.dumps({
+        "schema": "berkhyb-manifest-v1", "kind": "retract", "seed": 1,
+        "inputs": {"models": ["x" * 300]}, "params": {"n_points": 5},
+    }))
+    rc = main(["retract", "--manifest", str(man), "--out",
+               str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {man}: inputs.models[0]: cannot look up the input: "
+        f"{os.strerror(errno.ENAMETOOLONG)}\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -343,8 +360,16 @@ def test_ma_converge_r_near_one_writes_a_report(data_dir, tmp_path):
     (("entries", 1, "q"), 10**400, "entries[1].q"),
     (("charts", 1, "p"), 10**400, "charts[1].p"),
     (("charts",), [], "charts"),
+    # a power of z in canonical decimal only: "01" would collide with "1",
+    # and int() reads "1_0" as 10
+    (("entries", 1, "coeffs"), {"1": [1.0, 0.0], "01": [1.0, 0.0]},
+     "entries[1].coeffs.01"),
+    (("entries", 1, "coeffs"), {"1_0": [1.0, 0.0]}, "entries[1].coeffs.1_0"),
+    (("entries", 1, "coeffs"), {" 1": [1.0, 0.0]}, "entries[1].coeffs. 1"),
+    (("entries", 1, "coeffs"), {"z": [1.0, 0.0]}, "entries[1].coeffs.z"),
 ], ids=["entries-empty", "entries-object", "m-huge", "q-huge", "p-huge",
-        "charts-empty"])
+        "charts-empty", "key-leading-zero", "key-underscore", "key-space",
+        "key-not-a-number"])
 def test_family_content_error_exit_two(data_dir, tmp_path, capsys, keys, value,
                                        json_path):
     # each of these ended in a traceback, exit 1 and no report
@@ -475,7 +500,10 @@ def test_one_process_runs_kinds_through_one_parser(data_dir, tmp_path, capsys):
                                        "match subcommand 'retract'\n")
 
 
-@pytest.mark.parametrize("rel", ["taken", "taken/sub/dir"])
+@pytest.mark.parametrize("rel", [
+    "taken", "taken/sub/dir", pytest.param("x" * 300, id="overlong"),
+    # the lookup stops at the missing directory; making it is a write
+    pytest.param("missing/" + "x" * 300, id="overlong-below-missing")])
 def test_out_naming_a_file_exit_two(data_dir, tmp_path, capsys, rel):
     taken = tmp_path / "taken"
     taken.write_text("keep\n")
@@ -483,7 +511,9 @@ def test_out_naming_a_file_exit_two(data_dir, tmp_path, capsys, rel):
     rc = main(["rho-r", "--manifest", str(manifest_path(data_dir, "rho_r.json")),
                "--out", str(out)])
     assert rc == 2
-    assert capsys.readouterr().err == f"error: {out}: not a directory\n"
+    reason = ("not a directory" if rel.startswith("taken")
+              else os.strerror(errno.ENAMETOOLONG))
+    assert capsys.readouterr().err == f"error: {out}: {reason}\n"
     assert taken.read_text() == "keep\n"
     assert list(tmp_path.iterdir()) == [taken]
 

@@ -781,10 +781,11 @@ def test_exact_pieces_near_ties_match_2d_reference(r, n):
 @pytest.mark.parametrize("case", ["slope-3", "m-3", "slope-3-m-3", "constant",
                                   "lse"])
 @pytest.mark.parametrize("n", [16, 64])
-def test_stencil_pieces_near_ties_match_2d_reference(r, n, case):
+def test_stencil_pieces_near_ties_match_2d_reference(r, monkeypatch, n, case):
     # the tie families of the exact test, with an active line that is not
     # exact: slope 3, m = 3, both (3/3 = 1, but fl(3 log|xi|) / 3 is not
-    # log|xi|), a constant log 2 on it, or lse mode
+    # log|xi|), a constant log 2 on it, or lse mode, whose pieces keep
+    # D = (64 log 2 + log 2) / 2 off the kink and so off these grids
     families = []
     for radius in _tie_radii(n):
         for k in range(-2, 3):
@@ -802,20 +803,51 @@ def test_stencil_pieces_near_ties_match_2d_reference(r, n, case):
             families.append(CurveFamily(
                 "tie", m, degree, tuple(map(FamilyEntry.build, sections)),
                 TIE_CHARTS, mode=mode))
-    assert _assert_ties_match_reference(families, n, r) <= {None}
+    scales = _assert_ties_match_reference(families, n, r)
+    if case != "lse":
+        assert scales <= {None}
+        return
+    for fam in families:
+        for chart in TIE_CHARTS:
+            for t in (1e-3, 1e3):
+                run, _ = mongeampere._u_run(
+                    chart, _geometry(2.0, n).octant.log_abs, math.log(t))
+                stencil, exact = _routes(monkeypatch, fam, chart, t, n, r)
+                assert exact.size == 0 and stencil.size == run.stop - run.start
+
+
+def _steep(m):
+    """The slope-8 family, sections 1 and xi^8, in lse mode."""
+    return CurveFamily("steep", m, 8, (FamilyEntry.build({0: 1}),
+                                       FamilyEntry.build({8: 1})),
+                       TIE_CHARTS, mode="lse")
 
 
 def test_lse_run_starts_where_the_potential_stops_being_flat(r):
-    # lse mode has no piece, but where 2m times the gap between the two
-    # terms exceeds 37, log(1 + exp(-2m gap)) is 0.0 and phi reads one
-    # value: the float scan of the run's first stencil segment cuts there
-    fam = CurveFamily("steep", 1, 8, (FamilyEntry.build({0: 1}),
-                                      FamilyEntry.build({8: 1})),
-                      TIE_CHARTS, mode="lse")
+    # where 2m times the gap between the two terms exceeds 64 log 2 + log 2,
+    # log(1 + exp(-2m gap)) is 0.0 and phi reads one value: the run starts
+    # past that flat piece
+    fam = _steep(1)
     for t in (1e-3, 1e3):
         cut = 0
         for g in ma_complex_curve(fam, complex(t), 256, r, mass_tol=math.inf):
             cut += _assert_run_matches_reference(fam, g, t, r, True).size
+        assert cut > 0
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_lse_flat_and_exact_pieces_match_2d_reference(r, monkeypatch, n):
+    # at m = 4 the pieces sit D = (64 log 2 + log 2) / 8 off the kink
+    # |xi| = 1 in 8 log|xi|, close enough for both to hold cells of these
+    # grids; at m = 1 the band between them is wider than the grid
+    fam = _steep(4)
+    for t in (1e-3, 1e3):
+        cut = 0
+        for g in ma_complex_curve(fam, complex(t), n, r, mass_tol=math.inf):
+            cut += _assert_run_matches_reference(fam, g, t, r, True).size
+            stencil, exact = _routes(monkeypatch, fam, g.chart, t, n, r)
+            assert exact.size > 0 and stencil.size > 0
+            assert exact.min() > stencil.max()
         assert cut > 0
 
 
@@ -894,7 +926,8 @@ def test_bundled_families_take_the_exact_route_off_the_kinks(data_dir, r,
     assert np.all((exact > 1.0 + band) & (exact < math.sqrt(2.0) - band))
     assert np.all((np.abs(stencil - 1.0) <= band) | (stencil > math.sqrt(2.0) - band))
     assert np.any(stencil > math.sqrt(2.0) + band)
-    # lse mode has no exact piece
+    # in lse mode a piece keeps D = (64 log 2 + log 3) / 4 more above the
+    # other lines, which puts every exact piece off these grids
     for chart in fam.charts:
         for t in (1e-3, 1e3):
             lse = dataclasses.replace(fam, mode="lse")

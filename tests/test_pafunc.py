@@ -55,7 +55,7 @@ def test_from_breakpoints_and_eval_float():
 
 def _searchsorted_reference(f, xs):
     """Each x through the searchsorted of the cuts, as before sorted input."""
-    cuts, slopes, offsets = f._float_tables()
+    cuts, slopes, offsets = f._float_tables
     xs = np.asarray(xs, dtype=float)
     idx = np.searchsorted(cuts, xs, side="left")
     return slopes[idx] * xs + offsets[idx]

@@ -44,6 +44,20 @@ def test_every_method_is_referenced():
     assert unreferenced == []
 
 
+def test_every_private_attribute_is_read():
+    # an attribute a class sets on self (self._x = ...) must be read in src/
+    stored, read = set(), set()
+    for tree in _trees(SRC):
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and node.attr.startswith("_")):
+                continue
+            if isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node.value, ast.Name) and node.value.id == "self":
+                stored.add(node.attr)
+    assert sorted(stored - read) == []
+
+
 def _eager_imports(node):
     """(line, top-level package) of each absolute import that runs when the
     module is imported, that is, outside every function body."""

@@ -248,3 +248,17 @@ def test_lse_gap_reduces_the_last_axis():
 def test_lse_gap_bounds(xs, m):
     gap = lse_max_gap(xs, m)
     assert 0.0 <= gap <= math.log(len(xs)) / (2 * m) + 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 3, 10 ** 6])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lse_gap_is_zero_past_its_bound(n, m):
+    # every other entry D = (64 log 2 + log N) / (2m) below the top: each
+    # exp(2m (x - top)) is below 2^-64 / N, so the sum rounds to 1.0 and
+    # the gap is +0.0, for a stack and for each of its rows
+    d = (64.0 * math.log(2.0) + math.log(n)) / (2 * m)
+    tops = np.array([0.0, 1.0, -37.25, 3e4, -1e6])
+    rows = np.repeat(tops[:, None] - d, n, axis=1)
+    rows[:, n // 2] = tops
+    gaps = np.hstack([lse_max_gap(rows, m), *(lse_max_gap(row, m) for row in rows)])
+    assert not gaps.view(np.uint64).any()
