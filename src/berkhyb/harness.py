@@ -113,10 +113,18 @@ from .valuation import (
 )
 
 
+# A run's peak allocation per grid cell (tracemalloc, grids 512 and 1024)
+# is ~17 bytes on the octant route and ~80 on the full route, five times
+# its (n + 2)^2 complex grid of 16-byte nodes: the bound keeps the full
+# route within 2 GiB.
+_GRID_MAX = math.isqrt(2**31 // 80) // 2 * 2  # 5180
+
+
 def _grid_side(value):
-    """An even integer >= 16: the Laplacian needs 16 cells a side, and an
-    odd side puts a cell center on xi = 0, where log|xi| is -inf."""
-    n = _int("[16, inf)")(value)
+    """An even integer in [16, _GRID_MAX]: the Laplacian needs 16 cells a
+    side, an odd side puts a cell center on xi = 0, where log|xi| is -inf,
+    and a larger side would allocate more than 2 GiB."""
+    n = _int(f"[16, {_GRID_MAX}]")(value)
     if n % 2:
         raise ValueError(f"expected an even integer, got {value!r}")
     return n
@@ -618,7 +626,8 @@ def run_ma_converge(man: ExperimentManifest, rep: RunReport):
         except ResolutionError as exc:
             rep.check(
                 f"grid-resolution-{fam.name}", False,
-                f"{exc}; suggested_n = {exc.suggested_n}",
+                str(exc) if exc.suggested_n is None
+                else f"{exc}; suggested_n = {exc.suggested_n}",
             )
             continue
         except EmptyMeasureError as exc:

@@ -31,6 +31,12 @@ the run's cells get a mass, u and a weight, and the GridMeasure
 holds them in ascending u: pushforward_log_radius is one index gather,
 and every chart's cloud comes out sorted by u.  The raw Laplacian total stays the
 whole grid's: the stencil sums to the flux through the grid's boundary.
+The family's cloud is the charts' clouds end to end: a few ascending
+runs.  wasserstein1_line merges them and the limit atoms in the stable
+tie order (earlier chart first, atoms last), so its sums add the same
+floats in the same order as after a stable sort of the whole cloud.
+The pairings evaluate each chart's run into one buffer, in the
+concatenated order.
 
 A chart is radial when every family entry is a single monomial
 c t^e xi^k (true on every chart of such a family, inverted or not, and of
@@ -88,6 +94,9 @@ from .tropical import lse_max_gap
 
 
 class ResolutionError(ValueError):
+    """The grids miss the family's mass: a finer grid, ``suggested_n``,
+    or (when None) the wider boxes that the message names, may capture it."""
+
     def __init__(self, message, suggested_n=None):
         super().__init__(message)
         self.suggested_n = suggested_n
@@ -872,12 +881,39 @@ def ma_complex_curve(
     expected = float(family.ma_mass())
     # written so that a NaN total fails it
     if not abs(total - expected) <= mass_tol:
-        raise ResolutionError(
-            f"captured mass {total:.6f} vs degree {expected} "
-            f"(deficit {expected - total:.2e}); kink circles unresolved",
-            suggested_n=2 * n,
-        )
+        captured = (f"captured mass {total:.6f} vs degree {expected} "
+                    f"(deficit {expected - total:.2e})")
+        # a box's raw total is the mass inside it; when the boxes miss mass
+        # that the charts' intervals own, only a larger L captures it
+        inside = sum(g.raw_total for g in grids)
+        cut = [c.name for c in family.charts if _weighted_past_box(c, logabs_t)]
+        if expected - inside > mass_tol and _cover(family.charts) and cut:
+            raise ResolutionError(
+                f"{captured}; the boxes hold {inside:.6f}, the rest lies past "
+                f"radius L: raise L on chart{'s' * (len(cut) > 1)} "
+                + ", ".join(map(repr, cut)))
+        raise ResolutionError(f"{captured}; kink circles unresolved",
+                              suggested_n=2 * n)
     return grids
+
+
+def _cover(charts: Sequence[Chart]) -> bool:
+    """Whether the charts' owned u-intervals cover the whole u-line."""
+    reach = -math.inf
+    for chart in sorted(charts, key=lambda c: c.u_lo):
+        if chart.u_lo > reach:
+            return False
+        reach = max(reach, chart.u_hi)
+    return reach == math.inf
+
+
+def _weighted_past_box(chart: Chart, logabs_t: float) -> bool:
+    """Whether the chart's partition weight is positive somewhere past
+    radius L, where its box cuts off the mass it owns."""
+    edge = _u(chart, math.log(chart.L), logabs_t)
+    if (logabs_t < 0) == chart.invert:  # u rises with the radius
+        return chart.u_hi + RAMP > edge
+    return chart.u_lo - RAMP < edge
 
 
 @dataclass
@@ -903,10 +939,18 @@ def pushforward_log_radius(grid: GridMeasure) -> LineCloud:
     grid holds its cells in ascending u, so the cloud comes out sorted by
     u.  Leakage accounting reports the weighted mass missing from the
     chart relative to its raw Laplacian total.
+
+    The floor test reads |m| > MASS_FLOOR * k for a stored mass m of
+    multiplicity k, which keeps the cells |m / k| > MASS_FLOOR does: k
+    is 1, 4 or 8, so MASS_FLOOR * k is exact, and so is m / k unless it
+    falls below 2^-1022.  Where both are exact, scaling by k keeps the
+    order; where m / k is not, |m| < k 2^-1022 < MASS_FLOOR * k and
+    |m / k| <= 2^-1022 < MASS_FLOOR, so both tests drop the cell.  A NaN
+    fails both tests, and an infinity passes both.
     """
     import numpy as np
 
-    kept = np.flatnonzero(np.abs(grid.per_cell_masses()) > MASS_FLOOR)
+    kept = np.flatnonzero(np.abs(grid.cell_masses) > MASS_FLOOR * grid.multiplicity)
     return LineCloud(grid.cell_u[kept], grid.cell_masses[kept],
                      grid.raw_total - grid.total_mass)
 
@@ -921,8 +965,71 @@ def combine_clouds(clouds: Sequence[LineCloud]) -> LineCloud:
     return LineCloud(u, m, sum(c.leakage for c in clouds))
 
 
+MERGED_RUNS = 8  # inputs of more ascending runs than this are argsorted
+
+
+def _stable_pieces(points, runs):
+    """The stable order of the points of ``runs``, as a list of pieces.
+
+    ``runs`` are (s, i, j), ascending slices points[s][i:j], listed in
+    input order.  Each piece is a list of such slices: one slice is a
+    stretch of the order as it stands; several are concatenated and
+    stable-argsorted.  Two runs interleave only where their ranges meet,
+    so the closed u-intervals where two ranges meet, joined where they
+    touch, are the only pieces of several slices; between them each run
+    holds one slice, and those slices are disjoint in u.
+    """
+    import numpy as np
+
+    ends = [(points[s][i], points[s][j - 1]) for s, i, j in runs]
+    meets = sorted((max(a[0], b[0]), min(a[1], b[1]))
+                   for k, a in enumerate(ends) for b in ends[k + 1:]
+                   if max(a[0], b[0]) <= min(a[1], b[1]))
+    blocks = []
+    for lo, hi in meets:
+        if blocks and lo <= blocks[-1][1]:
+            blocks[-1][1] = max(blocks[-1][1], hi)
+        else:
+            blocks.append([lo, hi])
+    at = [i for _s, i, _j in runs]  # each run's first point not yet placed
+
+    def advance(bound, side):
+        """Each run's slice of unplaced points below ``bound`` ("left"),
+        up to it ("right"), or all of them (None)."""
+        cut = []
+        for k, (s, i, j) in enumerate(runs):
+            stop = j if bound is None else i + int(
+                np.searchsorted(points[s][i:j], bound, side))
+            if stop > at[k]:
+                cut.append((s, at[k], stop))
+                at[k] = stop
+        return cut
+
+    pieces = []
+    for lo, hi in [*blocks, (None, None)]:
+        pieces += [[part] for part in sorted(advance(lo, "left"),
+                                             key=lambda p: points[p[0]][p[1]])]
+        if hi is not None:
+            pieces.append(advance(hi, "right"))
+    return pieces
+
+
 def wasserstein1_line(u1, m1, u2, m2) -> float:
-    """W1 between two finite measures on the line (normalized to unit mass)."""
+    """W1 between two finite measures on the line (normalized to unit mass).
+
+    The points u1 then u2 are put in stable order (by u; a tie keeps
+    input order), and W1 is the sum of |CDF gap| times the width to the
+    next point, in that order.  A cloud of per-chart clouds, each sorted
+    by u, is a few ascending runs of u1, found with one scan, and each
+    point of u2 (the limit atoms) is a run of its own: they are merged in
+    that same order
+    (_stable_pieces), with a stable argsort only where two runs' ranges
+    meet.  An input of more than MERGED_RUNS runs, such as a shuffled
+    cloud, is argsorted whole.  Either way the permutation is the stable
+    one, so the floats summed are the same.  The points and the mass
+    steps fill one buffer each, and the CDF, its absolute value and the
+    width products are taken in place.
+    """
     import numpy as np
 
     u1 = np.asarray(u1, dtype=float)
@@ -933,13 +1040,34 @@ def wasserstein1_line(u1, m1, u2, m2) -> float:
     if t1 <= 0 or t2 <= 0:
         raise ValueError("measures must have positive mass")
     scale = 0.5 * (t1 + t2)
-    pts = np.concatenate([u1, u2])
-    order = np.argsort(pts, kind="stable")
-    pts = pts[order]
-    deltas = np.concatenate([m1 / t1, -m2 / t2])[order]
-    cdf_gap = np.cumsum(deltas)[:-1]
-    widths = np.diff(pts)
-    return float(np.sum(np.abs(cdf_gap) * widths) * scale)
+    points, steps = (u1, u2), ((m1, t1), (-m2, t2))
+    cuts = (np.flatnonzero(u1[1:] < u1[:-1]) + 1).tolist()
+    runs = [(0, i, j) for i, j in zip([0, *cuts], [*cuts, u1.size])]
+    # one run per atom: a run's range spans its gaps, where the cloud's
+    # points would all join the argsort
+    runs += [(1, k, k + 1) for k in range(u2.size)]
+    pieces = _stable_pieces(points, runs) if len(runs) <= MERGED_RUNS else [runs]
+    pts = np.empty(u1.size + u2.size)
+    cdf = np.empty_like(pts)
+    at = 0
+    for piece in pieces:
+        if len(piece) == 1:
+            (s, i, j), = piece
+            pts[at:at + j - i] = points[s][i:j]
+            m, t = steps[s]
+            np.divide(m[i:j], t, out=cdf[at:at + j - i])
+            at += j - i
+            continue
+        u = np.concatenate([points[s][i:j] for s, i, j in piece])
+        d = np.concatenate([steps[s][0][i:j] / steps[s][1] for s, i, j in piece])
+        order = np.argsort(u, kind="stable")
+        np.take(u, order, out=pts[at:at + u.size])
+        np.take(d, order, out=cdf[at:at + u.size])
+        at += u.size
+    np.cumsum(cdf, out=cdf)
+    gap = np.abs(cdf[:-1], out=cdf[:-1])
+    gap *= np.subtract(pts[1:], pts[:-1], out=pts[:-1])  # the widths
+    return float(np.sum(gap) * scale)
 
 
 def atoms_to_arrays(measure: AtomicMeasure, r: Fraction):
@@ -1007,23 +1135,25 @@ def weak_convergence_experiment(
         grids = ma_complex_curve(family, complex(t_abs), grid_n, r,
                                  mass_tol=mass_tol)
         clouds = [pushforward_log_radius(g) for g in grids]
-        ends = np.cumsum([c.u.size for c in clouds])
+        ends = np.cumsum([0] + [c.u.size for c in clouds]).tolist()
         cloud = combine_clouds(clouds)
         # released here, or they would stay alive beside the next t's grids
         del grids, clouds
-        if not cloud.total() > 0:
+        total = cloud.total()
+        if not total > 0:
             raise EmptyMeasureError(
-                f"captured mass {cloud.total()!r} at |t| = {t_abs!r}, where W1 "
+                f"captured mass {total!r} at |t| = {t_abs!r}, where W1 "
                 "needs a positive mass; check the charts' u_lo, u_hi and L")
         w1 = wasserstein1_line(cloud.u, cloud.mass, u0, m0)
-        # eval_float_array takes sorted input: each chart's cloud is
-        charts = np.split(cloud.u, ends[:-1])
         errs = {}
+        values = np.empty_like(cloud.u)
         for name, f in test_functions.items():
-            values = np.concatenate([f.eval_float_array(u) for u in charts])
-            approx = float(np.sum(cloud.mass * values))
-            errs[name] = abs(approx - exact[name])
-        rows.append(ConvergenceRow(t_abs, w1, errs, cloud.total()))
+            # eval_float_array takes sorted input: each chart's cloud is
+            for a, b in zip(ends, ends[1:]):
+                f.eval_float_array(cloud.u[a:b], out=values[a:b])
+            values *= cloud.mass
+            errs[name] = abs(float(np.sum(values)) - exact[name])
+        rows.append(ConvergenceRow(t_abs, w1, errs, total))
     w1s = [row.w1 for row in rows]
     monotone = all(b <= a * (1 + 1e-9) for a, b in zip(w1s, w1s[1:]))
     failure = None if monotone else "W1 errors do not decrease along the schedule"

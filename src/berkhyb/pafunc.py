@@ -186,20 +186,24 @@ class PAFunction1D:
             np.array([p.offset.to_float(self.r) for p in self.pieces]),
         )
 
-    def eval_float_array(self, xs):
-        """Vectorized float evaluation of ``xs``, sorted ascending.
+    def eval_float_array(self, xs, out=None):
+        """Vectorized float evaluation of ``xs``, sorted ascending, into
+        ``out`` (a new array if None), which is returned.
 
         Piece k covers cuts[k-1] < x <= cuts[k]; one searchsorted of the
-        few cuts into ``xs`` gives each piece's slice of ``xs``.
+        few cuts into ``xs`` gives each piece's slice of ``xs``, whose
+        values are slope * x, then + offset, rounded once each.
         """
         import numpy as np
 
         cuts, slopes, offsets = self._float_tables
         xs = np.asarray(xs, dtype=float)
-        out = np.empty_like(xs)
+        if out is None:
+            out = np.empty_like(xs)
         ends = [0, *np.searchsorted(xs, cuts, side="right").tolist(), xs.size]
         for k, (a, b) in enumerate(zip(ends, ends[1:])):
-            out[a:b] = slopes[k] * xs[a:b] + offsets[k]
+            np.multiply(xs[a:b], slopes[k], out=out[a:b])
+            out[a:b] += offsets[k]
         return out
 
     def kinks(self) -> list[tuple[LogRVal, Fraction]]:

@@ -2,6 +2,7 @@ import errno
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -284,8 +285,12 @@ def _ma_converge_manifest(data_dir: Path, tmp_path: Path, key, value) -> Path:
     ("grid", "abc", "params.grid"),
     ("grid", 8, "params.grid"),
     ("grid", 17, "params.grid"),
+    # refused before any allocation: each would take gigabytes or more
+    ("grid", 5182, "params.grid"),
+    ("grid", 10_000_000, "params.grid"),
 ], ids=["no-t_schedule", "empty-t_schedule", "t-one", "t-ascending",
-        "t-repeated", "grid-abc", "grid-8", "grid-17"])
+        "t-repeated", "grid-abc", "grid-8", "grid-17", "grid-5182",
+        "grid-10000000"])
 def test_ma_converge_bad_params_exit_two(data_dir, tmp_path, capsys, key, value,
                                          where):
     man = _ma_converge_manifest(data_dir, tmp_path, key, value)
@@ -306,6 +311,26 @@ def test_ma_converge_unresolved_grid_fails_check(data_dir, tmp_path):
     assert set(failed) == {"grid-resolution-kink", "grid-resolution-isotrivial",
                            "grid-resolution-threesec"}
     assert all("suggested_n = 2048" in d for d in failed.values())
+
+
+def test_mass_past_the_boxes_advises_raising_l(data_dir, tmp_path):
+    # in lse mode the kink's mass spreads: ~1/(1 + L^2) of it lies past
+    # radius L of the adapted chart, which no finer grid captures
+    fam = json.loads((data_dir / "families" / "fam_kink.json").read_text())
+    fam["mode"] = "lse"
+    fam_path = tmp_path / "fam.json"
+    fam_path.write_text(json.dumps(fam))
+    man = _ma_converge_manifest(data_dir, tmp_path, "grid", 64)
+    src = json.loads(man.read_text())
+    src["inputs"] = {"families": [str(fam_path)]}
+    man.write_text(json.dumps(src))
+    assert main(["ma-converge", "--manifest", str(man), "--out",
+                 str(tmp_path / "out")]) == 1
+    details = _failed_checks(tmp_path)["grid-resolution-kink"]
+    assert re.fullmatch(
+        r"captured mass 0\.82\d+ vs degree 1\.0 \(deficit 1\.79e-01\); the boxes "
+        r"hold 0\.83\d+, the rest lies past radius L: raise L on charts "
+        r"'main', 'adapted'", details)
 
 
 @pytest.mark.parametrize("value", [-math.inf, math.nan], ids=["minus-inf", "nan"])
@@ -429,12 +454,17 @@ def _failed_checks(tmp_path) -> dict:
 def test_ma_converge_huge_t_power_or_constant_writes_a_report(
         data_dir, tmp_path, keys, value, captured):
     # a t-power or hybrid constant near the float range: its term's
-    # constant is infinite, or the kink circle is far off the grid
+    # constant is infinite, or the kink circle is far off the grid.  When
+    # no box holds any mass, the advice is to widen the boxes
     with np.errstate(invalid="ignore"):
         rc = _run_kink_with(data_dir, tmp_path, keys, value)
     assert rc == 1
-    assert _failed_checks(tmp_path) == {"grid-resolution-kink": (
-        f"captured mass {captured}; kink circles unresolved; suggested_n = 128")}
+    advice = ("the boxes hold 0.000000, the rest lies past radius L: "
+              "raise L on charts 'main', 'adapted'"
+              if captured.startswith("0.000000 ")
+              else "kink circles unresolved; suggested_n = 128")
+    assert _failed_checks(tmp_path) == {
+        "grid-resolution-kink": f"captured mass {captured}; {advice}"}
 
 
 def test_chart_side_at_its_bound_runs(data_dir, tmp_path):

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from berkhyb import mongeampere
 from berkhyb.exactnum import LogRVal
@@ -16,7 +18,10 @@ from berkhyb.mongeampere import (
     Chart,
     CurveFamily,
     FamilyEntry,
+    GridMeasure,
+    MERGED_RUNS,
     ResolutionError,
+    atoms_to_arrays,
     cln_stability_check,
     combine_clouds,
     family_limit_measure,
@@ -365,6 +370,112 @@ def test_wasserstein_exact_cases():
     assert wasserstein1_line([0.0], [2.0], [1.0], [2.0]) == pytest.approx(2.0)
 
 
+def _argsort_w1(u1, m1, u2, m2):
+    """W1 from a stable argsort of every point, with fresh arrays for each
+    step: the reference wasserstein1_line's merge must match bit for bit."""
+    u1, m1, u2, m2 = (np.asarray(a, dtype=float) for a in (u1, m1, u2, m2))
+    t1, t2 = m1.sum(), m2.sum()
+    pts = np.concatenate([u1, u2])
+    order = np.argsort(pts, kind="stable")
+    deltas = np.concatenate([m1 / t1, -m2 / t2])[order]
+    gap = np.abs(np.cumsum(deltas)[:-1])
+    return float(np.sum(gap * np.diff(pts[order])) * (0.5 * (t1 + t2)))
+
+
+# few distinct values, so that points of two runs, and atoms, tie often
+_U = st.one_of(st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.5, 1.0]),
+               st.floats(-3.0, 3.0))
+_MASS = st.floats(0.001, 2.0)
+_RUN = st.lists(st.tuples(_U, _MASS), max_size=8).map(sorted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(runs=st.lists(_RUN, min_size=1, max_size=MERGED_RUNS + 3),
+       atoms=st.lists(st.tuples(_U, _MASS), min_size=1, max_size=3),
+       shuffle=st.booleans())
+# equal u across two runs
+@example(runs=[[(0.0, 1.0), (0.5, 1.0), (1.0, 1.0)], [(0.5, 2.0), (0.5, 3.0), (2.0, 1.0)]],
+         atoms=[(1.0, 1.0)], shuffle=False)
+# an atom on a cloud point; two atoms on each other
+@example(runs=[[(-0.5, 1.0), (0.0, 1.0), (0.5, 1.0)]],
+         atoms=[(0.0, 1.0), (0.5, 0.5), (0.5, 0.25)], shuffle=False)
+# an empty chart between two others
+@example(runs=[[(-1.0, 1.0), (0.0, 1.0)], [], [(-0.5, 1.0), (1.0, 1.0)]],
+         atoms=[(-0.5, 1.0)], shuffle=False)
+# a second run wholly below the first, and one touching it
+@example(runs=[[(1.0, 1.0), (2.0, 1.0)], [(-2.0, 1.0), (-1.0, 1.0)]],
+         atoms=[(-0.5, 1.0), (0.0, 1.0)], shuffle=False)
+@example(runs=[[(1.0, 1.0), (2.0, 1.0)], [(-2.0, 1.0), (1.0, 1.0)]],
+         atoms=[(1.0, 1.0)], shuffle=False)
+# one-point runs
+@example(runs=[[(1.0, 1.0)], [(0.0, 1.0)], [(0.5, 1.0)], [(0.0, 2.0)]],
+         atoms=[(0.5, 1.0)], shuffle=False)
+def test_merged_w1_matches_the_argsort_bit_for_bit(runs, atoms, shuffle):
+    u = np.array([p for run in runs for p, _ in run])
+    m = np.array([w for run in runs for _, w in run])
+    assume(u.size)
+    if shuffle:
+        perm = np.random.default_rng(u.size).permutation(u.size)
+        u, m = u[perm], m[perm]
+    u0, m0 = np.array(atoms).T
+    assert wasserstein1_line(u, m, u0, m0) == _argsort_w1(u, m, u0, m0)
+
+
+@pytest.mark.parametrize("k", [4.0, 8.0])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_floor_test_without_division_keeps_the_same_cells(k, sign):
+    at = MASS_FLOOR * k
+    masses = sign * np.array([np.nextafter(at, 0.0), at, np.nextafter(at, np.inf),
+                              k * 2.0**-1023, 0.0, np.inf, np.nan])
+    mult = np.full(masses.size, k)
+    grid = GridMeasure(Chart(), 16, masses, np.arange(float(masses.size)),
+                       0.0, 0.0, mult)
+    with np.errstate(invalid="ignore"):
+        divided = np.flatnonzero(np.abs(masses / mult) > MASS_FLOOR)
+    assert divided.tolist() == [2, 5]
+    assert pushforward_log_radius(grid).u.tolist() == [2.0, 5.0]
+
+
+def _argsort_cloud_stage(family, t_schedule, tests, n, r):
+    """The cloud stage by its reference steps: the floor test by division,
+    the argsort W1, and pairings over the concatenated chart values."""
+    mu0 = family_limit_measure(family, r)
+    u0, m0 = atoms_to_arrays(mu0, r)
+    rows = []
+    for t in t_schedule:
+        grids = ma_complex_curve(family, complex(t), n, r, mass_tol=math.inf)
+        kept = [np.flatnonzero(np.abs(g.cell_masses / g.multiplicity) > MASS_FLOOR)
+                for g in grids]
+        charts = [g.cell_u[k] for g, k in zip(grids, kept)]
+        u = np.concatenate(charts)
+        m = np.concatenate([g.cell_masses[k] for g, k in zip(grids, kept)])
+        errs = {}
+        for name, f in tests.items():
+            cuts, slopes, offsets = f._float_tables
+            values = np.concatenate([
+                slopes[i] * x + offsets[i]
+                for x in charts for i in [np.searchsorted(cuts, x, side="left")]])
+            errs[name] = abs(float(np.sum(m * values))
+                             - mu0.pair_with(f).to_float(r))
+        rows.append((t, _argsort_w1(u, m, u0, m0), errs, float(m.sum())))
+    return rows
+
+
+@pytest.mark.parametrize("name", ["fam_kink", "fam_isotrivial", "fam_threesec"])
+def test_cloud_stage_matches_the_argsort_stage_bit_for_bit(data_dir, r, name):
+    man = json.loads((data_dir / "manifests" / "ma_converge.json").read_text())
+    tests = {f["name"]: PAFunction1D.from_breakpoints(
+        [Fraction(x) for x in f["xs"]], [Fraction(y) for y in f["ys"]], r)
+        for f in man["params"]["test_functions"]}
+    fam = load_family(data_dir / "families" / f"{name}.json")
+    schedule = [1e-2, 1e-3, 1e-4]
+    report = weak_convergence_experiment(fam, schedule, tests, 128, r,
+                                         mass_tol=math.inf)
+    got = [(row.t_abs, row.w1, row.test_errors, row.captured_mass)
+           for row in report.rows]
+    assert got == _argsort_cloud_stage(fam, schedule, tests, 128, r)
+
+
 # ---------------------------------------------------------------------------
 # stability experiment pieces
 # ---------------------------------------------------------------------------
@@ -577,6 +688,9 @@ def test_wasserstein_independent_of_cloud_order(data_dir, r):
     w_sorted = wasserstein1_line(cloud.u, cloud.mass, u0, m0)
     w_shuffled = wasserstein1_line(cloud.u[perm], cloud.mass[perm], u0, m0)
     assert abs(w_sorted - w_shuffled) <= 1e-12
+    # two merged runs, and the argsort of a shuffle, give the stable sort's bits
+    assert w_sorted == _argsort_w1(cloud.u, cloud.mass, u0, m0)
+    assert w_shuffled == _argsort_w1(cloud.u[perm], cloud.mass[perm], u0, m0)
 
 
 @pytest.mark.parametrize("chart", [

@@ -84,6 +84,20 @@ def test_eval_float_array_matches_searchsorted(xs):
     assert [np.signbit(v) for v in got] == [np.signbit(v) for v in want]
 
 
+def test_eval_float_array_fills_a_slice_of_out():
+    f = PAFunction1D.from_breakpoints(
+        [Fraction(-2), Fraction(-1), Fraction(0)],
+        [Fraction(1, 3), Fraction(7, 5), Fraction(-2, 7)], R,
+        left_slope=Fraction(1, 7), right_slope=Fraction(-3, 11))
+    xs = np.sort(np.random.default_rng(4).uniform(-3.0, 1.0, 300))
+    out = np.full(xs.size + 7, 5.0)
+    got = f.eval_float_array(xs, out=out[3:3 + xs.size])
+    assert np.shares_memory(got, out)
+    # slope * x, then + offset: the bits of the expression form
+    assert np.array_equal(out[3:3 + xs.size], _searchsorted_reference(f, xs))
+    assert np.array_equal(out[:3], [5.0] * 3) and np.array_equal(out[-4:], [5.0] * 4)
+
+
 def test_eval_float_array_one_piece():
     f = PAFunction1D([line(Fraction(2, 3), Fraction(1, 3))], [], R)
     xs = np.array([-1.5, -0.0, 0.0, 0.1, 2.0])
