@@ -298,8 +298,20 @@ def _randint(rng: random.Random, lo: int, hi: int) -> int:
 
 
 def _randints(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
-    """``[rng.randint(lo, hi) for _ in range(count)]``, drawn as _randint."""
-    return [_randint(rng, lo, hi) for _ in range(count)]
+    """``[rng.randint(lo, hi) for _ in range(count)]``: _randint's draws,
+    with its loop inline."""
+    n = hi - lo + 1
+    if n <= 0:
+        raise ValueError(f"empty range for randint({lo}, {hi})")
+    k = n.bit_length()
+    draw = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = draw(k)
+        while r >= n:
+            r = draw(k)
+        out.append(lo + r)
+    return out
 
 
 def _random_point(model, rng: random.Random):
@@ -338,6 +350,23 @@ def _random_laurent(model, rng: random.Random, max_vars: int, max_terms: int,
         vars_, _unit_terms(_randints(rng, lo, hi, n_terms * nv), nv))
 
 
+# The lse sweep draws each (N, m) block in chunks of this many rows, so its
+# memory does not grow with n_samples (default_rng fills C order, so the
+# chunks hold the doubles one draw of the block would).  Its time still
+# does, ~0.07 us a sample at max_n 8 (one Xeon core): the bound keeps a
+# sweep near a minute, where 10^15 samples would run for two years.
+_LSE_CHUNK = 1 << 14
+_LSE_SAMPLES_MAX = 10**9
+
+
+def _lse_gaps(nprng, count: int, nn: int, mm: int):
+    """lse_max_gap of ``count`` rows of nn uniform draws in [-10, 10), one
+    array per chunk of at most _LSE_CHUNK rows."""
+    for start in range(0, count, _LSE_CHUNK):
+        rows = min(_LSE_CHUNK, count - start)
+        yield lse_max_gap(nprng.uniform(-10.0, 10.0, size=(rows, nn)), mm)
+
+
 def run_val_eval(man: ExperimentManifest, rep: RunReport):
     model = _random_model()
     n = man.param("n_random", 1000, _COUNT)
@@ -348,7 +377,7 @@ def run_val_eval(man: ExperimentManifest, rep: RunReport):
     n_superadd = man.param("n_superadd", 200, _COUNT)
     n_gauss = man.param("n_gauss", 50, _COUNT)
     lse = man.param("lse", None, _block(
-        n_samples=(100000, _POSITIVE), max_n=(8, _POSITIVE),
+        n_samples=(100000, _int(f"[1, {_LSE_SAMPLES_MAX}]")), max_n=(8, _POSITIVE),
         m_choices=([1, 2, 3], _each(_POSITIVE, 1))))
     rng = random.Random(man.seed)
     mismatch = 0
@@ -437,9 +466,9 @@ def run_val_eval(man: ExperimentManifest, rep: RunReport):
         checked = 0
         for idx, (nn, mm) in enumerate(combos):
             count = per if idx < len(combos) - 1 else total - per * (len(combos) - 1)
-            gaps = lse_max_gap(nprng.uniform(-10.0, 10.0, size=(count, nn)), mm)
             bound = math.log(nn) / (2 * mm)
-            violations += int(np.sum((gaps < 0) | (gaps > bound + 1e-12)))
+            for gaps in _lse_gaps(nprng, count, nn, mm):
+                violations += int(np.sum((gaps < 0) | (gaps > bound + 1e-12)))
             checked += count
         rep.check(
             "lse-max-envelope", violations == 0,

@@ -737,19 +737,19 @@ def _potential_on_grid(family: CurveFamily, t: complex, chart: Chart,
     of log|xi|, on which it is evaluated element by element."""
     import numpy as np
 
+    lse = family.mode == "lse"
     phi = None
-    terms = []
+    terms = []  # lse mode keeps them for the gap
     for e in family.entries:
         term = _entry_term(e, family.degree, t, chart, geom, log_r, log_abs)
-        if family.mode == "lse":
+        if lse:
             terms.append(term)
-        elif phi is None:
-            phi = term
+        if phi is None:
+            phi = term.copy() if lse else term
         else:
             np.maximum(phi, term, out=phi)
-    if family.mode == "lse":
-        stack = np.stack(terms, axis=-1)
-        phi = np.max(stack, axis=-1) + lse_max_gap(stack, family.m)
+    if lse:
+        phi += lse_max_gap(np.stack(terms, axis=-1), family.m)
     phi /= family.m
     return phi
 
@@ -960,9 +960,15 @@ def combine_clouds(clouds: Sequence[LineCloud]) -> LineCloud:
 
     if not clouds:
         return LineCloud(np.zeros(0), np.zeros(0))
+    leakage = sum(c.leakage for c in clouds)
+    full = [c for c in clouds if c.u.size]
+    if len(full) == 1:
+        # the one chart that kept points: its arrays as they are, since
+        # neither W1 nor the pairings write into a cloud
+        return LineCloud(full[0].u, full[0].mass, leakage)
     u = np.concatenate([c.u for c in clouds])
     m = np.concatenate([c.mass for c in clouds])
-    return LineCloud(u, m, sum(c.leakage for c in clouds))
+    return LineCloud(u, m, leakage)
 
 
 MERGED_RUNS = 8  # inputs of more ascending runs than this are argsorted
@@ -1219,24 +1225,28 @@ def cln_stability_check(
     """
     import numpy as np
 
+    if not deltas:
+        raise ValueError("need at least one delta")
     idx = len(family.entries) - 1
     base = _profiled(family, r)  # the unperturbed profile, built once
+    first = None  # the profile at deltas[0], kept for the antisymmetry check
     ds, diffs = [], []
     for d in deltas:
         pert = _profiled(family.with_constant_shift(idx, d), r)
+        if first is None:
+            first = pert
         val = _pairing_difference(base, pert)
         ds.append(abs(float(as_fraction(d))))
         diffs.append(abs(val.to_float(r)))
     ds_arr, diff_arr = np.array(ds), np.array(diffs)
     denom = float(np.dot(ds_arr, ds_arr))
     fitted = float(np.dot(ds_arr, diff_arr) / denom) if denom > 0 else 0.0
-    scale = float(np.max(diff_arr)) if diff_arr.size else 0.0
+    scale = float(np.max(diff_arr))
     residual = (
         float(np.max(np.abs(diff_arr - fitted * ds_arr))) / scale if scale > 0 else 0.0
     )
-    pert = _profiled(family.with_constant_shift(idx, deltas[0]), r)
-    x12 = _cross_pairing(base, pert)
-    x21 = _cross_pairing(pert, base)
+    x12 = _cross_pairing(base, first)
+    x21 = _cross_pairing(first, base)
     antisym = x12 == (-1) * x21
     failure = None
     if residual > residual_tol:

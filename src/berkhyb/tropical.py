@@ -195,6 +195,13 @@ def lse_max_gap(values, m: int) -> float | np.ndarray:
         raise ValueError("need a non-empty vector")
     if m <= 0:
         raise ValueError("m must be positive")
-    top = np.max(x, axis=-1, keepdims=True)
-    gap = np.log(np.sum(np.exp(2 * m * (x - top)), axis=-1)) / (2 * m)
+    # a running max over the few entries of each row: a max is exact, so
+    # it equals np.max, which pays a reduction call per row
+    top = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(top, x[..., j], out=top)
+    z = np.subtract(x, top[..., None])
+    z *= 2 * m
+    np.exp(z, out=z)
+    gap = np.log(np.sum(z, axis=-1)) / (2 * m)
     return float(gap) if x.ndim == 1 else gap

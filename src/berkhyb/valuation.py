@@ -10,7 +10,7 @@ term list and evaluates to +infinity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add, mul
@@ -142,8 +142,11 @@ class LaurentSeriesData:
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
                 exp = tuple(map(add, e1, e2))
-                c = _UNIT if c1 is _UNIT or c2 is _UNIT else c1.mul(c2)
-                acc[exp] = acc[exp].add(c) if exp in acc else c
+                if c1 is _UNIT or c2 is _UNIT:
+                    acc[exp] = _UNIT  # a unit tag plus any tag is the unit tag
+                else:
+                    c, c0 = c1.mul(c2), acc.get(exp)
+                    acc[exp] = c if c0 is None else c0.add(c)
         return LaurentSeriesData._canonical(self.variables, acc)
 
     def __repr__(self):
@@ -290,26 +293,24 @@ def brute_force_min(point: QuasiMonomialPoint, f: LaurentSeriesData,
 
     Kept deliberately separate from qm_eval's code path (no shared term
     iteration) so the two can cross-check each other.  Values are integers
-    over its own common denominator, that of all the point's weights.
+    over its own common denominator, that of all the point's weights: each
+    label's component and weight are looked up once, scaled to it.
     """
     if f.is_zero():
         return INF
     ident = dict(identification) if identification is not None else {}
     den = lcm(*(w.denominator for w in point.weights))
+    scaled = []
+    for label in f.variables:
+        comp = (ident[label] if label in ident
+                else point.model.component_index_by_equation(label))
+        w = _ZERO if comp is None else point.weight_of(comp)
+        scaled.append(w.numerator * (den // w.denominator))
     values = []
     for exp, _c in f.terms:
         total = 0
-        for label, e in zip(f.variables, exp):
-            if e == 0:
-                continue
-            if label in ident:
-                comp = ident[label]
-            else:
-                comp = point.model.component_index_by_equation(label)
-                if comp is None:
-                    continue
-            w = point.weight_of(comp)
-            total += w.numerator * (den // w.denominator) * e
+        for s, e in zip(scaled, exp):
+            total += s * e
         values.append(total)
     return Fraction(min(values), den)
 
@@ -345,7 +346,16 @@ class SuperadditivityReport:
     product_ok: bool
     product_equality: bool
     sum_ok: bool
-    details: dict = field(default_factory=dict)
+    # <nums, beta> minima of f, g, fg and f + g (None for zero) over den
+    minima: tuple
+    den: int
+
+    @property
+    def details(self) -> dict:
+        """The four values, built when read."""
+        vf, vg, vfg, vs = (INF if m is None else Fraction(m, self.den)
+                           for m in self.minima)
+        return {"v(f)": vf, "v(g)": vg, "v(fg)": vfg, "v(f+g)": vs}
 
 
 def valuation_superadditivity_check(
@@ -380,11 +390,5 @@ def valuation_superadditivity_check(
     else:
         lower = min(m for m in (mf, mg) if m is not None)
         sum_ok = ms is None or ms >= lower
-    vf, vg, vfg, vs = (INF if m is None else Fraction(m, den)
-                       for m in (mf, mg, mfg, ms))
-    return SuperadditivityReport(
-        product_ok=product_ok,
-        product_equality=product_equality,
-        sum_ok=sum_ok,
-        details={"v(f)": vf, "v(g)": vg, "v(fg)": vfg, "v(f+g)": vs},
-    )
+    return SuperadditivityReport(product_ok, product_equality, sum_ok,
+                                 (mf, mg, mfg, ms), den)

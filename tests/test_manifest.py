@@ -110,6 +110,19 @@ def test_bad_value_exits_two_naming_the_key(data_dir, tmp_path, kind, path, valu
     assert not written
 
 
+@pytest.mark.parametrize("n_samples", [harness._LSE_SAMPLES_MAX + 1, 10**15])
+def test_oversized_lse_sweep_exits_two(data_dir, tmp_path, monkeypatch,
+                                       n_samples):
+    # refused while the params are read: no sample is drawn
+    monkeypatch.setattr(harness, "_lse_gaps", None)
+    man = mutate(bundled(data_dir, "val-eval"), ("params", "lse", "n_samples"),
+                 n_samples)
+    rc, err, written = run_cli("val-eval", man, tmp_path)
+    assert rc == 2
+    assert "params.lse.n_samples: " in err
+    assert not written
+
+
 @pytest.mark.parametrize("kind", ["val-eval", "mz-check"])
 def test_negative_seed_override_exits_two(data_dir, tmp_path, kind):
     rc, err, written = run_cli(kind, bundled(data_dir, kind), tmp_path,

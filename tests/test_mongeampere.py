@@ -352,6 +352,20 @@ def test_pushforward_dirac_locations(kink_family, r):
     assert spread < 5e-3
 
 
+def test_combine_clouds_keeps_a_lone_cloud(r):
+    u, m = np.array([-1.0, -0.5]), np.array([0.25, 0.75])
+    empty = mongeampere.LineCloud(np.zeros(0), np.zeros(0), 0.125)
+    lone = combine_clouds([empty, mongeampere.LineCloud(u, m, 0.5), empty])
+    # the arrays as they are, and the leakage of every chart
+    assert lone.u is u and lone.mass is m
+    assert lone.leakage == 0.75
+    both = combine_clouds([mongeampere.LineCloud(u, m), empty,
+                           mongeampere.LineCloud(u + 1.0, m)])
+    assert both.u.tolist() == [-1.0, -0.5, 0.0, 0.5]
+    assert both.mass.tolist() == [0.25, 0.75, 0.25, 0.75]
+    assert combine_clouds([empty, empty]).u.size == 0
+
+
 def test_pushforward_two_circles_additive(data_dir, r):
     fam = load_family(data_dir / "families" / "fam_threesec.json")
     grids = ma_complex_curve(fam, complex(1e-3), 512, r)
@@ -496,6 +510,22 @@ def test_cln_linearity(kink_family, r):
     assert rep.antisymmetry_exact
 
 
+def test_cln_check_profiles_each_family_once(kink_family, r, monkeypatch):
+    calls = []
+
+    def counted(family, rr):
+        calls.append(family)
+        return _profiled(family, rr)
+
+    monkeypatch.setattr(mongeampere, "_profiled", counted)
+    deltas = [Fraction(1, 10 ** k) for k in range(1, 5)]
+    rep = cln_stability_check(kink_family, deltas, r)
+    assert len(calls) == 1 + len(deltas)
+    assert rep.antisymmetry_exact
+    with pytest.raises(ValueError, match="at least one delta"):
+        cln_stability_check(kink_family, [], r)
+
+
 @pytest.mark.parametrize("name, delta, difference, cross", [
     ("fam_threesec", Fraction(1, 7), LogRVal(invlogr=Fraction(1, 28)),
      LogRVal(invlogr=Fraction(1, 14))),
@@ -585,6 +615,33 @@ def test_monomial_path_matches_complex_path(data_dir, r, name):
     assert all(len(e.coeffs) == 1 for e in fam.entries)
     _paths_agree(fam, r, 1e-13)
     _paths_agree(dataclasses.replace(fam, mode="lse"), r, 1e-13)
+
+
+def _stacked_potential(family, t, chart, geom, log_r, log_abs):
+    """The potential with the terms stacked and reduced by np.max."""
+    terms = [mongeampere._entry_term(e, family.degree, t, chart, geom, log_r,
+                                     log_abs) for e in family.entries]
+    stack = np.stack(terms, axis=-1)
+    top = np.max(stack, axis=-1)
+    gap = np.log(np.sum(np.exp(2 * family.m * (stack - top[..., None])),
+                        axis=-1)) / (2 * family.m)
+    return (top + gap) / family.m
+
+
+@pytest.mark.parametrize("name", BUNDLED_CURVES[:3])
+def test_lse_potential_matches_the_stacked_max(data_dir, r, name):
+    # the running max plus the gap gives the bits of the stacked np.max
+    fam = dataclasses.replace(
+        load_family(data_dir / "families" / f"{name}.json"), mode="lse")
+    geom = _geometry(2.0, 128)
+    log_r = math.log(float(r))
+    inverted = Chart(p=Fraction(0), invert=True, name="inf")
+    for t in (complex(1e-2), complex(1e-4)):
+        for chart in fam.charts + (inverted,):
+            for log_abs in (geom.full.halo_log_abs, np.linspace(-3.0, 3.0, 97)):
+                got = _potential_on_grid(fam, t, chart, geom, log_r, log_abs)
+                want = _stacked_potential(fam, t, chart, geom, log_r, log_abs)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_mixed_entries_match_complex_path(r):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from berkhyb.exactnum import LogRVal
-from berkhyb.harness import load_tfs_file
+from berkhyb.harness import _LSE_CHUNK, _lse_gaps, load_tfs_file
 from berkhyb.tropical import (
     BasepointError,
     RegularityError,
@@ -262,3 +263,58 @@ def test_lse_gap_is_zero_past_its_bound(n, m):
     rows[:, n // 2] = tops
     gaps = np.hstack([lse_max_gap(rows, m), *(lse_max_gap(row, m) for row in rows)])
     assert not gaps.view(np.uint64).any()
+
+
+def _np_max_gap(values, m):
+    """The gap through np.max over the last axis, as a reduction."""
+    x = np.asarray(values, dtype=float)
+    top = np.max(x, axis=-1, keepdims=True)
+    gap = np.log(np.sum(np.exp(2 * m * (x - top)), axis=-1)) / (2 * m)
+    return float(gap) if x.ndim == 1 else gap
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a, dtype=float).view(np.uint64),
+                          np.asarray(b, dtype=float).view(np.uint64))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7])
+def test_lse_gap_running_max_matches_np_max_bit_for_bit(m):
+    rng = np.random.default_rng(11)
+    special = [0.0, -0.0, 1.5, -math.inf, math.inf, math.nan]
+    cases = [rng.uniform(-10.0, 10.0, size=shape)
+             for shape in [(1,), (5,), (40, 1), (40, 8), (6, 7, 3), (2, 3, 4, 5)]]
+    # ties, signed zeros, infinities and NaNs in every position of a row
+    cases.append(np.array([list(row) for row in
+                           itertools.product(special, repeat=3)]))
+    cases.append(np.array([[2.0, 2.0, 2.0], [-0.0, 0.0, -0.0], [0.0, -0.0, 0.0]]))
+    cases.append(np.array(special).reshape(2, 1, 3))
+    cases += [np.array(row) for row in itertools.product(special, repeat=2)]
+    with np.errstate(invalid="ignore"):
+        for x in cases:
+            got, want = lse_max_gap(x, m), _np_max_gap(x, m)
+            assert type(got) is type(want)
+            assert _same_bits(got, want), x
+
+
+def test_lse_gap_leaves_its_input_alone():
+    xs = np.random.default_rng(2).uniform(-1.0, 1.0, size=(9, 4))
+    before = xs.copy()
+    lse_max_gap(xs, 2)
+    assert np.array_equal(xs, before)
+
+
+@pytest.mark.parametrize("nn,mm", [(1, 1), (3, 2), (8, 3), (13, 1)])
+def test_lse_sweep_chunks_draw_as_one_block(nn, mm):
+    # a block of several chunks, the last one partial, then a block that
+    # fits in one: the gaps, and the generator after them, are the same
+    count = 2 * _LSE_CHUNK + 123
+    chunked, whole = np.random.default_rng(5), np.random.default_rng(5)
+    parts = list(_lse_gaps(chunked, count, nn, mm))
+    assert [p.size for p in parts] == [_LSE_CHUNK, _LSE_CHUNK, 123]
+    want = lse_max_gap(whole.uniform(-10.0, 10.0, size=(count, nn)), mm)
+    assert _same_bits(np.concatenate(parts), want)
+    (small,) = _lse_gaps(chunked, 7, nn, mm)
+    assert _same_bits(small, lse_max_gap(whole.uniform(-10.0, 10.0, size=(7, nn)), mm))
+    assert list(_lse_gaps(chunked, 0, nn, mm)) == []
+    assert chunked.bit_generator.state == whole.bit_generator.state

@@ -253,6 +253,29 @@ def test_formal_algebra_edge_cases():
     assert [e for e, _ in sq.terms] == [(0, 2), (1, 1), (2, 0)]
 
 
+@given(
+    e1=st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+                max_size=6, unique=True),
+    e2=st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+                max_size=6, unique=True),
+    num=st.integers(0, 10),
+)
+@settings(max_examples=200, deadline=None)
+def test_superadditivity_details_are_the_four_values(e1, e2, num):
+    # the details, built when read, are the values qm_eval gives
+    segment = make_segment()
+    w1 = Fraction(num, 10)
+    v = segment.point((0, 1), (w1, 1 - w1))
+    f = LaurentSeriesData(["w1", "w2"], unit_terms(e1))
+    g = LaurentSeriesData(["w1", "w2"], unit_terms(e2))
+    details = valuation_superadditivity_check(v, f, g).details
+    assert details == {
+        "v(f)": qm_eval(v, f), "v(g)": qm_eval(v, g),
+        "v(fg)": qm_eval(v, f.formal_product(g)),
+        "v(f+g)": qm_eval(v, f.formal_sum(g))}
+    assert all(x == INF or type(x) is Fraction for x in details.values())
+
+
 def test_superadditivity_rejects_mismatched_variables(segment):
     v = divisorial_point(segment, 0)
     f = LaurentSeriesData(["w1", "w2"], unit_terms([(1, 0)]))
@@ -286,9 +309,10 @@ def test_random_point_matches_fraction_formula():
     assert got_rng.getstate() == ref_rng.getstate()
 
 
-# n = 1, a power of two, 2^k + 1, a negative lo, and ranges wider than 2^40
+# n = 1, a power of two, 2^k + 1, a negative lo, ranges wider than 2^40,
+# and the val-eval draws that reject some of their k bits
 RANDINT_RANGES = [(5, 5), (0, 7), (-3, 12), (0, 16), (-10, 10),
-                  (-2**41, 2**41 + 5), (0, 2**64)]
+                  (-2**41, 2**41 + 5), (0, 2**64), (0, 6), (1, 5)]
 
 
 @pytest.mark.parametrize("lo,hi", RANDINT_RANGES)
