@@ -27,8 +27,8 @@ import math
 import operator
 from decimal import Context
 from fractions import Fraction
-from functools import cache
-from typing import Iterable, Union
+from functools import cache, cmp_to_key
+from typing import Iterable, Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -90,6 +90,13 @@ def _float_log(q: Rat) -> float:
     return float(ctx.ln(ctx.divide(q.numerator, q.denominator)))
 
 
+def _lattice(qs: Sequence[Rat]) -> tuple[list[int], int]:
+    """Integer numerators of the rationals (or ints) ``qs`` over their
+    common denominator den, and den: nums[i] / den == qs[i]."""
+    den = math.lcm(*[q.denominator for q in qs])
+    return [q.numerator * (den // q.denominator) for q in qs], den
+
+
 def as_fraction(x: Rat) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -127,14 +134,6 @@ class LogRVal:
         if isinstance(x, LogRVal):
             return x
         return cls._canonical(as_fraction(x), _ZERO, _ZERO)
-
-    @classmethod
-    def logr(cls, coeff: Rat = 1) -> "LogRVal":
-        return cls(logr=coeff)
-
-    @classmethod
-    def invlogr(cls, coeff: Rat = 1) -> "LogRVal":
-        return cls(invlogr=coeff)
 
     # -- ring-ish operations ------------------------------------------
     def __add__(self, other) -> "LogRVal":
@@ -214,9 +213,7 @@ class LogRVal:
         """
         if self.b == 0 and self.c == 0:
             return (self.a > 0) - (self.a < 0)
-        abc = self.a, self.b, self.c
-        d = math.lcm(*[q.denominator for q in abc])
-        A, B, C = [q.numerator * (d // q.denominator) for q in abc]
+        (A, B, C), _ = _lattice((self.a, self.b, self.c))
         num, den = r.numerator, r.denominator
 
         def enclose(k):
@@ -248,26 +245,14 @@ class LogRVal:
         return " + ".join(parts) if parts else "0"
 
 
+# max and min compare each value with the best so far by > and < of the
+# key, so they make one certified cmp per value and keep the first of ties
 def logr_max(values: Iterable[LogRVal], r: Fraction) -> LogRVal:
-    vals = list(values)
-    if not vals:
-        raise ValueError("max of empty collection")
-    best = vals[0]
-    for v in vals[1:]:
-        if v.cmp(best, r) > 0:
-            best = v
-    return best
+    return max(values, key=cmp_to_key(lambda u, v: u.cmp(v, r)))
 
 
 def logr_min(values: Iterable[LogRVal], r: Fraction) -> LogRVal:
-    vals = list(values)
-    if not vals:
-        raise ValueError("min of empty collection")
-    best = vals[0]
-    for v in vals[1:]:
-        if v.cmp(best, r) < 0:
-            best = v
-    return best
+    return min(values, key=cmp_to_key(lambda u, v: u.cmp(v, r)))
 
 
 class PrimeLogVal:
@@ -399,33 +384,18 @@ def primelog_sign(const: Rat, logs: dict) -> int:
         return 1
     if const.numerator <= 0 and all(q.numerator < 0 for q in qs):
         return -1
-    d = math.lcm(const.denominator, *[q.denominator for q in qs])
-    C = const.numerator * (d // const.denominator)
-    terms = [(p, q.numerator * (d // q.denominator)) for p, q in logs.items()]
+    (C, *nums), _ = _lattice((const, *qs))
+    terms = list(zip(logs, nums))
     err = sum([abs(n) for _, n in terms])
     return _certified_sign(lambda k: (
         C * 10 ** k + sum([n * _fixed_log(p, k) for p, n in terms]), err))
 
 
 def primelog_max(values: Iterable[PrimeLogVal]) -> PrimeLogVal:
-    vals = list(values)
-    if not vals:
-        raise ValueError("max of empty collection")
-    best = vals[0]
-    for v in vals[1:]:
-        if v.cmp(best) > 0:
-            best = v
-    return best
+    return max(values, key=cmp_to_key(PrimeLogVal.cmp))
 
 
 def rat_to_str(q: Fraction) -> str:
     q = as_fraction(q)
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 
-
-def rat_from_str(s) -> Fraction:
-    if isinstance(s, int):
-        return Fraction(s)
-    if isinstance(s, str):
-        return Fraction(s)
-    raise TypeError(f"cannot parse rational from {type(s).__name__}")

@@ -18,7 +18,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .exactnum import LogRVal, rat_from_str
+from .exactnum import LogRVal
 from .manifest import (
     REQUIRED,
     _COUNT,
@@ -376,9 +376,15 @@ def run_val_eval(man: ExperimentManifest, rep: RunReport):
              man.param("exp_hi", 10, _int(f"[{exp_lo}, inf)")))
     n_superadd = man.param("n_superadd", 200, _COUNT)
     n_gauss = man.param("n_gauss", 50, _COUNT)
+    # The sweep lists its max_n x len(m_choices) (N, m) pairs up front and a
+    # chunk holds _LSE_CHUNK x N doubles, which lse_max_gap copies once:
+    # 8 MiB at N = 64, where a sample takes ~0.4 us (~7 min for 10^9
+    # samples).  2m scales differences of draws (< 20) and divides log N, so
+    # m <= 10^300 keeps both finite; past ~10^308, 2m is no double at all.
     lse = man.param("lse", None, _block(
-        n_samples=(100000, _int(f"[1, {_LSE_SAMPLES_MAX}]")), max_n=(8, _POSITIVE),
-        m_choices=([1, 2, 3], _each(_POSITIVE, 1))))
+        n_samples=(100000, _int(f"[1, {_LSE_SAMPLES_MAX}]")),
+        max_n=(8, _int("[1, 64]")),
+        m_choices=([1, 2, 3], _each(_int("[1, 1e300]"), 1))))
     rng = random.Random(man.seed)
     mismatch = 0
     t0 = time.perf_counter()
@@ -712,11 +718,12 @@ _REFERENCE_FAMILIES = [[[2, "0"]], [[2, "0"], [3, "0"]]]
 def _reference_families(value):
     if value != _REFERENCE_FAMILIES:
         raise ValueError(f"the checks expect {_REFERENCE_FAMILIES}, got {value!r}")
-    return [[(int(n), rat_from_str(c)) for n, c in fam] for fam in value]
+    return [[(int(n), Fraction(c)) for n, c in fam] for fam in value]
 
 
 def run_mz_check(man: ExperimentManifest, rep: RunReport):
-    n_rand = man.param("n_random", 20, _COUNT)
+    # one table row per family, ~0.2 ms each: 10^5 rows take ~20 s
+    n_rand = man.param("n_random", 20, _int("[0, 1e5]"))
     m_choices = man.param("m_choices", [1, 2, 3], _each(_POSITIVE, 1))
     fam2, fam23 = man.param("reference_families", _REFERENCE_FAMILIES,
                             _reference_families)
@@ -841,7 +848,10 @@ def run_rho_r(man: ExperimentManifest, rep: RunReport):
     # r' = 3/4 > r; for r >= 3/10, r^500 is still a normal double
     cfg = HybridConfig(r=man.param("r", "1/2", _rat("[3/10, 3/4)")))
     ks = man.param("k_exponents", [1, 2, 3, 4], _each(_int("[1, 500]")))
-    n_ang = man.param("n_angles", 8, _POSITIVE)
+    # each angle adds one sample per exponent to both round-trip lists and
+    # the table, ~1.3 KB each: 4096 angles at the four default exponents
+    # peak near 40 MB
+    n_ang = man.param("n_angles", 8, _int("[1, 4096]"))
     tol = man.param("numeric_tol", 1e-12, _TOL)
     paths = man.param("path_limits", None, _block(
         c=(2.0, _real("(0, inf)")), tol=(1e-3, _TOL),

@@ -26,7 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .exactnum import PrecisionError, rat_from_str, rat_to_str
+from .exactnum import PrecisionError, rat_to_str
 
 # the experiment kinds; harness.RUNNERS holds one runner for each
 KINDS = ("val-eval", "retract", "na-limit", "ma-model", "ma-converge",
@@ -110,7 +110,7 @@ _int = _number("an integer", (int,), int)
 # float ends, so that a real written as an end is inside it: the float
 # 1e300 lies above the decimal 10^300
 _real = _number("a real", (int, float), float, float)
-_rat = _number("a rational", (int, str), rat_from_str)
+_rat = _number("a rational", (int, str), Fraction)
 _COUNT, _POSITIVE, _TOL, _R = \
     _int("[0, inf)"), _int("[1, inf)"), _real("(0, inf)"), _rat("(0, 1)")
 

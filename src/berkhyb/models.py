@@ -13,9 +13,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .exactnum import as_fraction
-from .valuation import LaurentSeriesData, QuasiMonomialPoint, _lattice, \
-    _lattice_min
+from .exactnum import _lattice, as_fraction
+from .valuation import LaurentSeriesData, QuasiMonomialPoint, _lattice_min
 
 
 class ModelValidationError(ValueError):
@@ -140,34 +139,26 @@ class SncModelCombinatorics:
         )
 
 
-@dataclass(frozen=True)
-class Simplex:
-    stratum: tuple[int, ...]
-
-
 class DualComplex:
-    """One simplex per declared stratum; faces from subset relations."""
+    """One simplex per declared stratum, the stratum's tuple of component
+    indices; faces from subset relations."""
 
     def __init__(self, model: SncModelCombinatorics):
         self.model = model
-        self.simplices = tuple(Simplex(s) for s in model.strata)
+        self.simplices = model.strata
 
     def faces_of(self, stratum) -> list[tuple[int, ...]]:
-        s = tuple(sorted(stratum))
-        return [
-            t.stratum
-            for t in self.simplices
-            if set(t.stratum) < set(s)
-        ]
+        s = set(stratum)
+        return [t for t in self.simplices if set(t) < s]
 
     def vertex_count(self) -> int:
-        return sum(1 for s in self.simplices if len(s.stratum) == 1)
+        return sum(1 for s in self.simplices if len(s) == 1)
 
     def f_vector(self) -> list[int]:
-        top = max(len(s.stratum) for s in self.simplices)
+        top = max(len(s) for s in self.simplices)
         fv = [0] * top
         for s in self.simplices:
-            fv[len(s.stratum) - 1] += 1
+            fv[len(s) - 1] += 1
         return fv
 
     def euler_characteristic(self) -> int:

@@ -283,13 +283,17 @@ class CurveFamily:
 
 
 def family_profile(family: CurveFamily, r: Fraction) -> PAFunction1D:
-    """Exact convex profile H(u) of the family's limit potential."""
+    """Exact convex profile H(u) of the family's limit potential, the
+    envelope of its lines scaled by 1/m: a positive scale keeps every sign
+    the hull reads, so the hull and its cuts are those of the unscaled
+    lines."""
+    inv_m = Fraction(1, family.m)
     lines = []
     for e in family.entries:
-        offset = LogRVal(const=-e.q, invlogr=-e.c)
+        offset = LogRVal(const=-e.q, invlogr=-e.c) * inv_m
         for k, _v in e.coeffs:
-            lines.append(AffineLine(Fraction(-k), offset))
-    return upper_envelope(lines, r).scale(Fraction(1, family.m))
+            lines.append(AffineLine(-k * inv_m, offset))
+    return upper_envelope(lines, r)
 
 
 def family_limit_measure(family: CurveFamily, r: Fraction) -> AtomicMeasure:
@@ -536,7 +540,7 @@ class _ChartGeometry:
     def full(self) -> _FullCells:
         import numpy as np
 
-        halo = np.log(np.abs(_complex_grid(self.centers, self.centers)))
+        halo = np.log(np.abs(self.nodes))
         log_abs = halo[1:-1, 1:-1].ravel()
         order = np.argsort(log_abs, kind="stable")
         cells = _FullCells(halo, order, log_abs[order])
@@ -883,11 +887,16 @@ def ma_complex_curve(
     if not abs(total - expected) <= mass_tol:
         captured = (f"captured mass {total:.6f} vs degree {expected} "
                     f"(deficit {expected - total:.2e})")
+        # no grid captures the mass of a u-interval that no chart owns
+        gap = _gap(family.charts)
+        if gap is not None:
+            raise ResolutionError(f"{captured}; no chart owns u in {gap}: "
+                                  "add a chart that covers it")
         # a box's raw total is the mass inside it; when the boxes miss mass
         # that the charts' intervals own, only a larger L captures it
         inside = sum(g.raw_total for g in grids)
         cut = [c.name for c in family.charts if _weighted_past_box(c, logabs_t)]
-        if expected - inside > mass_tol and _cover(family.charts) and cut:
+        if expected - inside > mass_tol and cut:
             raise ResolutionError(
                 f"{captured}; the boxes hold {inside:.6f}, the rest lies past "
                 f"radius L: raise L on chart{'s' * (len(cut) > 1)} "
@@ -897,14 +906,15 @@ def ma_complex_curve(
     return grids
 
 
-def _cover(charts: Sequence[Chart]) -> bool:
-    """Whether the charts' owned u-intervals cover the whole u-line."""
+def _gap(charts: Sequence[Chart]) -> tuple[float, float] | None:
+    """The first u-interval (lo, hi) that the charts' owned u-intervals
+    leave uncovered, or None when they cover the whole u-line."""
     reach = -math.inf
     for chart in sorted(charts, key=lambda c: c.u_lo):
         if chart.u_lo > reach:
-            return False
+            return reach, chart.u_lo
         reach = max(reach, chart.u_hi)
-    return reach == math.inf
+    return None if reach == math.inf else (reach, math.inf)
 
 
 def _weighted_past_box(chart: Chart, logabs_t: float) -> bool:

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import PrimeLogVal, as_fraction, primelog_max, primelog_sign
+from .exactnum import PrimeLogVal, _lattice, as_fraction, primelog_max, \
+    primelog_sign
 from .pafunc import upper_hull
 
 NEG_INF = "-inf"
@@ -203,8 +204,7 @@ def mz_from_family(family: Sequence[tuple[int, Fraction]], m: int) -> MZFunction
     """
     fam = _family(family)
     logs = [PrimeLogVal.log_of_int(n) for n, _ in fam]
-    lattice = math.lcm(*(c.denominator for _, c in fam))
-    offsets = [c.numerator * (lattice // c.denominator) for _, c in fam]
+    offsets, lattice = _lattice([c for _, c in fam])
     primes = tuple(sorted({p for lg in logs for p in lg.logs}))
     # exps[a][k] = v_p(n_a) for p = primes[k]
     exps = [[int(lg.logs.get(p, 0)) for p in primes] for lg in logs]

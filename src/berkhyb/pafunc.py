@@ -30,20 +30,20 @@ class PAFunctionOnComplex:
         self.complex = complex_
         self.pieces = dict(pieces)
         for s in complex_.simplices:
-            if s.stratum not in self.pieces:
-                raise ValueError(f"missing affine data on stratum {s.stratum}")
+            if s not in self.pieces:
+                raise ValueError(f"missing affine data on stratum {s}")
 
     def check_face_continuity(self):
         """Exact agreement of affine pieces on shared faces."""
         for s in self.complex.simplices:
-            for face in self.complex.faces_of(s.stratum):
+            for face in self.complex.faces_of(s):
                 g_logr_f, g_const_f = self.pieces[face]
-                g_logr_s, g_const_s = self.pieces[s.stratum]
-                pos = {j: k for k, j in enumerate(s.stratum)}
+                g_logr_s, g_const_s = self.pieces[s]
+                pos = {j: k for k, j in enumerate(s)}
                 for idx, j in enumerate(face):
                     if g_logr_f[idx] != g_logr_s[pos[j]] or g_const_f[idx] != g_const_s[pos[j]]:
                         raise ContinuityError(
-                            f"face {face} disagrees with simplex {s.stratum} at {j}"
+                            f"face {face} disagrees with simplex {s} at {j}"
                         )
         return True
 
@@ -51,11 +51,11 @@ class PAFunctionOnComplex:
         """Rows (simplex id, gradient log r part, gradient const part)."""
         rows = []
         for k, s in enumerate(self.complex.simplices):
-            g_logr, g_const = self.pieces[s.stratum]
+            g_logr, g_const = self.pieces[s]
             rows.append(
                 (
                     k,
-                    "|".join(str(j) for j in s.stratum),
+                    "|".join(str(j) for j in s),
                     "|".join(str(g) for g in g_logr),
                     "|".join(str(g) for g in g_const),
                 )
@@ -214,22 +214,6 @@ class PAFunction1D:
             if jump != 0:
                 out.append((x, jump))
         return out
-
-    def slopes(self) -> list[Fraction]:
-        return [p.slope for p in self.pieces]
-
-    def is_convex(self) -> bool:
-        ss = self.slopes()
-        return all(ss[i + 1] >= ss[i] for i in range(len(ss) - 1))
-
-    def scale(self, q) -> "PAFunction1D":
-        # pieces are positional (left to right), so any sign works
-        q = as_fraction(q)
-        return PAFunction1D(
-            [AffineLine(p.slope * q, p.offset * q) for p in self.pieces],
-            list(self.cuts),
-            self.r,
-        )
 
     def _piece_at(self, x: LogRVal) -> AffineLine:
         idx = 0

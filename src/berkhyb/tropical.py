@@ -171,14 +171,14 @@ def na_limit_tfs(phi: TropicalFSMetric, model: SncModelCombinatorics,
     pieces = {}
     for simplex in complex_.simplices:
         g_logr, g_const = [], []
-        for j in simplex.stratum:
+        for j in simplex:
             a = model.multiplicity(j)
             vj = restrict[j]
             if vj.c != 0:
                 raise ArithmeticError("unexpected 1/log r part in limit value")
             g_logr.append(a * vj.b)
             g_const.append(a * vj.a)
-        pieces[simplex.stratum] = (tuple(g_logr), tuple(g_const))
+        pieces[simplex] = (tuple(g_logr), tuple(g_const))
     pa = PAFunctionOnComplex(complex_, pieces)
     return NALimitResult(pa, formula, restrict, equal)
 

@@ -16,7 +16,7 @@ from math import lcm
 from operator import add, mul
 from typing import Callable, Mapping, Sequence
 
-from .exactnum import Rat, as_fraction
+from .exactnum import Rat, _lattice, as_fraction
 
 INF = "inf"  # distinguished +infinity marker for valuation values
 _ZERO = Fraction(0)
@@ -118,10 +118,6 @@ class LaurentSeriesData:
     @classmethod
     def monomial(cls, variables: Sequence[str], exp, coef: Coefficient | None = None):
         return cls(variables, [(tuple(exp), coef or Coefficient.unit())])
-
-    @classmethod
-    def one(cls, variables: Sequence[str]) -> "LaurentSeriesData":
-        return cls.monomial(variables, (0,) * len(variables))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -274,12 +270,6 @@ def weighted_min_of_terms(f: LaurentSeriesData, weights: Sequence[Rat]):
         raise ConfigurationError("weight vector length mismatch")
     nums, den = _lattice(ws)
     return Fraction(_lattice_min(f, nums), den)
-
-
-def _lattice(weights: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of ``weights`` over their common denominator."""
-    den = lcm(*(w.denominator for w in weights))
-    return [w.numerator * (den // w.denominator) for w in weights], den
 
 
 def _lattice_min(f: LaurentSeriesData, nums: Sequence[int]) -> int:

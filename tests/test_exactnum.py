@@ -21,13 +21,14 @@ from berkhyb.exactnum import (
     _certified_sign,
     _fixed_log,
     _float_log,
+    _lattice,
     as_fraction,
     logr_max,
     logr_min,
-    rat_from_str,
+    primelog_max,
     rat_to_str,
 )
-from berkhyb.manifest import ExperimentManifest, run
+from berkhyb.manifest import ExperimentManifest, _rat, run
 
 
 R = Fraction(1, 2)
@@ -41,26 +42,92 @@ def test_structural_equality():
 
 def test_product_rules():
     # (log r) * (a + c/log r) stays in the span
-    out = LogRVal.logr(1) * LogRVal(const=3, invlogr=2)
+    out = LogRVal(logr=1) * LogRVal(const=3, invlogr=2)
     assert out == LogRVal(const=2, logr=3)
     with pytest.raises(ArithmeticError):
-        LogRVal.logr(1) * LogRVal.logr(1)
+        LogRVal(logr=1) * LogRVal(logr=1)
     with pytest.raises(ArithmeticError):
-        LogRVal.invlogr(1) * LogRVal.invlogr(1)
+        LogRVal(invlogr=1) * LogRVal(invlogr=1)
 
 
 def test_division_by_logr():
-    out = LogRVal(const=4, logr=6) / LogRVal.logr(2)
+    out = LogRVal(const=4, logr=6) / LogRVal(logr=2)
     assert out == LogRVal(const=3, invlogr=2)
 
 
 def test_signs_and_order():
-    assert LogRVal.logr(1).sign(R) == -1
-    assert LogRVal.invlogr(1).sign(R) == -1
+    assert LogRVal(logr=1).sign(R) == -1
+    assert LogRVal(invlogr=1).sign(R) == -1
     assert LogRVal(const=1, logr=1).sign(R) == 1  # 1 + log(1/2) > 0
-    vals = [LogRVal.of(0), LogRVal.logr(1), LogRVal(const=2, logr=1)]
+    vals = [LogRVal.of(0), LogRVal(logr=1), LogRVal(const=2, logr=1)]
     assert logr_max(vals, R) == vals[2]
     assert logr_min(vals, R) == vals[1]
+
+
+def _loop_extremum(vals, beats):
+    """The loop the extremum functions replaced: the first value that no
+    later value beats, one comparison per later value."""
+    best = vals[0]
+    for v in vals[1:]:
+        if beats(v, best):
+            best = v
+    return best
+
+
+# fresh objects per draw, so equal draws are structurally equal, distinct
+# objects; log 2 is transcendental, so distinct triples differ in value
+_LOGR_POOL = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 1, 0),
+              (Fraction(1, 2), 0, 0), (-1, 0, 1), (1, 1, 1)]
+_PRIMELOG_POOL = [(0, {}), (1, {}), (0, {2: 1}), (0, {3: 1}), (-1, {2: 1}),
+                  (Fraction(1, 2), {5: -1}), (1, {2: -1, 3: 1})]
+
+
+def _counted_extremum(cls, got, want):
+    """(got(), want()) with the number of cls.cmp calls each makes."""
+    with mock.patch.object(cls, "cmp", autospec=True,
+                           side_effect=cls.cmp) as cmp:
+        a = got()
+        calls = cmp.call_count
+        cmp.reset_mock()
+        b = want()
+        return a, calls, b, cmp.call_count
+
+
+@given(st.lists(st.integers(0, len(_LOGR_POOL) - 1), min_size=1, max_size=8))
+def test_logr_extrema_match_the_loop(draws):
+    vals = [LogRVal(*_LOGR_POOL[i]) for i in draws]
+    for extremum, sign in ((logr_max, 1), (logr_min, -1)):
+        got, calls, want, loop_calls = _counted_extremum(
+            LogRVal, lambda: extremum(vals, R),
+            lambda: _loop_extremum(vals, lambda v, b: v.cmp(b, R) * sign > 0))
+        assert got is want
+        assert calls == loop_calls == len(vals) - 1
+
+
+@given(st.lists(st.integers(0, len(_PRIMELOG_POOL) - 1), min_size=1,
+                max_size=8))
+def test_primelog_max_matches_the_loop(draws):
+    vals = [PrimeLogVal(*_PRIMELOG_POOL[i]) for i in draws]
+    got, calls, want, loop_calls = _counted_extremum(
+        PrimeLogVal, lambda: primelog_max(iter(vals)),
+        lambda: _loop_extremum(vals, lambda v, b: v.cmp(b) > 0))
+    assert got is want
+    assert calls == loop_calls == len(vals) - 1
+
+
+@given(st.lists(st.one_of(st.integers(-50, 50),
+                          st.fractions(-50, 50, max_denominator=30)),
+                min_size=1, max_size=6))
+def test_lattice_clears_to_the_lcm_of_the_denominators(qs):
+    nums, den = _lattice(qs)
+    assert all(type(n) is int for n in nums)
+    assert [Fraction(n, den) for n in nums] == qs
+    assert den == math.lcm(*[Fraction(q).denominator for q in qs])
+
+
+def test_lattice_examples():
+    assert _lattice([Fraction(-1, 2), 3, Fraction(2, 3)]) == ([-3, 18, 4], 6)
+    assert _lattice([-4]) == ([-4], 1)
 
 
 def test_to_float():
@@ -103,8 +170,8 @@ def test_primelog_rejects_log_keys_below_two(key):
 def test_rat_strings():
     assert rat_to_str(Fraction(3, 7)) == "3/7"
     assert rat_to_str(Fraction(4)) == "4"
-    assert rat_from_str("3/7") == Fraction(3, 7)
-    assert rat_from_str(5) == Fraction(5)
+    assert _rat()("3/7") == Fraction(3, 7)
+    assert _rat()(5) == Fraction(5)
 
 
 def test_as_fraction_rejects_floats():
@@ -120,7 +187,7 @@ def test_certified_sign_ignores_the_thread_decimal_context():
     _fixed_log.cache_clear()
     with decimal.localcontext() as ctx:
         ctx.prec = 5
-        assert LogRVal.logr(1).sign(R) == -1  # log(1/2) < 0
+        assert LogRVal(logr=1).sign(R) == -1  # log(1/2) < 0
         assert LogRVal(const=lo, logr=1).sign(R) == -1
         assert LogRVal(const=hi, logr=1).sign(R) == 1
         assert (PrimeLogVal.log_of_int(3) - PrimeLogVal.log_of_int(2)).sign() == 1
@@ -446,4 +513,4 @@ def test_trusted_logr_arithmetic_matches_validating(u, v, q):
                a1 * a2 + b1 * c2, b1 * a2, a1 * c2)
     if b2:
         # (a1 + b1 L) / (b2 L) = b1 / b2 + (a1 / b2) / L
-        _same_logr(LogRVal(a1, b1) / LogRVal.logr(b2), b1 / b2, 0, a1 / b2)
+        _same_logr(LogRVal(a1, b1) / LogRVal(logr=b2), b1 / b2, 0, a1 / b2)

@@ -123,6 +123,28 @@ def test_oversized_lse_sweep_exits_two(data_dir, tmp_path, monkeypatch,
     assert not written
 
 
+OVERSIZED = [
+    ("val-eval", ("params", "lse", "max_n"), 65, "_lse_gaps"),
+    ("val-eval", ("params", "lse", "m_choices"), [1, 10**300 + 1], "_lse_gaps"),
+    ("val-eval", ("params", "lse", "m_choices"), [10**400], "_lse_gaps"),
+    ("rho-r", ("params", "n_angles"), 4097, "rho_r_inverse"),
+    ("mz-check", ("params", "n_random"), 10**5 + 1, "random_fs_family"),
+]
+
+
+@pytest.mark.parametrize("kind,path,value,work", OVERSIZED,
+                         ids=[f"{k}-{'.'.join(p)}" for k, p, _, _ in OVERSIZED])
+def test_oversized_count_exits_two_naming_the_key(data_dir, tmp_path, monkeypatch,
+                                                  kind, path, value, work):
+    # refused while the params are read: the work that grows with it never runs
+    monkeypatch.setattr(harness, work, None)
+    rc, err, written = run_cli(kind, mutate(bundled(data_dir, kind), path, value),
+                               tmp_path)
+    assert rc == 2
+    assert ".".join(path) in err
+    assert not written
+
+
 @pytest.mark.parametrize("kind", ["val-eval", "mz-check"])
 def test_negative_seed_override_exits_two(data_dir, tmp_path, kind):
     rc, err, written = run_cli(kind, bundled(data_dir, kind), tmp_path,

@@ -39,7 +39,7 @@ from berkhyb.mongeampere import (
     _potential_on_grid,
     _profiled,
 )
-from berkhyb.pafunc import PAFunction1D
+from berkhyb.pafunc import AffineLine, PAFunction1D, upper_envelope
 
 
 def std_charts(adapted_p=None, interface=-0.5):
@@ -246,10 +246,52 @@ def test_dual_route_on_bundled_curve_inputs(data_dir, r):
 
 def test_profile_shapes(kink_family, r):
     prof = family_profile(kink_family, r)
-    assert prof.is_convex()
-    assert prof.slopes() == [Fraction(-1), Fraction(0)]
+    assert [p.slope for p in prof.pieces] == [Fraction(-1), Fraction(0)]
     kinks = prof.kinks()
     assert len(kinks) == 1 and kinks[0][0] == LogRVal.of(Fraction(-1))
+
+
+def _reference_profile(family, r):
+    """The envelope of the unscaled lines, its pieces then scaled by 1/m
+    and its cuts kept."""
+    lines = [AffineLine(Fraction(-k), LogRVal(const=-e.q, invlogr=-e.c))
+             for e in family.entries for k, _v in e.coeffs]
+    env = upper_envelope(lines, r)
+    q = Fraction(1, family.m)
+    return [AffineLine(p.slope * q, p.offset * q) for p in env.pieces], env.cuts
+
+
+def _same_profile(family, r):
+    prof = family_profile(family, r)
+    pieces, cuts = _reference_profile(family, r)
+    return prof.pieces == pieces and prof.cuts == cuts
+
+
+def test_family_profile_scales_before_the_hull_on_bundled_families(data_dir, r):
+    paths = sorted((data_dir / "families").glob("fam_*.json"))
+    assert len(paths) == 4
+    assert all(_same_profile(load_family(path), r) for path in paths)
+
+
+_RATIONAL = st.fractions(-3, 3, max_denominator=4)
+_ENTRY = st.builds(
+    FamilyEntry.build,
+    st.dictionaries(st.integers(0, 4), st.just(1), min_size=1, max_size=3),
+    q=_RATIONAL, c=st.one_of(st.just(0), _RATIONAL))
+
+
+@given(entries=st.lists(_ENTRY, min_size=1, max_size=5), m=st.integers(1, 6))
+# equal slopes, in one entry and across entries
+@example(entries=[FamilyEntry.build({1: 1}), FamilyEntry.build({1: 1}, q=1),
+                  FamilyEntry.build({0: 1, 1: 1}, c=1)], m=2)
+# three lines through (u, H) = (1, 0)
+@example(entries=[FamilyEntry.build({0: 1}), FamilyEntry.build({1: 1}, q=-1),
+                  FamilyEntry.build({2: 1}, q=-2)], m=3)
+@settings(max_examples=60, deadline=None)
+def test_family_profile_scales_before_the_hull(entries, m, r):
+    degree = max(k for e in entries for k, _v in e.coeffs) or 1
+    family = CurveFamily("random", m, degree, tuple(entries), (Chart(),))
+    assert _same_profile(family, r)
 
 
 def test_threesec_profile_atoms(data_dir, r):
@@ -339,7 +381,10 @@ def test_resolution_error_suggests_refinement(r):
     )
     with pytest.raises(ResolutionError) as exc:
         ma_complex_curve(fam, complex(1e-4), 128, r)
-    assert exc.value.suggested_n == 256
+    # the mass at u = -1 lies where no chart owns u: no grid captures it
+    assert exc.value.suggested_n is None
+    assert "no chart owns u in (-inf, -0.5): add a chart that covers it" \
+        in str(exc.value)
 
 
 def test_pushforward_dirac_locations(kink_family, r):

@@ -17,7 +17,7 @@ def line(s, o):
 def test_envelope_basic():
     # max(0, u + 1): convex, one kink at u = -1
     env = upper_envelope([line(0, 0), line(1, 1)], R)
-    assert env.slopes() == [Fraction(0), Fraction(1)]
+    assert [p.slope for p in env.pieces] == [Fraction(0), Fraction(1)]
     assert env.cuts == [LogRVal.of(Fraction(-1))]
     assert env.eval(Fraction(-3)) == LogRVal.of(0)
     assert env.eval(Fraction(2)) == LogRVal.of(3)
@@ -30,7 +30,7 @@ def test_envelope_drops_dominated_lines():
     # the slope-1 line is everywhere below max(0, 2u - 10)? check it survives
     # only if it beats both at some point: 0 = u - 9 at u = 9, 2u-10 = u-9 at
     # u = 1; since 9 > 1 the middle line is dominated and must vanish
-    assert Fraction(1) not in env.slopes()
+    assert Fraction(1) not in [p.slope for p in env.pieces]
 
 
 def test_envelope_with_transcendental_offsets():
@@ -112,11 +112,3 @@ def test_continuity_validation():
              AffineLine(Fraction(0), LogRVal.of(1))],
             [LogRVal.of(Fraction(0))], R,
         )
-
-
-def test_scale_and_shift():
-    f = upper_envelope([line(0, 0), line(1, 1)], R)
-    half = f.scale(Fraction(1, 2))
-    assert half.kinks()[0][1] == Fraction(1, 2)
-    neg = f.scale(-1)
-    assert not neg.is_convex()

@@ -125,3 +125,25 @@ def test_only_manifest_knows_the_check_record_and_table_layout():
                for line in _report_layout(ast.parse(path.read_text()))]
     assert spelled == []
     assert list(_report_layout(ast.parse((SRC / "manifest.py").read_text())))
+
+
+def _denominator_lcms(tree, scope=""):
+    """The enclosing function of each lcm call over ``.denominator``s."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call) and "lcm" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)) \
+                and any(isinstance(n, ast.Attribute) and n.attr == "denominator"
+                        for arg in node.args for n in ast.walk(arg)):
+            yield scope
+        yield from _denominator_lcms(node, inner)
+
+
+def test_only_the_lattice_and_the_oracle_clear_denominators():
+    # exactnum._lattice puts rationals over one denominator for every
+    # caller; brute_force_min keeps its own, as qm_eval's oracle
+    clearing = sorted(f"{path.stem}.{scope}" for path in sorted(SRC.glob("*.py"))
+                      for scope in _denominator_lcms(ast.parse(path.read_text())))
+    assert clearing == ["exactnum._lattice", "valuation.brute_force_min"]

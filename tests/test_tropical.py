@@ -29,7 +29,7 @@ def mono(labels, exps):
 
 
 def one(labels):
-    return LaurentSeriesData.one(labels)
+    return LaurentSeriesData.monomial(labels, (0,) * len(labels))
 
 
 @pytest.fixture()
@@ -76,9 +76,9 @@ def test_kinked_family_hand_values(segment, r, seg_labels):
     v1 = divisorial_point(segment, 0)   # w = (1, 0): both entries give log r
     v2 = divisorial_point(segment, 1)   # w = (0, 1): entries log r / 0
     midpoint = segment.point((0, 1), (Fraction(1, 2), Fraction(1, 2)))
-    assert tfs_eval(phi, v1, r) == LogRVal.logr(1)
+    assert tfs_eval(phi, v1, r) == LogRVal(logr=1)
     assert tfs_eval(phi, v2, r) == LogRVal.of(0)
-    assert tfs_eval(phi, midpoint, r) == LogRVal.logr(Fraction(1, 2))
+    assert tfs_eval(phi, midpoint, r) == LogRVal(logr=Fraction(1, 2))
 
 
 def test_basepoint_error(segment, r, seg_labels):

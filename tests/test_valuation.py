@@ -512,7 +512,7 @@ def test_oracle_shares_no_helper_with_qm_eval():
 def test_unit_coefficient_is_one_frozen_tag():
     assert Coefficient.unit() is Coefficient.unit()
     assert Coefficient.unit() == Coefficient("unit")
-    assert LaurentSeriesData.one(["z"]).terms[0][1] is Coefficient.unit()
+    assert LaurentSeriesData.monomial(["z"], (0,)).terms[0][1] is Coefficient.unit()
 
 
 # ---------------------------------------------------------------------------
