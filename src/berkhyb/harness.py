@@ -114,9 +114,9 @@ from .valuation import (
 
 
 # A run's peak allocation per grid cell (tracemalloc, grids 512 and 1024)
-# is ~17 bytes on the octant route and ~80 on the full route, five times
-# its (n + 2)^2 complex grid of 16-byte nodes: the bound keeps the full
-# route within 2 GiB.
+# is 11-15 bytes on the octant route (the bundled families, geometry
+# included) and ~80 on the full route, five times its (n + 2)^2 complex
+# grid of 16-byte nodes: the bound keeps the full route within 2 GiB.
 _GRID_MAX = math.isqrt(2**31 // 80) // 2 * 2  # 5180
 
 
@@ -381,10 +381,12 @@ def run_val_eval(man: ExperimentManifest, rep: RunReport):
     # 8 MiB at N = 64, where a sample takes ~0.4 us (~7 min for 10^9
     # samples).  2m scales differences of draws (< 20) and divides log N, so
     # m <= 10^300 keeps both finite; past ~10^308, 2m is no double at all.
+    # At most 64 m values keep the pairs at 64 x 64 = 4096, each at least
+    # one Python loop turn and a draw, however few samples it gets.
     lse = man.param("lse", None, _block(
         n_samples=(100000, _int(f"[1, {_LSE_SAMPLES_MAX}]")),
         max_n=(8, _int("[1, 64]")),
-        m_choices=([1, 2, 3], _each(_int("[1, 1e300]"), 1))))
+        m_choices=([1, 2, 3], _each(_int("[1, 1e300]"), 1, 64))))
     rng = random.Random(man.seed)
     mismatch = 0
     t0 = time.perf_counter()
@@ -847,10 +849,11 @@ def run_rho_r(man: ExperimentManifest, rep: RunReport):
     # the numeric samples lie on |t| = 3/10 and the round trips map into
     # r' = 3/4 > r; for r >= 3/10, r^500 is still a normal double
     cfg = HybridConfig(r=man.param("r", "1/2", _rat("[3/10, 3/4)")))
-    ks = man.param("k_exponents", [1, 2, 3, 4], _each(_int("[1, 500]")))
     # each angle adds one sample per exponent to both round-trip lists and
     # the table, ~1.3 KB each: 4096 angles at the four default exponents
-    # peak near 40 MB
+    # peak near 40 MB.  An exponent takes ~4.3 MB (tracemalloc) and ~0.1 s
+    # at 4096 angles, so 64 exponents keep a run near 280 MB and 7 s.
+    ks = man.param("k_exponents", [1, 2, 3, 4], _each(_int("[1, 500]"), 0, 64))
     n_ang = man.param("n_angles", 8, _int("[1, 4096]"))
     tol = man.param("numeric_tol", 1e-12, _TOL)
     paths = man.param("path_limits", None, _block(

@@ -141,12 +141,16 @@ def _items(parses, values) -> tuple:
     return tuple(out)
 
 
-def _each(parse, min_len: int = 0):
-    """A list of at least ``min_len`` items, each through ``parse``."""
+def _each(parse, min_len: int = 0, max_len: int | None = None):
+    """A list of ``min_len`` to ``max_len`` items, each through ``parse``."""
     def parse_list(value):
         if not isinstance(value, list) or len(value) < min_len:
             least = f" of at least {min_len} items" if min_len else ""
             raise ValueError(f"expected a list{least}, got {value!r}")
+        if max_len is not None and len(value) > max_len:
+            # the count, not the list: it may be long
+            raise ValueError(f"expected a list of at most {max_len} items, "
+                             f"got {len(value)} items")
         return _items(itertools.repeat(parse), value)
     return parse_list
 
@@ -212,9 +216,10 @@ class ExperimentManifest:
         return man
 
     def set_seed(self, seed, source: str):
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        if (isinstance(seed, bool) or not isinstance(seed, int)
+                or not 0 <= seed < 2**64):
             raise ManifestError(
-                f"{self.path}: {source} must be a non-negative integer")
+                f"{self.path}: {source} must be an integer in [0, 2^64 - 1]")
         self.seed = self.raw["seed"] = seed
 
     def param(self, key: str, default, parse):

@@ -352,6 +352,11 @@ def _laplacian(phi, n, s, e, w, c):
     return masses
 
 
+# cells per call of the octant route's stencil: its four 64 KiB
+# temporaries stay under glibc's default mmap threshold (128 KiB)
+STENCIL_BLOCK = 8192
+
+
 def _read_only(*arrays):
     for a in arrays:
         a.setflags(write=False)
@@ -391,11 +396,23 @@ class _OctantCells:
         of log|xi| times the multiplicity."""
         import numpy as np
 
-        masses = _laplacian(np.concatenate([self.log_abs, self.boundary[0]]),
-                            *self.neighbours, slice(0, self.log_abs.size))
-        masses *= self.multiplicity
+        masses = np.empty(self.log_abs.size)
+        self._stencil(np.concatenate([self.log_abs, self.boundary[0]]),
+                      0, masses.size, masses)
         _read_only(masses)
         return masses
+
+    def _stencil(self, phi, a: int, b: int, out: np.ndarray):
+        """The orbit masses of phi at the cells [a, b), into ``out``: the
+        stencil times the multiplicity.  It is taken STENCIL_BLOCK cells
+        at a time, the same float operations on each cell as in one call,
+        so that its temporaries stay a few blocks, not a few runs."""
+        import numpy as np
+
+        for k in range(a, b, STENCIL_BLOCK):
+            stop = min(k + STENCIL_BLOCK, b)
+            np.multiply(_laplacian(phi, *self.neighbours[:, k:stop], slice(k, stop)),
+                        self.multiplicity[k:stop], out=out[k - a:stop - a])
 
     def _inside(self, lo: float, hi: float) -> tuple[int, int]:
         """The cells [a, b) whose stencil points all have lo < log|xi| < hi:
@@ -474,9 +491,8 @@ class _OctantCells:
                 phi = np.full(size + outer.size, math.nan)
                 phi[size:] = outer
             lo, hi = self._window(a, b)
-            phi[lo:hi] = potential(self.log_abs[lo:hi])
-            np.multiply(_laplacian(phi, *self.neighbours[:, a:b], slice(a, b)),
-                        self.multiplicity[a:b], out=masses[a - start:b - start])
+            potential(self.log_abs[lo:hi], out=phi[lo:hi])
+            self._stencil(phi, a, b, masses[a - start:b - start])
         run = slice(start, stop)
         return masses[::step], self.multiplicity[run][::step], raw_total, run
 
@@ -554,28 +570,56 @@ class _ChartGeometry:
         half = self.n // 2
         quadrant = self.centers[half:]  # -h/2, h/2, ..., L + h/2
         # np.abs of complex centers, as on the full grid, so the values
-        # agree bit for bit (np.hypot would not)
-        halo = np.log(np.abs(_complex_grid(quadrant, quadrant)))
+        # agree bit for bit (np.hypot would not).  The complex grid is
+        # built whole, one 16 (n/2 + 2)^2-byte block: glibc maps a block
+        # that large and, when it is freed, raises its mmap threshold past
+        # it, so the ~1 MB arrays of each later t come from the heap.
+        # Built in bands, it left the threshold low, and every such array
+        # was mapped and faulted in anew.
+        halo = np.abs(_complex_grid(quadrant, quadrant))
+        np.log(halo, out=halo)
+        boundary = np.stack([halo[1:-1, -1], halo[1:-1, -2]])
         i, j = np.triu_indices(half)
-        order = np.argsort(halo[i + 1, j + 1], kind="stable")
-        i, j = i[order], j[order]
-        size = order.size
-        position = np.empty((half, half), dtype=np.intp)
+        size = i.size
+        # index buffers, reused: np.take(..., mode="clip") writes straight
+        # into ``out`` (mode="raise" buffers it), and every index is in range
+        index = np.multiply(i, half + 2)  # the flat index of (i + 1, j + 1)
+        index += j
+        index += half + 3
+        log_abs = np.take(halo, index)  # the triangle, in row order
+        del halo
+        order = np.argsort(log_abs, kind="stable")
+        log_abs = np.take(log_abs, order)
+        i, j = np.take(i, order, out=index, mode="clip"), np.take(j, order)
+        a, b = order, np.empty(size, dtype=np.intp)
+        del order
+        position = np.empty((half, half), dtype=np.intp)  # of cell (a, b), a <= b
         position[i, j] = np.arange(size)
-
-        def where(a, b):
-            """Where the value at cell (a, b) of the quadrant sits; -1 is
-            the inner halo, n/2 the outer."""
-            a, b = np.maximum(a, 0), np.maximum(b, 0)  # mirror the inner halo
-            a, b = np.minimum(a, b), np.maximum(a, b)  # transpose
-            return np.where(b == half, size + a, position[a, np.minimum(b, half - 1)])
-
+        neighbours = np.empty((4, size), dtype=np.intp)
+        for row, (di, dj) in zip(neighbours, ((1, 0), (-1, 0), (0, 1), (0, -1))):
+            # the value at quadrant cell (i + di, j + dj): -1, the inner
+            # halo, mirrors to 0; below the diagonal, the cell transposes;
+            # column n/2 is the outer halo, which sits after the cells
+            np.add(i, di, out=a)
+            np.add(j, dj, out=row)
+            np.maximum(a, 0, out=a)
+            np.maximum(row, 0, out=row)
+            np.minimum(a, row, out=b)
+            np.maximum(a, row, out=row)
+            a, b = b, a  # (a, row): the cell, a <= row
+            outer = np.flatnonzero(row == half)
+            halo_at = a[outer] + size
+            np.minimum(row, half - 1, out=row)
+            np.multiply(a, half, out=a)
+            a += row
+            np.take(position, a, out=row, mode="clip")
+            row[outer] = halo_at
+        del position, a, b
         cells = _OctantCells(
-            halo[i + 1, j + 1],
+            log_abs,
             np.where(i == j, 4.0, 8.0),
-            np.stack([where(i + 1, j), where(i - 1, j), where(i, j + 1),
-                      where(i, j - 1)]),
-            np.stack([halo[1:-1, -1], halo[1:-1, -2]]),
+            neighbours,
+            boundary,
             float(quadrant[1] - quadrant[0]),
         )
         _read_only(cells.log_abs, cells.multiplicity, cells.neighbours,
@@ -693,10 +737,11 @@ def _line(entry: FamilyEntry, degree: int, chart: Chart, logabs_t: float,
 
 
 def _entry_term(entry: FamilyEntry, degree: int, t: complex, chart: Chart,
-                geom: _ChartGeometry, log_r: float,
-                log_abs: np.ndarray) -> np.ndarray:
+                geom: _ChartGeometry, log_r: float, log_abs: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
     """The entry's term of the potential, log|t^q s(z)| + (c / log r) log|t|,
-    at the points whose log|xi| is ``log_abs``.
+    at the points whose log|xi| is ``log_abs``; written into ``out`` when
+    given.
 
     A single-term section is its _line, real arithmetic on ``log_abs``, an
     array of any shape; more terms use Horner's rule on the complex nodes
@@ -707,7 +752,7 @@ def _entry_term(entry: FamilyEntry, degree: int, t: complex, chart: Chart,
     logabs_t = math.log(abs(t))
     if len(entry.coeffs) == 1:
         xi_exp, adds = _line(entry, degree, chart, logabs_t, log_r)
-        term = np.multiply(log_abs, xi_exp)
+        term = np.multiply(log_abs, xi_exp, out=out)
     else:
         log_t = cmath.log(t)
         poly = {}  # xi-exponent -> coefficient
@@ -721,6 +766,9 @@ def _entry_term(entry: FamilyEntry, degree: int, t: complex, chart: Chart,
                 acc += poly[j]
         with np.errstate(divide="ignore"):
             term = np.log(np.abs(acc))
+        if out is not None:
+            out[...] = term
+            term = out
         adds = _hybrid_term(entry, logabs_t, log_r)
     for add in adds:
         term += add
@@ -734,26 +782,38 @@ def _radial(family: CurveFamily) -> bool:
 
 
 def _potential_on_grid(family: CurveFamily, t: complex, chart: Chart,
-                       geom: _ChartGeometry, log_r: float,
-                       log_abs: np.ndarray) -> np.ndarray:
+                       geom: _ChartGeometry, log_r: float, log_abs: np.ndarray,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """Fiber potential (real array) at the points whose log|xi| is
     ``log_abs``: the full halo grid, or (radial families only) any array
-    of log|xi|, on which it is evaluated element by element."""
+    of log|xi|, on which it is evaluated element by element.  Written into
+    ``out`` when given.
+
+    In max mode the first term is written where phi goes and every other
+    one into one buffer; lse mode writes each term into its column of the
+    stack that the gap reads.
+    """
     import numpy as np
 
-    lse = family.mode == "lse"
-    phi = None
-    terms = []  # lse mode keeps them for the gap
-    for e in family.entries:
-        term = _entry_term(e, family.degree, t, chart, geom, log_r, log_abs)
-        if lse:
-            terms.append(term)
-        if phi is None:
-            phi = term.copy() if lse else term
-        else:
-            np.maximum(phi, term, out=phi)
-    if lse:
-        phi += lse_max_gap(np.stack(terms, axis=-1), family.m)
+    def term(e, dest=None):
+        return _entry_term(e, family.degree, t, chart, geom, log_r, log_abs, dest)
+
+    if family.mode == "lse":
+        terms = np.empty(log_abs.shape + (len(family.entries),))
+        for k, e in enumerate(family.entries):
+            term(e, terms[..., k])
+        phi = np.empty(log_abs.shape) if out is None else out
+        phi[...] = terms[..., 0]
+        for k in range(1, len(family.entries)):
+            np.maximum(phi, terms[..., k], out=phi)
+        phi += lse_max_gap(terms, family.m)
+    else:
+        first, *rest = family.entries
+        phi = term(first, out)
+        other = None
+        for e in rest:
+            other = term(e, other)
+            np.maximum(phi, other, out=phi)
     phi /= family.m
     return phi
 
@@ -1150,11 +1210,12 @@ def weak_convergence_experiment(
     for t_abs in t_schedule:
         grids = ma_complex_curve(family, complex(t_abs), grid_n, r,
                                  mass_tol=mass_tol)
-        clouds = [pushforward_log_radius(g) for g in grids]
+        # each chart's grid is released once it is pushed forward, and the
+        # charts' clouds once they are combined
+        clouds = [pushforward_log_radius(grids.pop(0)) for _ in range(len(grids))]
         ends = np.cumsum([0] + [c.u.size for c in clouds]).tolist()
         cloud = combine_clouds(clouds)
-        # released here, or they would stay alive beside the next t's grids
-        del grids, clouds
+        del clouds
         total = cloud.total()
         if not total > 0:
             raise EmptyMeasureError(
@@ -1169,6 +1230,9 @@ def weak_convergence_experiment(
                 f.eval_float_array(cloud.u[a:b], out=values[a:b])
             values *= cloud.mass
             errs[name] = abs(float(np.sum(values)) - exact[name])
+        # released here, or they would stay alive beside the next t's grids:
+        # the peak then holds one t's arrays, not two
+        del cloud, values
         rows.append(ConvergenceRow(t_abs, w1, errs, total))
     w1s = [row.w1 for row in rows]
     monotone = all(b <= a * (1 + 1e-9) for a, b in zip(w1s, w1s[1:]))

@@ -344,10 +344,13 @@ def test_ma_converge_non_finite_potential_fails_resolution(data_dir, tmp_path,
 
     potential = mongeampere._potential_on_grid
 
-    def non_finite_main(family, t, chart, geom, log_r, log_abs):
-        if chart.name == "main":
-            return np.full(log_abs.shape, value)
-        return potential(family, t, chart, geom, log_r, log_abs)
+    def non_finite_main(family, t, chart, geom, log_r, log_abs, out=None):
+        if chart.name != "main":
+            return potential(family, t, chart, geom, log_r, log_abs, out)
+        if out is None:
+            out = np.empty(log_abs.shape)
+        out.fill(value)
+        return out
 
     monkeypatch.setattr(mongeampere, "_potential_on_grid", non_finite_main)
     monkeypatch.setattr(mongeampere, "_pieces", lambda *args: [])

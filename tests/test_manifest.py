@@ -129,6 +129,8 @@ OVERSIZED = [
     ("val-eval", ("params", "lse", "m_choices"), [10**400], "_lse_gaps"),
     ("rho-r", ("params", "n_angles"), 4097, "rho_r_inverse"),
     ("mz-check", ("params", "n_random"), 10**5 + 1, "random_fs_family"),
+    ("rho-r", ("params", "k_exponents"), [1] * 65, "rho_r_inverse"),
+    ("val-eval", ("params", "lse", "m_choices"), [1] * 65, "_lse_gaps"),
 ]
 
 
@@ -152,6 +154,32 @@ def test_negative_seed_override_exits_two(data_dir, tmp_path, kind):
     assert rc == 2
     assert "--seed" in err
     assert not written
+
+
+@pytest.mark.parametrize("kind", ["val-eval", "mz-check"])
+def test_seed_above_u64_exits_two(data_dir, tmp_path, kind):
+    # the CLI documents a u64 seed: 2^64 is refused on both routes
+    man = bundled(data_dir, kind)
+    rc, err, written = run_cli(kind, man, tmp_path, "--seed", str(2**64))
+    assert (rc, written) == (2, False)
+    assert "--seed must be an integer in [0, 2^64 - 1]" in err
+    rc, err, written = run_cli(kind, mutate(man, ("seed",), 2**64), tmp_path)
+    assert (rc, written) == (2, False)
+    assert ": seed must be an integer in [0, 2^64 - 1]" in err
+    path = tmp_path / "top.json"
+    path.write_text(json.dumps(mutate(man, ("seed",), 2**64 - 1)))
+    assert ExperimentManifest.load(path).seed == 2**64 - 1
+
+
+def test_list_over_its_bound_is_named_by_count(data_dir, tmp_path, monkeypatch):
+    # the message gives the length, not the list, which may be long
+    monkeypatch.setattr(harness, "rho_r_inverse", None)
+    man = mutate(bundled(data_dir, "rho-r"), ("params", "k_exponents"),
+                 [1] * 10**5)
+    rc, err, written = run_cli("rho-r", man, tmp_path)
+    assert (rc, written) == (2, False)
+    assert err.strip().endswith("params.k_exponents: expected a list of at "
+                                "most 64 items, got 100000 items")
 
 
 def test_every_bundled_manifest_key_is_read(data_dir, monkeypatch):

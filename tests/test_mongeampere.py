@@ -736,6 +736,92 @@ def test_cached_geometry_arrays_are_read_only():
             a[...] = 0
 
 
+def _octant_reference(L, n):
+    """The octant arrays and Lambda by the plain route, which the build
+    must match bit for bit: a fresh array per step, the neighbour rows
+    through np.where and np.stack, and the stencil of the whole triangle
+    in one call."""
+    half = n // 2
+    quadrant = mongeampere._ChartGeometry(L, n).centers[half:]
+    halo = np.log(np.abs(quadrant[:, None] + 1j * quadrant[None, :]))
+    i, j = np.triu_indices(half)
+    order = np.argsort(halo[i + 1, j + 1], kind="stable")
+    i, j = i[order], j[order]
+    size = order.size
+    position = np.empty((half, half), dtype=np.intp)
+    position[i, j] = np.arange(size)
+
+    def where(a, b):
+        a, b = np.maximum(a, 0), np.maximum(b, 0)
+        a, b = np.minimum(a, b), np.maximum(a, b)
+        return np.where(b == half, size + a, position[a, np.minimum(b, half - 1)])
+
+    ref = {"log_abs": halo[i + 1, j + 1],
+           "multiplicity": np.where(i == j, 4.0, 8.0),
+           "neighbours": np.stack([where(i + 1, j), where(i - 1, j),
+                                   where(i, j + 1), where(i, j - 1)]),
+           "boundary": np.stack([halo[1:-1, -1], halo[1:-1, -2]])}
+    phi = np.concatenate([ref["log_abs"], ref["boundary"][0]])
+    nb = ref["neighbours"]
+    stencil = phi[nb[0]] + phi[nb[1]]
+    stencil += phi[nb[2]] + phi[nb[3]]
+    stencil -= 4.0 * phi[:size]
+    stencil /= 2.0 * math.pi
+    stencil *= ref["multiplicity"]
+    ref["log_stencil"] = stencil
+    return ref, float(quadrant[1] - quadrant[0])
+
+
+@pytest.mark.parametrize("n", [16, 18, 64, 1024])
+def test_octant_build_matches_its_reference_bit_for_bit(n):
+    # n = 1024 takes Lambda in several stencil blocks
+    cells = mongeampere._ChartGeometry(2.0, n).octant
+    ref, h = _octant_reference(2.0, n)
+    for name, want in ref.items():
+        got = getattr(cells, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+    assert cells.h == h
+
+
+def _traced_peak(work) -> int:
+    """The peak of traced allocations while ``work`` runs, in bytes above
+    what was allocated before it."""
+    import gc
+    import tracemalloc
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        work()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_octant_build_and_per_t_stage_stay_small(data_dir, r):
+    # bounds in bytes per cell of the n x n grid, ~15% above what this code
+    # reads (11.2 and 7.3); the build that made a fresh array per step read
+    # 17.3, and a run that kept the last t's cloud and each chart's grid
+    # alive, with stencil temporaries of a whole segment, read 16.2
+    n = 512
+    # numpy is imported on first use: its import is not the build's
+    mongeampere._ChartGeometry(2.0, 16).octant.log_stencil
+    assert _traced_peak(
+        lambda: mongeampere._ChartGeometry(2.0, n).octant.log_stencil
+    ) <= 13.0 * n * n
+    fam = load_family(data_dir / "families" / "fam_threesec.json")
+    tests = {"ramp": PAFunction1D.from_breakpoints(
+        [Fraction(-2), Fraction(0)], [Fraction(0), Fraction(1)], r)}
+    for chart in fam.charts:  # the shared geometry is not the stage's
+        _geometry(chart.L, n).octant.log_stencil
+    assert _traced_peak(
+        lambda: weak_convergence_experiment(fam, [1e-2, 1e-3], tests, n, r,
+                                            mass_tol=math.inf)
+    ) <= 8.4 * n * n
+
+
 def test_families_with_one_grid_build_one_geometry(data_dir, r):
     tests = {"ramp": PAFunction1D.from_breakpoints(
         [Fraction(-2), Fraction(0)], [Fraction(0), Fraction(1)], r)}
