@@ -16,6 +16,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 from .exactnum import LogRVal
@@ -70,6 +71,7 @@ from .mongeampere import (
     FamilyEntry,
     IntersectionTable,
     ResolutionError,
+    _radial,
     cln_stability_check,
     family_limit_measure,
     ma_model_metric,
@@ -113,21 +115,43 @@ from .valuation import (
 )
 
 
-# A run's peak allocation per grid cell (tracemalloc, grids 512 and 1024)
-# is 11-15 bytes on the octant route (the bundled families, geometry
-# included) and ~80 on the full route, five times its (n + 2)^2 complex
-# grid of 16-byte nodes: the bound keeps the full route within 2 GiB.
-_GRID_MAX = math.isqrt(2**31 // 80) // 2 * 2  # 5180
+# A run's peak allocation per grid cell, geometry included (tracemalloc
+# around ma_complex_curve, grids 512 and 1024, cold geometry cache), is
+# 11-15 bytes on the octant route of radial families (all four bundled
+# ones).  On the full route of a family with a multi-term entry it is
+# 88.6 in max mode, for any number of entries, and 88.6 + 16.1 (N - 1) in
+# lse mode with N entries, which holds the N-term stack and lse_max_gap's
+# copy of it beside the complex grid.  Every family may take grids up to
+# _GRID_MAX, ~0.4 GB on the octant route; a full-route family only up to
+# the largest grid that keeps it within 2 GiB, from the costs below,
+# rounded up.
+_GRID_MAX = 5180
+_GRID_BYTES = 2**31
+_FULL_ROUTE_CELL = 89  # bytes a cell, in max mode or for one lse entry
+_LSE_ENTRY_CELL = 17   # bytes a cell, for each further lse entry
 
 
 def _grid_side(value):
     """An even integer in [16, _GRID_MAX]: the Laplacian needs 16 cells a
     side, an odd side puts a cell center on xi = 0, where log|xi| is -inf,
-    and a larger side would allocate more than 2 GiB."""
+    and no family takes a larger one (a full-route family takes at most
+    _grid_fit's)."""
     n = _int(f"[16, {_GRID_MAX}]")(value)
     if n % 2:
         raise ValueError(f"expected an even integer, got {value!r}")
     return n
+
+
+def _grid_fit(family: CurveFamily) -> int:
+    """The largest grid a run of ``family`` may take: _GRID_MAX on the
+    octant route, else the largest even side whose full route keeps
+    within _GRID_BYTES."""
+    if _radial(family):
+        return _GRID_MAX
+    cell = _FULL_ROUTE_CELL
+    if family.mode == "lse":
+        cell += _LSE_ENTRY_CELL * (len(family.entries) - 1)
+    return math.isqrt(_GRID_BYTES // cell) // 2 * 2
 
 
 # ---------------------------------------------------------------------------
@@ -280,91 +304,171 @@ def _random_model() -> SncModelCombinatorics:
     return SncModelCombinatorics(comps, strata, name="valtest")
 
 
-def _randint(rng: random.Random, lo: int, hi: int) -> int:
-    """``rng.randint(lo, hi)`` from the same draws, without its call chain.
+def _input_draws(model: SncModelCombinatorics, rng: random.Random):
+    """``(point, laurent, series)``: random points of ``model`` and random
+    Laurent data in its variable labels, drawn from ``rng.getrandbits``,
+    with the model's strata, multiplicities and labels looked up once.
 
-    As in ``Random.randint``, the n = hi - lo + 1 values take
-    k = n.bit_length() bits of ``getrandbits``, drawn again while they
-    are >= n, so the value and the generator's end state are the same.
+    They draw what the plain form with ``rng.choice``, ``rng.randint`` and
+    ``rng.sample`` draws, draw for draw, so a seed gives the same inputs
+    and leaves ``rng`` in the same state.  Each of those takes a value
+    from a range of n as ``Random._randbelow`` does: k = n.bit_length()
+    bits, drawn again while they are >= n.
+
+    - ``point()``: a stratum, ``rng.choice(model.strata)``; then for each
+      of its components a_j = randint(0, 6) and b_j = randint(1, 5); if
+      every a_j is 0, the pair at ``rng.randrange`` of the stratum's
+      length becomes (1, 1).  The weights are q_j = a_j / b_j over
+      sum_i m_i q_i, so that sum_j m_j w_j = 1.
+    - ``series(vars_, max_terms, lo, hi)``: randint(1, max_terms) terms,
+      each a tuple of randint(lo, hi) per variable with the unit tag; a
+      repeated tuple is one term.
+    - ``laurent(max_vars, max_terms, lo, hi)``: randint(1, max_vars)
+      labels by ``rng.sample(labels, nv)``, in the draws of its pool
+      branch (the one it takes for at most 21 labels), then their series.
     """
-    n = hi - lo + 1
-    if n <= 0:
-        raise ValueError(f"empty range for randint({lo}, {hi})")
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return lo + r
-
-
-def _randints(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
-    """``[rng.randint(lo, hi) for _ in range(count)]``: _randint's draws,
-    with its loop inline."""
-    n = hi - lo + 1
-    if n <= 0:
-        raise ValueError(f"empty range for randint({lo}, {hi})")
-    k = n.bit_length()
     draw = rng.getrandbits
-    out = []
-    for _ in range(count):
-        r = draw(k)
-        while r >= n:
-            r = draw(k)
-        out.append(lo + r)
-    return out
-
-
-def _random_point(model, rng: random.Random):
-    strata = model.strata
-    stratum = strata[_randint(rng, 0, len(strata) - 1)]
-    raw = [(_randint(rng, 0, 6), _randint(rng, 1, 5)) for _ in stratum]
-    if not any(a for a, _ in raw):
-        raw[_randint(rng, 0, len(raw) - 1)] = (1, 1)
-    # over the common denominator den, q_j = a_j/b_j = n_j/den, so the
-    # normalized weight q_j / sum_i m_i q_i is n_j / sum_i m_i n_i
-    den = math.lcm(*(b for _, b in raw))
-    nums = [a * (den // b) for a, b in raw]
-    total = sum(model.multiplicity(j) * n for j, n in zip(stratum, nums))
-    # trusted: a declared stratum, non-negative weights in lowest terms,
-    # and sum_j m_j w_j = 1 by the choice of total
-    return QuasiMonomialPoint._canonical(
-        model, stratum, tuple([Fraction(n, total) for n in nums]))
-
-
-def _unit_terms(exps: list[int], width: int) -> dict:
-    """The flat exponent draws ``exps``, cut into keys of length ``width``,
-    each carrying the unit tag."""
     unit = Coefficient.unit()
-    return {tuple(exps[i:i + width]): unit for i in range(0, len(exps), width)}
-
-
-def _random_laurent(model, rng: random.Random, max_vars: int, max_terms: int,
-                    lo: int, hi: int) -> LaurentSeriesData:
+    mults = [c.multiplicity for c in model.components]
+    strata = [(s, [mults[j] for j in s]) for s in model.strata]
+    n_strata = len(strata)
+    k_strata = n_strata.bit_length()
     labels = model.variable_labels()
-    nv = _randint(rng, 1, max_vars)
-    vars_ = tuple(rng.sample(labels, nv))
-    n_terms = _randint(rng, 1, max_terms)
-    # trusted: the sampled labels are distinct (those of _random_model) and
-    # the keys are distinct int tuples of length nv carrying unit tags
-    return LaurentSeriesData._canonical(
-        vars_, _unit_terms(_randints(rng, lo, hi, n_terms * nv), nv))
+    n_labels = len(labels)
+
+    def point() -> QuasiMonomialPoint:
+        r = draw(k_strata)
+        while r >= n_strata:
+            r = draw(k_strata)
+        stratum, ms = strata[r]
+        nums, dens = [], []
+        for _ in stratum:  # 3 bits each: 7 values of a_j, 5 of b_j
+            a = draw(3)
+            while a >= 7:
+                a = draw(3)
+            b = draw(3)
+            while b >= 5:
+                b = draw(3)
+            nums.append(a)
+            dens.append(b + 1)
+        if not any(nums):
+            size = len(nums)
+            k = size.bit_length()
+            r = draw(k)
+            while r >= size:
+                r = draw(k)
+            nums[r] = dens[r] = 1
+        # over the common denominator den, q_j = a_j/b_j = n_j/den, so the
+        # normalized weight q_j / sum_i m_i q_i is n_j / sum_i m_i n_i
+        den = math.lcm(*dens)
+        nums = [a * (den // b) for a, b in zip(nums, dens)]
+        total = sum(map(mul, ms, nums))
+        # trusted: a declared stratum, non-negative weights in lowest terms,
+        # and sum_j m_j w_j = 1 by the choice of total
+        return QuasiMonomialPoint._canonical(
+            model, stratum, tuple([Fraction(n, total) for n in nums]))
+
+    def series(vars_: tuple, max_terms: int, lo: int, hi: int) -> LaurentSeriesData:
+        n = hi - lo + 1
+        if n <= 0 or max_terms <= 0:
+            raise ValueError(f"empty range for randint({lo}, {hi}) or "
+                             f"randint(1, {max_terms})")
+        k = max_terms.bit_length()
+        r = draw(k)
+        while r >= max_terms:
+            r = draw(k)
+        width = len(vars_)
+        size = (r + 1) * width
+        k = n.bit_length()
+        # the rejection loop makes at least ``size`` draws: make those at
+        # once and keep the accepted ones, in order, then draw one at a
+        # time until ``size`` are accepted
+        exps = [lo + e for e in [draw(k) for _ in range(size)] if e < n]
+        while len(exps) < size:
+            e = draw(k)
+            if e < n:
+                exps.append(lo + e)
+        # trusted: distinct int tuples of length width, sorted, unit-tagged
+        keys = sorted(set(zip(*[iter(exps)] * width)))
+        return LaurentSeriesData._canonical(vars_, tuple([(e, unit) for e in keys]))
+
+    def laurent(max_vars: int, max_terms: int, lo: int, hi: int) -> LaurentSeriesData:
+        if not 0 < max_vars <= n_labels:
+            raise ValueError(f"cannot sample 1 to {max_vars} of {n_labels} labels")
+        k = max_vars.bit_length()
+        r = draw(k)
+        while r >= max_vars:
+            r = draw(k)
+        pool = labels.copy()
+        picked = []
+        for i in range(n_labels, n_labels - r - 1, -1):  # r + 1 labels
+            k = i.bit_length()
+            j = draw(k)
+            while j >= i:
+                j = draw(k)
+            picked.append(pool[j])
+            pool[j] = pool[i - 1]
+        return series(tuple(picked), max_terms, lo, hi)
+
+    return point, laurent, series
 
 
 # The lse sweep draws each (N, m) block in chunks of this many rows, so its
-# memory does not grow with n_samples (default_rng fills C order, so the
-# chunks hold the doubles one draw of the block would).  Its time still
-# does, ~0.07 us a sample at max_n 8 (one Xeon core): the bound keeps a
-# sweep near a minute, where 10^15 samples would run for two years.
+# memory does not grow with n_samples: at N = 64 a chunk peaks at 16.4 MiB
+# (tracemalloc), the kernel's two arrays of 16384 x 64 words, and then the
+# doubles and lse_max_gap's copy of them.  Its time still grows, ~0.13 us
+# a sample at max_n 8 (one Xeon core): the bound keeps a sweep near two
+# minutes, where 10^15 samples would run for four years.
 _LSE_CHUNK = 1 << 14
 _LSE_SAMPLES_MAX = 10**9
 
 
-def _lse_gaps(nprng, count: int, nn: int, mm: int):
-    """lse_max_gap of ``count`` rows of nn uniform draws in [-10, 10), one
-    array per chunk of at most _LSE_CHUNK rows."""
+def _splitmix64(seed: int, first: int, count: int):
+    """Draws first, ..., first + count - 1 of SplitMix64 (Steele, Lea and
+    Flood, OOPSLA 2014) from ``seed``, as a uint64 array.
+
+    Draw k is the generator's output for the state seed + (k + 1) gamma
+    (mod 2^64), gamma = 0x9E3779B97F4A7C15: a function of (seed, k)
+    alone, so a run of draws is the same however it is cut.  The array of
+    draw indices is mixed in place, with one more array for the shifts.
+    """
+    import numpy as np
+
+    z = np.arange(first + 1, first + count + 1, dtype=np.uint64)
+    z *= 0x9E3779B97F4A7C15  # uint64 arithmetic wraps mod 2^64
+    z += seed
+    t = np.right_shift(z, 30)
+    z ^= t
+    z *= 0xBF58476D1CE4E5B9
+    np.right_shift(z, 27, out=t)
+    z ^= t
+    z *= 0x94D049BB133111EB
+    np.right_shift(z, 31, out=t)
+    z ^= t
+    return z
+
+
+def _lse_draws(seed: int, first: int, rows: int, nn: int):
+    """``rows`` x ``nn`` doubles in [-10, 10), from the seed's draws first
+    on: each is -10 + 20 u, u its top 53 bits over 2^53, numpy's uniform
+    formula.  u is exact, so 20 u rounds once, as the product of the
+    53 bits and 20 / 2^53 does; the doubles overwrite the draws."""
+    import numpy as np
+
+    z = _splitmix64(seed, first, rows * nn)
+    z >>= 11
+    x = z.view(np.float64)
+    np.multiply(z, 20.0 / 2.0**53, out=x)
+    x -= 10.0
+    return x.reshape(rows, nn)
+
+
+def _lse_gaps(seed: int, first: int, count: int, nn: int, mm: int):
+    """lse_max_gap of ``count`` rows of nn doubles from _lse_draws, the
+    seed's draws first on, one array per chunk of at most _LSE_CHUNK rows."""
     for start in range(0, count, _LSE_CHUNK):
         rows = min(_LSE_CHUNK, count - start)
-        yield lse_max_gap(nprng.uniform(-10.0, 10.0, size=(rows, nn)), mm)
+        yield lse_max_gap(_lse_draws(seed, first + start * nn, rows, nn), mm)
 
 
 def run_val_eval(man: ExperimentManifest, rep: RunReport):
@@ -377,9 +481,8 @@ def run_val_eval(man: ExperimentManifest, rep: RunReport):
     n_superadd = man.param("n_superadd", 200, _COUNT)
     n_gauss = man.param("n_gauss", 50, _COUNT)
     # The sweep lists its max_n x len(m_choices) (N, m) pairs up front and a
-    # chunk holds _LSE_CHUNK x N doubles, which lse_max_gap copies once:
-    # 8 MiB at N = 64, where a sample takes ~0.4 us (~7 min for 10^9
-    # samples).  2m scales differences of draws (< 20) and divides log N, so
+    # chunk peaks at two arrays of _LSE_CHUNK x N words: 16 MiB at N = 64,
+    # where a sample takes ~1.4 us (~25 min for 10^9 samples).  2m scales differences of draws (< 20) and divides log N, so
     # m <= 10^300 keeps both finite; past ~10^308, 2m is no double at all.
     # At most 64 m values keep the pairs at 64 x 64 = 4096, each at least
     # one Python loop turn and a draw, however few samples it gets.
@@ -388,11 +491,12 @@ def run_val_eval(man: ExperimentManifest, rep: RunReport):
         max_n=(8, _int("[1, 64]")),
         m_choices=([1, 2, 3], _each(_int("[1, 1e300]"), 1, 64))))
     rng = random.Random(man.seed)
+    point, laurent, series = _input_draws(model, rng)
     mismatch = 0
     t0 = time.perf_counter()
     for _ in range(n):
-        v = _random_point(model, rng)
-        f = _random_laurent(model, rng, *shape)
+        v = point()
+        f = laurent(*shape)
         if qm_eval(v, f) != brute_force_min(v, f):
             mismatch += 1
     elapsed = time.perf_counter() - t0
@@ -415,12 +519,12 @@ def run_val_eval(man: ExperimentManifest, rep: RunReport):
     ok = (
         weighted_min_of_terms(f1, w12) == Fraction(1, 2)
         and weighted_min_of_terms(f2, w12) == Fraction(5, 6)
-        and qm_eval(_random_point(model, rng), LaurentSeriesData.zero(["x1"])) == INF
+        and qm_eval(point(), LaurentSeriesData.zero(["x1"])) == INF
     )
     rep.check("min-formula-worked-examples", ok, "1/2, 5/6, +inf")
     # normalization v(t) = 1 and degree-1 homogeneity on monomials
     norm_ok = all(
-        qm_eval(_random_point(model, rng), model.uniformizer()) == 1
+        qm_eval(point(), model.uniformizer()) == 1
         for _ in range(50)
     )
     rep.check("uniformizer-normalization", norm_ok, "v(t)=1 on 50 points")
@@ -437,11 +541,9 @@ def run_val_eval(man: ExperimentManifest, rep: RunReport):
     # superadditivity property sweep
     bad = 0
     for _ in range(n_superadd):
-        v = _random_point(model, rng)
-        f = _random_laurent(model, rng, 2, 8, 0, 6)
-        nv = len(f.variables)
-        exps = _randints(rng, 0, 6, _randint(rng, 1, 8) * nv)
-        g = LaurentSeriesData._canonical(f.variables, _unit_terms(exps, nv))
+        v = point()
+        f = laurent(2, 8, 0, 6)
+        g = series(f.variables, 8, 0, 6)
         res = valuation_superadditivity_check(v, f, g)
         if not (res.product_ok and res.sum_ok):
             bad += 1
@@ -450,8 +552,8 @@ def run_val_eval(man: ExperimentManifest, rep: RunReport):
     g_ok = True
     for _ in range(n_gauss):
         ns = sorted(rng.sample(range(-10, 10), rng.randint(1, 6)))
-        series = [(nn, f"s{nn}") for nn in ns]
-        if gauss_extension(lambda h: Fraction(0), series) != min(ns):
+        terms = [(nn, f"s{nn}") for nn in ns]
+        if gauss_extension(lambda h: Fraction(0), terms) != min(ns):
             g_ok = False
     examples = (
         gauss_extension(lambda h: Fraction(0), [(1, "c")]) == 1
@@ -465,18 +567,19 @@ def run_val_eval(man: ExperimentManifest, rep: RunReport):
     if lse is not None:
         import numpy as np
 
-        nprng = np.random.default_rng(man.seed)
         total = lse["n_samples"]
         combos = [(nn, mm) for nn in range(1, lse["max_n"] + 1)
                   for mm in lse["m_choices"]]
         per = total // len(combos)
         violations = 0
         checked = 0
+        drawn = 0  # each block takes the next count x nn draws of the seed
         for idx, (nn, mm) in enumerate(combos):
             count = per if idx < len(combos) - 1 else total - per * (len(combos) - 1)
             bound = math.log(nn) / (2 * mm)
-            for gaps in _lse_gaps(nprng, count, nn, mm):
+            for gaps in _lse_gaps(man.seed, drawn, count, nn, mm):
                 violations += int(np.sum((gaps < 0) | (gaps > bound + 1e-12)))
+            drawn += count * nn
             checked += count
         rep.check(
             "lse-max-envelope", violations == 0,
@@ -495,10 +598,11 @@ def run_retract(man: ExperimentManifest, rep: RunReport):
     all_ok = True
     names = sorted(registry)
     identities = [identity_pullback(registry[name]) for name in names]
+    points = [_input_draws(registry[name], rng)[0] for name in names]
     for k in range(n_points):
-        model = registry[names[k % len(names)]]
-        v = _random_point(model, rng)
-        back = retraction(model, v, identities[k % len(names)])
+        i = k % len(names)
+        v = points[i]()
+        back = retraction(registry[names[i]], v, identities[i])
         all_ok = all_ok and back.same_valuation(v)
     rep.check("retraction-idempotence", all_ok,
               f"rho o i = id on {n_points} rational points")
@@ -654,9 +758,17 @@ def run_ma_converge(man: ExperimentManifest, rep: RunReport):
     deltas = man.param("cln_deltas", ["1/10", "1/100", "1/1000", "1/10000"],
                        _each(_rat(), 1))
     cln_tol = man.param("cln_residual_tol", 0.05, _TOL)
+    fams = [load_family(path) for path in families]
+    for fam in fams:
+        # refused before any grid is built
+        fits = _grid_fit(fam)
+        if grid > fits:
+            raise ManifestError(
+                f"{man.path}: params.grid: {grid} is more than {fits}, the "
+                f"largest grid at which family {fam.name!r} (full route, "
+                f"{fam.mode} mode, {len(fam.entries)} entries) keeps within 2 GiB")
     rows = []
-    for path in families:
-        fam = load_family(path)
+    for fam in fams:
         try:
             conv = weak_convergence_experiment(fam, t_schedule, tests, grid, r,
                                                 mass_tol=mass_tol)

@@ -97,18 +97,25 @@ class LaurentSeriesData:
         self.terms = tuple(sorted(seen.items()))
 
     @classmethod
-    def _canonical(cls, variables: tuple, acc: dict) -> "LaurentSeriesData":
-        """Trusted constructor for terms already known to be valid.
+    def _canonical(cls, variables: tuple, terms: tuple) -> "LaurentSeriesData":
+        """Trusted constructor for terms already in the form ``__init__``
+        leaves them.
 
-        ``variables`` is a tuple of distinct labels and ``acc`` maps
-        distinct int tuples of its length to Coefficient tags, so only the
-        zero-dropping and the sort of ``__init__`` remain to be done.
+        ``variables`` is a tuple of distinct labels and ``terms`` a tuple
+        of (exponent, tag) pairs sorted by exponent: distinct int tuples of
+        its length, each with a nonzero Coefficient tag.
         """
         self = cls.__new__(cls)
         self.variables = variables
-        self.terms = tuple(sorted([(e, c) for e, c in acc.items()
-                                   if c is _UNIT or not c.is_zero()]))
+        self.terms = terms
         return self
+
+    @classmethod
+    def _collected(cls, variables: tuple, acc: dict) -> "LaurentSeriesData":
+        """``acc`` maps distinct int tuples of the length of ``variables``
+        to Coefficient tags; its nonzero terms, sorted."""
+        return cls._canonical(variables, tuple(sorted(
+            [(e, c) for e, c in acc.items() if c is _UNIT or not c.is_zero()])))
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -129,7 +136,7 @@ class LaurentSeriesData:
         acc = dict(self.terms)
         for exp, c in other.terms:
             acc[exp] = acc[exp].add(c) if exp in acc else c
-        return LaurentSeriesData._canonical(self.variables, acc)
+        return LaurentSeriesData._collected(self.variables, acc)
 
     def formal_product(self, other: "LaurentSeriesData") -> "LaurentSeriesData":
         if self.variables != other.variables:
@@ -143,7 +150,7 @@ class LaurentSeriesData:
                 else:
                     c, c0 = c1.mul(c2), acc.get(exp)
                     acc[exp] = c if c0 is None else c0.add(c)
-        return LaurentSeriesData._canonical(self.variables, acc)
+        return LaurentSeriesData._collected(self.variables, acc)
 
     def __repr__(self):
         if self.is_zero():

@@ -301,6 +301,51 @@ def test_ma_converge_bad_params_exit_two(data_dir, tmp_path, capsys, key, value,
     assert not (tmp_path / "out").exists()
 
 
+def _full_route_manifest(data_dir: Path, tmp_path: Path, mode: str, grid: int):
+    """The bundled ma-converge manifest at ``grid`` on one family of three
+    two-term entries: it takes the full route."""
+    fam = {"name": "full3", "m": 1, "degree": 4, "mode": mode,
+           "entries": [{"coeffs": {"0": [1.0, 0.0], str(k): [1.0, 0.0]},
+                        "q": str(k), "c": "0"} for k in (1, 2, 3)],
+           "charts": [{"p": "0"}]}
+    fam_path = tmp_path / "full3.json"
+    fam_path.write_text(json.dumps(fam))
+    man = _ma_converge_manifest(data_dir, tmp_path, "grid", grid)
+    src = json.loads(man.read_text())
+    src["inputs"]["families"].append(str(fam_path))
+    man.write_text(json.dumps(src))
+    return man
+
+
+class _Reached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("mode,fits", [("max", 4912), ("lse", 4178)])
+def test_full_route_grid_fits_its_family(data_dir, tmp_path, capsys, monkeypatch,
+                                          mode, fits):
+    # a family off the octant route gets the largest grid whose full route
+    # keeps within 2 GiB; above it the run is refused before any family,
+    # the bundled radial ones included, builds a grid
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    monkeypatch.setattr(harness, "weak_convergence_experiment", reached)
+    for grid in (fits + 2, harness._GRID_MAX):
+        man = _full_route_manifest(data_dir, tmp_path, mode, grid)
+        rc = main(["ma-converge", "--manifest", str(man), "--out",
+                   str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {man}: params.grid: {grid} is more than {fits}, the largest "
+            f"grid at which family 'full3' (full route, {mode} mode, 3 entries) "
+            "keeps within 2 GiB\n")
+        assert not (tmp_path / "out").exists()
+    with pytest.raises(_Reached):
+        run(ExperimentManifest.load(
+            _full_route_manifest(data_dir, tmp_path, mode, fits)))
+
+
 def test_ma_converge_unresolved_grid_fails_check(data_dir, tmp_path):
     man = _ma_converge_manifest(data_dir, tmp_path, "mass_tol", 1e-12)
     rc = main(["ma-converge", "--manifest", str(man), "--out",
@@ -601,3 +646,18 @@ def test_exact_kinds_leave_numpy_unloaded(data_dir, tmp_path, kind, unused):
     loaded = _modules_loaded_by(
         f"from berkhyb.cli import main\nassert main({argv!r}) == 0")
     assert unused.isdisjoint(loaded)
+
+
+def test_val_eval_leaves_numpy_random_unloaded(data_dir, tmp_path):
+    # the lse sweep loads numpy, but draws from harness._splitmix64
+    argv = ["val-eval", "--manifest", str(manifest_path(data_dir, "val_eval.json")),
+            "--out", str(tmp_path / "out")]
+    probe = ("import sys\nfrom berkhyb.cli import main\n"
+             f"assert main({argv!r}) == 0\n"
+             "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(berkhyb.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert {c["name"]: c["passed"] for c in report["checks"]}["lse-max-envelope"]

@@ -14,7 +14,7 @@ from berkhyb.models import (
     identity_pullback,
     retraction,
 )
-from berkhyb.harness import _random_point, load_models_with_pullbacks
+from berkhyb.harness import _input_draws, load_models_with_pullbacks
 from berkhyb.valuation import (
     INF,
     LaurentSeriesData,
@@ -252,7 +252,8 @@ def test_lattice_retraction_matches_qm_eval_reference(data_dir):
     for target, pb in _pullbacks(data_dir):
         source = pb.source
         points = [divisorial_point(source, i) for i in range(len(source.components))]
-        points += [_random_point(source, rng) for _ in range(60)]
+        point = _input_draws(source, rng)[0]
+        points += [point() for _ in range(60)]
         for v in points:
             got = _outcome(target, v, pb, retraction)
             assert got == _outcome(target, v, pb, reference_retraction), (

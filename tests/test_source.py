@@ -91,6 +91,35 @@ def test_no_module_imports_mpmath():
     assert imports == []
 
 
+def _numpy_random_uses(tree):
+    """Lines that import numpy.random or read ``random`` off numpy."""
+    numpy_names = {"numpy"} | {
+        a.asname for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for a in node.names if a.name == "numpy" and a.asname}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(a.name.startswith("numpy.random") for a in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.startswith("numpy.random") or node.module == "numpy" \
+                    and any(a.name == "random" for a in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr == "random" \
+                and isinstance(node.value, ast.Name) and node.value.id in numpy_names:
+            yield node.lineno
+
+
+def test_no_module_uses_numpy_random():
+    # the lse sweep draws from harness._splitmix64; loading numpy.random
+    # costs a val-eval process ~6 MB and ~10 ms
+    uses = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+            for line in _numpy_random_uses(ast.parse(path.read_text()))]
+    assert uses == []
+    probe = ast.parse("import numpy as np\nimport numpy.random\n"
+                      "from numpy import random\nx = np.random.default_rng(1)\n")
+    assert list(_numpy_random_uses(probe)) == [2, 3, 4]
+
+
 def test_input_formats_live_in_harness():
     # manifest reads the JSON and harness parses every input file through
     # it; no other module reads JSON

@@ -10,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from berkhyb.exactnum import LogRVal
-from berkhyb.harness import _LSE_CHUNK, _lse_gaps, load_tfs_file
+from berkhyb import harness
+from berkhyb.manifest import ExperimentManifest, run
+from berkhyb.harness import _LSE_CHUNK, _lse_draws, _lse_gaps, _splitmix64, \
+    load_tfs_file
 from berkhyb.tropical import (
     BasepointError,
     RegularityError,
@@ -307,14 +310,87 @@ def test_lse_gap_leaves_its_input_alone():
 @pytest.mark.parametrize("nn,mm", [(1, 1), (3, 2), (8, 3), (13, 1)])
 def test_lse_sweep_chunks_draw_as_one_block(nn, mm):
     # a block of several chunks, the last one partial, then a block that
-    # fits in one: the gaps, and the generator after them, are the same
-    count = 2 * _LSE_CHUNK + 123
-    chunked, whole = np.random.default_rng(5), np.random.default_rng(5)
-    parts = list(_lse_gaps(chunked, count, nn, mm))
+    # fits in one: the gaps are those of one draw of both blocks together
+    count, first = 2 * _LSE_CHUNK + 123, 1000
+    parts = list(_lse_gaps(5, first, count, nn, mm))
     assert [p.size for p in parts] == [_LSE_CHUNK, _LSE_CHUNK, 123]
-    want = lse_max_gap(whole.uniform(-10.0, 10.0, size=(count, nn)), mm)
-    assert _same_bits(np.concatenate(parts), want)
-    (small,) = _lse_gaps(chunked, 7, nn, mm)
-    assert _same_bits(small, lse_max_gap(whole.uniform(-10.0, 10.0, size=(7, nn)), mm))
-    assert list(_lse_gaps(chunked, 0, nn, mm)) == []
-    assert chunked.bit_generator.state == whole.bit_generator.state
+    whole = _lse_draws(5, first, count + 7, nn)
+    assert _same_bits(np.concatenate(parts), lse_max_gap(whole[:count], mm))
+    (small,) = _lse_gaps(5, first + count * nn, 7, nn, mm)
+    assert _same_bits(small, lse_max_gap(whole[count:], mm))
+    assert list(_lse_gaps(5, first, 0, nn, mm)) == []
+
+
+
+def test_lse_blocks_take_consecutive_draws(tmp_path, monkeypatch):
+    # each (N, m) block starts at the draw where the one before it stopped
+    blocks = []
+
+    def recorded(seed, first, count, nn, mm):
+        blocks.append((seed, first, count, nn))
+        return _lse_gaps(seed, first, count, nn, mm)
+
+    monkeypatch.setattr(harness, "_lse_gaps", recorded)
+    man = tmp_path / "val_eval.json"
+    man.write_text(json.dumps({
+        "schema": "berkhyb-manifest-v1", "kind": "val-eval", "seed": 3,
+        "inputs": {}, "params": {"n_random": 1, "n_superadd": 1, "n_gauss": 1,
+                                 "lse": {"n_samples": 1001, "max_n": 3,
+                                         "m_choices": [1, 2]}}}))
+    assert run(ExperimentManifest.load(man)).passed()
+    assert [(nn, count) for _, _, count, nn in blocks] == \
+        [(1, 166), (1, 166), (2, 166), (2, 166), (3, 166), (3, 171)]
+    drawn = 0
+    for seed, first, count, nn in blocks:
+        assert (seed, first) == (3, drawn)
+        drawn += count * nn
+
+
+_MASK = 2**64 - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix(z):
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK
+    return z ^ z >> 31
+
+
+def test_splitmix64_known_answer():
+    # the published outputs of SplitMix64 seeded with 1234567, drawn the
+    # stateful way: add gamma to the state, then mix it
+    state, stepped = 1234567, []
+    for _ in range(5):
+        state = state + _GAMMA & _MASK
+        stepped.append(_mix(state))
+    want = [6457827717110365317, 3203168211198807973, 9817491932198370423,
+            4593380528125082431, 16408922859458223821]
+    assert stepped == want
+    assert _splitmix64(1234567, 0, 5).tolist() == want
+
+
+@pytest.mark.parametrize("seed", [0, 1234567, 20260810, 2**64 - 1])
+@pytest.mark.parametrize("first", [0, 2**32 - 3, 3 * 2**40 + 11])
+def test_splitmix64_matches_the_python_reference(seed, first):
+    # draw k is the mix of seed + (k + 1) gamma mod 2^64, at any k, and
+    # each double is -10 + 20 u for u the draw's top 53 bits over 2^53
+    ks = range(first, first + 40)
+    draws = [_mix(seed + (k + 1) * _GAMMA & _MASK) for k in ks]
+    got = _splitmix64(seed, first, 40)
+    assert got.dtype == np.uint64 and got.tolist() == draws
+    doubles = _lse_draws(seed, first, 8, 5)
+    assert doubles.shape == (8, 5) and doubles.dtype == np.float64
+    assert doubles.ravel().tolist() == [-10.0 + 20.0 * ((z >> 11) * 2.0**-53)
+                                        for z in draws]
+
+
+def test_lse_draws_lie_in_the_half_open_interval(monkeypatch):
+    for seed in (0, 3, 2**64 - 1):
+        xs = _lse_draws(seed, 0, 1 << 15, 8)
+        assert -10.0 <= xs.min() and xs.max() < 10.0
+    # the extreme draws: u = 0 and u = 1 - 2^-53, the largest
+    monkeypatch.setattr(harness, "_splitmix64", lambda seed, first, count: np.array(
+        [0, 2**11 - 1, _MASK - 2**11 + 1, _MASK], dtype=np.uint64))
+    lo, lo_too, hi, hi_too = _lse_draws(0, 0, 4, 1).ravel().tolist()
+    assert lo == lo_too == -10.0
+    assert hi == hi_too == 10.0 - 2.0**-48

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from berkhyb import valuation
 from berkhyb.exactnum import as_fraction, rat_to_str
-from berkhyb.harness import _LAURENT, _randint, _randints, _random_laurent, \
-    _random_model, _random_point, load_models_with_pullbacks
+from berkhyb.harness import _LAURENT, _input_draws, _random_model, \
+    load_models_with_pullbacks
 from berkhyb.valuation import (
     INF,
     Coefficient,
@@ -289,9 +289,10 @@ def test_random_point_matches_fraction_formula():
     draw for draw, and leave the generator in the same state."""
     model = _random_model()
     got_rng, ref_rng = random.Random(4242), random.Random(4242)
+    point = _input_draws(model, got_rng)[0]
     forced = 0
     for _ in range(2000):
-        v = _random_point(model, got_rng)
+        v = point()
         stratum = ref_rng.choice(model.strata)
         raw = [Fraction(ref_rng.randint(0, 6), ref_rng.randint(1, 5))
                for _ in stratum]
@@ -317,23 +318,87 @@ RANDINT_RANGES = [(5, 5), (0, 7), (-3, 12), (0, 16), (-10, 10),
 
 @pytest.mark.parametrize("lo,hi", RANDINT_RANGES)
 def test_randint_helpers_draw_as_random_randint(lo, hi):
+    # the generator's draw loops: a series' term count and exponents are
+    # those of rng.randint, for every width of range
+    labels = ("x1", "x2", "x3")
     for seed in range(100):
-        ref, one, many = (random.Random(seed) for _ in range(3))
-        want = [ref.randint(lo, hi) for _ in range(30)]
-        assert [_randint(one, lo, hi) for _ in range(30)] == want
-        assert _randints(many, lo, hi, 30) == want
-        assert _randints(many, lo, hi, 0) == []
-        assert one.getstate() == many.getstate() == ref.getstate()
+        ref, got = random.Random(seed), random.Random(seed)
+        series = _input_draws(_random_model(), got)[2]
+        for width in (1, 2, 3):
+            f = series(labels[:width], 8, lo, hi)
+            count = ref.randint(1, 8)
+            want = {tuple(ref.randint(lo, hi) for _ in range(width))
+                    for _ in range(count)}
+            assert f.variables == labels[:width]
+            assert f.terms == tuple((e, Coefficient.unit()) for e in sorted(want))
+        assert got.getstate() == ref.getstate()
         # the streams stay aligned for whatever is drawn next
-        assert one.random() == many.random() == ref.random()
+        assert got.random() == ref.random()
 
 
 def test_randint_helpers_reject_an_empty_range():
-    rng = random.Random(0)
+    # an empty range would draw forever
+    _, laurent, series = _input_draws(_random_model(), random.Random(0))
     with pytest.raises(ValueError, match="empty range"):
-        _randint(rng, 1, 0)
+        series(("x1",), 8, 1, 0)
     with pytest.raises(ValueError, match="empty range"):
-        _randints(rng, 1, 0, 3)
+        series(("x1",), 0, 0, 6)
+    for max_vars in (0, 5):
+        with pytest.raises(ValueError, match="cannot sample"):
+            laurent(max_vars, 8, 0, 6)
+
+
+def _reference_point(model, rng):
+    """A random point of ``model``, drawn with rng.choice and rng.randint."""
+    stratum = rng.choice(model.strata)
+    raw = [Fraction(rng.randint(0, 6), rng.randint(1, 5)) for _ in stratum]
+    if not any(raw):
+        raw[rng.randrange(len(raw))] = Fraction(1)
+    total = sum((model.multiplicity(j) * q for j, q in zip(stratum, raw)),
+                Fraction(0))
+    return model.point(stratum, [q / total for q in raw])
+
+
+def _reference_series(variables, rng, max_terms, lo, hi):
+    terms = {tuple(rng.randint(lo, hi) for _ in variables)
+             for _ in range(rng.randint(1, max_terms))}
+    return LaurentSeriesData(variables, unit_terms(terms))
+
+
+def _reference_laurent(model, rng, max_vars, max_terms, lo, hi):
+    """Random Laurent data in ``model``'s labels, drawn with rng.randint
+    and rng.sample."""
+    variables = rng.sample(model.variable_labels(), rng.randint(1, max_vars))
+    return _reference_series(tuple(variables), rng, max_terms, lo, hi)
+
+
+def _same_series(got, want):
+    return (type(got.variables) is tuple and got.variables == want.variables
+            and got.terms == want.terms)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 11, 20260810, 2**64 - 1])
+def test_input_draws_match_the_random_reference(data_dir, seed):
+    # val-eval's draws on its model, and retract's on the bundled models:
+    # the same points and series as rng.choice, rng.randint and rng.sample
+    # give, and the generator left in the same state
+    retracted = load_models_with_pullbacks(
+        [data_dir / "models" / f"{name}.json"
+         for name in ("segment", "triangle", "blowup")])
+    for model in [_random_model(), *retracted.values()]:
+        got, ref = random.Random(seed), random.Random(seed)
+        point, laurent, series = _input_draws(model, got)
+        width = len(model.components)
+        for _ in range(200):
+            assert point() == _reference_point(model, ref)
+            f = laurent(width, 8, -10, 10)
+            assert _same_series(f, _reference_laurent(model, ref, width, 8, -10, 10))
+            f = laurent(min(2, width), 8, 0, 6)
+            assert _same_series(
+                f, _reference_laurent(model, ref, min(2, width), 8, 0, 6))
+            g = series(f.variables, 8, 0, 6)
+            assert _same_series(g, _reference_series(f.variables, ref, 8, 0, 6))
+        assert got.getstate() == ref.getstate()
 
 
 def test_canonical_point_equals_validated_point(data_dir):
@@ -341,8 +406,9 @@ def test_canonical_point_equals_validated_point(data_dir):
         sorted((data_dir / "models").glob("*.json"))).values()]
     rng = random.Random(2718)
     for model in models:
+        point = _input_draws(model, rng)[0]
         for _ in range(300):
-            got = _random_point(model, rng)
+            got = point()
             want = model.point(got.stratum, got.weights)
             assert (got.model, got.stratum, got.weights) == \
                 (want.model, want.stratum, want.weights)
@@ -528,10 +594,11 @@ def sweep_digests(n: int = 2000, seed: int = 20220909) -> dict:
     data, half of them under an explicit identification."""
     model = _random_model()
     rng = random.Random(seed)
+    point, laurent, _ = _input_draws(model, rng)
     out = {k: [] for k in ("qm_eval", "brute_force_min", "superadditivity")}
     for i in range(n):
-        v = _random_point(model, rng)
-        f = _random_laurent(model, rng, 4, 8, -10, 10)
+        v = point()
+        f = laurent(4, 8, -10, 10)
         ident = None
         if i % 2:
             ident = {x: rng.randrange(len(model.components))
