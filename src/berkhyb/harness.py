@@ -46,7 +46,6 @@ from .manifest import (
 # on this module (perfbench/layers.py)
 from .manifest import ExperimentManifest, run, write_report  # noqa: F401
 from .hybrid import (
-    HybridConfig,
     RhoSample,
     hybrid_path_limit,
     khyb_convexity_check,
@@ -471,15 +470,30 @@ def _lse_gaps(seed: int, first: int, count: int, nn: int, mm: int):
         yield lse_max_gap(_lse_draws(seed, first + start * nn, rows, nn), mm)
 
 
+# The superadditivity sweep checks its triples in batches of this many.
+# Its arrays grow with the batch: in 8 s `valuations` benchmark runs, one
+# batch of 1000 rows read a peak RSS of 37.8 MB against 33.1 MB for
+# batches of 128, and batches of 32 read the same as 128.
+_SUPERADD_BLOCK = 128
+# Sizes of a val-eval run, from its per-item times (one Xeon core): an
+# n_random input takes ~27 us, a superadditivity triple ~26 and a gauss
+# series ~15, none of them kept, so 10^6 of each stays under half a
+# minute.  A series term takes ~1.1 us and ~180 bytes (tracemalloc) while
+# its series lives: max_terms 10^4 keeps the bundled 1000 inputs near 6 s
+# and a series near 2 MiB.  Exponents up to 10^9 in magnitude run as fast
+# as the bundled +-10 (5000 inputs: 0.143 s against 0.141 s).
+_VAL_COUNT = _int("[0, 1e6]")
+
+
 def run_val_eval(man: ExperimentManifest, rep: RunReport):
     model = _random_model()
-    n = man.param("n_random", 1000, _COUNT)
-    exp_lo = man.param("exp_lo", -10, _int())
+    n = man.param("n_random", 1000, _VAL_COUNT)
+    exp_lo = man.param("exp_lo", -10, _int("[-1e9, 1e9]"))
     shape = (man.param("max_vars", 4, _int(f"[1, {len(model.components)}]")),
-             man.param("max_terms", 8, _POSITIVE), exp_lo,
-             man.param("exp_hi", 10, _int(f"[{exp_lo}, inf)")))
-    n_superadd = man.param("n_superadd", 200, _COUNT)
-    n_gauss = man.param("n_gauss", 50, _COUNT)
+             man.param("max_terms", 8, _int("[1, 1e4]")), exp_lo,
+             man.param("exp_hi", 10, _int(f"[{exp_lo}, 1e9]")))
+    n_superadd = man.param("n_superadd", 200, _VAL_COUNT)
+    n_gauss = man.param("n_gauss", 50, _VAL_COUNT)
     # The sweep lists its max_n x len(m_choices) (N, m) pairs up front and a
     # chunk peaks at two arrays of _LSE_CHUNK x N words: 16 MiB at N = 64,
     # where a sample takes ~1.4 us (~25 min for 10^9 samples).  2m scales differences of draws (< 20) and divides log N, so
@@ -538,15 +552,16 @@ def run_val_eval(man: ExperimentManifest, rep: RunReport):
         rhs = k * weighted_min_of_terms(mono, ws)
         homog_ok = homog_ok and lhs == rhs
     rep.check("monomial-weight-homogeneity", homog_ok, "50 samples")
-    # superadditivity property sweep
+    # superadditivity property sweep, one batch per block of triples
     bad = 0
-    for _ in range(n_superadd):
-        v = point()
-        f = laurent(2, 8, 0, 6)
-        g = series(f.variables, 8, 0, 6)
-        res = valuation_superadditivity_check(v, f, g)
-        if not (res.product_ok and res.sum_ok):
-            bad += 1
+    for start in range(0, n_superadd, _SUPERADD_BLOCK):
+        rows = []
+        for _ in range(min(_SUPERADD_BLOCK, n_superadd - start)):
+            v = point()
+            f = laurent(2, 8, 0, 6)
+            rows.append((v, f, series(f.variables, 8, 0, 6)))
+        bad += sum(not (res.product_ok and res.sum_ok)
+                   for res in valuation_superadditivity_check(rows))
     rep.check("valuation-superadditivity", bad == 0, f"{bad} violations")
     # gauss extension: trivial coefficient oracle returns ord_t
     g_ok = True
@@ -960,7 +975,7 @@ def run_lelong(man: ExperimentManifest, rep: RunReport):
 def run_rho_r(man: ExperimentManifest, rep: RunReport):
     # the numeric samples lie on |t| = 3/10 and the round trips map into
     # r' = 3/4 > r; for r >= 3/10, r^500 is still a normal double
-    cfg = HybridConfig(r=man.param("r", "1/2", _rat("[3/10, 3/4)")))
+    r = man.param("r", "1/2", _rat("[3/10, 3/4)"))
     # each angle adds one sample per exponent to both round-trip lists and
     # the table, ~1.3 KB each: 4096 angles at the four default exponents
     # peak near 40 MB.  An exponent takes ~4.3 MB (tracemalloc) and ~0.1 s
@@ -971,7 +986,7 @@ def run_rho_r(man: ExperimentManifest, rep: RunReport):
     paths = man.param("path_limits", None, _block(
         c=(2.0, _real("(0, inf)")), tol=(1e-3, _TOL),
         weights=(["0", "1/3", "1/2", "2/3", "2"], _each(_rat()))))
-    rfl = float(cfg.r)
+    rfl = float(r)
     # exact round trip on |t| = r^k circles with rational values
     samples = []
     for k in ks:
@@ -979,8 +994,8 @@ def run_rho_r(man: ExperimentManifest, rep: RunReport):
             t = rfl ** k * complex(math.cos(2 * math.pi * j / n_ang),
                                     math.sin(2 * math.pi * j / n_ang))
             samples.append(RhoSample(t, Fraction(j + 1, k + 1), Fraction(k)))
-    down = rho_r_inverse(samples, cfg, r_prime=Fraction(3, 4))
-    back = rho_r_forward(down, cfg)
+    down = rho_r_inverse(samples, r, r_prime=Fraction(3, 4))
+    back = rho_r_forward(down, r)
     exact_ok = all(a.value == b.value for a, b in zip(samples, back))
     rep.check("round-trip-exact", exact_ok,
               f"{len(samples)} samples, rational radius exponents")
@@ -990,13 +1005,13 @@ def run_rho_r(man: ExperimentManifest, rep: RunReport):
     num = [RhoSample(complex(0.3 * math.cos(a), 0.3 * math.sin(a)),
                       math.log(abs(1 + 0.3 * math.cos(a) + 0.3j * math.sin(a))))
            for a in [k * step + 0.1 for k in range(24)] + [6.0]]
-    rt = rho_r_inverse(rho_r_forward(num, cfg), cfg, r_prime=Fraction(9, 10))
+    rt = rho_r_inverse(rho_r_forward(num, r), r, r_prime=Fraction(9, 10))
     num_ok = all(abs(a.value - b.value) <= tol * max(1.0, abs(a.value))
                  for a, b in zip(num, rt))
     rep.check("round-trip-numeric", num_ok, f"tolerance {tol}")
     # constant function transforms onto the rescaling factor
     const = [RhoSample(rfl ** k, Fraction(1), Fraction(k)) for k in ks]
-    fwd = rho_r_forward(const, cfg)
+    fwd = rho_r_forward(const, r)
     rep.check(
         "constant-maps-to-logr-factor",
         all(s.value == Fraction(k) for s, k in zip(fwd, ks)),
@@ -1025,7 +1040,7 @@ def run_rho_r(man: ExperimentManifest, rep: RunReport):
         worst = 0.0
         path_rows = []
         for w in paths["weights"]:
-            res = hybrid_path_limit(f, complex(paths["c"]), w, cfg)
+            res = hybrid_path_limit(f, complex(paths["c"]), w, r)
             err = abs(res.limit - float(min(w, 1)))
             worst = max(worst, err)
             path_rows.append([w, res.limit, res.prediction, err])

@@ -28,15 +28,6 @@ DEGENERATE_TOL = 1e-2    # path-limit distance from the monomial prediction
 MONOTONE_TOL = 1e-9      # slack on non-increasing circle sups
 
 
-@dataclass(frozen=True)
-class HybridConfig:
-    r: Fraction = Fraction(1, 2)
-
-    def __post_init__(self):
-        if not (0 < self.r < 1):
-            raise ValueError("base radius must lie in (0,1)")
-
-
 @dataclass
 class PathLimitResult:
     samples: list[tuple[float, float]] = field(default_factory=list)  # (|t|, ratio)
@@ -78,9 +69,10 @@ def hybrid_path_limit(
     f: LaurentSeriesData,
     c: complex,
     w: Fraction,
-    cfg: HybridConfig,
+    r: Fraction,
 ) -> PathLimitResult:
-    """Sample log|f(z(t),t)| / log|t| along z(t) = c t^w and extrapolate.
+    """Sample log|f(z(t),t)| / log|t| along z(t) = c t^w and extrapolate,
+    at |t| = r 10^-k for the base radius 0 < r < 1.
 
     The limit is the intercept of the closed-form least-squares line
     (``_line_fit``) in 1/log|t| through the last RICHARDSON_POINTS
@@ -91,7 +83,7 @@ def hybrid_path_limit(
     """
     if c == 0:
         raise ValueError("path coefficient c must be nonzero")
-    sched = [float(cfg.r) * 10.0 ** (-k) for k in range(SCHEDULE_K_MAX + 1)]
+    sched = [float(r) * 10.0 ** (-k) for k in range(SCHEDULE_K_MAX + 1)]
     pos_z = f.variables.index("z")
     pos_t = f.variables.index("t")
     w_f = as_fraction(w)
@@ -252,7 +244,7 @@ def _logr_abs(t: complex, r: Fraction) -> float:
     return math.log(abs(t)) / math.log(float(r))
 
 
-def rho_r_forward(samples: Sequence[RhoSample], cfg: HybridConfig) -> list[RhoSample]:
+def rho_r_forward(samples: Sequence[RhoSample], r: Fraction) -> list[RhoSample]:
     """phi on C^hyb(r) minus origin -> log_r|t| * phi(tau(t)) on the disk."""
     out = []
     for s in samples:
@@ -261,25 +253,25 @@ def rho_r_forward(samples: Sequence[RhoSample], cfg: HybridConfig) -> list[RhoSa
         if s.k is not None:
             out.append(RhoSample(s.t, as_fraction(s.value) * s.k, s.k))
         else:
-            out.append(RhoSample(s.t, float(s.value) * _logr_abs(s.t, cfg.r), None))
+            out.append(RhoSample(s.t, float(s.value) * _logr_abs(s.t, r), None))
     return out
 
 
-def rho_r_inverse(samples: Sequence[RhoSample], cfg: HybridConfig,
+def rho_r_inverse(samples: Sequence[RhoSample], r: Fraction,
                   r_prime: Fraction | None = None) -> list[RhoSample]:
     """phi in SH(D_{r'}) + R log|t| -> phi(tau^{-1}(t)) / log_r|t|, r' > r."""
-    if r_prime is not None and not (as_fraction(r_prime) > cfg.r):
+    if r_prime is not None and not (as_fraction(r_prime) > r):
         raise ValueError("inverse transform needs r' > r")
     out = []
     for s in samples:
         if s.t == 0:
             raise ValueError("rho_r is defined away from the origin")
-        if abs(s.t) > float(cfg.r) * (1 + 1e-12):
+        if abs(s.t) > float(r) * (1 + 1e-12):
             raise ValueError("sample outside the closed disk of radius r")
         if s.k is not None:
             out.append(RhoSample(s.t, as_fraction(s.value) / s.k, s.k))
         else:
-            out.append(RhoSample(s.t, float(s.value) / _logr_abs(s.t, cfg.r), None))
+            out.append(RhoSample(s.t, float(s.value) / _logr_abs(s.t, r), None))
     return out
 
 

@@ -338,12 +338,24 @@ def gauss_extension(coeff_valuation: Callable[[object], object],
     return INF if best is None else best
 
 
+# The guard of a superadditivity batch keeps every weight, summed
+# exponent, inner product, key and sum of two minima below _I64_SAFE in
+# magnitude, so _ABSENT, the minimum over no terms, lies above them all.
+_I64_SAFE = 1 << 62
+_ABSENT = _I64_SAFE
+
+
 @dataclass
 class SuperadditivityReport:
+    """One row of a superadditivity batch: the three verdicts, the number
+    of distinct exponents of fg, and the minima of <nums, beta> over the
+    terms of f, g, fg and f + g (None for the zero element), with nums
+    the row's weights over their common denominator ``den``."""
+
     product_ok: bool
     product_equality: bool
     sum_ok: bool
-    # <nums, beta> minima of f, g, fg and f + g (None for zero) over den
+    product_terms: int
     minima: tuple
     den: int
 
@@ -356,36 +368,108 @@ class SuperadditivityReport:
 
 
 def valuation_superadditivity_check(
-    point: QuasiMonomialPoint,
-    f: LaurentSeriesData,
-    g: LaurentSeriesData,
+    rows: Sequence[tuple[QuasiMonomialPoint, LaurentSeriesData, LaurentSeriesData]],
     identification: Mapping[str, int] | None = None,
-) -> SuperadditivityReport:
-    """Check v(fg) >= v(f) + v(g) and v(f+g) >= min(v(f), v(g)).
+) -> list[SuperadditivityReport]:
+    """Check v(fg) >= v(f) + v(g) and v(f+g) >= min(v(f), v(g)) on each
+    ``(point, f, g)`` row, as one int64 batch; one report per row.
 
-    Products/sums are formal support-level operations; with no exponent
-    collisions in the product the first inequality is an equality.  The
-    four values share one weight vector, so the inequalities are compared
-    as integers over its common denominator.
+    Each row's weights are those of qm_eval under ``identification``,
+    cleared to integers over their common denominator.  The exponents of
+    all rows are padded with zeros to the widest row and the longest f
+    and g, so one array op serves the batch:
+
+    - v(f) and v(g) are the minima of <nums, beta> over the stored terms;
+    - v(fg) is the minimum over every pair of a term of f and one of g,
+      taken on the summed exponents (the support of the formal product);
+    - v(f+g) is the minimum over the union of the terms of f and g;
+    - the product's exponents are numbered in one mixed radix and sorted,
+      so a row counts the distinct ones (``product_terms``); with no
+      collision the first inequality must be an equality
+      (``product_equality``).
+
+    The supports are those of ``formal_product`` and ``formal_sum`` on
+    unit tags.  No tag is consulted: explicit coefficients that cancel
+    would drop terms there, which can only raise v(fg) and v(f+g), so
+    no verdict differs.  Exactness needs every value inside int64: with
+    w the largest weight numerator, e_f and e_g the largest exponents of
+    the f's and the g's in magnitude, and k the widest row, the batch is
+    refused with ConfigurationError, before any array is built, unless
+    |w| (|e_f| + |e_g|) k, with each of |w| and |e_f| + |e_g| taken as at
+    least 1, and the key range R^k (R the span of the product's
+    exponents) are below 2^62.  ``val-eval``'s draws (at most 2
+    variables, exponents 0..6) sit far inside it.
     """
-    if f.variables != g.variables:
-        raise ConfigurationError("variable mismatch in superadditivity check")
-    nums, den = _lattice(_variable_weights(point, f.variables, identification))
-    prod = f.formal_product(g)
-    s = f.formal_sum(g)
-    mf, mg, mfg, ms = (None if h.is_zero() else _lattice_min(h, nums)
-                       for h in (f, g, prod, s))
-    if mf is None or mg is None:
-        # one factor is zero, so the product must be the zero element
-        product_ok = product_equality = mfg is None
-    else:
-        product_ok = mfg is None or mfg >= mf + mg
-        collisions = len(prod.terms) < len(f.terms) * len(g.terms)
-        product_equality = (mfg is not None and mfg == mf + mg) or collisions
-    if mf is None and mg is None:
-        sum_ok = ms is None
-    else:
-        lower = min(m for m in (mf, mg) if m is not None)
-        sum_ok = ms is None or ms >= lower
-    return SuperadditivityReport(product_ok, product_equality, sum_ok,
-                                 (mf, mg, mfg, ms), den)
+    import numpy as np
+
+    if not rows:
+        return []
+    width = max(1, max(len(f.variables) for _, f, _ in rows))
+    tf = max(1, max(len(f.terms) for _, f, _ in rows))
+    tg = max(1, max(len(g.terms) for _, _, g in rows))
+    nums_all, dens, ef, eg, nf, ng = [], [], [], [], [], []
+    zeros = [0] * (max(tf, tg) * width)
+    for point, f, g in rows:
+        if f.variables != g.variables:
+            raise ConfigurationError("variable mismatch in superadditivity check")
+        nums, den = _lattice(_variable_weights(point, f.variables, identification))
+        pad = (0,) * (width - len(nums))
+        nums_all += nums
+        nums_all += pad
+        dens.append(den)
+        for packed, h, size, count in ((ef, f, tf, nf), (eg, g, tg, ng)):
+            for e, _c in h.terms:
+                packed += e
+                packed += pad
+            count.append(len(h.terms))
+            packed += zeros[:(size - len(h.terms)) * width]
+    lf, hf, lg, hg = min(ef), max(ef), min(eg), max(eg)
+    lo = lf + lg  # the product's exponents lie in [lo, lo + radix)
+    radix = hf + hg - lo + 1
+    # each factor at least 1, so that the weights and the summed exponents
+    # fit on their own as well
+    big = (max(1, max(nums_all), -min(nums_all))
+           * max(1, max(hf, -lf) + max(hg, -lg)) * width)
+    if big >= _I64_SAFE or radix ** width >= _I64_SAFE:
+        raise ConfigurationError(
+            f"superadditivity batch outside int64: |w| (|e_f| + |e_g|) k = "
+            f"{big} and the key range {radix}^{width} must stay below 2^62")
+    # exponents coordinate-major, (row, variable, term), so that each
+    # inner product is a sum over the middle axis of contiguous terms
+    n = len(rows)
+    w = np.array(nums_all, dtype=np.int64).reshape(n, width, 1)
+    fe, ge = (np.ascontiguousarray(
+        np.array(packed, dtype=np.int64).reshape(n, size, width).transpose(0, 2, 1))
+        for packed, size in ((ef, tf), (eg, tg)))
+    pe = (fe[:, :, :, None] + ge[:, :, None, :]).reshape(n, width, tf * tg)
+    nf, ng = np.array(nf), np.array(ng)
+    fmask = np.arange(tf) < nf[:, None]
+    gmask = np.arange(tg) < ng[:, None]
+    pmask = (fmask[:, :, None] & gmask[:, None, :]).reshape(n, tf * tg)
+    vf, vg, vfg = (np.where(mask, (h * w).sum(1), _ABSENT)
+                   for mask, h in ((fmask, fe), (gmask, ge), (pmask, pe)))
+    pe -= lo
+    strides = np.array([radix ** j for j in range(width)], dtype=np.int64)
+    keys = np.where(pmask, (pe * strides[:, None]).sum(1), _ABSENT)
+    keys.sort(axis=1)
+    # the first key and each one that differs from the key before it
+    distinct = (keys[:, 0] < _ABSENT) + (
+        (keys[:, 1:] != keys[:, :-1]) & (keys[:, 1:] < _ABSENT)).sum(1)
+    mf, mg, mfg = vf.min(1), vg.min(1), vfg.min(1)
+    ms = np.concatenate([vf, vg], 1).min(1)
+    both = (nf > 0) & (ng > 0)
+    bound = np.where(both, mf, 0) + np.where(both, mg, 0)
+    # a zero factor must give the zero product; otherwise the product has
+    # a term, and every one lies at or above v(f) + v(g)
+    no_product = mfg == _ABSENT
+    product_ok = np.where(both, mfg >= bound, no_product)
+    product_equality = np.where(
+        both, (mfg == bound) | (distinct < nf * ng), no_product)
+    # the sum is zero (both _ABSENT) only when f and g are
+    sum_ok = ms >= np.minimum(mf, mg)
+    minima = np.stack([mf, mg, mfg, ms], 1)
+    values = minima.astype(object)
+    values[minima == _ABSENT] = None
+    return [SuperadditivityReport(*r[:4], tuple(r[4]), r[5]) for r in zip(
+        product_ok.tolist(), product_equality.tolist(), sum_ok.tolist(),
+        distinct.tolist(), values.tolist(), dens)]

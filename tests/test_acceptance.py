@@ -19,7 +19,7 @@ from berkhyb.harness import (
     load_table,
     load_tfs_file,
 )
-from berkhyb.hybrid import HybridConfig, hybrid_path_limit, lelong_estimate, \
+from berkhyb.hybrid import hybrid_path_limit, lelong_estimate, \
     sample_circle_sups
 from berkhyb.manifest import ExperimentManifest, run, write_report
 from berkhyb.models import identity_pullback, retraction
@@ -138,7 +138,6 @@ def test_criterion_5_ma_dual_route_curves(data_dir, r):
 
 
 def test_criterion_6_hybrid_path_limits():
-    cfg = HybridConfig()
     f = LaurentSeriesData(
         ["z", "t"],
         [((1, 0), Coefficient.explicit(1)), ((0, 1), Coefficient.explicit(-1))],
@@ -147,7 +146,7 @@ def test_criterion_6_hybrid_path_limits():
     worst = 0.0
     for w in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
               Fraction(2)):
-        res = hybrid_path_limit(f, 2, w, cfg)
+        res = hybrid_path_limit(f, 2, w, Fraction(1, 2))
         err = abs(res.limit - float(min(w, 1)))
         worst = max(worst, err)
     elapsed = time.perf_counter() - t0

@@ -623,10 +623,12 @@ def test_every_kind_has_one_runner():
     assert tuple(harness.RUNNERS) == KINDS
 
 
-def _without_lse(data_dir: Path, tmp_path: Path) -> Path:
-    """The bundled val-eval manifest without its numpy-sampled lse check."""
+def _without_numpy_checks(data_dir: Path, tmp_path: Path) -> Path:
+    """The bundled val-eval manifest without the two checks that load
+    numpy: the lse sweep and the superadditivity batches."""
     raw = json.loads(manifest_path(data_dir, "val_eval.json").read_text())
     del raw["params"]["lse"]
+    raw["params"]["n_superadd"] = 0
     path = tmp_path / "val_eval.json"
     path.write_text(json.dumps(raw))
     return path
@@ -638,9 +640,9 @@ def _without_lse(data_dir: Path, tmp_path: Path) -> Path:
     ("lelong", {"numpy", "mpmath"}), ("rho-r", {"numpy", "mpmath"}),
     ("val-eval", {"numpy", "mpmath"}),
 ], ids=["retract", "ma-model", "mz-check", "na-limit", "lelong", "rho-r",
-        "val-eval-without-lse"])
+        "val-eval-without-lse-or-superadditivity"])
 def test_exact_kinds_leave_numpy_unloaded(data_dir, tmp_path, kind, unused):
-    manifest = (_without_lse(data_dir, tmp_path) if kind == "val-eval" else
+    manifest = (_without_numpy_checks(data_dir, tmp_path) if kind == "val-eval" else
                 manifest_path(data_dir, kind.replace("-", "_") + ".json"))
     argv = [kind, "--manifest", str(manifest), "--out", str(tmp_path / "out")]
     loaded = _modules_loaded_by(

@@ -12,7 +12,6 @@ import pytest
 import berkhyb
 from berkhyb.hybrid import (
     N_ANGLES,
-    HybridConfig,
     RadialSampling,
     RhoSample,
     _line_fit,
@@ -27,7 +26,7 @@ from berkhyb.hybrid import (
 from berkhyb.valuation import Coefficient, LaurentSeriesData
 
 
-CFG = HybridConfig()
+R = Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +41,7 @@ def zt_series(pairs):
 
 def test_path_limit_pure_monomial():
     f = zt_series([((1, 0), 1)])
-    res = hybrid_path_limit(f, 1, Fraction(1, 2), CFG)
+    res = hybrid_path_limit(f, 1, Fraction(1, 2), R)
     assert not res.degenerate
     assert res.limit == pytest.approx(0.5, abs=1e-6)
 
@@ -51,7 +50,7 @@ def test_path_limit_two_terms():
     f = zt_series([((1, 0), 1), ((0, 1), -1)])
     for w in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
               Fraction(2)):
-        res = hybrid_path_limit(f, 2, w, CFG)
+        res = hybrid_path_limit(f, 2, w, R)
         assert not res.degenerate
         assert res.prediction == min(w, 1)
         assert abs(res.limit - float(min(w, 1))) <= 1e-3
@@ -59,7 +58,7 @@ def test_path_limit_two_terms():
 
 def test_path_limit_degenerate_cancellation():
     f = zt_series([((1, 0), 1), ((0, 1), -1)])
-    res = hybrid_path_limit(f, 1, Fraction(1), CFG)
+    res = hybrid_path_limit(f, 1, Fraction(1), R)
     assert res.degenerate
     assert "zero" in res.note or "cancellation" in res.note
 
@@ -211,17 +210,17 @@ def test_line_fit_returns_an_integer_line_exactly():
 # ---------------------------------------------------------------------------
 
 def test_rho_r_exact_round_trip():
-    rfl = float(CFG.r)
+    rfl = float(R)
     samples = [RhoSample(rfl ** k, Fraction(3, k), Fraction(k))
                for k in (1, 2, 3, 4)]
-    down = rho_r_inverse(samples, CFG, r_prime=Fraction(3, 4))
-    back = rho_r_forward(down, CFG)
+    down = rho_r_inverse(samples, R, r_prime=Fraction(3, 4))
+    back = rho_r_forward(down, R)
     assert all(a.value == b.value for a, b in zip(samples, back))
 
 
 def test_rho_r_constant_maps_to_factor():
-    rfl = float(CFG.r)
-    fwd = rho_r_forward([RhoSample(rfl ** 3, Fraction(1), Fraction(3))], CFG)
+    rfl = float(R)
+    fwd = rho_r_forward([RhoSample(rfl ** 3, Fraction(1), Fraction(3))], R)
     assert fwd[0].value == Fraction(3)
 
 
@@ -229,14 +228,14 @@ def test_rho_r_numeric_round_trip():
     pts = [0.3 * complex(math.cos(a), math.sin(a))
            for a in (0.2, 1.0, 2.5, 4.0)]
     samples = [RhoSample(t, math.log(abs(1 + t))) for t in pts]
-    rt = rho_r_inverse(rho_r_forward(samples, CFG), CFG, r_prime=Fraction(9, 10))
+    rt = rho_r_inverse(rho_r_forward(samples, R), R, r_prime=Fraction(9, 10))
     for a, b in zip(samples, rt):
         assert b.value == pytest.approx(a.value, abs=1e-12)
 
 
 def test_rho_r_rejects_origin():
     with pytest.raises(ValueError):
-        rho_r_forward([RhoSample(0, 1.0)], CFG)
+        rho_r_forward([RhoSample(0, 1.0)], R)
 
 
 def test_khyb_convexity_examples():

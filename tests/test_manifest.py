@@ -131,6 +131,13 @@ OVERSIZED = [
     ("mz-check", ("params", "n_random"), 10**5 + 1, "random_fs_family"),
     ("rho-r", ("params", "k_exponents"), [1] * 65, "rho_r_inverse"),
     ("val-eval", ("params", "lse", "m_choices"), [1] * 65, "_lse_gaps"),
+    ("val-eval", ("params", "n_random"), 10**6 + 1, "_input_draws"),
+    ("val-eval", ("params", "n_superadd"), 10**6 + 1, "_input_draws"),
+    ("val-eval", ("params", "n_gauss"), 10**6 + 1, "_input_draws"),
+    ("val-eval", ("params", "max_terms"), 10**4 + 1, "_input_draws"),
+    ("val-eval", ("params", "max_terms"), 10**9, "_input_draws"),
+    ("val-eval", ("params", "exp_lo"), -10**9 - 1, "_input_draws"),
+    ("val-eval", ("params", "exp_hi"), 10**9 + 1, "_input_draws"),
 ]
 
 

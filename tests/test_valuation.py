@@ -2,15 +2,17 @@ import hashlib
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from berkhyb import valuation
+from berkhyb import harness, valuation
 from berkhyb.exactnum import as_fraction, rat_to_str
 from berkhyb.harness import _LAURENT, _input_draws, _random_model, \
     load_models_with_pullbacks
+from berkhyb.manifest import ExperimentManifest, RunReport
 from berkhyb.valuation import (
     INF,
     Coefficient,
@@ -119,10 +121,9 @@ def test_monomial_superadditivity_examples(segment):
     v = segment.point((0, 1), (Fraction(1, 2), Fraction(1, 2)))
     z1 = LaurentSeriesData(["w1", "w2"], unit_terms([(1, 0)]))
     z2 = LaurentSeriesData(["w1", "w2"], unit_terms([(0, 1)]))
-    rep = valuation_superadditivity_check(v, z1, z2)
+    rep, rep2 = valuation_superadditivity_check([(v, z1, z2), (v, z1, z1)])
     assert rep.product_ok and rep.product_equality and rep.sum_ok
     # f + f = 2f keeps the support: v(f+g) = min
-    rep2 = valuation_superadditivity_check(v, z1, z1)
     assert rep2.sum_ok
     assert rep2.details["v(f+g)"] == Fraction(1, 2)
 
@@ -141,7 +142,7 @@ def test_superadditivity_property(e1, e2, num):
     v = segment.point((0, 1), (w1, 1 - w1))
     f = LaurentSeriesData(["w1", "w2"], unit_terms(e1))
     g = LaurentSeriesData(["w1", "w2"], unit_terms(e2))
-    rep = valuation_superadditivity_check(v, f, g)
+    rep, = valuation_superadditivity_check([(v, f, g)])
     assert rep.product_ok and rep.sum_ok
 
 
@@ -268,7 +269,7 @@ def test_superadditivity_details_are_the_four_values(e1, e2, num):
     v = segment.point((0, 1), (w1, 1 - w1))
     f = LaurentSeriesData(["w1", "w2"], unit_terms(e1))
     g = LaurentSeriesData(["w1", "w2"], unit_terms(e2))
-    details = valuation_superadditivity_check(v, f, g).details
+    details = valuation_superadditivity_check([(v, f, g)])[0].details
     assert details == {
         "v(f)": qm_eval(v, f), "v(g)": qm_eval(v, g),
         "v(fg)": qm_eval(v, f.formal_product(g)),
@@ -281,7 +282,157 @@ def test_superadditivity_rejects_mismatched_variables(segment):
     f = LaurentSeriesData(["w1", "w2"], unit_terms([(1, 0)]))
     g = LaurentSeriesData(["w2", "w1"], unit_terms([(1, 0)]))
     with pytest.raises(ConfigurationError, match="variable mismatch"):
-        valuation_superadditivity_check(v, f, g)
+        valuation_superadditivity_check([(v, f, f), (v, f, g)])
+
+
+def _reference_row(v, f, g, ident):
+    """The report of one row, from qm_eval of formal_product and
+    formal_sum: (product_ok, product_equality, sum_ok, product_terms) and
+    the four values."""
+    vf, vg = qm_eval(v, f, ident), qm_eval(v, g, ident)
+    prod = f.formal_product(g)
+    vfg, vs = qm_eval(v, prod, ident), qm_eval(v, f.formal_sum(g), ident)
+    if INF in (vf, vg):
+        product_ok = product_equality = vfg == INF
+    else:
+        product_ok = vfg == INF or vfg >= vf + vg
+        product_equality = vfg == vf + vg or \
+            len(prod.terms) < len(f.terms) * len(g.terms)
+    finite = [x for x in (vf, vg) if x != INF]
+    sum_ok = vs == INF if not finite else vs == INF or vs >= min(finite)
+    return ((product_ok, product_equality, sum_ok, len(prod.terms)),
+            {"v(f)": vf, "v(g)": vg, "v(fg)": vfg, "v(f+g)": vs})
+
+
+# the model's four labels and one that no component carries (weight 0)
+_BATCH_LABELS = ("x1", "x2", "x3", "x4", "u")
+
+
+@st.composite
+def superadditivity_batches(draw):
+    """A batch of rows on _random_model() of widths 1-4, with zero f or g,
+    negative exponents, and labels shared by every row that an
+    identification may map."""
+    model = _random_model()
+    shared = draw(st.lists(st.sampled_from(_BATCH_LABELS), max_size=2,
+                           unique=True))
+    ident = None
+    if shared and draw(st.booleans()):
+        ident = {x: draw(st.integers(0, 3)) for x in shared}
+    rows = []
+    for _ in range(draw(st.integers(1, 10))):
+        rest = [x for x in _BATCH_LABELS if x not in shared]
+        width = draw(st.integers(max(1, len(shared)), 4))
+        labels = draw(st.permutations(
+            shared + draw(st.permutations(rest))[:width - len(shared)]))
+        exps = st.lists(st.tuples(*[st.integers(-7, 7)] * width),
+                        max_size=6, unique=True)
+        f, g = (LaurentSeriesData(labels, unit_terms(draw(exps)))
+                for _ in range(2))
+        stratum = draw(st.sampled_from(model.strata))
+        raw = [Fraction(draw(st.integers(0, 6)), draw(st.integers(1, 5)))
+               for _ in stratum]
+        if not any(raw):
+            raw[0] = Fraction(1)
+        total = sum(model.multiplicity(j) * q for j, q in zip(stratum, raw))
+        rows.append((model.point(stratum, [q / total for q in raw]), f, g))
+    return rows, ident
+
+
+@given(batch=superadditivity_batches())
+@settings(max_examples=200, deadline=None)
+def test_superadditivity_batch_matches_the_per_row_reference(batch):
+    rows, ident = batch
+    reports = valuation_superadditivity_check(rows, ident)
+    assert len(reports) == len(rows)
+    for (v, f, g), rep in zip(rows, reports):
+        verdicts, details = _reference_row(v, f, g, ident)
+        assert (rep.product_ok, rep.product_equality, rep.sum_ok,
+                rep.product_terms) == verdicts
+        assert rep.details == details
+
+
+def test_superadditivity_counts_the_colliding_product_terms(segment):
+    # (1 + w1)(1 + w2 + w1) has 6 pairs of terms but 5 exponents, since
+    # w1 = 1 * w1 = w1 * 1: a collision, which product_equality counts
+    v = segment.point((0, 1), (Fraction(1, 3), Fraction(2, 3)))
+    f = LaurentSeriesData(["w1", "w2"], unit_terms([(0, 0), (1, 0)]))
+    g = LaurentSeriesData(["w1", "w2"], unit_terms([(0, 0), (0, 1), (1, 0)]))
+    alone = LaurentSeriesData(["w1", "w2"], unit_terms([(2, 2)]))
+    rep, other = valuation_superadditivity_check([(v, f, g), (v, alone, g)])
+    assert len(f.formal_product(g).terms) == rep.product_terms == 5
+    assert rep.product_ok and rep.product_equality and rep.sum_ok
+    assert rep.details["v(fg)"] == 0
+    assert other.product_terms == 3 and other.product_equality
+
+
+def test_superadditivity_refuses_a_batch_past_int64(segment):
+    v = segment.point((0, 1), (Fraction(1, 2), Fraction(1, 2)))
+    # w = (1, 1) over den 2; |w| (|e_f| + |e_g|) k = 1 (2^60 + 2^60) 1 is inside
+    f = LaurentSeriesData(["w1"], unit_terms([(2**60,)]))
+    rep, = valuation_superadditivity_check([(v, f, f)])
+    assert rep.details["v(fg)"] == 2**60 and rep.product_terms == 1
+    # 1 (2^61 + 2^61) 1 = 2^62 is not
+    big = LaurentSeriesData(["w1"], unit_terms([(2**61,)]))
+    with pytest.raises(ConfigurationError, match="outside int64"):
+        valuation_superadditivity_check([(v, f, f), (v, big, big)])
+    # a weight or an exponent past int64 is refused where it meets a zero:
+    # a label of weight 0, and a constant at a weight numerator of 2^64 - 1
+    heavy = LaurentSeriesData(["u"], unit_terms([(2**62,)]))
+    tiny = segment.point((0, 1), (Fraction(1, 2**64), 1 - Fraction(1, 2**64)))
+    const = LaurentSeriesData(["w1", "w2"], unit_terms([(0, 0)]))
+    for row in ((v, heavy, heavy), (tiny, const, const)):
+        with pytest.raises(ConfigurationError, match="outside int64"):
+            valuation_superadditivity_check([row])
+    # labels that carry weight 0 leave only the key range: 2^16 + 1 values
+    # a coordinate, to the fourth power, pass 2^62
+    wide = LaurentSeriesData(["a", "b", "c", "d"],
+                             unit_terms([(0,) * 4, (2**15,) * 4]))
+    with pytest.raises(ConfigurationError, match="key range 65537\\^4"):
+        valuation_superadditivity_check([(v, wide, wide)])
+
+
+def _superadd_sweep(monkeypatch, n_superadd):
+    """val-eval with ``n_superadd`` triples and no gauss series: the
+    superadditivity check's details and the generator's state after the
+    sweep, read when the gauss examples start."""
+    seen = {}
+
+    def draws(model, rng):
+        seen["rng"] = rng
+        return _input_draws(model, rng)
+
+    def gauss(oracle, series):
+        seen.setdefault("state", seen["rng"].getstate())
+        return gauss_extension(oracle, series)
+
+    monkeypatch.setattr(harness, "_input_draws", draws)
+    monkeypatch.setattr(harness, "gauss_extension", gauss)
+    raw = {"params": {"n_random": 3, "n_superadd": n_superadd, "n_gauss": 0}}
+    man = ExperimentManifest("val-eval", 99, Path("sweep.json"), raw)
+    rep = RunReport("val-eval", 99, "test", raw)
+    harness.run_val_eval(man, rep)
+    check, = [c for c in rep.checks if c.name == "valuation-superadditivity"]
+    return check.details, seen["state"]
+
+
+@pytest.mark.parametrize("n_superadd", [0, 1, 127, 128, 129, 1000])
+def test_superadditivity_sweep_blocks_draw_as_one_triple_at_a_time(
+        monkeypatch, n_superadd):
+    details, state = _superadd_sweep(monkeypatch, n_superadd)
+    # the reference: from the state before the sweep, one triple at a time
+    _, before = _superadd_sweep(monkeypatch, 0)
+    rng = random.Random()
+    rng.setstate(before)
+    point, laurent, series = _input_draws(_random_model(), rng)
+    bad = 0
+    for _ in range(n_superadd):
+        v, f = point(), laurent(2, 8, 0, 6)
+        g = series(f.variables, 8, 0, 6)
+        rep, = valuation_superadditivity_check([(v, f, g)])
+        bad += not (rep.product_ok and rep.sum_ok)
+    assert details == f"{bad} violations"
+    assert state == rng.getstate()
 
 
 def test_random_point_matches_fraction_formula():
@@ -608,7 +759,7 @@ def sweep_digests(n: int = 2000, seed: int = 20220909) -> dict:
              for _ in range(rng.randint(1, 8))}))
         out["qm_eval"].append(_text(qm_eval(v, f, ident)))
         out["brute_force_min"].append(_text(brute_force_min(v, f, ident)))
-        rep = valuation_superadditivity_check(v, f, g, ident)
+        rep, = valuation_superadditivity_check([(v, f, g)], ident)
         out["superadditivity"].append(
             ",".join(f"{k}={_text(x)}" for k, x in sorted(rep.details.items())))
     return {k: hashlib.sha256("\n".join(vs).encode()).hexdigest()
