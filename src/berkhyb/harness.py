@@ -105,6 +105,7 @@ from .valuation import (
     Coefficient,
     LaurentSeriesData,
     QuasiMonomialPoint,
+    SuperadditivityBatch,
     brute_force_min,
     divisorial_point,
     gauss_extension,
@@ -428,8 +429,11 @@ def _splitmix64(seed: int, first: int, count: int):
 
     Draw k is the generator's output for the state seed + (k + 1) gamma
     (mod 2^64), gamma = 0x9E3779B97F4A7C15: a function of (seed, k)
-    alone, so a run of draws is the same however it is cut.  The array of
-    draw indices is mixed in place, with one more array for the shifts.
+    alone, so a run of draws is the same however it is cut.  val-eval
+    takes two disjoint streams of it: the lse sweep's draws lie below
+    _LSE_SAMPLES_MAX x 64, the superadditivity sweep's from
+    _SUPERADD_FIRST on.  The array of draw indices is mixed in place, with
+    one more array for the shifts.
     """
     import numpy as np
 
@@ -470,13 +474,130 @@ def _lse_gaps(seed: int, first: int, count: int, nn: int, mm: int):
         yield lse_max_gap(_lse_draws(seed, first + start * nn, rows, nn), mm)
 
 
+def _uniform_below(z, n):
+    """floor(z n / 2^64) for uint64 draws ``z`` and 1 <= n < 2^32 (an int,
+    or a uint64 array shaped like z), as int64: a uniform integer in
+    [0, n), within n / 2^64 of uniform, with no rejection loop.  It is
+    exact in uint64: for z = h 2^32 + l, z n / 2^64 is
+    (h n + l n / 2^32) / 2^32, and h n + floor(l n / 2^32) < 2^64."""
+    import numpy as np
+
+    low = ((z & 0xFFFFFFFF) * n) >> 32
+    return (((z >> 32) * n + low) >> 32).astype(np.int64)
+
+
 # The superadditivity sweep checks its triples in batches of this many.
 # Its arrays grow with the batch: in 8 s `valuations` benchmark runs, one
 # batch of 1000 rows read a peak RSS of 37.8 MB against 33.1 MB for
 # batches of 128, and batches of 32 read the same as 128.
 _SUPERADD_BLOCK = 128
+# Its triples are a point, f = laurent(2, 8, 0, 6) and a g with f's
+# variables and 8 terms in 0..6 (max variables, max terms, exponent range),
+# drawn from the seed's SplitMix64 draws _SUPERADD_FIRST on: past the lse
+# sweep's, which stay below _LSE_SAMPLES_MAX x 64, for any n_superadd up
+# to 10^6 (_superadd_slots(_random_model()) = 47 draws a row).
+_SUPERADD_SHAPE = (2, 8, 0, 6)
+_SUPERADD_FIRST = 1 << 62
+
+
+def _superadd_slots(model: SncModelCombinatorics) -> int:
+    """Draws a superadditivity row takes: its stratum, a_j and b_j for the
+    largest stratum, the all-zero fix, the variable count, the labels, the
+    two term counts, and the exponents of f and g."""
+    nv, nt = _SUPERADD_SHAPE[:2]
+    return 2 * max(map(len, model.strata)) + 5 + nv + 2 * nt * nv
+
+
+def _superadd_draws(model: SncModelCombinatorics, seed: int, first: int,
+                    rows: int) -> SuperadditivityBatch:
+    """Rows first, ..., first + rows - 1 of the superadditivity sweep, as
+    one batch: row i from the seed's K = _superadd_slots(model) draws from
+    _SUPERADD_FIRST + i K on, one uniform integer per draw
+    (_uniform_below), so a row does not depend on where blocks are cut.
+
+    The draws keep the distributions of _input_draws' ``point()``,
+    ``laurent(2, 8, 0, 6)`` and ``series(f.variables, 8, 0, 6)``, in
+    _superadd_slots' order: a stratum; a_j in 0..6, then b_j in 1..5, one
+    word per component of the largest stratum (those past the row's
+    stratum unused); if every a_j is 0, the pair at a uniform index of the stratum
+    becomes (1, 1); 1 or 2 variables; the labels as ``rng.sample``'s pool
+    picks them; 1 to 8 terms for f, then for g; and the exponents of f,
+    then of g, term t's for variable v in word t nv + v.  A repeated
+    exponent tuple is one term.  The weights are those of qm_eval, over
+    the row's denominator as ``_lattice`` clears them.
+    """
+    import numpy as np
+
+    nv, nt, lo, hi = _SUPERADD_SHAPE
+    labels = model.variable_labels()
+    nc = len(model.components)
+    span = max(map(len, model.strata))
+    fix_at = 2 * span + 1  # then the variable count, labels, counts, exponents
+    labels_at = fix_at + 2
+    counts_at = labels_at + nv
+    exps_at = counts_at + 2
+    # each stratum's components, padded with nc, a component of weight 0
+    table = np.full((len(model.strata), span), nc)
+    for i, stratum in enumerate(model.strata):
+        table[i, :len(stratum)] = stratum
+    sizes = np.array([len(s) for s in model.strata], dtype=np.uint64)
+    mults = np.array([c.multiplicity for c in model.components] + [0])
+    at = np.array([nc if i is None else i
+                   for i in map(model.component_index_by_equation, labels)])
+    k = _superadd_slots(model)
+    z = _splitmix64(seed, _SUPERADD_FIRST + first * k, rows * k).reshape(rows, k)
+    every = np.arange(rows)
+    # the point: q_j = a_j / b_j over the lcm den of the b_j, n_j = q_j den
+    r = _uniform_below(z[:, 0], len(model.strata))
+    comps = table[r]
+    live = comps < nc
+    a = np.where(live, _uniform_below(z[:, 1:span + 1], 7), 0)
+    b = np.where(live, _uniform_below(z[:, span + 1:fix_at], 5) + 1, 1)
+    fix = np.flatnonzero(~a.any(1))
+    at_fix = _uniform_below(z[fix, fix_at], sizes[r[fix]])
+    a[fix, at_fix] = b[fix, at_fix] = 1
+    den = np.lcm.reduce(b, axis=1)
+    n = a * (den[:, None] // b)
+    total = (mults[comps] * n).sum(1)
+    weight = np.zeros((rows, nc + 1), dtype=np.int64)
+    weight[every[:, None], comps] = n  # padding slots write 0 to column nc
+    # the variables: rng.sample's pool, each pick replaced by the pool's end
+    width = _uniform_below(z[:, fix_at + 1], nv) + 1
+    pool = np.tile(np.arange(len(labels)), (rows, 1))
+    var = np.empty((rows, nv), dtype=np.int64)
+    for v in range(nv):
+        j = _uniform_below(z[:, labels_at + v], len(labels) - v)
+        var[:, v] = pool[every, j]
+        pool[every, j] = pool[:, -1 - v]
+    used = np.arange(nv) < width[:, None]
+    wv = np.where(used, weight[every[:, None], at[var]], 0)
+    g = np.gcd(np.gcd.reduce(wv, axis=1), total)
+    # f and g: each term's exponents as one key in base m, the first
+    # variable's the leading digit, so keys sort as exponent tuples do;
+    # repeated and unused terms become m^nv and sort to the end
+    m = hi - lo + 1
+    place = m ** np.arange(nv - 1, -1, -1) * used
+    end = m ** nv
+    exps, counts = [], []
+    for part in range(2):
+        count = _uniform_below(z[:, counts_at + part], nt) + 1
+        words = z[:, exps_at + part * nt * nv:exps_at + (part + 1) * nt * nv]
+        e = _uniform_below(words, m).reshape(rows, nt, nv)
+        keys = np.where(np.arange(nt) < count[:, None],
+                        (e * place[:, None, :]).sum(2), end)
+        keys.sort(axis=1)
+        keys[:, 1:][keys[:, 1:] == keys[:, :-1]] = end
+        keys.sort(axis=1)
+        kept = keys < end
+        ex = keys[:, None, :] // place[:, :, None].clip(1) % m + lo
+        exps.append(np.where(kept[:, None, :] & used[:, :, None], ex, 0))
+        counts.append(kept.sum(1))
+    return SuperadditivityBatch(wv // g[:, None], (total // g).tolist(),
+                                exps[0], exps[1], *counts)
+
+
 # Sizes of a val-eval run, from its per-item times (one Xeon core): an
-# n_random input takes ~27 us, a superadditivity triple ~26 and a gauss
+# n_random input takes ~27 us, a superadditivity triple ~10 and a gauss
 # series ~15, none of them kept, so 10^6 of each stays under half a
 # minute.  A series term takes ~1.1 us and ~180 bytes (tracemalloc) while
 # its series lives: max_terms 10^4 keeps the bundled 1000 inputs near 6 s
@@ -505,7 +626,7 @@ def run_val_eval(man: ExperimentManifest, rep: RunReport):
         max_n=(8, _int("[1, 64]")),
         m_choices=([1, 2, 3], _each(_int("[1, 1e300]"), 1, 64))))
     rng = random.Random(man.seed)
-    point, laurent, series = _input_draws(model, rng)
+    point, laurent, _ = _input_draws(model, rng)
     mismatch = 0
     t0 = time.perf_counter()
     for _ in range(n):
@@ -552,16 +673,14 @@ def run_val_eval(man: ExperimentManifest, rep: RunReport):
         rhs = k * weighted_min_of_terms(mono, ws)
         homog_ok = homog_ok and lhs == rhs
     rep.check("monomial-weight-homogeneity", homog_ok, "50 samples")
-    # superadditivity property sweep, one batch per block of triples
+    # superadditivity property sweep, one batch per block of triples, drawn
+    # from the seed's SplitMix64 stream: rng is left as it was
     bad = 0
     for start in range(0, n_superadd, _SUPERADD_BLOCK):
-        rows = []
-        for _ in range(min(_SUPERADD_BLOCK, n_superadd - start)):
-            v = point()
-            f = laurent(2, 8, 0, 6)
-            rows.append((v, f, series(f.variables, 8, 0, 6)))
+        batch = _superadd_draws(model, man.seed, start,
+                                min(_SUPERADD_BLOCK, n_superadd - start))
         bad += sum(not (res.product_ok and res.sum_ok)
-                   for res in valuation_superadditivity_check(rows))
+                   for res in valuation_superadditivity_check(batch))
     rep.check("valuation-superadditivity", bad == 0, f"{bad} violations")
     # gauss extension: trivial coefficient oracle returns ord_t
     g_ok = True

@@ -368,8 +368,10 @@ def emit_plot_data(report: RunReport, target: Path):
 
 
 def run(man: ExperimentManifest) -> RunReport:
-    # the runners import every layer module, so the first run of a process
-    # loads them; the clock starts after, so timing.json leaves that out
+    # harness imports every layer module, so the first run of a process
+    # loads them before the clock starts, and timing.json leaves that out;
+    # numpy is imported on first use inside a runner (val-eval's sweeps,
+    # ma-converge), so the first such run's wall_clock_seconds counts it
     from . import harness
 
     t0 = time.perf_counter()

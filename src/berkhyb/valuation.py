@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add, mul
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .exactnum import Rat, _lattice, as_fraction
 
@@ -367,17 +367,33 @@ class SuperadditivityReport:
         return {"v(f)": vf, "v(g)": vg, "v(fg)": vfg, "v(f+g)": vs}
 
 
+class SuperadditivityBatch(NamedTuple):
+    """The rows of a superadditivity check as int64 arrays, n rows of k
+    variables: ``nums`` (n, k), each row's weights as integers over its
+    denominator in ``den`` (a list of n ints); ``fe`` (n, k, tf) and ``ge``
+    (n, k, tg), the exponents of f and g coordinate-major, zero past a
+    row's variables and past its ``nf`` (n,) and ``ng`` (n,) terms.  Each
+    row's terms are distinct."""
+
+    nums: object
+    den: list
+    fe: object
+    ge: object
+    nf: object
+    ng: object
+
+
 def valuation_superadditivity_check(
-    rows: Sequence[tuple[QuasiMonomialPoint, LaurentSeriesData, LaurentSeriesData]],
+    rows: SuperadditivityBatch
+    | Sequence[tuple[QuasiMonomialPoint, LaurentSeriesData, LaurentSeriesData]],
     identification: Mapping[str, int] | None = None,
 ) -> list[SuperadditivityReport]:
     """Check v(fg) >= v(f) + v(g) and v(f+g) >= min(v(f), v(g)) on each
-    ``(point, f, g)`` row, as one int64 batch; one report per row.
+    row, as one int64 batch; one report per row.
 
-    Each row's weights are those of qm_eval under ``identification``,
-    cleared to integers over their common denominator.  The exponents of
-    all rows are padded with zeros to the widest row and the longest f
-    and g, so one array op serves the batch:
+    ``rows`` is a SuperadditivityBatch, or ``(point, f, g)`` rows, which
+    _superadditivity_batch packs first (under ``identification``).  For
+    nums a row's weights over its denominator:
 
     - v(f) and v(g) are the minima of <nums, beta> over the stored terms;
     - v(fg) is the minimum over every pair of a term of f and one of g,
@@ -393,17 +409,27 @@ def valuation_superadditivity_check(
     would drop terms there, which can only raise v(fg) and v(f+g), so
     no verdict differs.  Exactness needs every value inside int64: with
     w the largest weight numerator, e_f and e_g the largest exponents of
-    the f's and the g's in magnitude, and k the widest row, the batch is
-    refused with ConfigurationError, before any array is built, unless
-    |w| (|e_f| + |e_g|) k, with each of |w| and |e_f| + |e_g| taken as at
-    least 1, and the key range R^k (R the span of the product's
-    exponents) are below 2^62.  ``val-eval``'s draws (at most 2
-    variables, exponents 0..6) sit far inside it.
+    the f's and the g's in magnitude, and k the number of variables, the
+    batch is refused with ConfigurationError, before any arithmetic on
+    its arrays, unless |w| (|e_f| + |e_g|) k, with each of |w| and
+    |e_f| + |e_g| taken as at least 1, and the key range R^k (R the span
+    of the product's exponents) are below 2^62.  ``val-eval``'s draws (at
+    most 2 variables, exponents 0..6) sit far inside it.
     """
+    if not isinstance(rows, SuperadditivityBatch):
+        if not rows:
+            return []
+        rows = _superadditivity_batch(rows, identification)
+    return _superadditivity_verdicts(rows)
+
+
+def _superadditivity_batch(rows, identification) -> SuperadditivityBatch:
+    """``(point, f, g)`` rows as a batch: each row's weights those of
+    qm_eval under ``identification``, cleared to integers over their common
+    denominator, and the exponents padded with zeros to the widest row and
+    the longest f and g.  A value that int64 cannot hold is refused."""
     import numpy as np
 
-    if not rows:
-        return []
     width = max(1, max(len(f.variables) for _, f, _ in rows))
     tf = max(1, max(len(f.terms) for _, f, _ in rows))
     tg = max(1, max(len(g.terms) for _, _, g in rows))
@@ -423,26 +449,44 @@ def valuation_superadditivity_check(
                 packed += pad
             count.append(len(h.terms))
             packed += zeros[:(size - len(h.terms)) * width]
-    lf, hf, lg, hg = min(ef), max(ef), min(eg), max(eg)
+    n = len(rows)
+    try:
+        w = np.array(nums_all, dtype=np.int64).reshape(n, width)
+        fe, ge = (np.ascontiguousarray(
+            np.array(packed, dtype=np.int64).reshape(n, size, width).transpose(0, 2, 1))
+            for packed, size in ((ef, tf), (eg, tg)))
+    except OverflowError as exc:
+        raise ConfigurationError(
+            "superadditivity batch outside int64: a weight numerator or an "
+            "exponent is past 2^63") from exc
+    return SuperadditivityBatch(w, dens, fe, ge, np.array(nf), np.array(ng))
+
+
+def _superadditivity_verdicts(batch: SuperadditivityBatch) -> list[SuperadditivityReport]:
+    """The reports of valuation_superadditivity_check on ``batch``: the
+    int64 guard, the four minima, the product's distinct exponents and the
+    verdicts."""
+    import numpy as np
+
+    nums, dens, fe, ge, nf, ng = batch
+    n, width, tf = fe.shape
+    tg = ge.shape[2]
+    # Python ints, so that the guard's own arithmetic cannot wrap
+    lf, hf, lg, hg = (int(x) for x in (fe.min(), fe.max(), ge.min(), ge.max()))
     lo = lf + lg  # the product's exponents lie in [lo, lo + radix)
     radix = hf + hg - lo + 1
     # each factor at least 1, so that the weights and the summed exponents
     # fit on their own as well
-    big = (max(1, max(nums_all), -min(nums_all))
+    big = (max(1, int(nums.max()), -int(nums.min()))
            * max(1, max(hf, -lf) + max(hg, -lg)) * width)
     if big >= _I64_SAFE or radix ** width >= _I64_SAFE:
         raise ConfigurationError(
             f"superadditivity batch outside int64: |w| (|e_f| + |e_g|) k = "
             f"{big} and the key range {radix}^{width} must stay below 2^62")
-    # exponents coordinate-major, (row, variable, term), so that each
-    # inner product is a sum over the middle axis of contiguous terms
-    n = len(rows)
-    w = np.array(nums_all, dtype=np.int64).reshape(n, width, 1)
-    fe, ge = (np.ascontiguousarray(
-        np.array(packed, dtype=np.int64).reshape(n, size, width).transpose(0, 2, 1))
-        for packed, size in ((ef, tf), (eg, tg)))
+    # coordinate-major exponents: each inner product is a sum over the
+    # middle axis of contiguous terms
+    w = nums[:, :, None]
     pe = (fe[:, :, :, None] + ge[:, :, None, :]).reshape(n, width, tf * tg)
-    nf, ng = np.array(nf), np.array(ng)
     fmask = np.arange(tf) < nf[:, None]
     gmask = np.arange(tg) < ng[:, None]
     pmask = (fmask[:, :, None] & gmask[:, None, :]).reshape(n, tf * tg)

@@ -132,7 +132,7 @@ OVERSIZED = [
     ("rho-r", ("params", "k_exponents"), [1] * 65, "rho_r_inverse"),
     ("val-eval", ("params", "lse", "m_choices"), [1] * 65, "_lse_gaps"),
     ("val-eval", ("params", "n_random"), 10**6 + 1, "_input_draws"),
-    ("val-eval", ("params", "n_superadd"), 10**6 + 1, "_input_draws"),
+    ("val-eval", ("params", "n_superadd"), 10**6 + 1, "_superadd_draws"),
     ("val-eval", ("params", "n_gauss"), 10**6 + 1, "_input_draws"),
     ("val-eval", ("params", "max_terms"), 10**4 + 1, "_input_draws"),
     ("val-eval", ("params", "max_terms"), 10**9, "_input_draws"),

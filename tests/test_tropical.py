@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from berkhyb.exactnum import LogRVal
 from berkhyb import harness
 from berkhyb.manifest import ExperimentManifest, run
-from berkhyb.harness import _LSE_CHUNK, _lse_draws, _lse_gaps, _splitmix64, \
+from berkhyb.harness import _LSE_CHUNK, _LSE_SAMPLES_MAX, _lse_draws, _lse_gaps, \
+    _random_model, _splitmix64, _superadd_slots, _uniform_below, \
     load_tfs_file
 from berkhyb.tropical import (
     BasepointError,
@@ -382,6 +383,34 @@ def test_splitmix64_matches_the_python_reference(seed, first):
     assert doubles.shape == (8, 5) and doubles.dtype == np.float64
     assert doubles.ravel().tolist() == [-10.0 + 20.0 * ((z >> 11) * 2.0**-53)
                                         for z in draws]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 7, 15, 2**31 - 1, 2**32 - 1])
+def test_uniform_below_is_floor_of_z_n_over_2_64(n):
+    # exact against Python's integers, for n an int and for n per draw
+    zs = [0, 1, 2**32 - 1, 2**32, 2**63, _MASK] + \
+        [random.Random(n).getrandbits(64) for _ in range(500)]
+    want = [z * n >> 64 for z in zs]
+    z = np.array(zs, dtype=np.uint64)
+    for bound in (n, np.full(len(zs), n, dtype=np.uint64)):
+        got = _uniform_below(z, bound)
+        assert got.dtype == np.int64 and got.tolist() == want
+
+
+def test_superadd_stream_stays_past_the_lse_stream():
+    # the lse sweep takes draws [0, n_samples max_n): at most 10^9 x 64;
+    # the superadditivity sweep [_SUPERADD_FIRST, + 10^6 K), K = 47
+    k = _superadd_slots(_random_model())
+    assert k == 47
+    assert _LSE_SAMPLES_MAX * 64 < harness._SUPERADD_FIRST
+    assert harness._VAL_COUNT(10**6) == 10**6
+    with pytest.raises(ValueError):
+        harness._VAL_COUNT(10**6 + 1)
+    last = harness._SUPERADD_FIRST + 10**6 * k - 1
+    assert last + 1 < 2**64  # the kernel's draw indices k + 1 stay in uint64
+    seed = 2**64 - 1
+    assert _splitmix64(seed, last, 1).tolist() == \
+        [_mix(seed + (last + 1) * _GAMMA & _MASK)]
 
 
 def test_lse_draws_lie_in_the_half_open_interval(monkeypatch):

@@ -4,8 +4,9 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from berkhyb import harness, valuation
@@ -26,6 +27,7 @@ from berkhyb.valuation import (
     valuation_superadditivity_check,
     weighted_min_of_terms,
 )
+from test_tropical import _GAMMA, _MASK, _mix
 
 
 def unit_terms(exps):
@@ -392,10 +394,10 @@ def test_superadditivity_refuses_a_batch_past_int64(segment):
         valuation_superadditivity_check([(v, wide, wide)])
 
 
-def _superadd_sweep(monkeypatch, n_superadd):
+def _rng_state_after_sweep(monkeypatch, n_superadd):
     """val-eval with ``n_superadd`` triples and no gauss series: the
-    superadditivity check's details and the generator's state after the
-    sweep, read when the gauss examples start."""
+    generator's state after the sweep, read when the gauss examples
+    start."""
     seen = {}
 
     def draws(model, rng):
@@ -412,27 +414,109 @@ def _superadd_sweep(monkeypatch, n_superadd):
     man = ExperimentManifest("val-eval", 99, Path("sweep.json"), raw)
     rep = RunReport("val-eval", 99, "test", raw)
     harness.run_val_eval(man, rep)
-    check, = [c for c in rep.checks if c.name == "valuation-superadditivity"]
-    return check.details, seen["state"]
+    return seen["state"]
+
+
+def _decode_superadd_row(model, seed, i):
+    """Row i of the superadditivity sweep, decoded in Python from its
+    counter slots one draw at a time: the triple (point, f, g) as checked
+    objects, whether the all-zero fix was drawn, and whether f has a
+    single variable."""
+    nv, nt, lo, hi = harness._SUPERADD_SHAPE
+    k = harness._superadd_slots(model)
+    first = harness._SUPERADD_FIRST + i * k
+    words = [_mix(seed + (j + 1) * _GAMMA & _MASK) for j in range(first, first + k)]
+
+    def below(slot, n):
+        return words[slot] * n >> 64
+
+    span = max(map(len, model.strata))
+    stratum = model.strata[below(0, len(model.strata))]
+    raw = [[below(1 + j, 7), below(1 + span + j, 5) + 1] for j in range(len(stratum))]
+    fixed = not any(a for a, _ in raw)
+    if fixed:
+        raw[below(2 * span + 1, len(stratum))] = [1, 1]
+    qs = [Fraction(a, b) for a, b in raw]
+    total = sum(model.multiplicity(j) * q for j, q in zip(stratum, qs))
+    point = model.point(stratum, [q / total for q in qs])
+    slot = 2 * span + 2
+    width = below(slot, nv) + 1
+    pool, picked = model.variable_labels(), []
+    for v in range(nv):
+        j = below(slot + 1 + v, len(pool) - v)
+        picked.append(pool[j])
+        pool[j] = pool[len(pool) - 1 - v]
+    labels = tuple(picked[:width])
+    slot += 1 + nv
+    f, g = (LaurentSeriesData(labels, unit_terms({
+        tuple(below(slot + 2 + part * nt * nv + t * nv + v, hi - lo + 1) + lo
+              for v in range(width))
+        for t in range(below(slot + part, nt) + 1)})) for part in range(2))
+    return (point, f, g), fixed, width == 1
 
 
 @pytest.mark.parametrize("n_superadd", [0, 1, 127, 128, 129, 1000])
-def test_superadditivity_sweep_blocks_draw_as_one_triple_at_a_time(
-        monkeypatch, n_superadd):
-    details, state = _superadd_sweep(monkeypatch, n_superadd)
-    # the reference: from the state before the sweep, one triple at a time
-    _, before = _superadd_sweep(monkeypatch, 0)
-    rng = random.Random()
-    rng.setstate(before)
-    point, laurent, series = _input_draws(_random_model(), rng)
-    bad = 0
-    for _ in range(n_superadd):
-        v, f = point(), laurent(2, 8, 0, 6)
-        g = series(f.variables, 8, 0, 6)
-        rep, = valuation_superadditivity_check([(v, f, g)])
-        bad += not (rep.product_ok and rep.sum_ok)
-    assert details == f"{bad} violations"
-    assert state == rng.getstate()
+@given(seed=st.integers(0, 2**64 - 1))
+@example(seed=0)
+@example(seed=2**64 - 1)
+@settings(max_examples=8, deadline=None)
+def test_superadditivity_sweep_matches_the_scalar_decoder(n_superadd, seed):
+    # run_val_eval's blocks, row for row against the object path on the
+    # triples a scalar decoder builds from the same counter slots
+    calls = []
+
+    def recorded(batch, identification=None):
+        reports = valuation_superadditivity_check(batch, identification)
+        calls.append((batch, reports))
+        return reports
+
+    raw = {"params": {"n_random": 0, "n_superadd": n_superadd, "n_gauss": 0}}
+    rep = RunReport("val-eval", seed, "test", raw)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "valuation_superadditivity_check", recorded)
+        harness.run_val_eval(
+            ExperimentManifest("val-eval", seed, Path("sweep.json"), raw), rep)
+    block = harness._SUPERADD_BLOCK
+    assert [len(r) for _, r in calls] == [min(block, n_superadd - s)
+                                          for s in range(0, n_superadd, block)]
+    model = _random_model()
+    decoded = [_decode_superadd_row(model, seed, i) for i in range(n_superadd)]
+    for start, (batch, reports) in zip(range(0, n_superadd, block), calls):
+        rows = [row for row, _, _ in decoded[start:start + block]]
+        assert reports == valuation_superadditivity_check(rows)
+        # the same arrays as the object rows pack to, each f and g with its
+        # distinct terms in sorted order, past them zeros
+        packed = valuation._superadditivity_batch(rows, None)
+        assert batch.den == packed.den
+        for name in ("nums", "fe", "ge", "nf", "ng"):
+            got, want = getattr(batch, name), getattr(packed, name)
+            pad = [(0, s - d) for s, d in zip(got.shape, want.shape)]
+            assert np.array_equal(got, np.pad(want, pad))
+    bad = sum(not (r.product_ok and r.sum_ok) for _, reports in calls for r in reports)
+    check, = [c for c in rep.checks if c.name == "valuation-superadditivity"]
+    assert check.details == f"{bad} violations"
+    if n_superadd == 1000:
+        assert any(fixed for _, fixed, _ in decoded)
+        assert any(single for _, _, single in decoded)
+
+
+def test_superadditivity_rows_do_not_depend_on_the_block_cuts():
+    model = _random_model()
+    whole = harness._superadd_draws(model, 3, 5, 300)
+    for cuts in ([0, 1, 128, 129, 300], [0, 127, 255, 300], [0, 300]):
+        parts = [harness._superadd_draws(model, 3, 5 + a, b - a)
+                 for a, b in zip(cuts, cuts[1:])]
+        for name, got in zip(whole._fields, zip(*parts)):
+            if name == "den":
+                assert sum(got, []) == whole.den
+            else:
+                assert np.array_equal(np.concatenate(got), getattr(whole, name))
+
+
+def test_superadditivity_sweep_leaves_rng_alone(monkeypatch):
+    before = _rng_state_after_sweep(monkeypatch, 0)
+    for n_superadd in (1, 300):
+        assert _rng_state_after_sweep(monkeypatch, n_superadd) == before
 
 
 def test_random_point_matches_fraction_formula():
